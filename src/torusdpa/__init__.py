@@ -25,7 +25,6 @@ from .kernels import (
     ViscosityKernel,
     build_kernel_set,
     compose_W_eps,
-    eval_grad,
     lambda_convexity_constant,
     make_mollifier,
     make_viscosity_kernel,

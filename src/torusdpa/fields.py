@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import min_image
 from .kernels import KernelFamily, KernelSet, KernelTable, ParameterSchedule
-from .spectral import grad_multipliers, minimage_coords
+from .spectral import TILE_POINTS, grad_multipliers, minimage_coords
 
 __all__ = [
     "GridField",
@@ -246,28 +246,21 @@ def kde_density(state, kernel: KernelFamily, n: int) -> GridField:
 
     Evaluates the tabulated kernel at exact particle offsets (no deposition),
     so a particle sitting on a node reproduces the kernel table exactly.
+    Tiles of grid nodes against all particles hold about TILE_POINTS
+    offsets each, and each node's value is one sum over the particles.
     """
     positions = np.atleast_2d(state.positions if hasattr(state, "positions") else state)
     N, d = positions.shape
     table = kernel.table
     x = np.arange(n) / n
-    out = np.zeros((n,) * d)
-    if d == 1:
-        chunk = max(1, int(2e6 / n))
-        for lo in range(0, N, chunk):
-            X = positions[lo : lo + chunk, 0]
-            diff = min_image(x[None, :], X[:, None])[..., None]
-            out += table.value_at(diff.reshape(-1, 1)).reshape(-1, n).sum(axis=0)
-    else:
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        grid = np.stack([X1.ravel(), X2.ravel()], axis=1)
-        chunk = max(1, int(2e6 / grid.shape[0]))
-        for lo in range(0, N, chunk):
-            P = positions[lo : lo + chunk]
-            diff = min_image(grid[None, :, :], P[:, None, :])
-            vals = table.value_at(diff.reshape(-1, 2)).reshape(-1, n * n)
-            out += vals.sum(axis=0).reshape(n, n)
-    return GridField(out / N)
+    nodes = np.stack([c.ravel() for c in np.meshgrid(*([x] * d), indexing="ij")])
+    PT = np.ascontiguousarray(positions.T)
+    out = np.empty(n**d)
+    rows = max(1, TILE_POINTS // N)  # grid nodes per tile
+    for lo in range(0, n**d, rows):
+        delta = min_image(nodes[:, lo : lo + rows, None], PT[:, None, :])
+        out[lo : lo + rows] = table.value_at(np.moveaxis(delta, 0, -1)).sum(axis=1)
+    return GridField(out.reshape((n,) * d) / N)
 
 
 def velocity_field_nl(

@@ -50,7 +50,6 @@ __all__ = [
     "make_mollifier",
     "make_viscosity_kernel",
     "compose_W_eps",
-    "eval_grad",
     "schedule_from_epsilon",
     "lambda_convexity_constant",
     "build_kernel_set",
@@ -198,12 +197,6 @@ def hessian_eigs(table: KernelTable):
     tr = fxx + fyy
     disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
     return (0.5 * (tr - disc), 0.5 * (tr + disc))
-
-
-def eval_grad(kernel, disp) -> np.ndarray:
-    """Force-layer gradient evaluation of a tabulated kernel at displacements."""
-    table = kernel.table if hasattr(kernel, "table") else kernel
-    return table.grad_at(disp)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 These deliberately share no convolution, interpolation, or transport code
 with the production modules: convolutions are adaptive quadrature of
 callables, gradients are Richardson-extrapolated central differences, and
-tiny transport problems are exhaustive over assignments.  Never used on hot
-paths.
+tiny transport problems are exhaustive over assignments.  The one exception
+is the particle pair-sum reference, which evaluates the kernel tables
+through KernelTable.grad_at / value_at on the full N x N displacement array:
+what it checks is the tiling and symmetric accumulation of the production
+pair sums, not the interpolation.  Never used on hot paths.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "gaussian_profile",
     "direct_convolve_table",
     "direct_double_sum",
+    "direct_pair_sum",
 ]
 
 
@@ -139,3 +143,20 @@ def direct_double_sum(f_vals: np.ndarray, w_vals: np.ndarray, epsilon: float) ->
         shifted = np.roll(f_vals, s)
         total += w * float(((f_vals - shifted) ** 2).sum())
     return total * h * h / epsilon**2
+
+
+def direct_pair_sum(positions, table, gradient: bool = True, weights=None) -> np.ndarray:
+    """sum_j w_j T(X_i - X_j) for every i, from the full N x N displacement
+    array (no tiling, no symmetry).  Gradient sums are (N, d), value sums (N,)."""
+    X = np.atleast_2d(np.asarray(positions, dtype=float))
+    N, d = X.shape
+    r = X[:, None, :] - X[None, :, :]
+    delta = (r - np.ceil(r - 0.5)).reshape(-1, d)
+    if gradient:
+        terms = table.grad_at(delta).reshape(N, N, d)
+    else:
+        terms = table.value_at(delta).reshape(N, N, 1)
+    if weights is not None:
+        terms = terms * np.asarray(weights, dtype=float)[None, :, None]
+    out = terms.sum(axis=1)
+    return out if gradient else out[:, 0]

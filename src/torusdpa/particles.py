@@ -24,7 +24,7 @@ import numpy as np
 from .fields import GridField
 from .geometry import min_image, wrap
 from .kernels import KernelSet, ParameterSchedule
-from .spectral import catmull_rom_apply, catmull_rom_prepare
+from .spectral import TILE_POINTS, catmull_rom_apply, catmull_rom_prepare
 
 __all__ = [
     "ParticleState",
@@ -36,9 +36,6 @@ __all__ = [
     "discrete_energy",
     "momentum",
 ]
-
-_CHUNK_PAIRS = 2_000_000  # pair evaluations per chunk, bounds peak memory
-
 
 @dataclass
 class ParticleState:
@@ -160,156 +157,97 @@ def init_quantile(
 # forces
 
 
-def _pairwise_sums(state: ParticleState, tables, weights_j=None):
-    """Sum interpolated kernel gradients over j for each table, sharing the
-    interpolation stencil across tables.  Returns one (N, d) array per table."""
-    X = state.positions
-    N, d = X.shape
-    out = [np.zeros((N, d)) for _ in tables]
-    rows = max(1, _CHUNK_PAIRS // max(N, 1))
-    for lo in range(0, N, rows):
-        Xi = X[lo : lo + rows]
-        delta = min_image(Xi[:, None, :], X[None, :, :])
-        flat = delta.reshape(-1, d)
-        sign = np.sign(flat)
-        prep = catmull_rom_prepare(np.abs(flat), tables[0].n, d)
-        for t, table in enumerate(tables):
-            g = np.empty_like(flat)
-            for ax in range(d):
-                g[:, ax] = sign[:, ax] * catmull_rom_apply(
-                    table.grads[ax], prep, table.padded("grad", ax)
-                )
-            g = g.reshape(len(Xi), N, d)
-            if weights_j is not None:
-                g = g * weights_j[None, :, None]
-            out[t][lo : lo + rows] = g.sum(axis=1)
-    return out
+def _pair_sums(X: np.ndarray, tables, gradient: bool = True, weights=None):
+    """out_i = sum_j w_j T(X_i - X_j) for each table T, over all pairs.
 
-
-def _pairwise_value_sum(state: ParticleState, table, weights_j=None) -> np.ndarray:
-    """sum_j table(X_i - X_j) for each i (even-symmetric interpolation)."""
-    X = state.positions
-    N, d = X.shape
-    out = np.zeros(N)
-    rows = max(1, _CHUNK_PAIRS // max(N, 1))
-    for lo in range(0, N, rows):
-        Xi = X[lo : lo + rows]
-        delta = min_image(Xi[:, None, :], X[None, :, :]).reshape(-1, d)
-        vals = table.value_at(np.abs(delta)).reshape(len(Xi), N)
-        if weights_j is not None:
-            vals = vals * weights_j[None, :]
-        out[lo : lo + rows] = vals.sum(axis=1)
-    return out
-
-
-def _cell_bins(positions: np.ndarray, radius: float):
-    """Neighbor-candidate lists from a uniform bin grid of width >= radius."""
-    N, d = positions.shape
-    nb = max(int(np.floor(1.0 / radius)), 1)
-    if nb < 3:
-        return [np.arange(N)] * N  # bins too coarse to prune anything
-    cells = np.minimum((positions * nb).astype(np.int64), nb - 1)
-    buckets = {}
-    for i in range(N):
-        buckets.setdefault(tuple(cells[i]), []).append(i)
-    offsets = [-1, 0, 1]
-    out = []
-    for i in range(N):
-        cand = []
-        ci = cells[i]
-        if d == 1:
-            for o in offsets:
-                cand.extend(buckets.get(((ci[0] + o) % nb,), ()))
-        else:
-            for o1 in offsets:
-                for o2 in offsets:
-                    cand.extend(buckets.get(((ci[0] + o1) % nb, (ci[1] + o2) % nb), ()))
-        out.append(np.array(sorted(cand), dtype=np.int64))
-    return out
-
-
-def _pairwise_sums_cell_list(state: ParticleState, tables, radius: float):
-    """Cell-list variant of _pairwise_sums for compactly supported kernels.
-
-    Kernels are treated as exactly zero beyond the radius; spectral tables
-    carry roundoff-level tails there, so results match the direct sums to
-    roundoff, not bitwise.  Candidate lists are index-sorted, so the
-    reduction order is deterministic.
+    Row tiles [lo, hi) run against columns [lo, N), so each unordered pair
+    is interpolated once, with one |delta| stencil shared by the tables (all
+    on the same grid).  The pair's term goes to row i and, negated for the
+    odd gradient tables, to row j; the self term counts once and is exactly
+    0 for gradients, so gradient sums cancel pairwise by construction.  With
+    weights, row i takes w_j and row j takes w_i.  A tile holds about
+    TILE_POINTS pairs, keeping its temporaries in cache.  Returns one (N, d)
+    array per table for gradients, one (N,) array for values.
     """
-    X = state.positions
     N, d = X.shape
-    neighbors = _cell_bins(X, radius)
-    out = [np.zeros((N, d)) for _ in tables]
-    for i in range(N):
-        idx = neighbors[i]
-        delta = min_image(X[i][None, :], X[idx])
-        sign = np.sign(delta)
-        prep = catmull_rom_prepare(np.abs(delta), tables[0].n, d)
+    XT = np.ascontiguousarray(X.T)
+    out = [np.zeros((d, N) if gradient else N) for _ in tables]
+    rows = max(1, TILE_POINTS // max(N, 1))
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        delta = min_image(XT[:, lo:hi, None], XT[:, None, lo:])  # (d, rows, cols)
+        prep = catmull_rom_prepare(np.moveaxis(np.abs(delta), 0, -1), tables[0].n, d)
+        sign = np.sign(delta) if gradient else None
         for t, table in enumerate(tables):
-            g = np.empty_like(delta)
-            for ax in range(d):
-                g[:, ax] = sign[:, ax] * catmull_rom_apply(
-                    table.grads[ax], prep, table.padded("grad", ax)
-                )
-            out[t][i] = g.sum(axis=0)
-    return out
+            if gradient:
+                for ax in range(d):
+                    term = catmull_rom_apply(table.grads[ax], prep, table.padded("grad", ax))
+                    term *= sign[ax]
+                    row, col = _fold_tile(term, lo, hi, weights)
+                    out[t][ax, lo:hi] += row
+                    out[t][ax, lo:] -= col
+            else:
+                term = catmull_rom_apply(table.values, prep, table.padded("values"))
+                row, col = _fold_tile(term, lo, hi, weights)
+                out[t][lo:hi] += row
+                out[t][lo:] += col
+    return [o.T.copy() for o in out] if gradient else out
+
+
+def _fold_tile(term: np.ndarray, lo: int, hi: int, weights):
+    """Row and column sums of one tile's pair terms, each pair counted once.
+
+    The tile's first hi - lo columns are its own rows: pairs below that
+    diagonal repeat pairs above it and are dropped, and the diagonal (self
+    terms) goes to the row sums only.
+    """
+    r = hi - lo
+    term[np.tril_indices(r, -1)] = 0.0
+    row = (term if weights is None else term * weights[None, lo:]).sum(axis=1)
+    diag = np.arange(r)
+    term[diag, diag] = 0.0
+    col = (term if weights is None else term * weights[lo:hi, None]).sum(axis=0)
+    return row, col
 
 
 def compute_forces(
     state: ParticleState,
     kernels: KernelSet,
     appendix_a: bool = False,
-    cell_list: bool = False,
 ) -> ForceField:
     """Evaluate the particle velocities and their three-term decomposition.
 
-    cell_list=True prunes the pair sums through a uniform bin grid; it needs
-    every kernel in play to be compactly supported inside the half-torus and
-    is off by default (desk-scale N favors the deterministic direct sums).
+    Every term is an exact O(N^2) pair sum of interpolated kernel tables
+    (see _pair_sums): each pair is evaluated once and its gradient enters
+    the two particles with opposite signs, so the addends cancel pairwise
+    and total momentum stays at roundoff.  appendix_a=True drops the
+    viscosity term instead of sending eps_star to 0.
     """
     sched = state.schedule or kernels.schedule
     m = sched.m
     N = state.N
+    X = state.positions
     include_visc = not appendix_a
     if include_visc and (sched.alpha == 0.0 or kernels.viscosity is None):
         raise ValueError(
             "viscosity particle term needs alpha > 0; use appendix_a=True to drop it"
         )
+    visc = [kernels.viscosity.table] if include_visc else []
     if m == 2.0:
-        tables = [kernels.W, kernels.smooth2]
-        if include_visc:
-            tables.append(kernels.viscosity.table)
-        if cell_list:
-            radii = [t.support_radius for t in tables]
-            if any(r is None or r >= 0.5 for r in radii):
-                raise ValueError(
-                    "cell list needs every kernel compactly supported inside "
-                    "the half-torus"
-                )
-            sums = _pairwise_sums_cell_list(state, tables, max(radii))
-        else:
-            sums = _pairwise_sums(state, tables)
+        sums = _pair_sums(X, [kernels.W, kernels.smooth2] + visc)
         term1 = -sums[0] / N
         term2 = 2.0 * sums[1] / N
-        term3 = (
-            -sched.epsilon_star * sums[2] / N
-            if include_visc
-            else np.zeros_like(term1)
-        )
     else:
-        if cell_list:
-            raise ValueError("cell list is implemented for the m = 2 force only")
-        dens = _pairwise_value_sum(state, kernels.omega_tilde.table) / N
-        wj = dens ** (m - 1.0)
-        (s1,) = _pairwise_sums(state, [kernels.W])
-        (s2,) = _pairwise_sums(state, [kernels.omega_tilde.table], weights_j=wj)
-        term1 = -s1 / N
+        (dens,) = _pair_sums(X, [kernels.omega_tilde.table], gradient=False)
+        wj = (dens / N) ** (m - 1.0)
+        sums = _pair_sums(X, [kernels.W] + visc)
+        (s2,) = _pair_sums(X, [kernels.omega_tilde.table], weights=wj)
+        term1 = -sums[0] / N
         term2 = (m / (m - 1.0)) * s2 / N
-        if include_visc:
-            (s3,) = _pairwise_sums(state, [kernels.viscosity.table])
-            term3 = -sched.epsilon_star * s3 / N
-        else:
-            term3 = np.zeros_like(term1)
+    if include_visc:
+        term3 = -sched.epsilon_star * sums[-1] / N  # the viscosity table is last
+    else:
+        term3 = np.zeros_like(term1)
     vel = term1 + term2 + term3
     return ForceField(
         velocities=vel,
@@ -367,7 +305,7 @@ def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> n
     sched = state.schedule or kernels.schedule
     if sched.m == 2.0:
         U = kernels.pair_kernel(include_viscosity=not appendix_a)
-        (s,) = _pairwise_sums(state, [U])
+        (s,) = _pair_sums(state.positions, [U])
         return -s / state.N
     return compute_forces(state, kernels, appendix_a=appendix_a).velocities
 
@@ -424,5 +362,5 @@ def discrete_energy(
     if sched.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
     U = kernels.pair_kernel(include_viscosity=not appendix_a)
-    s = _pairwise_value_sum(state, U)
+    (s,) = _pair_sums(state.positions, [U], gradient=False)
     return float(s.sum()) / (2.0 * state.N**2)

@@ -19,7 +19,12 @@ __all__ = [
     "grad_multipliers",
     "catmull_rom_prepare",
     "catmull_rom_apply",
+    "TILE_POINTS",
 ]
+
+# Interpolation points per tile of a batched Catmull-Rom evaluation (pair
+# sums, kde): about 32k keeps each tile's stencil temporaries in cache.
+TILE_POINTS = 32_768
 
 
 def freq_lattice(n: int, d: int):

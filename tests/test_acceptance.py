@@ -316,24 +316,12 @@ def test_criterion_10_dpa_trend(sweeps):
 def test_criterion_11_qualitative_clustering(fig1):
     baseline_path = DATA / "fig1_baseline.json"
     drops_ok = fig1["particles_drop"] >= 0.5 and fig1["local_drop"] >= 0.5
-    if baseline_path.exists():
-        base = json.loads(baseline_path.read_text())
-        regression_ok = (
-            abs(fig1["particles_drop"] - base["particles_drop"]) <= 0.05
-            and abs(fig1["local_drop"] - base["local_drop"]) <= 0.05
-        )
-    else:  # first measured run: record the baseline
-        baseline_path.write_text(json.dumps(
-            {
-                "particles_drop": fig1["particles_drop"],
-                "particles_final_peaks": fig1["particles_final_peaks"],
-                "local_drop": fig1["local_drop"],
-                "local_final_peaks": fig1["local_final_peaks"],
-                "recorded": "baseline-on-first-run",
-            },
-            indent=1,
-        ))
-        regression_ok = True
+    # the committed baseline is the reference: a missing one fails the test
+    base = json.loads(baseline_path.read_text())
+    regression_ok = (
+        abs(fig1["particles_drop"] - base["particles_drop"]) <= 0.05
+        and abs(fig1["local_drop"] - base["local_drop"]) <= 0.05
+    )
     sav_ok = fig1["local_flags"]["energy_increases"] == 0
     report(11, "qualitative 2-d clustering", drops_ok and regression_ok and sav_ok,
            f"particle drop={fig1['particles_drop']:.3f} local drop="

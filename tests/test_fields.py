@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from torusdpa import fields
 from torusdpa.fields import (
     B_eps,
     GridField,
@@ -13,6 +14,7 @@ from torusdpa.fields import (
     periodic_convolve,
     velocity_field_nl,
 )
+from torusdpa.geometry import min_image
 from torusdpa.kernels import KernelTable, build_kernel_set, make_mollifier, schedule_from_epsilon
 from torusdpa.oracles import direct_convolve_table, direct_double_sum
 from torusdpa.particles import ParticleState, compute_forces, init_quantile
@@ -220,6 +222,20 @@ class TestKde:
         )
         shift = n // 4
         assert np.max(np.abs(np.roll(a.values, shift) - b.values)) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tiles_match_per_particle_sum(self, kset_1d, kset_2d, rng, monkeypatch, d):
+        # tiles of 7 grid nodes, the last one ragged, against a particle loop
+        kset = kset_1d if d == 1 else kset_2d
+        N, n = 5, 16
+        monkeypatch.setattr(fields, "TILE_POINTS", 7 * N)
+        pos = rng.random((N, d))
+        fld = kde_density(pos, kset.omega_tilde, n)
+        x = np.arange(n) / n
+        nodes = np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        table = kset.omega_tilde.table
+        expected = sum(table.value_at(min_image(nodes, p)) for p in pos) / N
+        assert np.max(np.abs(fld.values.ravel() - expected)) <= 1e-13 * np.max(expected)
 
     def test_uniform_flatness(self, kset_1d, sched_1d):
         N = 1000

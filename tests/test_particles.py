@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from torusdpa.fields import GridField
 from torusdpa.kernels import KernelSet, KernelTable, build_kernel_set, schedule_from_epsilon
-from torusdpa.oracles import bump_profile, fd_gradient, quad_convolve
+from torusdpa import particles
+from torusdpa.oracles import bump_profile, direct_pair_sum, fd_gradient, quad_convolve
 from torusdpa.particles import (
     ParticleState,
     compute_forces,
@@ -300,24 +301,32 @@ def test_energy_dissipation_rk4(kset_1d, sched_1d, rng):
         prev = cur
 
 
-def test_cell_list_matches_direct(rng):
-    # compact bumps: appendix-A force via the cell list agrees with the
-    # direct sums to roundoff (spectral tables have roundoff tails only)
-    sched = schedule_from_epsilon(0.02, d=1, epsilon_tilde=0.08, epsilon_star=0.3,
-                                  alpha=0.1)
-    kset = build_kernel_set(sched, kind="compact-bump",
-                            normalize_omega=False, normalize_tilde=False)
-    st = ParticleState(rng.random((120, 1)), schedule=sched)
-    direct = compute_forces(st, kset, appendix_a=True)
-    pruned = compute_forces(st, kset, appendix_a=True, cell_list=True)
-    scale = np.max(np.abs(direct.velocities))
-    assert np.max(np.abs(direct.velocities - pruned.velocities)) <= 1e-11 * scale
-    # wide kernels cannot be pruned
-    wide = build_kernel_set(
-        schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
-                              alpha=0.1),
-        kind="truncated-gaussian",
-    )
-    st2 = ParticleState(rng.random((8, 1)), schedule=wide.schedule)
-    with pytest.raises(ValueError, match="cell list"):
-        compute_forces(st2, wide, appendix_a=True, cell_list=True)
+TILE = 4
+
+
+@pytest.mark.parametrize("mode", ["gradient", "value", "weighted"])
+@pytest.mark.parametrize("N", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_tiled_pair_sums_match_full_oracle(monkeypatch, kset_1d, kset_2d, rng, d, N,
+                                           mode):
+    # tiles of TILE rows: one partial tile, one full tile, a one-row second
+    # tile, and several tiles plus a remainder
+    monkeypatch.setattr(particles, "TILE_POINTS", TILE * N)
+    kset = kset_1d if d == 1 else kset_2d
+    X = rng.random((N, d))
+    tables = [kset.W, kset.omega_tilde.table]
+    gradient = mode != "value"
+    weights = 0.5 + rng.random(N) if mode == "weighted" else None
+    sums = particles._pair_sums(X, tables, gradient=gradient, weights=weights)
+    for table, got in zip(tables, sums):
+        ref = direct_pair_sum(X, table, gradient=gradient, weights=weights)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_momentum_2d_several_tiles(kset_2d, rng):
+    N = 400
+    assert N // (particles.TILE_POINTS // N) >= 3  # the cloud spans several tiles
+    st = ParticleState(rng.random((N, 2)), schedule=kset_2d.schedule)
+    ff = compute_forces(st, kset_2d)
+    assert np.max(np.abs(momentum(ff))) <= 1e-12
