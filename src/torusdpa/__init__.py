@@ -40,7 +40,7 @@ from .particles import (
     stable_dt,
     step,
 )
-from .pde_local import LocalSolverConfig, run_local, step_local
+from .pde_local import LocalSolverConfig, run_local
 from .pde_nonlocal import run_nonlocal, step_nonlocal
 from .transport import (
     DiscreteMeasure,

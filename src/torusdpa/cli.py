@@ -1,7 +1,10 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 invariant violation (an envelope or admissibility
-check failed), 1 any other error.
+Exit codes: 0 success, 2 invariant violation, 1 any other error.  The
+invariants are the contraction envelope (contraction), kernel admissibility
+(kernels inspect) and, for simulate, the grid invariants of invariant_breaches:
+no local modified-energy increase, local mass drift <= 1e-10, and per nonlocal
+run min value >= -1e-12 and mass drift <= 1e-10.
 """
 
 from __future__ import annotations
@@ -63,6 +66,25 @@ def _measure_from_file(path: str, max_atoms: int):
     return DiscreteMeasure(pts)
 
 
+def invariant_breaches(results: dict) -> list:
+    """One message per grid invariant that run_scenario results breach."""
+    out = []
+    flags = results.get("local_flags")
+    if flags is not None:
+        if flags["energy_increases"] > 0:
+            out.append(f"local-grid: {flags['energy_increases']} modified-energy increases "
+                       f"(worst {flags['worst_increase']:.3e})")
+        if not flags["mass_drift"] <= 1e-10:
+            out.append(f"local-grid: mass drift {flags['mass_drift']:.3e} > 1e-10")
+    if "nl_run" in results:
+        for tr in results["nl_run"].traces:
+            if not tr.min_value >= -1e-12:
+                out.append(f"nl-grid nu={tr.nu}: min value {tr.min_value:.3e} < -1e-12")
+            if not tr.mass_drift <= 1e-10:
+                out.append(f"nl-grid nu={tr.nu}: mass drift {tr.mass_drift:.3e} > 1e-10")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="torusdpa",
@@ -74,8 +96,6 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--out", default="runs/out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest; runs are single-threaded")
         p.add_argument("--appendix-a-mode", action="store_true",
                        help="drop the viscosity particle term")
 
@@ -119,15 +139,12 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "simulate":
         sc = _load(args.config, args.seed, args.appendix_a_mode)
-        art = run_scenario(sc, args.out, threads=args.threads)
+        art = run_scenario(sc, args.out)
         print(f"wrote {art.manifest_path}")
-        if "local_flags" in art.results:
-            flags = art.results["local_flags"]
-            if flags["energy_increases"] > 0:
-                print(f"warning: {flags['energy_increases']} modified-energy increases "
-                      f"(worst {flags['worst_increase']:.3e})")
-                return 2
-        return 0
+        breaches = invariant_breaches(art.results)
+        for msg in breaches:
+            print(f"warning: {msg}")
+        return 2 if breaches else 0
 
     if args.command == "sweep":
         sc = _load(args.config, args.seed, args.appendix_a_mode)

@@ -239,13 +239,23 @@ def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
     )
 
 
-def _local_coefficient(scenario: Scenario, kernels: KernelSet) -> float:
-    """Biharmonic coefficient matched to the omega moment convention."""
-    conf = scenario.config["pde_local"].get("biharmonic_coeff", "auto")
-    if conf == "auto":
-        m2 = float(kernels.omega.second_moment_target)
-        return 0.5 * m2 / kernels.schedule.epsilon**2
-    return float(conf)
+def _local_config(scenario: Scenario, kernels: KernelSet) -> PL.LocalSolverConfig:
+    """The local solver settings of a scenario; the biharmonic coefficient
+    "auto" is matched to the omega moment convention."""
+    c = scenario.config
+    lc = c["pde_local"]
+    coeff = lc.get("biharmonic_coeff", "auto")
+    if coeff == "auto":
+        coeff = 0.5 * float(kernels.omega.second_moment_target) / kernels.schedule.epsilon**2
+    return PL.LocalSolverConfig(
+        dt=float(lc["dt"]),
+        m=c["m"],
+        T=c["T"],
+        kappa=lc.get("kappa"),
+        C0=lc.get("C0"),
+        biharmonic_coeff=float(coeff),
+        energy_every=c["output"]["energy_every"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,49 +342,38 @@ def _particle_dt(scenario, state, kernels):
     return float(integ["dt"])
 
 
-def _stepping_warnings(scenario):
-    """A dt_safety above 1 opts into exceeding the conservative step bound
-    (heun/rk4 stability reaches beyond it); silence the per-step warning."""
-    ctx = warnings.catch_warnings()
-    ctx.__enter__()
-    if float(scenario.config["integrator"].get("dt_safety", 1.0)) > 1.0:
-        warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
-    return ctx
-
-
-def _run_particles(scenario: Scenario, kernels: KernelSet, rho0: F.GridField):
+def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, stride: int):
+    """The particle stepping loop: nsteps equal steps from `state` to the
+    scenario's T.  Returns the states at step 0, every `stride` steps and the
+    last step."""
     c = scenario.config
-    sched = kernels.schedule
-    state = P.init_quantile(rho0, c["N"], schedule=sched)
-    appendix_a = c["appendix_a_mode"]
-    dt = _particle_dt(scenario, state, kernels)
-    T_end = c["T"]
-    nsteps = max(1, int(math.ceil(T_end / dt))) if T_end > 0 else 0
-    dt = T_end / nsteps if nsteps else dt
-    cadence = c["output"]["snapshot_every"]
-    snap_stride = max(1, int(round(cadence / dt))) if cadence else max(1, nsteps)
-    frames = [(0.0, state.positions.copy())]
-    energies = []
-    if sched.m == 2.0:
-        energies.append((0.0, P.discrete_energy(state, kernels, appendix_a=appendix_a)))
+    dt = c["T"] / nsteps if nsteps else 0.0
     method = c["integrator"]["method"]
-    ctx = _stepping_warnings(scenario)
-    try:
-        for k in range(nsteps):
+    appendix_a = c["appendix_a_mode"]
+    states = [state]
+    with warnings.catch_warnings():
+        # a dt_safety above 1 opts into exceeding the conservative step bound
+        # (heun/rk4 stability reaches beyond it); silence the per-step warning
+        if float(c["integrator"].get("dt_safety", 1.0)) > 1.0:
+            warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
+        for k in range(1, nsteps + 1):
             state = P.step(state, kernels, dt, method=method, appendix_a=appendix_a)
-            if (k + 1) % snap_stride == 0 or k + 1 == nsteps:
-                frames.append((state.time, state.positions.copy()))
-                if sched.m == 2.0:
-                    energies.append(
-                        (state.time,
-                         P.discrete_energy(state, kernels, appendix_a=appendix_a))
-                    )
-    finally:
-        ctx.__exit__(None, None, None)
-    return state, frames, energies, dt
+            if k % stride == 0 or k == nsteps:
+                states.append(state)
+    return states
 
 
-def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunArtifacts:
+def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, cadence=None):
+    """Quantile particles of rho0 stepped to the scenario's T.  Returns the
+    states at t = 0, about every `cadence` (None: none between) and at T, and
+    the step size."""
+    state = P.init_quantile(rho0, scenario.config["N"], schedule=kernels.schedule)
+    nsteps, dt = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, state, kernels))
+    stride = max(1, int(round(cadence / dt))) if cadence else nsteps
+    return _run_particles(scenario, kernels, state, nsteps, stride), dt
+
+
+def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     """Execute every configured engine; write artifacts and the manifest."""
     t_start = time.time()
     c = scenario.config
@@ -388,22 +387,21 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunArtifacts:
     kernels = build_scenario_kernels(scenario, sched)
 
     if "particles" in c["engines"]:
-        state, frames, energies, dt = _run_particles(scenario, kernels, rho0)
-        rows = []
-        for t, pos in frames:
-            for i in range(pos.shape[0]):
-                rows.append([t, i] + [pos[i, ax] for ax in range(d)])
+        states, dt = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
+        state = states[-1]
         writer.csv(
             "particles.csv",
             ["t", "particle_id"] + [f"x_{ax + 1}" for ax in range(d)],
-            rows,
+            ([st.time, i, *st.positions[i]] for st in states for i in range(st.N)),
             "particle-snapshots-v1",
         )
-        if energies:
+        if sched.m == 2.0:
+            appendix_a = c["appendix_a_mode"]
             writer.csv(
                 "particle_energy.csv",
                 ["t", "interaction_energy"],
-                energies,
+                ([st.time, P.discrete_energy(st, kernels, appendix_a=appendix_a)]
+                 for st in states),
                 "particle-energy-v1",
             )
         results["particles"] = {"final_time": state.time, "dt": dt, "N": state.N}
@@ -441,19 +439,7 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunArtifacts:
         results["nl_run"] = run
 
     if "local-grid" in c["engines"]:
-        lc = c["pde_local"]
-        cfg = PL.LocalSolverConfig(
-            n=rho0.n,
-            dt=float(lc["dt"]),
-            m=c["m"],
-            T=c["T"],
-            kappa=lc.get("kappa"),
-            C0=lc.get("C0"),
-            biharmonic_coeff=_local_coefficient(scenario, kernels),
-            snapshot_every=c["output"]["snapshot_every"],
-            energy_every=c["output"]["energy_every"],
-        )
-        run = PL.run_local(rho0, cfg)
+        run = PL.run_local(rho0, _local_config(scenario, kernels))
         writer.gridfield("local_final.gf", run.final)
         writer.csv(
             "local_energy.csv",
@@ -473,7 +459,6 @@ def run_scenario(scenario: Scenario, out_dir, threads: int = 1) -> RunArtifacts:
         "scenario": c["name"],
         "config_hash": scenario.hash(),
         "seed": c["seed"],
-        "threads": threads,
         "files": sorted(writer.entries, key=lambda e: e["path"]),
     }
     writer.json("runinfo.json", {"wall_seconds": time.time() - t_start}, volatile=True)
@@ -525,17 +510,7 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
     kernels0 = build_scenario_kernels(base_scenario)
-    lc = c["pde_local"]
-    cfg = PL.LocalSolverConfig(
-        n=rho0.n,
-        dt=float(lc["dt"]),
-        m=c["m"],
-        T=c["T"],
-        kappa=lc.get("kappa"),
-        C0=lc.get("C0"),
-        biharmonic_coeff=_local_coefficient(base_scenario, kernels0),
-    )
-    local = PL.run_local(rho0, cfg)
+    local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
     local_measure = _field_measure(local.final, max_atoms=4096)
     rows = []
     for eps in eps_list:
@@ -547,7 +522,7 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         kgrid = kset.at_resolution(rho0.n)
         nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
         nl_measure = _field_measure(nl.traces[0].final, max_atoms=4096)
-        state, _, _, _ = _run_particles(sc, kset, rho0)
+        state = _particles_to_T(sc, kset, rho0)[0][-1]
         kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=4096)
         smooth = kgrid.omega_tilde
         rows.append(
@@ -594,7 +569,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     rows = []
     for N in n_list:
         sc = Scenario.from_dict(_merge(c, {"N": int(N), "engines": []}))
-        state, _, _, _ = _run_particles(sc, kset, rho0)
+        state = _particles_to_T(sc, kset, rho0)[0][-1]
         emp = T.DiscreteMeasure(state.positions)
         kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=4096)
         rows.append(
@@ -648,23 +623,18 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
         return _w2(mu, nu, d)
 
     w0 = measure(state_a, state_b)
-    dt = _particle_dt(scenario, state_a, kernels)
-    T_end = c["T"]
-    sample_times = np.linspace(0.0, T_end, samples + 1)[1:]
+    # equal steps in `samples` equal legs, so every sample ends a step
+    per_leg, _ = P.fixed_steps(c["T"] / samples, _particle_dt(scenario, state_a, kernels))
+    nsteps = samples * per_leg
+    twin_a = _run_particles(scenario, kernels, state_a, nsteps, per_leg)
+    twin_b = _run_particles(scenario, kernels, state_b, nsteps, per_leg)
     rows = [{"t": 0.0, "w2": w0, "ratio": 1.0 if w0 > 0 else 0.0, "envelope": 1.0}]
     ok = True
     worst = 0.0
     offending = None
-    t = 0.0
-    appendix_a = c["appendix_a_mode"]
-    method = c["integrator"]["method"]
-    for ts in sample_times:
-        while t < ts - 1e-14:
-            step_dt = min(dt, ts - t)
-            state_a = P.step(state_a, kernels, step_dt, method=method, appendix_a=appendix_a)
-            state_b = P.step(state_b, kernels, step_dt, method=method, appendix_a=appendix_a)
-            t += step_dt
-        w = measure(state_a, state_b)
+    for a, b in zip(twin_a[1:], twin_b[1:]):
+        t = a.time
+        w = measure(a, b)
         if w0 == 0.0:
             ratio = 0.0 if w == 0.0 else math.inf
         else:
@@ -741,10 +711,10 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
     """Second-moment-about-clusters drop between t=0 and T for both engines."""
     c = scenario.config
     kernels = build_scenario_kernels(scenario)
+    rho0 = initial_density(scenario)
     out = {}
     if "particle_state" in artifacts.results:
         state = artifacts.results["particle_state"]
-        rho0 = initial_density(scenario)
         init = P.init_quantile(rho0, c["N"], schedule=kernels.schedule)
         for label, st in (("initial", init), ("final", state)):
             kde = F.kde_density(st, kernels.omega_tilde, kde_n)
@@ -758,8 +728,7 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
         ]
     if "local_run" in artifacts.results:
         run = artifacts.results["local_run"]
-        first, last = run.snapshots[0], run.final
-        for label, fld in (("initial", first), ("final", last)):
+        for label, fld in (("initial", rho0), ("final", run.final)):
             centers = density_peaks(fld)
             x = np.arange(fld.n) / fld.n
             X, Y = np.meshgrid(x, x, indexing="ij")

@@ -33,6 +33,7 @@ __all__ = [
     "compute_forces",
     "step",
     "stable_dt",
+    "fixed_steps",
     "discrete_energy",
     "momentum",
 ]
@@ -293,6 +294,20 @@ def stable_dt(
             L += sched.epsilon_star * kernels.viscosity.table.hessian_inf_norm()
         cache[key] = L
     return c_stab / cache[key]
+
+
+def fixed_steps(T: float, dt_max: float) -> tuple:
+    """(nsteps, dt): the fewest equal steps of at most dt_max that end exactly at T.
+
+    A quotient T/dt_max within 1e-9 relative of an integer counts as that
+    integer, so roundoff in the quotient never adds a step.  T <= 0 takes no
+    steps and returns dt_max.
+    """
+    if T <= 0:
+        return 0, dt_max
+    q = T / dt_max
+    nsteps = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
+    return nsteps, T / nsteps
 
 
 def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> np.ndarray:

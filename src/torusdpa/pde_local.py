@@ -15,39 +15,37 @@ dissipates.  Negative undershoot is reported, never clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .fields import GridField, energy_E_m
+from .particles import fixed_steps
 from .spectral import freq_lattice, grad_multipliers
 
-__all__ = ["LocalSolverConfig", "LocalSolver", "LocalRun", "step_local", "run_local", "ch_operator"]
+__all__ = ["LocalSolverConfig", "LocalSolver", "LocalRun", "run_local", "ch_operator"]
+
+# a step whose minimum falls below this counts as an undershoot step
+UNDERSHOOT_TOL = -1e-10
+# a modified-energy rise above this between two steps is flagged
+ENERGY_INCREASE_TOL = 1e-10
 
 
 @dataclass
 class LocalSolverConfig:
-    n: int = 256
-    dt: float = 1e-6
+    dt: float = 1e-6  # largest step; run_local takes equal steps that end at T
     m: float = 2.0
     T: float = 1e-3
     kappa: Optional[float] = None  # None: refreshed to max(rho) each step
     C0: Optional[float] = None  # None: 2*E_m[rho0] + 1
-    stabilization_s: Optional[float] = None  # None: m * max(rho)^(m-1) each step
     biharmonic_coeff: float = 1.0
-    dealias: bool = True
-    snapshot_every: Optional[float] = None  # time cadence; None: start/end only
     energy_every: Optional[float] = None  # time cadence; None: T/50
     blowup_threshold: float = 1e3
-    undershoot_tol: float = -1e-10
-    energy_increase_tol: float = 1e-10
 
 
 @dataclass
 class LocalRun:
-    times: list
-    snapshots: list
     records: list  # dicts per sample
     flags: dict
     final: GridField
@@ -55,11 +53,10 @@ class LocalRun:
 
 
 class LocalSolver:
-    """Carries the SAV scalar and cached multipliers across steps."""
+    """Carries the SAV scalar, the resolved C0 and cached multipliers across
+    steps; the grid size follows from rho0 and cfg is never modified."""
 
     def __init__(self, cfg: LocalSolverConfig, rho0: GridField):
-        if rho0.n != cfg.n:
-            cfg.n = rho0.n
         self.cfg = cfg
         d = rho0.d
         n = rho0.n
@@ -67,33 +64,27 @@ class LocalSolver:
         self.k2 = sum((2.0 * np.pi * k) ** 2 for k in ks)
         self.k4 = self.k2**2
         self.gmult = grad_multipliers(n, d)
-        if cfg.dealias:
-            cutoff = n // 3
-            mask = np.ones((n,) * d)
-            for k in ks:
-                mask = mask * (np.abs(k) <= cutoff)
-            self.mask = mask
-        else:
-            self.mask = None
+        # 2/3-rule dealiasing of the products
+        cutoff = n // 3
+        mask = np.ones((n,) * d)
+        for k in ks:
+            mask = mask * (np.abs(k) <= cutoff)
+        self.mask = mask
         self.h_d = (1.0 / n) ** d
         em0 = energy_E_m(rho0, cfg.m)
-        if cfg.C0 is None:
-            cfg.C0 = 2.0 * em0 + 1.0
-        if cfg.C0 <= em0:
-            raise ValueError(f"C0={cfg.C0} must exceed E_m[rho0]={em0}")
-        self.r = float(np.sqrt(cfg.C0 - em0))
+        self.C0 = cfg.C0 if cfg.C0 is not None else 2.0 * em0 + 1.0
+        if self.C0 <= em0:
+            raise ValueError(f"C0={self.C0} must exceed E_m[rho0]={em0}")
+        self.r = float(np.sqrt(self.C0 - em0))
         self.mass0 = rho0.mass()
 
     # -- helpers ------------------------------------------------------------
 
     def _div_of_product(self, rho_vals, grad_list):
-        """div(rho * v) with spectral derivatives and optional dealiasing."""
+        """div(rho * v) with spectral derivatives and dealiasing."""
         out = np.zeros_like(rho_vals, dtype=complex)
         for mult, g in zip(self.gmult, grad_list):
-            prod = np.fft.fftn(rho_vals * g)
-            if self.mask is not None:
-                prod = prod * self.mask
-            out += mult * prod
+            out += mult * (np.fft.fftn(rho_vals * g) * self.mask)
         return np.real(np.fft.ifftn(out))
 
     def _grad(self, spec):
@@ -104,7 +95,7 @@ class LocalSolver:
         return float(sum((np.abs(g) ** 2).sum() for g in self._grad(spec)) * self.h_d)
 
     def modified_energy(self, rho_vals, r) -> float:
-        return 0.5 * self.cfg.biharmonic_coeff * self.grad_norm_sq(rho_vals) + r * r - self.cfg.C0
+        return 0.5 * self.cfg.biharmonic_coeff * self.grad_norm_sq(rho_vals) + r * r - self.C0
 
     def free_energy(self, rho_vals) -> float:
         em = energy_E_m(GridField(np.maximum(rho_vals, 0.0)), self.cfg.m)
@@ -120,10 +111,10 @@ class LocalSolver:
         dt = cfg.dt
         kappa = cfg.kappa if cfg.kappa is not None else float(vals.max())
         em = energy_E_m(GridField(np.maximum(vals, 0.0)), m)
-        qsq = cfg.C0 - em
+        qsq = self.C0 - em
         if qsq <= 0:
             raise RuntimeError(
-                f"SAV shift exhausted: E_m={em:.6g} reached C0={cfg.C0:.6g}; increase C0"
+                f"SAV shift exhausted: E_m={em:.6g} reached C0={self.C0:.6g}; increase C0"
             )
         q = float(np.sqrt(qsq))
         spec = np.fft.fftn(vals)
@@ -138,9 +129,7 @@ class LocalSolver:
 
         # second-order surrogate for the anti-diffusive part: without it the
         # condensed-cluster phase forces dt ~ 1/(max rho * k^2)
-        S = cfg.stabilization_s
-        if S is None:
-            S = m * float(np.maximum(vals, 0.0).max()) ** (m - 1.0)
+        S = m * float(mob.max()) ** (m - 1.0)
         denom = 1.0 + dt * (kappa * D * self.k4 + S * self.k2)
         # explicit remainders: -D div(rho grad lap rho) + kappa D lap^2 rho and
         # -S lap rho; their implicit twins sit in the denominator
@@ -170,28 +159,19 @@ class LocalSolver:
         diag = {
             "kappa": kappa,
             "min": float(new_vals.min()),
-            "undershoot": bool(new_vals.min() < cfg.undershoot_tol),
+            "undershoot": bool(new_vals.min() < UNDERSHOOT_TOL),
             "mass": float(new_vals.sum() * self.h_d),
         }
         self.r = float(r_new)
         return GridField(new_vals), diag
 
 
-def step_local(rho: GridField, cfg: LocalSolverConfig, solver: Optional[LocalSolver] = None):
-    """One step; builds a fresh solver (and SAV scalar) when none is carried."""
-    solver = solver or LocalSolver(cfg, rho)
-    new, _ = solver.step(rho)
-    return new, solver
-
-
 def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
-    """Integrate to T, recording free and modified energies and flags."""
-    solver = LocalSolver(cfg, rho0)
-    nsteps = int(round(cfg.T / cfg.dt))
+    """Integrate to exactly T in equal steps of at most cfg.dt (fixed_steps),
+    recording free and modified energies and flags."""
+    nsteps, dt = fixed_steps(cfg.T, cfg.dt)
+    solver = LocalSolver(replace(cfg, dt=dt), rho0)
     energy_every = cfg.energy_every if cfg.energy_every is not None else cfg.T / 50.0
-    snap_every = cfg.snapshot_every
-    times = [0.0]
-    snapshots = [rho0.copy()]
     records = []
     flags = {"energy_increases": 0, "worst_increase": 0.0, "min_value": float(rho0.values.min()),
              "undershoot_steps": 0}
@@ -213,12 +193,11 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
     t = 0.0
     prev_mod = records[0]["modified_energy"]
     next_energy = energy_every
-    next_snap = snap_every if snap_every else np.inf
-    for _ in range(nsteps):
+    for k in range(1, nsteps + 1):
         rho, diag = solver.step(rho)
-        t += cfg.dt
+        t = k * dt
         mod = solver.modified_energy(rho.values, solver.r)
-        if mod > prev_mod + cfg.energy_increase_tol:
+        if mod > prev_mod + ENERGY_INCREASE_TOL:
             flags["energy_increases"] += 1
             flags["worst_increase"] = max(flags["worst_increase"], mod - prev_mod)
         prev_mod = mod
@@ -228,20 +207,10 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
         if t >= next_energy - 1e-15:
             record(t, rho)
             next_energy += energy_every
-        if t >= next_snap - 1e-15:
-            times.append(t)
-            snapshots.append(rho.copy())
-            next_snap += snap_every
-    if not records or records[-1]["t"] < t:
+    if records[-1]["t"] < t:
         record(t, rho)
-    if times[-1] < t:
-        times.append(t)
-        snapshots.append(rho.copy())
     flags["mass_drift"] = abs(rho.mass() - solver.mass0)
-    return LocalRun(
-        times=times, snapshots=snapshots, records=records, flags=flags, final=rho,
-        sav_r=solver.r,
-    )
+    return LocalRun(records=records, flags=flags, final=rho, sav_r=solver.r)
 
 
 def ch_operator(rho: GridField, m: float, biharmonic_coeff: float = 1.0) -> GridField:

@@ -21,6 +21,9 @@ from .spectral import freq_lattice
 
 __all__ = ["step_nonlocal", "run_nonlocal", "NonlocalRun", "NonlocalTrace"]
 
+# run_nonlocal steps at this fraction of the CFL bound
+CFL_SAFETY = 0.45
+
 
 def _face_velocity(v: np.ndarray, axis: int) -> np.ndarray:
     """Velocity component sampled at faces i+1/2 by spectral half-cell shift."""
@@ -46,29 +49,26 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
     return div
 
 
-def admissible_dt(rho: GridField, schedule, kernels, m=None) -> float:
-    """Largest CFL-compliant dt, h/(2 d ||v||_inf), for the current state."""
-    v = velocity_field_nl(rho, schedule, kernels, m=m)
-    vfaces = [_face_velocity(v[ax], ax) for ax in range(rho.d)]
-    vmax = max(float(np.max(np.abs(vf))) for vf in vfaces)
-    if vmax == 0.0:
-        return np.inf
-    return rho.h / (2.0 * rho.d * vmax)
+def _k2(rho: GridField) -> np.ndarray:
+    return sum((2.0 * np.pi * k) ** 2 for k in freq_lattice(rho.n, rho.d))
 
 
-def _step_with_velocity(rho: GridField, v: np.ndarray, dt: float, nu: float, k2=None):
+def _face_velocities(rho: GridField, schedule, kernels) -> tuple:
+    """Face velocities of the current state and its CFL bound h/(2 d ||v||_inf)."""
+    v = velocity_field_nl(rho, schedule, kernels)
     vfaces = [_face_velocity(v[ax], ax) for ax in range(rho.d)]
     vmax = max(float(np.max(np.abs(vf))) for vf in vfaces)
-    if vmax > 0 and dt > rho.h / (2.0 * rho.d * vmax):
-        raise ValueError(
-            f"CFL violation: dt={dt:.3e} exceeds admissible "
-            f"{rho.h / (2.0 * rho.d * vmax):.3e}"
-        )
+    return vfaces, (rho.h / (2.0 * rho.d * vmax) if vmax > 0 else np.inf)
+
+
+def _step(rho: GridField, vfaces, dt_cfl: float, dt: float, nu: float, k2) -> GridField:
+    """The step body: upwind transport, then implicit nu-diffusion."""
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    if dt > dt_cfl:
+        raise ValueError(f"CFL violation: dt={dt:.3e} exceeds admissible {dt_cfl:.3e}")
     new = rho.values - dt * _upwind_divergence(rho.values, vfaces)
     if nu > 0.0:
-        if k2 is None:
-            ks = freq_lattice(rho.n, rho.d)
-            k2 = sum((2.0 * np.pi * k) ** 2 for k in ks)
         new = np.real(np.fft.ifftn(np.fft.fftn(new) / (1.0 + nu * dt * k2)))
     return GridField(new)
 
@@ -79,20 +79,15 @@ def step_nonlocal(
     kernels: KernelSet,
     dt: float,
     nu: float = 0.0,
-    m: Optional[float] = None,
 ) -> GridField:
     """One conservative upwind step of the nonlocal equation."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    v = velocity_field_nl(rho, schedule, kernels, m=m)
-    return _step_with_velocity(rho, v, dt, nu)
+    vfaces, dt_cfl = _face_velocities(rho, schedule, kernels)
+    return _step(rho, vfaces, dt_cfl, dt, nu, _k2(rho))
 
 
 @dataclass
 class NonlocalTrace:
     nu: float
-    times: list
-    snapshots: list
     reports: list  # EnergyReport samples
     final: GridField
     min_value: float
@@ -111,62 +106,37 @@ def run_nonlocal(
     kernels: KernelSet,
     T: float,
     nu_sequence: Sequence[float] = (0.0,),
-    dt: Optional[float] = None,
-    cfl_safety: float = 0.45,
     energy_every: Optional[float] = None,
-    snapshot_every: Optional[float] = None,
-    m: Optional[float] = None,
 ) -> NonlocalRun:
     """Run once per nu in the sequence from the same initial condition.
 
-    dt=None picks the CFL-compliant step adaptively each step (deterministic:
-    it depends only on the current field).
+    Each step takes CFL_SAFETY times the CFL bound of the current field
+    (deterministic: it depends only on that field), cut to end at T.
     """
     rho0.check_density(mass=rho0.mass(), tol=np.inf)  # nonnegativity only
     energy_every = energy_every if energy_every is not None else T / 20.0
-    ks = freq_lattice(rho0.n, rho0.d)
-    k2 = sum((2.0 * np.pi * k) ** 2 for k in ks)
+    k2 = _k2(rho0)
     traces = []
     for nu in nu_sequence:
         rho = rho0.copy()
         t = 0.0
-        times = [0.0]
-        snapshots = [rho.copy()]
         reports = [free_energy(rho, schedule, kernels, t=0.0)]
         next_energy = energy_every
-        next_snap = snapshot_every if snapshot_every else np.inf
         min_value = float(rho.values.min())
         while t < T - 1e-14:
-            v = velocity_field_nl(rho, schedule, kernels, m=m)
-            vfaces = [_face_velocity(v[ax], ax) for ax in range(rho.d)]
-            vmax = max(float(np.max(np.abs(vf))) for vf in vfaces)
-            step_dt = T - t
-            if vmax > 0:
-                step_dt = min(step_dt, cfl_safety * rho.h / (2.0 * rho.d * vmax))
-            if dt is not None:
-                step_dt = min(step_dt, dt)
-            new = rho.values - step_dt * _upwind_divergence(rho.values, vfaces)
-            if nu > 0.0:
-                new = np.real(np.fft.ifftn(np.fft.fftn(new) / (1.0 + nu * step_dt * k2)))
-            rho = GridField(new)
+            vfaces, dt_cfl = _face_velocities(rho, schedule, kernels)
+            step_dt = min(T - t, CFL_SAFETY * dt_cfl)
+            rho = _step(rho, vfaces, dt_cfl, step_dt, nu, k2)
             t += step_dt
             min_value = min(min_value, float(rho.values.min()))
             if t >= next_energy - 1e-14:
                 reports.append(free_energy(rho, schedule, kernels, t=t))
                 next_energy += energy_every
-            if t >= next_snap - 1e-14:
-                times.append(t)
-                snapshots.append(rho.copy())
-                next_snap += snapshot_every
         if reports[-1].t < t:
             reports.append(free_energy(rho, schedule, kernels, t=t))
-        times.append(t)
-        snapshots.append(rho.copy())
         traces.append(
             NonlocalTrace(
                 nu=nu,
-                times=times,
-                snapshots=snapshots,
                 reports=reports,
                 final=rho,
                 min_value=min_value,

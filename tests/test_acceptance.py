@@ -209,7 +209,7 @@ def test_criterion_05_conservation():
     x = np.arange(512) / 512
     rho = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
     nl = run_nonlocal(rho, sched, kset.at_resolution(512), T=0.005)
-    cfg = LocalSolverConfig(n=512, dt=1e-6, m=2.0, T=5e-4)
+    cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=5e-4)
     loc = run_local(rho, cfg)
     nl_drift = nl.traces[0].mass_drift
     loc_drift = loc.flags["mass_drift"]
@@ -338,7 +338,7 @@ def test_criterion_12_local_solver_structure():
         vals += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
     vals = np.maximum(vals, 0.05)
     rho = GridField(vals / (vals.sum() / 256))
-    run = run_local(rho, LocalSolverConfig(n=256, dt=1e-6, m=2.0, T=3e-4))
+    run = run_local(rho, LocalSolverConfig(dt=1e-6, m=2.0, T=3e-4))
     sav_ok = run.flags["energy_increases"] == 0
 
     # spectral accuracy of the discrete operator (coefficient-space oracle)

@@ -1,9 +1,12 @@
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from torusdpa.cli import main as cli_main
+import torusdpa.cli as cli
+from torusdpa.cli import invariant_breaches, main as cli_main
 from torusdpa.fields import GridField, save_gridfield
 from torusdpa.harness import (
     PRESETS,
@@ -122,6 +125,14 @@ class TestContraction:
         # continuity: early ratio near 1
         assert rep["samples"][1]["ratio"] == pytest.approx(1.0, abs=0.1)
 
+    def test_dt_safety_above_one_silences_dt_warning(self):
+        sc = small_scenario(T=3e-3, integrator={"method": "heun", "dt": "auto",
+                                                "dt_safety": 2.0})
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="dt=.*exceeds stable_dt")
+            rep = contraction_test(sc, 1e-3, samples=2)
+        assert rep["pass"]
+
     def test_requires_m2_and_alpha(self):
         with pytest.raises(ValueError):
             contraction_test(small_scenario(m=3.0), 1e-3)
@@ -175,6 +186,30 @@ class TestCli:
         assert (tmp_path / "k" / "omega.csv").exists()
         out = capsys.readouterr().out
         assert "lambda convexity constant" in out
+
+    def test_invariant_breaches_on_synthetic_results(self, monkeypatch, capsys):
+        local = {"energy_increases": 0, "worst_increase": 0.0, "mass_drift": 1e-12}
+
+        def nl(**over):
+            ok = {"nu": 0.0, "min_value": 0.0, "mass_drift": 1e-12}
+            return SimpleNamespace(traces=[SimpleNamespace(**ok),
+                                           SimpleNamespace(**{**ok, **over})])
+
+        assert invariant_breaches({}) == []
+        assert invariant_breaches({"local_flags": local, "nl_run": nl()}) == []
+        breached = [
+            {"local_flags": {**local, "energy_increases": 2, "worst_increase": 1e-9}},
+            {"local_flags": {**local, "mass_drift": 2e-10}},
+            {"local_flags": {**local, "mass_drift": float("nan")}},
+            {"nl_run": nl(min_value=-2e-12)},
+            {"nl_run": nl(mass_drift=2e-10)},
+        ]
+        for results in breached:
+            assert len(invariant_breaches(results)) == 1, results
+        monkeypatch.setattr(cli, "run_scenario", lambda sc, out: SimpleNamespace(
+            manifest_path=out, results={"nl_run": nl(min_value=-1e-3)}))
+        assert cli_main(["simulate", "default-1d", "--out", "unused"]) == 2
+        assert "min value" in capsys.readouterr().out
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["simulate", "no-such-file.json"])

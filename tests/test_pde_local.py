@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from torusdpa.fields import GridField
-from torusdpa.pde_local import LocalSolver, LocalSolverConfig, ch_operator, run_local, step_local
+from torusdpa.fields import GridField, energy_E_m
+from torusdpa.pde_local import LocalSolver, LocalSolverConfig, ch_operator, run_local
 
 
 def smooth_random_density(n=256, seed=7, modes=6, floor=0.05):
@@ -18,12 +20,13 @@ def smooth_random_density(n=256, seed=7, modes=6, floor=0.05):
 
 class TestStepLocal:
     def test_uniform_steady_state(self):
-        cfg = LocalSolverConfig(n=256, dt=1e-6, m=2.0, T=1e-5)
-        new, _ = step_local(GridField.constant(1.0, 256), cfg)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)
+        rho = GridField.constant(1.0, 256)
+        new, _ = LocalSolver(cfg, rho).step(rho)
         assert np.max(np.abs(new.values - 1.0)) <= 1e-12
 
     def test_mass_conservation_1000_steps(self):
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=1e-3)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-3)
         rho = smooth_random_density(128)
         run = run_local(rho, cfg)
         assert run.flags["mass_drift"] <= 1e-10
@@ -31,7 +34,7 @@ class TestStepLocal:
     def test_linear_decay_rate(self):
         # rho = 1 + 1e-4 cos(2 pi x): the k=1 mode decays at
         # sigma(1) = m (2 pi)^2 - (2 pi)^4 (here m = 2), within 5%
-        cfg = LocalSolverConfig(n=256, dt=1e-6, m=2.0, T=1e-3)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-3)
         x = np.arange(256) / 256
         rho = GridField(1.0 + 1e-4 * np.cos(2 * np.pi * x))
         run = run_local(rho, cfg)
@@ -42,7 +45,7 @@ class TestStepLocal:
         assert rate == pytest.approx(sigma, rel=0.05)
 
     def test_blowup_detector(self):
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=1e-5, blowup_threshold=1.0)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, blowup_threshold=1.0)
         rho = smooth_random_density(128)
         solver = LocalSolver(cfg, rho)
         with pytest.raises(RuntimeError, match="blow-up"):
@@ -50,33 +53,55 @@ class TestStepLocal:
 
     def test_c0_floor(self):
         rho = smooth_random_density(128)
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=1e-5, C0=0.1)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, C0=0.1)
         with pytest.raises(ValueError):
             LocalSolver(cfg, rho)
 
+    def test_config_left_alone_and_c0_per_density(self):
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)
+        before = copy.deepcopy(cfg)
+        rhos = [smooth_random_density(128, seed=seed) for seed in (1, 2)]
+        solvers = [LocalSolver(cfg, rho) for rho in rhos]
+        assert cfg == before
+        c0s = [s.C0 for s in solvers]
+        assert c0s == [2.0 * energy_E_m(rho, 2.0) + 1.0 for rho in rhos]
+        assert c0s[0] != c0s[1]
+
 
 class TestRunLocal:
+    def test_equal_steps_end_exactly_at_T(self, monkeypatch):
+        calls = []
+        step = LocalSolver.step
+        monkeypatch.setattr(LocalSolver, "step",
+                            lambda self, rho: calls.append(self.cfg.dt) or step(self, rho))
+        rho = smooth_random_density(64)
+        for T, nsteps in ((1.05e-5, 11), (1e-3, 1000)):
+            calls.clear()
+            run = run_local(rho, LocalSolverConfig(dt=1e-6, m=2.0, T=T))
+            assert len(calls) == nsteps
+            assert abs(run.records[-1]["t"] - T) <= 1e-18
+
     def test_zero_time_returns_initial(self):
         rho = smooth_random_density(128)
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=0.0)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=0.0)
         run = run_local(rho, cfg)
         assert np.array_equal(run.final.values, rho.values)
 
     def test_uniform_energy_trace_flat(self):
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=5e-5)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=5e-5)
         run = run_local(GridField.constant(1.0, 128), cfg)
         mods = [r["modified_energy"] for r in run.records]
         assert max(mods) - min(mods) <= 1e-12
 
     def test_sav_modified_energy_monotone(self):
-        cfg = LocalSolverConfig(n=256, dt=1e-6, m=2.0, T=3e-4)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=3e-4)
         run = run_local(smooth_random_density(256), cfg)
         assert run.flags["energy_increases"] == 0
         mods = [r["modified_energy"] for r in run.records]
         assert all(b <= a + 1e-10 for a, b in zip(mods, mods[1:]))
 
     def test_undershoot_reported_not_clipped(self):
-        cfg = LocalSolverConfig(n=128, dt=1e-6, m=2.0, T=1e-4)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-4)
         run = run_local(smooth_random_density(128, floor=0.0), cfg)
         # whatever the sign outcome, the recorded minimum is the true minimum
         assert run.flags["min_value"] == pytest.approx(

@@ -3,7 +3,7 @@ import pytest
 
 from torusdpa.fields import GridField
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
-from torusdpa.pde_nonlocal import _step_with_velocity, run_nonlocal, step_nonlocal
+from torusdpa.pde_nonlocal import _k2, _step, run_nonlocal, step_nonlocal
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestStep:
         rho = sine_density()
         r = rho
         for _ in range(steps):
-            r = _step_with_velocity(r, np.zeros((1, 512)), dt, nu)
+            r = _step(r, [np.zeros(512)], np.inf, dt, nu, _k2(rho))
         amp0 = np.abs(np.fft.fft(rho.values)[1])
         ampT = np.abs(np.fft.fft(r.values)[1])
         rate = np.log(ampT / amp0) / (dt * steps)
@@ -61,6 +61,11 @@ class TestRun:
         assert len(run.traces) == 1
         assert run.l2_differences == []
         assert run.traces[0].mass_drift <= 1e-12
+
+    def test_negative_nu_rejected(self, grid_setup):
+        sched, kset = grid_setup
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_nonlocal(sine_density(), sched, kset, T=1e-4, nu_sequence=(0.0, -1e-3))
 
     def test_positivity(self, grid_setup):
         sched, kset = grid_setup
