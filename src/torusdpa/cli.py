@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 invariant violation, 1 any other error.  The
 invariants are the contraction envelope (contraction), kernel admissibility
-(kernels inspect) and, for simulate, the grid invariants of invariant_breaches:
-no local modified-energy increase, local mass drift <= 1e-10, and per nonlocal
-run min value >= -1e-12 and mass drift <= 1e-10.
+(kernels inspect) and, for simulate and every grid run inside a sweep, the
+grid invariants of invariant_breaches: no local modified-energy increase,
+local mass drift <= 1e-10, and per nonlocal run min value >= -1e-12 and mass
+drift <= 1e-10.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def invariant_breaches(results: dict) -> list:
     return out
 
 
+def _breach_exit(results_list) -> int:
+    """Print each distinct grid-invariant breach of the results; 2 if any."""
+    breaches = list(dict.fromkeys(msg for res in results_list for msg in invariant_breaches(res)))
+    for msg in breaches:
+        print(f"warning: {msg}")
+    return 2 if breaches else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="torusdpa",
@@ -141,10 +150,7 @@ def _dispatch(args) -> int:
         sc = _load(args.config, args.seed, args.appendix_a_mode)
         art = run_scenario(sc, args.out)
         print(f"wrote {art.manifest_path}")
-        breaches = invariant_breaches(art.results)
-        for msg in breaches:
-            print(f"warning: {msg}")
-        return 2 if breaches else 0
+        return _breach_exit([art.results])
 
     if args.command == "sweep":
         sc = _load(args.config, args.seed, args.appendix_a_mode)
@@ -160,7 +166,7 @@ def _dispatch(args) -> int:
         else:
             print("error: need --eps or --n-particles", file=sys.stderr)
             return 1
-        return 0
+        return _breach_exit(rows)
 
     if args.command == "contraction":
         sc = _load(args.config, args.seed, args.appendix_a_mode)

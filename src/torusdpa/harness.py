@@ -501,7 +501,10 @@ def _w2(mu, nu, d):
 
 
 def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
-    """Shared local run vs particle and nl-grid runs across decreasing eps."""
+    """Shared local run vs particle and nl-grid runs across decreasing eps.
+
+    Each row also carries the grid runs it compares, under the run_scenario
+    result keys "local_flags" and "nl_run" (for cli.invariant_breaches)."""
     if len(eps_list) < 3:
         raise ValueError("need at least 3 epsilon values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -537,6 +540,8 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
                     kde_measure, _field_measure(nl.traces[0].final, max_atoms=4096,
                                                 smooth_with=smooth), d
                 ),
+                "local_flags": local.flags,
+                "nl_run": nl,
             }
         )
     if out_dir is not None:
@@ -552,7 +557,9 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
 
 
 def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
-    """Fixed schedule, growing N: distance of the particle kde to the nl run."""
+    """Fixed schedule, growing N: distance of the particle kde to the nl run.
+
+    Each row also carries that nl run under the run_scenario key "nl_run"."""
     c = base_scenario.config
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
@@ -577,6 +584,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
                 "N": int(N),
                 "w2_particle_nl": _w2(emp, nl_measure, d),
                 "w2_kde_nl": _w2(kde_measure, nl_smoothed, d),
+                "nl_run": nl,
             }
         )
     if out_dir is not None:

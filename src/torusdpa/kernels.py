@@ -32,8 +32,10 @@ from .spectral import (
     downsample_spectrum,
     forward_transform,
     freq_lattice,
+    gradient,
     grad_multipliers,
     inverse_transform,
+    k_squared,
     minimage_coords,
     pad_table,
 )
@@ -88,10 +90,7 @@ class KernelTable:
         self.n = values.shape[0]
         self.h = 1.0 / self.n
         if grads is None:
-            fhat = np.fft.fftn(values)
-            grads = [
-                np.real(np.fft.ifftn(m * fhat)) for m in grad_multipliers(self.n, self.d)
-            ]
+            grads = gradient(forward_transform(values), self.n)
         self.grads = [np.asarray(g, dtype=float) for g in grads]
         self.support_radius = support_radius
         self._pad_cache: dict = {}
@@ -127,6 +126,7 @@ class KernelTable:
         return float(np.max(np.abs(self.values - rev)))
 
     def fourier(self) -> np.ndarray:
+        """Half spectrum of the table (spectral.forward_transform)."""
         return forward_transform(self.values)
 
     # -- algebra -----------------------------------------------------------
@@ -134,27 +134,24 @@ class KernelTable:
     def convolve(self, other: "KernelTable") -> "KernelTable":
         if other.n != self.n or other.d != self.d:
             raise KernelError("convolve: incompatible grids")
-        spec = self.fourier() * np.fft.fftn(other.values)
-        vals = np.real(np.fft.ifftn(spec))
         rad = None
         if self.support_radius is not None and other.support_radius is not None:
             total = self.support_radius + other.support_radius
             rad = total if total < 0.5 else None
-        return KernelTable(vals, support_radius=rad)
+        return KernelTable.from_spectrum(self.fourier() * other.fourier(), self.n, rad)
 
     @classmethod
-    def from_spectrum(cls, spec: np.ndarray, support_radius=None) -> "KernelTable":
-        vals = inverse_transform(spec)
-        n, d = spec.shape[0], spec.ndim
-        grads = [inverse_transform(m * spec) for m in grad_multipliers(n, d)]
-        return cls(vals, grads=grads, support_radius=support_radius)
+    def from_spectrum(cls, spec: np.ndarray, n: int, support_radius=None) -> "KernelTable":
+        """The table on the n^d grid with half spectrum spec."""
+        return cls(inverse_transform(spec, n), grads=gradient(spec, n),
+                   support_radius=support_radius)
 
     def resample(self, n2: int) -> "KernelTable":
         """Spectrally downsample the table to an n2-point grid."""
         if n2 == self.n:
             return self
         spec = downsample_spectrum(self.fourier(), n2)
-        return KernelTable.from_spectrum(spec, support_radius=self.support_radius)
+        return KernelTable.from_spectrum(spec, n2, support_radius=self.support_radius)
 
     # -- point evaluation (exact parity) -----------------------------------
 
@@ -185,15 +182,14 @@ class KernelTable:
 def hessian_eigs(table: KernelTable):
     """Pointwise Hessian eigenvalues of a tabulated kernel (spectral)."""
     n, d = table.n, table.d
-    fhat = np.fft.fftn(table.values)
+    spec = table.fourier()
     ks = freq_lattice(n, d)
+    fxx = inverse_transform(-((2 * np.pi * ks[0]) ** 2) * spec, n)
     if d == 1:
-        fxx = np.real(np.fft.ifftn(-((2 * np.pi * ks[0]) ** 2) * fhat))
         return (fxx,)
-    kx, ky = ks
-    fxx = np.real(np.fft.ifftn(-((2 * np.pi * kx) ** 2) * fhat))
-    fyy = np.real(np.fft.ifftn(-((2 * np.pi * ky) ** 2) * fhat))
-    fxy = np.real(np.fft.ifftn(-((2 * np.pi) ** 2 * kx * ky) * fhat))
+    fyy = inverse_transform(-((2 * np.pi * ks[1]) ** 2) * spec, n)
+    gx, gy = grad_multipliers(n, d)
+    fxy = inverse_transform(gx * gy * spec, n)
     tr = fxx + fyy
     disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
     return (0.5 * (tr - disc), 0.5 * (tr + disc))
@@ -444,7 +440,7 @@ class ViscosityKernel:
     d: int
     table: KernelTable
     half_table: KernelTable
-    spectrum: np.ndarray  # R_alpha hat on the integer lattice
+    spectrum: np.ndarray  # R_alpha hat on the half-spectrum lattice
     base_spectrum: np.ndarray  # unscaled R hat, used for the decay bounds
     bound_a: float
     bound_b: float
@@ -485,12 +481,11 @@ def make_viscosity_kernel(
         raise KernelResolutionError(
             f"only {alpha * n:.1f} samples across alpha={alpha}; need >= 8"
         )
-    ks = freq_lattice(n, d)
-    mag2 = sum((2.0 * np.pi * kk) ** 2 for kk in ks)
+    mag2 = k_squared(n, d)
     base = (1.0 + mag2) ** (-k)
     spec = (1.0 + alpha**2 * mag2) ** (-k)
-    table = KernelTable.from_spectrum(spec)
-    half = KernelTable.from_spectrum(np.sqrt(spec))
+    table = KernelTable.from_spectrum(spec, n)
+    half = KernelTable.from_spectrum(np.sqrt(spec), n)
     a = (1.0 + 4.0 * np.pi**2) ** (-k)
     b = (4.0 * np.pi**2) ** (-k)
     return ViscosityKernel(
@@ -524,7 +519,7 @@ def compose_W_eps(omega: KernelFamily, omega_tilde: KernelFamily, epsilon: float
     if to.support_radius is not None and tt.support_radius is not None:
         total = 2.0 * tt.support_radius + to.support_radius
         rad = total if total < 0.5 else None
-    return KernelTable.from_spectrum(spec, support_radius=rad)
+    return KernelTable.from_spectrum(spec, to.n, support_radius=rad)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +661,7 @@ class KernelSet:
         """U = W - 2*(ot*ot) [+ eps_star*R_alpha]; the m=2 pair potential."""
         key = bool(include_viscosity)
         if key not in self._pairs:
-            spec = self.W.fourier() - 2.0 * forward_transform(self.smooth2.values)
+            spec = self.W.fourier() - 2.0 * self.smooth2.fourier()
             if include_viscosity:
                 if self.viscosity is None:
                     raise KernelError(
@@ -674,7 +669,7 @@ class KernelSet:
                         "(use appendix-A mode to drop the term)"
                     )
                 spec = spec + self.schedule.epsilon_star * self.viscosity.spectrum
-            self._pairs[key] = KernelTable.from_spectrum(spec)
+            self._pairs[key] = KernelTable.from_spectrum(spec, self.n)
         return self._pairs[key]
 
 

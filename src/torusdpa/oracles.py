@@ -132,17 +132,18 @@ def direct_convolve_table(f_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
 
 
 def direct_double_sum(f_vals: np.ndarray, w_vals: np.ndarray, epsilon: float) -> float:
-    """Dissipation double sum via explicit python loops (1-d oracle)."""
-    n = f_vals.size
-    h = 1.0 / n
+    """Dissipation double sum  sum_s w(s) h^d sum_x (f(x) - f(x - s))^2 h^d / eps^2
+    by an explicit loop over the shifts s (d = 1 or 2)."""
+    n, d = f_vals.shape[0], f_vals.ndim
+    axes = tuple(range(d))
     total = 0.0
-    for s in range(n):
+    for s in itertools.product(range(n), repeat=d):
         w = w_vals[s]
         if w == 0.0:
             continue
-        shifted = np.roll(f_vals, s)
+        shifted = np.roll(f_vals, s, axis=axes)
         total += w * float(((f_vals - shifted) ** 2).sum())
-    return total * h * h / epsilon**2
+    return total * (1.0 / n) ** (2 * d) / epsilon**2
 
 
 def direct_pair_sum(positions, table, gradient: bool = True, weights=None) -> np.ndarray:

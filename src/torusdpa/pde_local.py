@@ -22,7 +22,15 @@ import numpy as np
 
 from .fields import GridField, energy_E_m
 from .particles import fixed_steps
-from .spectral import freq_lattice, grad_multipliers
+from .spectral import (
+    forward_transform,
+    freq_lattice,
+    grad_multipliers,
+    gradient,
+    inner,
+    inverse_transform,
+    k_squared,
+)
 
 __all__ = ["LocalSolverConfig", "LocalSolver", "LocalRun", "run_local", "ch_operator"]
 
@@ -49,7 +57,11 @@ class LocalRun:
     records: list  # dicts per sample
     flags: dict
     final: GridField
-    sav_r: float
+
+
+def _div_hat(vals, grads, gmult):
+    """Half spectrum of div(vals * v) from the grid components of v."""
+    return sum(m * forward_transform(vals * g) for m, g in zip(gmult, grads))
 
 
 class LocalSolver:
@@ -59,18 +71,15 @@ class LocalSolver:
     def __init__(self, cfg: LocalSolverConfig, rho0: GridField):
         self.cfg = cfg
         d = rho0.d
-        n = rho0.n
-        ks = freq_lattice(n, d)
-        self.k2 = sum((2.0 * np.pi * k) ** 2 for k in ks)
+        self.n = n = rho0.n
+        self.k2 = k_squared(n, d)
         self.k4 = self.k2**2
         self.gmult = grad_multipliers(n, d)
         # 2/3-rule dealiasing of the products
         cutoff = n // 3
-        mask = np.ones((n,) * d)
-        for k in ks:
-            mask = mask * (np.abs(k) <= cutoff)
-        self.mask = mask
-        self.h_d = (1.0 / n) ** d
+        self.mask = 1.0
+        for k in freq_lattice(n, d):
+            self.mask = self.mask * (np.abs(k) <= cutoff)
         em0 = energy_E_m(rho0, cfg.m)
         self.C0 = cfg.C0 if cfg.C0 is not None else 2.0 * em0 + 1.0
         if self.C0 <= em0:
@@ -78,21 +87,9 @@ class LocalSolver:
         self.r = float(np.sqrt(self.C0 - em0))
         self.mass0 = rho0.mass()
 
-    # -- helpers ------------------------------------------------------------
-
-    def _div_of_product(self, rho_vals, grad_list):
-        """div(rho * v) with spectral derivatives and dealiasing."""
-        out = np.zeros_like(rho_vals, dtype=complex)
-        for mult, g in zip(self.gmult, grad_list):
-            out += mult * (np.fft.fftn(rho_vals * g) * self.mask)
-        return np.real(np.fft.ifftn(out))
-
-    def _grad(self, spec):
-        return [np.real(np.fft.ifftn(m * spec)) for m in self.gmult]
-
     def grad_norm_sq(self, rho_vals) -> float:
-        spec = np.fft.fftn(rho_vals)
-        return float(sum((np.abs(g) ** 2).sum() for g in self._grad(spec)) * self.h_d)
+        spec = forward_transform(rho_vals)
+        return sum(inner(m * spec, m * spec, self.n) for m in self.gmult)
 
     def modified_energy(self, rho_vals, r) -> float:
         return 0.5 * self.cfg.biharmonic_coeff * self.grad_norm_sq(rho_vals) + r * r - self.C0
@@ -104,9 +101,12 @@ class LocalSolver:
     # -- one step -----------------------------------------------------------
 
     def step(self, rho: GridField) -> tuple:
+        """One SAV step; every operator stays in spectral space, so a 2-d step
+        takes 12 real transforms (8 in 1-d)."""
         cfg = self.cfg
         m = cfg.m
         D = cfg.biharmonic_coeff
+        n = self.n
         vals = rho.values
         dt = cfg.dt
         kappa = cfg.kappa if cfg.kappa is not None else float(vals.max())
@@ -117,33 +117,32 @@ class LocalSolver:
                 f"SAV shift exhausted: E_m={em:.6g} reached C0={self.C0:.6g}; increase C0"
             )
         q = float(np.sqrt(qsq))
-        spec = np.fft.fftn(vals)
-        lap = np.real(np.fft.ifftn(-self.k2 * spec))
-        grad_lap = self._grad(np.fft.fftn(lap))
+        spec = forward_transform(vals)
+        grad_lap = gradient(-self.k2 * spec, n)
         # mobility is physically nonnegative; undershoot in the solution is
         # reported, but a negative mobility would flip the sign of the
         # fourth-order transport in vacuum regions and blow up
         mob = np.maximum(vals, 0.0)
         g = (m / (m - 1.0)) * mob ** (m - 1.0)
-        grad_g = self._grad(np.fft.fftn(g))
+        g_hat = forward_transform(g)
 
-        # second-order surrogate for the anti-diffusive part: without it the
-        # condensed-cluster phase forces dt ~ 1/(max rho * k^2)
+        # implicit part: the constant-mobility biharmonic kappa D k^4 and a
+        # second-order surrogate S k^2 for the anti-diffusive part; without
+        # the latter the condensed-cluster phase forces dt ~ 1/(max rho * k^2)
         S = m * float(mob.max()) ** (m - 1.0)
-        denom = 1.0 + dt * (kappa * D * self.k4 + S * self.k2)
+        implicit = kappa * D * self.k4 + S * self.k2
         # explicit remainders: -D div(rho grad lap rho) + kappa D lap^2 rho and
         # -S lap rho; their implicit twins sit in the denominator
-        a_exp = (
-            -D * self._div_of_product(mob, grad_lap)
-            + kappa * D * np.real(np.fft.ifftn(self.k4 * spec))
-            - S * lap
-        )
-        K = -self._div_of_product(mob, grad_g)
-        rho1 = np.real(np.fft.ifftn((spec + dt * np.fft.fftn(a_exp)) / denom))
-        rho2 = np.real(np.fft.ifftn(dt * np.fft.fftn(K) / (q * denom)))
+        a_exp = -D * self.mask * _div_hat(mob, grad_lap, self.gmult) + implicit * spec
+        K = -self.mask * _div_hat(mob, gradient(g_hat, n), self.gmult)
+        denom = 1.0 + dt * implicit
+        rho1_hat = (spec + dt * a_exp) / denom
+        rho2_hat = dt * K / (q * denom)
+        rho1 = inverse_transform(rho1_hat, n)
+        rho2 = inverse_transform(rho2_hat, n)
 
-        inner_g_rho2 = float((g * rho2).sum() * self.h_d)
-        inner_g_diff = float((g * (rho1 - vals)).sum() * self.h_d)
+        inner_g_rho2 = inner(g_hat, rho2_hat, n)
+        inner_g_diff = inner(g_hat, rho1_hat - spec, n)
         r_new = (self.r - inner_g_diff / (2.0 * q)) / (1.0 + inner_g_rho2 / (2.0 * q))
         if r_new <= 0.0:
             raise RuntimeError(
@@ -157,10 +156,8 @@ class LocalSolver:
                 f"> {cfg.blowup_threshold}"
             )
         diag = {
-            "kappa": kappa,
             "min": float(new_vals.min()),
             "undershoot": bool(new_vals.min() < UNDERSHOOT_TOL),
-            "mass": float(new_vals.sum() * self.h_d),
         }
         self.r = float(r_new)
         return GridField(new_vals), diag
@@ -210,21 +207,15 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
     if records[-1]["t"] < t:
         record(t, rho)
     flags["mass_drift"] = abs(rho.mass() - solver.mass0)
-    return LocalRun(records=records, flags=flags, final=rho, sav_r=solver.r)
+    return LocalRun(records=records, flags=flags, final=rho)
 
 
 def ch_operator(rho: GridField, m: float, biharmonic_coeff: float = 1.0) -> GridField:
     """Discrete  D*div(rho grad lap rho) + lap rho^m  (for accuracy checks)."""
-    spec = np.fft.fftn(rho.values)
     n, d = rho.n, rho.d
-    ks = freq_lattice(n, d)
-    k2 = sum((2.0 * np.pi * k) ** 2 for k in ks)
-    gmult = grad_multipliers(n, d)
-    lap = np.real(np.fft.ifftn(-k2 * spec))
-    grad_lap = [np.real(np.fft.ifftn(mm * np.fft.fftn(lap))) for mm in gmult]
-    div = np.zeros_like(rho.values, dtype=complex)
-    for mm, g in zip(gmult, grad_lap):
-        div += mm * np.fft.fftn(rho.values * g)
-    term1 = biharmonic_coeff * np.real(np.fft.ifftn(div))
-    term2 = np.real(np.fft.ifftn(-k2 * np.fft.fftn(rho.values**m)))
-    return GridField(term1 + term2)
+    k2 = k_squared(n, d)
+    grad_lap = gradient(-k2 * forward_transform(rho.values), n)
+    div = _div_hat(rho.values, grad_lap, grad_multipliers(n, d))
+    return GridField(
+        inverse_transform(biharmonic_coeff * div - k2 * forward_transform(rho.values**m), n)
+    )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import GridField, free_energy, velocity_field_nl
 from .kernels import KernelSet, ParameterSchedule
-from .spectral import freq_lattice
+from .spectral import forward_transform, freq_lattice, inverse_transform, k_squared
 
 __all__ = ["step_nonlocal", "run_nonlocal", "NonlocalRun", "NonlocalTrace"]
 
@@ -33,7 +33,7 @@ def _face_velocity(v: np.ndarray, axis: int) -> np.ndarray:
     phase = np.exp(1j * np.pi * k / n)
     if n % 2 == 0:
         phase = np.where(np.abs(k) == n // 2, np.cos(np.pi * k / n), phase)
-    return np.real(np.fft.ifftn(np.fft.fftn(v) * phase))
+    return inverse_transform(forward_transform(v) * phase, n)
 
 
 def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
@@ -47,10 +47,6 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
         flux = vp * rho_vals + vm * np.roll(rho_vals, -1, axis=ax)
         div += (flux - np.roll(flux, 1, axis=ax)) / h
     return div
-
-
-def _k2(rho: GridField) -> np.ndarray:
-    return sum((2.0 * np.pi * k) ** 2 for k in freq_lattice(rho.n, rho.d))
 
 
 def _face_velocities(rho: GridField, schedule, kernels) -> tuple:
@@ -69,7 +65,7 @@ def _step(rho: GridField, vfaces, dt_cfl: float, dt: float, nu: float, k2) -> Gr
         raise ValueError(f"CFL violation: dt={dt:.3e} exceeds admissible {dt_cfl:.3e}")
     new = rho.values - dt * _upwind_divergence(rho.values, vfaces)
     if nu > 0.0:
-        new = np.real(np.fft.ifftn(np.fft.fftn(new) / (1.0 + nu * dt * k2)))
+        new = inverse_transform(forward_transform(new) / (1.0 + nu * dt * k2), rho.n)
     return GridField(new)
 
 
@@ -82,7 +78,7 @@ def step_nonlocal(
 ) -> GridField:
     """One conservative upwind step of the nonlocal equation."""
     vfaces, dt_cfl = _face_velocities(rho, schedule, kernels)
-    return _step(rho, vfaces, dt_cfl, dt, nu, _k2(rho))
+    return _step(rho, vfaces, dt_cfl, dt, nu, k_squared(rho.n, rho.d))
 
 
 @dataclass
@@ -115,7 +111,7 @@ def run_nonlocal(
     """
     rho0.check_density(mass=rho0.mass(), tol=np.inf)  # nonnegativity only
     energy_every = energy_every if energy_every is not None else T / 20.0
-    k2 = _k2(rho0)
+    k2 = k_squared(rho0.n, rho0.d)
     traces = []
     for nu in nu_sequence:
         rho = rho0.copy()

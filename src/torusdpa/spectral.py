@@ -1,9 +1,20 @@
-"""Shared periodic-grid machinery: FFT conventions and cubic interpolation.
+"""Shared periodic-grid machinery: the real-FFT spectral layer and cubic
+interpolation.
 
 Grid convention: n nodes per axis at x_j = j/n, j = 0..n-1, spacing h = 1/n,
-representing cells centered at the nodes.  The continuous Fourier transform
-on the unit torus is approximated by  f_hat(k) = h^d * FFT(values)[k]  on the
-integer frequency lattice, and synthesis is the inverse of that.
+representing cells centered at the nodes.
+
+Spectral layer.  This is the only module that calls numpy's FFT, always as
+``np.fft.<name>`` looked up at call time.  Every spectrum is stored in the
+half-spectrum layout of ``np.fft.rfftn`` over all axes: shape
+(n,) * (d - 1) + (n // 2 + 1,), with the full integer lattice in fftfreq
+order on the leading axes and the nonnegative frequencies 0..n//2
+(rfftfreq) on the last axis.  The other half follows from Hermitian
+symmetry, f_hat(-k) = conj(f_hat(k)).  Coefficients approximate the
+continuous Fourier transform on the unit torus, f_hat(k) = h^d * rfftn[k];
+inverse_transform undoes that and takes the grid size, which the half
+spectrum alone does not fix when n is odd.  Frequency arrays are sparse
+(one axis each) and broadcast against a half spectrum.
 """
 
 from __future__ import annotations
@@ -12,11 +23,14 @@ import numpy as np
 
 __all__ = [
     "freq_lattice",
+    "k_squared",
+    "grad_multipliers",
     "minimage_coords",
     "forward_transform",
     "inverse_transform",
-    "spectral_gradient",
-    "grad_multipliers",
+    "gradient",
+    "inner",
+    "downsample_spectrum",
     "catmull_rom_prepare",
     "catmull_rom_apply",
     "TILE_POINTS",
@@ -28,14 +42,30 @@ TILE_POINTS = 32_768
 
 
 def freq_lattice(n: int, d: int):
-    """Integer frequency arrays (one per axis, meshgrid 'ij') for an n^d grid."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    """Integer frequencies of the half-spectrum lattice, one sparse array per
+    axis: fftfreq on the leading axis, rfftfreq on the last."""
+    if d not in (1, 2):
+        raise ValueError(f"unsupported dimension {d}")
+    last = np.fft.rfftfreq(n, d=1.0 / n)
     if d == 1:
-        return (k,)
-    if d == 2:
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return (kx, ky)
-    raise ValueError(f"unsupported dimension {d}")
+        return (last,)
+    return (np.fft.fftfreq(n, d=1.0 / n)[:, None], last[None, :])
+
+
+def k_squared(n: int, d: int) -> np.ndarray:
+    """|2 pi k|^2 on the half-spectrum lattice: minus the Laplacian's multiplier."""
+    return sum((2.0 * np.pi * k) ** 2 for k in freq_lattice(n, d))
+
+
+def grad_multipliers(n: int, d: int):
+    """2*pi*i*k multipliers per axis with the Nyquist mode zeroed."""
+    mults = []
+    for k in freq_lattice(n, d):
+        m = 2j * np.pi * k
+        if n % 2 == 0:
+            m = np.where(np.abs(k) == n // 2, 0.0, m)
+        mults.append(m)
+    return mults
 
 
 def minimage_coords(n: int, d: int):
@@ -51,55 +81,43 @@ def minimage_coords(n: int, d: int):
 
 
 def forward_transform(values: np.ndarray) -> np.ndarray:
-    """Continuous-normalized Fourier coefficients: h^d * FFT(values)."""
+    """Continuous-normalized half spectrum: h^d * rfftn(values)."""
     n = values.shape[0]
-    d = values.ndim
-    return np.fft.fftn(values) * (1.0 / n) ** d
+    return np.fft.rfftn(values) * (1.0 / n) ** values.ndim
 
 
-def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of forward_transform; returns the real part."""
-    n = coeffs.shape[0]
+def inverse_transform(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values on the n^d grid of a half spectrum; inverse of forward_transform."""
     d = coeffs.ndim
-    return np.real(np.fft.ifftn(coeffs)) * n**d
+    return np.fft.irfftn(coeffs, s=(n,) * d, axes=tuple(range(d))) * n**d
 
 
-def grad_multipliers(n: int, d: int):
-    """2*pi*i*k multipliers per axis with the Nyquist mode zeroed."""
-    ks = freq_lattice(n, d)
-    mults = []
-    for k in ks:
-        m = 2j * np.pi * k
-        if n % 2 == 0:
-            m = np.where(np.abs(k) == n // 2, 0.0, m)
-        mults.append(m)
-    return mults
+def gradient(coeffs: np.ndarray, n: int):
+    """Gradient components on the n^d grid of a half spectrum (Nyquist zeroed)."""
+    return [inverse_transform(m * coeffs, n) for m in grad_multipliers(n, coeffs.ndim)]
 
 
-def spectral_gradient(values: np.ndarray):
-    """Gradient of a periodic grid function via Fourier multipliers."""
-    n = values.shape[0]
-    d = values.ndim
-    fhat = np.fft.fftn(values)
-    return [np.real(np.fft.ifftn(m * fhat)) for m in grad_multipliers(n, d)]
+def inner(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> float:
+    """Integral of f*g over the torus from the half spectra of two real grid
+    functions on the n^d grid (Parseval): each last-axis column stands for
+    itself and its mirror, except k = 0 and, for even n, k = n/2."""
+    w = np.full(a_hat.shape[-1], 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return float((w * (a_hat * b_hat.conj()).real).sum())
 
 
 def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
-    """Crop Fourier coefficients to an n2-point grid (n2 <= n, both even)."""
-    n = spec.shape[0]
+    """Crop a half spectrum of an even-n grid to the even n2 <= n."""
+    n = 2 * (spec.shape[-1] - 1)
     if n2 > n:
         raise ValueError("downsample_spectrum: target finer than source")
-    if n2 == n:
-        return spec.copy()
     half = n2 // 2
-    if spec.ndim == 1:
-        out = np.empty(n2, dtype=complex)
-        out[:half] = spec[:half]
-        out[half:] = spec[n - half :]
-        return out
-    out = np.empty((n2, n2), dtype=complex)
-    rows = np.r_[0:half, n - half : n]
-    return spec[np.ix_(rows, rows)]
+    out = spec[..., : half + 1]
+    if spec.ndim == 2:
+        return out[np.r_[0:half, n - half : n]]
+    return out.copy()
 
 
 # -- Catmull-Rom interpolation on periodic grids -----------------------------

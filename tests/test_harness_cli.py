@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import torusdpa.cli as cli
+import torusdpa.pde_local as PL
+import torusdpa.pde_nonlocal as PN
 from torusdpa.cli import invariant_breaches, main as cli_main
 from torusdpa.fields import GridField, save_gridfield
 from torusdpa.harness import (
@@ -254,6 +256,35 @@ class TestCliSweeps:
                        "--out", str(tmp_path / "outn")])
         assert rc == 0
         assert (tmp_path / "outn" / "sweep_n.csv").exists()
+
+    def test_sweep_exits_2_on_grid_breach(self, tmp_path, monkeypatch, capsys):
+        cfg = self._sweep_config(tmp_path)
+        run_nonlocal, run_local = PN.run_nonlocal, PL.run_local
+
+        def breached_nonlocal(*args, **kwargs):
+            run = run_nonlocal(*args, **kwargs)
+            run.traces[0].min_value = -1e-3
+            return run
+
+        def breached_local(*args, **kwargs):
+            run = run_local(*args, **kwargs)
+            run.flags.update(energy_increases=1, worst_increase=1e-9)
+            return run
+
+        monkeypatch.setattr(PL, "run_local", breached_local)
+        rc = cli_main(["sweep", str(cfg), "--eps", "0.2", "0.15", "0.1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "modified-energy increases" in capsys.readouterr().out
+        header = (tmp_path / "out" / "sweep_eps.csv").read_text().splitlines()[0]
+        assert header == "epsilon,w2_nl_local,w2_particle_local,w2_particle_nl"
+        monkeypatch.setattr(PN, "run_nonlocal", breached_nonlocal)
+        rc = cli_main(["sweep", str(cfg), "--n-particles", "32", "64",
+                       "--out", str(tmp_path / "outn")])
+        assert rc == 2
+        assert "min value" in capsys.readouterr().out
+        header = (tmp_path / "outn" / "sweep_n.csv").read_text().splitlines()[0]
+        assert header == "N,w2_particle_nl,w2_kde_nl"
 
     def test_sweep_needs_mode(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)

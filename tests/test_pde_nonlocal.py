@@ -3,7 +3,8 @@ import pytest
 
 from torusdpa.fields import GridField
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
-from torusdpa.pde_nonlocal import _k2, _step, run_nonlocal, step_nonlocal
+from torusdpa.pde_nonlocal import _step, run_nonlocal, step_nonlocal
+from torusdpa.spectral import k_squared
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestStep:
         rho = sine_density()
         r = rho
         for _ in range(steps):
-            r = _step(r, [np.zeros(512)], np.inf, dt, nu, _k2(rho))
+            r = _step(r, [np.zeros(512)], np.inf, dt, nu, k_squared(512, 1))
         amp0 = np.abs(np.fft.fft(rho.values)[1])
         ampT = np.abs(np.fft.fft(r.values)[1])
         rate = np.log(ampT / amp0) / (dt * steps)
