@@ -186,7 +186,7 @@ def _dispatch(args) -> int:
             res = w2_sinkhorn(mu, nu, args.sinkhorn_reg)
             print(f"sinkhorn divergence={res.divergence:.10g} "
                   f"entropic cost={res.entropic_cost:.10g}")
-        elif mu.d == 1:
+        elif mu.d == nu.d == 1:
             w, _ = w2_circle_exact(mu, nu)
             print(f"W2={w:.10g}")
         else:

@@ -170,6 +170,17 @@ class TestCli:
         assert rc == 0
         assert "divergence" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--sinkhorn-reg", "0.05"]])
+    def test_w2_dimension_mismatch_exits_1(self, tmp_path, capsys, extra):
+        save_gridfield(GridField(np.ones((16, 16))), tmp_path / "a2.gf")
+        save_gridfield(GridField(np.ones(16)), tmp_path / "b1.gf")
+        for pair in (["a2.gf", "b1.gf"], ["b1.gf", "a2.gf"]):
+            rc = cli_main(["w2", *(str(tmp_path / f) for f in pair), *extra])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.out == ""
+            assert "different dimensions" in captured.err
+
     def test_simulate_and_kernels_inspect(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps({

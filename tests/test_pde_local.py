@@ -24,6 +24,23 @@ def smooth_random_density(n=256, seed=7, modes=6, floor=0.05):
     return GridField(vals / (vals.sum() / n))
 
 
+def cos_product_density(n, d):
+    return GridField.from_function(
+        lambda *xs: 1.0 + 0.3 * np.prod([np.cos(2 * np.pi * x) for x in xs], axis=0), n, d
+    )
+
+
+def count_transforms(monkeypatch):
+    """Counts every np.fft call; returns the list the calls append to."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    return calls
+
+
 class TestStepLocal:
     def test_uniform_steady_state(self):
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)
@@ -65,23 +82,27 @@ class TestStepLocal:
 
     @pytest.mark.parametrize("d, expected", [(1, 8), (2, 12)])
     def test_transforms_per_step(self, monkeypatch, d, expected):
-        # every operator of the step stays in spectral space; the modified
-        # energy is one transform by Parseval
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                     "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name,
-                                lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
-        rho = GridField.from_function(
-            lambda *xs: 1.0 + 0.3 * np.prod([np.cos(2 * np.pi * x) for x in xs], axis=0), 32, d
-        )
+        # every operator of the step stays in spectral space, and the new
+        # modified energy comes by Parseval from the step's own spectrum
+        calls = count_transforms(monkeypatch)
+        rho = cos_product_density(32, d)
         solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5), rho)
-        new, _ = solver.step(rho)
+        new, diag = solver.step(rho)
         assert len(calls) == expected
         calls.clear()
-        solver.modified_energy(new.values, solver.r)
+        mod = solver.modified_energy(new.values, solver.r)
         assert len(calls) == 1
+        assert diag["modified_energy"] == pytest.approx(mod, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d, per_step", [(1, 8), (2, 12)])
+    def test_run_transforms(self, monkeypatch, d, per_step):
+        # beyond the steps: the modified energy at t = 0 and the free energy
+        # at the two samples, t = 0 and t = T; none for the energy check
+        calls = count_transforms(monkeypatch)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, energy_every=1e-5)
+        run = run_local(cos_product_density(32, d), cfg)
+        assert len(run.records) == 2
+        assert len(calls) == 10 * per_step + 3
 
     def test_config_left_alone_and_c0_per_density(self):
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)

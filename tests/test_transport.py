@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torusdpa.transport as T
 from torusdpa.fields import GridField
 from torusdpa.geometry import min_image
 from torusdpa.oracles import brute_w2
 from torusdpa.transport import (
     DiscreteMeasure,
+    cost_matrix,
     grid_to_measure,
     w2_circle_exact,
     w2_exact_lp,
@@ -15,6 +19,35 @@ from torusdpa.transport import (
 
 def uniform_measure(points):
     return DiscreteMeasure(np.asarray(points, dtype=float))
+
+
+def grid_measure(n=512):
+    x = np.arange(n) / n
+    vals = 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x)
+    return grid_to_measure(GridField(vals / vals.mean()))
+
+
+def plan_cost(plan, mu, nu):
+    return float(np.dot(plan.weights, cost_matrix(mu, nu)[plan.rows, plan.cols]))
+
+
+def draw_measure(rng, n, weights, duplicates, share=None):
+    """n atoms on the circle; weights "equal", "random" or "zeros" (random
+    with some exact zeros); duplicates repeat atoms, and share (another
+    point set) lends some of its atoms."""
+    pts = rng.random(n)
+    if duplicates and n > 1:
+        k = int(rng.integers(1, n))
+        pts[rng.choice(n, k, replace=False)] = rng.choice(pts, k)
+    if share is not None:
+        k = int(rng.integers(0, min(n, share.size) + 1))
+        pts[:k] = rng.choice(share, k, replace=False)
+    if weights == "equal":
+        return DiscreteMeasure(pts[:, None])
+    w = rng.random(n) + 0.05
+    if weights == "zeros" and n > 1:
+        w[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+    return DiscreteMeasure(pts[:, None], w / w.sum())
 
 
 class TestCircle:
@@ -53,6 +86,76 @@ class TestCircle:
         with pytest.raises(ValueError):
             w2_circle_exact(mu, mu)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from(["equal", "random", "zeros"]),
+        st.sampled_from(["equal", "random", "zeros"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_references(self, n, m, wmu, wnu, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        mu = draw_measure(rng, n, wmu, duplicates)
+        nu = draw_measure(rng, m, wnu, duplicates, share=mu.points[:, 0])
+        w, plan = w2_circle_exact(mu, nu)
+        assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+        # the plan is feasible, so its minimum-image cost is at least W2^2;
+        # the search reports the cost of that very plan
+        assert plan_cost(plan, mu, nu) == pytest.approx(w * w, abs=1e-12)
+        # w2_exact_lp is the assignment solver for equal sizes and weights
+        exact = n == m and mu.is_uniform() and nu.is_uniform()
+        assert w == pytest.approx(w2_exact_lp(mu, nu)[0], abs=1e-10 if exact else 1e-8)
+        if exact and n <= 8:
+            assert w == pytest.approx(brute_w2(mu.points, nu.points), abs=1e-10)
+
+    def test_large_equal_weights_match_assignment(self, rng):
+        mu = DiscreteMeasure(rng.random((1000, 1)))
+        nu = DiscreteMeasure(rng.random((1000, 1)))
+        w, plan = w2_circle_exact(mu, nu)
+        assert w == pytest.approx(w2_exact_lp(mu, nu)[0], abs=1e-10)
+        assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+
+    def test_cloud_against_grid_measure(self, rng):
+        mu = DiscreteMeasure(rng.random((1000, 1)))
+        nu = grid_measure()
+        w, plan = w2_circle_exact(mu, nu)
+        assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+        assert plan_cost(plan, mu, nu) == pytest.approx(w * w, abs=1e-12)
+
+    def test_grid_measure_against_itself_is_exactly_zero(self):
+        mu = grid_measure()
+        w, plan = w2_circle_exact(mu, grid_measure())
+        assert w == 0.0
+        assert max(plan.marginal_errors(mu, mu)) <= 1e-9
+
+    def test_flat_minimum(self):
+        # a half-spacing shift of a lattice: every cut between the two
+        # matchings that move all atoms by 1/100 either way costs the same
+        x = np.arange(50) / 50
+        mu = uniform_measure(x[:, None])
+        nu = uniform_measure(x[:, None] + 0.01)
+        w, plan = w2_circle_exact(mu, nu)
+        assert w == pytest.approx(0.01, abs=1e-14)
+        assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["cloud-vs-grid", "twins"])
+    def test_cost_evaluations_bounded(self, monkeypatch, rng, case):
+        # a breakpoint search, not a scan over a grid of cuts
+        X = rng.random((1000, 1))
+        mu = DiscreteMeasure(X)
+        if case == "cloud-vs-grid":
+            nu = grid_measure()
+        else:
+            nu = DiscreteMeasure(X + 1e-3 * rng.standard_normal((1000, 1)))
+        calls = []
+        cost = T._CircleProblem.cost
+        monkeypatch.setattr(T._CircleProblem, "cost",
+                            lambda prob, theta: calls.append(theta) or cost(prob, theta))
+        w2_circle_exact(mu, nu)
+        assert len(calls) <= 100
+
 
 class TestExactLP:
     def test_identity(self, rng):
@@ -87,6 +190,14 @@ class TestExactLP:
         nu = DiscreteMeasure(rng.random((600, 1)), nu_w / nu_w.sum())
         with pytest.raises(ValueError, match="sinkhorn"):
             w2_exact_lp(mu, nu)
+
+    def test_dimension_mismatch_rejected(self, rng):
+        mu = DiscreteMeasure(rng.random((6, 2)))
+        nu = DiscreteMeasure(rng.random((6, 1)))
+        with pytest.raises(ValueError, match="dimensions"):
+            w2_exact_lp(mu, nu)
+        with pytest.raises(ValueError, match="dimensions"):
+            w2_exact_lp(nu, mu)
 
     def test_metric_axioms_on_triples(self, rng):
         for _ in range(5):
@@ -124,6 +235,12 @@ class TestSinkhorn:
         nu = DiscreteMeasure(rng.random((10, 1)))
         with pytest.raises(RuntimeError, match="marginal violation"):
             w2_sinkhorn(mu, nu, 1e-4, max_iter=5)
+
+    def test_dimension_mismatch_rejected(self, rng):
+        mu = DiscreteMeasure(rng.random((6, 2)))
+        nu = DiscreteMeasure(rng.random((6, 1)))
+        with pytest.raises(ValueError, match="dimensions"):
+            w2_sinkhorn(mu, nu, 0.05)
 
     def test_reg_positive(self, rng):
         mu = DiscreteMeasure(rng.random((4, 1)))
