@@ -4,14 +4,14 @@ A GridField holds node values on the uniform n^d grid of the unit torus
 (node j at x = j*h, h = 1/n).  Convolutions are circular and FFT-based;
 the nonlocal diffusion operator, its dissipation quadratic form, the
 power-law internal energy, the full free energy, kernel density estimates
-of particle clouds, and the nonlocal velocity field all live here.
+of particle clouds, and the nonlocal velocity field (one potential
+spectrum built from the kernel set's cached spectra) all live here.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,9 @@ from .geometry import min_image
 from .kernels import KernelFamily, KernelSet, KernelTable, ParameterSchedule
 from .spectral import (
     TILE_POINTS,
+    face_grad_multipliers,
     forward_transform,
-    gradient,
+    grad_multipliers,
     inner,
     inverse_transform,
     minimage_coords,
@@ -194,11 +195,13 @@ def free_energy(
     with_velocity: bool = True,
 ) -> EnergyReport:
     """Evaluate F_{eps,alpha} and companion diagnostics for a density field."""
-    smoothed = periodic_convolve(rho, kernels.omega_tilde)
+    _, ot_hat = kernels.grid_spectra(rho.n, rho.d)
+    rho_hat = forward_transform(rho.values)
+    smoothed = GridField(inverse_transform(ot_hat * rho_hat, rho.n))
     D = dissipation_D_eps(smoothed, kernels.omega, schedule.epsilon)
     Em = energy_E_m(GridField(np.maximum(smoothed.values, 0.0)), schedule.m)
     if schedule.alpha > 0.0 and kernels.viscosity is not None:
-        half = periodic_convolve(rho, kernels.viscosity.half_table)
+        half = GridField(inverse_transform(np.sqrt(kernels.viscosity.spectrum) * rho_hat, rho.n))
     else:
         half = rho  # alpha = 0 convention: R_alpha * rho = rho
     E2h = energy_E_m(GridField(np.maximum(half.values, 0.0)), 2.0)
@@ -250,27 +253,27 @@ def velocity_field_nl(
     rho: GridField,
     schedule: ParameterSchedule,
     kernels: KernelSet,
-    m: Optional[float] = None,
+    at_faces: bool = False,
 ) -> np.ndarray:
-    """Velocity of the nonlocal continuity equation, shape (d, *grid).
-
-    v = grad( -B_eps[rho*ot*ot] + (m/(m-1)) ot*(rho*ot)^(m-1) - eps_star*rho*R_alpha ),
-    with the alpha = 0 convention rho*R_alpha = rho.
+    """Velocity grad(phi) of the nonlocal continuity equation, shape (d, *grid),
+    from the potential spectrum (R_hat = 1 when alpha = 0)
+        phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
+                  - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
+    in 3 + d transforms once the set's spectra are cached.  Component i is
+    sampled at the nodes, or with at_faces at the faces x + h/2 e_i.
     """
-    m = schedule.m if m is None else m
-    smoothed2 = periodic_convolve(rho, kernels.smooth2)
-    bterm = B_eps(smoothed2, kernels.omega, schedule.epsilon)
-    rt = periodic_convolve(rho, kernels.omega_tilde)
-    power = np.maximum(rt.values, 0.0) ** (m - 1.0)
-    agg = periodic_convolve(GridField(power), kernels.omega_tilde)
+    o_hat, ot_hat = kernels.grid_spectra(rho.n, rho.d)
+    n, m = rho.n, schedule.m
+    rho_hat = forward_transform(rho.values)
+    power = np.maximum(inverse_transform(ot_hat * rho_hat, n), 0.0) ** (m - 1.0)
     if schedule.alpha > 0.0 and kernels.viscosity is not None:
-        visc = periodic_convolve(rho, kernels.viscosity).values
+        visc = kernels.viscosity.spectrum
     else:
-        visc = rho.values
-    potential = GridField(
-        -bterm.values + (m / (m - 1.0)) * agg.values - schedule.epsilon_star * visc
-    )
-    return np.stack(gradient(forward_transform(potential.values), rho.n))
+        visc = 1.0  # alpha = 0 convention: R_alpha * rho = rho
+    linear = ot_hat * ot_hat * (1.0 - o_hat) / schedule.epsilon**2 + schedule.epsilon_star * visc
+    phi_hat = (m / (m - 1.0)) * ot_hat * forward_transform(power) - linear * rho_hat
+    mults = (face_grad_multipliers if at_faces else grad_multipliers)(n, rho.d)
+    return np.stack([inverse_transform(g * phi_hat, n) for g in mults])
 
 
 # ---------------------------------------------------------------------------

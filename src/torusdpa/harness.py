@@ -476,6 +476,10 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
 # sweeps
 
 
+# grid fields enter the sweeps' W2 as measures of at most this many atoms
+_SWEEP_ATOMS = 4096
+
+
 def _particle_kde_measure(scenario, kernels, state, n, max_atoms=None):
     fld = F.kde_density(state, kernels.omega_tilde, n)
     vals = np.maximum(fld.values, 0.0)
@@ -500,6 +504,18 @@ def _w2(mu, nu, d):
     return T.w2_exact_lp(mu, nu)[0]
 
 
+def _check_sweep_w2(c, particle_counts=()):
+    """Fail before any run when a sweep's exact W2 would refuse its measures:
+    in 2-d each grid measure has up to the coarsened atom count, and the
+    particle measures have the given counts."""
+    n, d = c["grid"]["n"], c["dimension"]
+    if d == 1:
+        return
+    atoms = (n // T.coarsening_factor(n, d, _SWEEP_ATOMS)) ** d
+    for size in (atoms, *particle_counts):
+        T.check_lp_size(size, atoms)
+
+
 def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     """Shared local run vs particle and nl-grid runs across decreasing eps.
 
@@ -510,11 +526,12 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     c = base_scenario.config
+    _check_sweep_w2(c)
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
     kernels0 = build_scenario_kernels(base_scenario)
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
-    local_measure = _field_measure(local.final, max_atoms=4096)
+    local_measure = _field_measure(local.final, max_atoms=_SWEEP_ATOMS)
     rows = []
     for eps in eps_list:
         sc = Scenario.from_dict(
@@ -524,20 +541,20 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         kset = build_scenario_kernels(sc, sched)
         kgrid = kset.at_resolution(rho0.n)
         nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
-        nl_measure = _field_measure(nl.traces[0].final, max_atoms=4096)
+        nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)
         state = _particles_to_T(sc, kset, rho0)[0][-1]
-        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=4096)
+        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=_SWEEP_ATOMS)
         smooth = kgrid.omega_tilde
         rows.append(
             {
                 "epsilon": eps,
                 "w2_nl_local": _w2(nl_measure, local_measure, d),
                 "w2_particle_local": _w2(
-                    kde_measure, _field_measure(local.final, max_atoms=4096,
+                    kde_measure, _field_measure(local.final, max_atoms=_SWEEP_ATOMS,
                                                 smooth_with=smooth), d
                 ),
                 "w2_particle_nl": _w2(
-                    kde_measure, _field_measure(nl.traces[0].final, max_atoms=4096,
+                    kde_measure, _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS,
                                                 smooth_with=smooth), d
                 ),
                 "local_flags": local.flags,
@@ -561,6 +578,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
 
     Each row also carries that nl run under the run_scenario key "nl_run"."""
     c = base_scenario.config
+    _check_sweep_w2(c, [int(N) for N in n_list])
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
     sched = base_scenario.schedule()
@@ -570,15 +588,15 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     # the asserted trend uses the raw empirical measure: any fixed smoothing
     # either annihilates the N-dependent granularity (smoothing both sides)
     # or buries it under an N-independent bias (smoothing one side)
-    nl_measure = _field_measure(nl.traces[0].final, max_atoms=4096)
-    nl_smoothed = _field_measure(nl.traces[0].final, max_atoms=4096,
+    nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)
+    nl_smoothed = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS,
                                  smooth_with=kgrid.omega_tilde)
     rows = []
     for N in n_list:
         sc = Scenario.from_dict(_merge(c, {"N": int(N), "engines": []}))
         state = _particles_to_T(sc, kset, rho0)[0][-1]
         emp = T.DiscreteMeasure(state.positions)
-        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=4096)
+        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=_SWEEP_ATOMS)
         rows.append(
             {
                 "N": int(N),

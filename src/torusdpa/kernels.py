@@ -618,6 +618,7 @@ class KernelSet:
     _smooth2: Optional[KernelTable] = None
     _W: Optional[KernelTable] = None
     _pairs: dict = field(default_factory=dict)
+    _spectra: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -639,6 +640,15 @@ class KernelSet:
         if self._W is None:
             self._W = compose_W_eps(self.omega, self.omega_tilde, self.schedule.epsilon)
         return self._W
+
+    def grid_spectra(self, n: int, d: int) -> tuple:
+        """Real half spectra (omega_hat, omega_tilde_hat), cached on first use;
+        only grid solvers call this, so particle-only sets never hold them."""
+        if (n, d) != (self.n, self.d):
+            raise KernelError(f"kernel set on the {self.n}^{self.d} grid, field on {n}^{d}")
+        if self._spectra is None:
+            self._spectra = tuple(f.table.fourier().real for f in (self.omega, self.omega_tilde))
+        return self._spectra
 
     def at_resolution(self, n2: int) -> "KernelSet":
         """Same kernels on a coarser grid (families resampled spectrally,

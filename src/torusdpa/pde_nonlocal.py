@@ -1,11 +1,16 @@
 """Finite-volume solver for the nonlocal continuity equation.
 
-Fluxes are rho * v upwinded per face with the velocity from the nonlocal
-potential (fields.velocity_field_nl), which keeps the update conservative
-and positivity-preserving under the CFL bound.  An optional artificial
-viscosity nu * lap rho is applied implicitly through a Fourier multiplier;
-runs over a decreasing nu sequence exhibit the vanishing-viscosity
-continuation.
+Fluxes are rho * v upwinded per face, which keeps the update conservative
+and positivity-preserving under the CFL bound.  The face velocities are
+grad(phi) straight from the potential spectrum (fields.velocity_field_nl)
+
+    phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
+              - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
+
+through a gradient multiplier that carries the half-cell shift, so a step
+takes 3 + d transforms.  An optional artificial viscosity nu * lap rho is
+applied implicitly through a Fourier multiplier (2 more transforms); runs
+over a decreasing nu sequence exhibit the vanishing-viscosity continuation.
 """
 
 from __future__ import annotations
@@ -17,23 +22,12 @@ import numpy as np
 
 from .fields import GridField, free_energy, velocity_field_nl
 from .kernels import KernelSet, ParameterSchedule
-from .spectral import forward_transform, freq_lattice, inverse_transform, k_squared
+from .spectral import forward_transform, inverse_transform, k_squared
 
 __all__ = ["step_nonlocal", "run_nonlocal", "NonlocalRun", "NonlocalTrace"]
 
 # run_nonlocal steps at this fraction of the CFL bound
 CFL_SAFETY = 0.45
-
-
-def _face_velocity(v: np.ndarray, axis: int) -> np.ndarray:
-    """Velocity component sampled at faces i+1/2 by spectral half-cell shift."""
-    n = v.shape[0]
-    d = v.ndim
-    k = freq_lattice(n, d)[axis]
-    phase = np.exp(1j * np.pi * k / n)
-    if n % 2 == 0:
-        phase = np.where(np.abs(k) == n // 2, np.cos(np.pi * k / n), phase)
-    return inverse_transform(forward_transform(v) * phase, n)
 
 
 def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
@@ -51,9 +45,8 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
 
 def _face_velocities(rho: GridField, schedule, kernels) -> tuple:
     """Face velocities of the current state and its CFL bound h/(2 d ||v||_inf)."""
-    v = velocity_field_nl(rho, schedule, kernels)
-    vfaces = [_face_velocity(v[ax], ax) for ax in range(rho.d)]
-    vmax = max(float(np.max(np.abs(vf))) for vf in vfaces)
+    vfaces = velocity_field_nl(rho, schedule, kernels, at_faces=True)
+    vmax = float(np.max(np.abs(vfaces)))
     return vfaces, (rho.h / (2.0 * rho.d * vmax) if vmax > 0 else np.inf)
 
 

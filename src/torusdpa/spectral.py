@@ -19,12 +19,15 @@ spectrum alone does not fix when n is odd.  Frequency arrays are sparse
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
     "freq_lattice",
     "k_squared",
     "grad_multipliers",
+    "face_grad_multipliers",
     "minimage_coords",
     "forward_transform",
     "inverse_transform",
@@ -57,15 +60,25 @@ def k_squared(n: int, d: int) -> np.ndarray:
     return sum((2.0 * np.pi * k) ** 2 for k in freq_lattice(n, d))
 
 
-def grad_multipliers(n: int, d: int):
-    """2*pi*i*k multipliers per axis with the Nyquist mode zeroed."""
-    mults = []
-    for k in freq_lattice(n, d):
-        m = 2j * np.pi * k
-        if n % 2 == 0:
-            m = np.where(np.abs(k) == n // 2, 0.0, m)
-        mults.append(m)
-    return mults
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def grad_multipliers(n: int, d: int) -> tuple:
+    """2*pi*i*k multipliers per axis with the Nyquist mode zeroed (memoised,
+    read-only, sparse)."""
+    return tuple(_frozen(np.where(np.abs(k) == n / 2, 0.0, 2j * np.pi * k))
+                 for k in freq_lattice(n, d))
+
+
+@functools.lru_cache(maxsize=16)
+def face_grad_multipliers(n: int, d: int) -> tuple:
+    """grad_multipliers times the half-cell shift exp(i*pi*k/n) of each axis:
+    the gradient sampled at the faces x + h/2 e_axis (Nyquist stays zero)."""
+    return tuple(_frozen(g * np.exp(1j * np.pi * k / n))
+                 for g, k in zip(grad_multipliers(n, d), freq_lattice(n, d)))
 
 
 def minimage_coords(n: int, d: int):

@@ -35,6 +35,8 @@ __all__ = [
     "w2_sinkhorn",
     "SinkhornResult",
     "grid_to_measure",
+    "coarsening_factor",
+    "check_lp_size",
     "cost_matrix",
 ]
 
@@ -225,29 +227,36 @@ def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
 # exact transport via assignment / LP
 
 
+def check_lp_size(n: int, m: int, assignment: bool = False):
+    """Raise ValueError when w2_exact_lp would refuse supports of n and m
+    atoms: the assignment route (equal sizes and uniform weights) caps each
+    size, and the LP route also caps the number of plan variables."""
+    if n > _LP_SIZE_CAP or m > _LP_SIZE_CAP:
+        raise ValueError(
+            f"support sizes {n}x{m} exceed the exact-solver cap "
+            f"{_LP_SIZE_CAP}; use w2_sinkhorn"
+        )
+    if not assignment and n * m > _LP_PRODUCT_CAP:
+        raise ValueError(
+            f"LP with {n * m} variables exceeds cap {_LP_PRODUCT_CAP}; use w2_sinkhorn"
+        )
+
+
 def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Exact W2 for discrete measures in any dimension.
 
     Equal-size uniform inputs go through the assignment solver; general
     weights go through the HiGHS LP on the transport polytope.
     """
-    if mu.n > _LP_SIZE_CAP or nu.n > _LP_SIZE_CAP:
-        raise ValueError(
-            f"support sizes {mu.n}x{nu.n} exceed the exact-solver cap "
-            f"{_LP_SIZE_CAP}; use w2_sinkhorn"
-        )
+    assignment = mu.n == nu.n and mu.is_uniform() and nu.is_uniform()
+    check_lp_size(mu.n, nu.n, assignment)
     C = cost_matrix(mu, nu)
-    if mu.n == nu.n and mu.is_uniform() and nu.is_uniform():
+    if assignment:
         rows, cols = linear_sum_assignment(C)
         w = np.full(mu.n, 1.0 / mu.n)
         cost = float(C[rows, cols].mean())
         plan = TransportPlan(rows=rows, cols=cols, weights=w, shape=C.shape)
         return float(np.sqrt(max(cost, 0.0))), plan
-    if mu.n * nu.n > _LP_PRODUCT_CAP:
-        raise ValueError(
-            f"LP with {mu.n * nu.n} variables exceeds cap {_LP_PRODUCT_CAP}; "
-            "use w2_sinkhorn"
-        )
     n, m = mu.n, nu.n
     ij = np.arange(n * m)
     rows_idx = ij // m
@@ -344,19 +353,26 @@ def w2_sinkhorn(
 # grids to measures
 
 
+def coarsening_factor(n: int, d: int, max_atoms: Optional[int] = None) -> int:
+    """The power-of-two block size grid_to_measure uses to bring the n^d grid
+    to at most max_atoms atoms (1: no coarsening)."""
+    if max_atoms is not None and max_atoms < 1:
+        raise ValueError(f"max_atoms must be positive, got {max_atoms}")
+    factor = 1
+    while max_atoms is not None and (n // factor) ** d > max_atoms:
+        factor *= 2
+    return factor
+
+
 def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> DiscreteMeasure:
     """Atoms at grid nodes weighted by cell mass, optionally block-coarsened."""
     if rho.values.min() < -1e-12:
         raise ValueError("negative density cells")
     vals = np.maximum(rho.values, 0.0)
     n, d = rho.n, rho.d
-    factor = 1
-    if max_atoms is not None and n**d > max_atoms:
-        factor = 2
-        while (n // factor) ** d > max_atoms:
-            factor *= 2
-        if n % factor:
-            raise ValueError(f"grid size {n} not divisible by coarsening factor {factor}")
+    factor = coarsening_factor(n, d, max_atoms)
+    if n % factor:
+        raise ValueError(f"grid size {n} not divisible by coarsening factor {factor}")
     x = np.arange(n) / n
     if d == 1:
         if factor == 1:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from torusdpa import fields
+from torusdpa import fields, spectral
 from torusdpa.fields import (
     B_eps,
     GridField,
@@ -251,7 +253,87 @@ class TestKde:
         assert np.max(np.abs(fld.values - 1.0)) <= 3.0 / np.sqrt(N) + 1e-3
 
 
+def chain_velocity(rho, sched, kset):
+    """The nonlocal velocity by the real-space convolution chain:
+    grad(-B_eps[rho*ot*ot] + (m/(m-1)) ot*max(rho*ot, 0)^(m-1) - eps_star rho*R)."""
+    m = sched.m
+    bterm = B_eps(periodic_convolve(rho, kset.smooth2), kset.omega, sched.epsilon)
+    rt = periodic_convolve(rho, kset.omega_tilde)
+    agg = periodic_convolve(GridField(np.maximum(rt.values, 0.0) ** (m - 1.0)),
+                            kset.omega_tilde)
+    visc = periodic_convolve(rho, kset.viscosity).values if sched.alpha > 0 else rho.values
+    potential = -bterm.values + (m / (m - 1.0)) * agg.values - sched.epsilon_star * visc
+    return np.stack(spectral.gradient(spectral.forward_transform(potential), rho.n))
+
+
+def shift_to_faces(v, axis):
+    """Component `axis` moved from the nodes to the faces by a forward
+    transform, the half-cell phase exp(i pi k/n) and an inverse transform."""
+    n = v.shape[0]
+    k = spectral.freq_lattice(n, v.ndim)[axis]
+    phase = np.exp(1j * np.pi * k / n)
+    phase = np.where(np.abs(k) == n // 2, np.cos(np.pi * k / n), phase)
+    return spectral.inverse_transform(spectral.forward_transform(v) * phase, n)
+
+
+@pytest.fixture(scope="module")
+def velocity_grids(kset_1d, kset_2d):
+    """Per d: (schedule, kernel set at grid resolution, a density whose
+    smoothed field undershoots zero, a positive density)."""
+    out = {}
+    for d, kset, n in ((1, kset_1d, 512), (2, kset_2d, 128)):
+        kgrid = kset.at_resolution(n)
+        x = np.arange(n) / n
+        xs = np.meshgrid(*([x] * d), indexing="ij")
+        wave = np.prod([np.cos(2 * np.pi * xi) for xi in xs], axis=0)
+        bump = np.sin(2 * np.pi * (xs[0] + 2 * xs[-1]))
+        out[d] = (kset.schedule, kgrid, GridField(0.1 + wave + 0.2 * bump),
+                  GridField(1.0 + 0.5 * wave + 0.2 * bump))
+    return out
+
+
 class TestVelocityField:
+    @pytest.mark.parametrize("alpha_on", [True, False], ids=["alpha>0", "alpha=0"])
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_convolution_chain(self, velocity_grids, d, m, alpha_on):
+        sched, kgrid, rho, _ = velocity_grids[d]
+        sched = replace(sched, m=m, alpha=sched.alpha if alpha_on else 0.0)
+        assert periodic_convolve(rho, kgrid.omega_tilde).values.min() < 0  # max(., 0) acts
+        v = velocity_field_nl(rho, sched, kgrid)
+        ref = chain_velocity(rho, sched, kgrid)
+        assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_grid_mismatch_rejected(self, velocity_grids):
+        sched, kgrid, _, rho = velocity_grids[2]
+        for f in (GridField(rho.values[::2, ::2]), GridField(rho.values[:, 0])):
+            with pytest.raises(ValueError, match="grid"):
+                velocity_field_nl(f, sched, kgrid)
+            with pytest.raises(ValueError, match="grid"):
+                free_energy(f, sched, kgrid)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_faces_match_shift_round_trip(self, velocity_grids, d):
+        sched, kgrid, _, rho = velocity_grids[d]
+        nodes = velocity_field_nl(rho, sched, kgrid)
+        ref = np.stack([shift_to_faces(nodes[ax], ax) for ax in range(d)])
+        faces = velocity_field_nl(rho, sched, kgrid, at_faces=True)
+        assert np.max(np.abs(faces - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_m2_is_pair_potential(self, velocity_grids, d):
+        # for m = 2 on a positive field the grid moves by the particles' pair
+        # potential U: v = -grad(U*rho) and F = (1/2) <rho, U*rho>
+        sched, kgrid, _, rho = velocity_grids[d]
+        assert sched.m == 2.0 and sched.alpha > 0
+        urho = periodic_convolve(rho, kgrid.pair_kernel(include_viscosity=True)).values
+        ref = -np.stack(spectral.gradient(spectral.forward_transform(urho), rho.n))
+        v = velocity_field_nl(rho, sched, kgrid)
+        assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+        rep = free_energy(rho, sched, kgrid, with_velocity=False)
+        half_pair = 0.5 * float((rho.values * urho).sum()) * rho.h**d
+        assert rep.F_eps_alpha == pytest.approx(half_pair, rel=1e-10)
+
     def test_constant_density(self, kset_1d, sched_1d):
         f = GridField.constant(1.0, kset_1d.n)
         v = velocity_field_nl(f, sched_1d, kset_1d)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torusdpa.cli as cli
+import torusdpa.harness as H
 import torusdpa.pde_local as PL
 import torusdpa.pde_nonlocal as PN
 from torusdpa.cli import invariant_breaches, main as cli_main
@@ -296,6 +297,30 @@ class TestCliSweeps:
         assert "min value" in capsys.readouterr().out
         header = (tmp_path / "outn" / "sweep_n.csv").read_text().splitlines()[0]
         assert header == "N,w2_particle_nl,w2_kde_nl"
+
+    @pytest.mark.parametrize("n, n_list, message", [
+        (128, None, "support sizes 4096x4096 exceed the exact-solver cap 3000"),
+        (32, None, "LP with 1048576 variables exceeds cap 250000"),
+        (16, [250, 500, 1000], "LP with 256000 variables exceeds cap 250000"),
+        (16, None, None),
+        (16, [100, 200, 400], None),
+    ])
+    def test_2d_sweep_checks_w2_sizes_before_any_run(self, monkeypatch, n, n_list, message):
+        class EngineCalled(Exception):
+            pass
+
+        def engine(*args, **kwargs):
+            raise EngineCalled
+
+        for owner, name in ((H, "build_scenario_kernels"), (H, "_particles_to_T"),
+                            (PL, "run_local"), (PN, "run_nonlocal")):
+            monkeypatch.setattr(owner, name, engine)
+        sc = Scenario.from_dict({**PRESETS["fig1-2d"], "grid": {"n": n}})
+        with pytest.raises(ValueError if message else EngineCalled, match=message):
+            if n_list is None:
+                H.convergence_sweep(sc, [0.2, 0.15, 0.1])
+            else:
+                H.particle_count_sweep(sc, n_list)
 
     def test_sweep_needs_mode(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)

@@ -80,10 +80,11 @@ class TestStepLocal:
         with pytest.raises(ValueError):
             LocalSolver(cfg, rho)
 
-    @pytest.mark.parametrize("d, expected", [(1, 8), (2, 12)])
+    @pytest.mark.parametrize("d, expected", [(1, 7), (2, 11)])
     def test_transforms_per_step(self, monkeypatch, d, expected):
-        # every operator of the step stays in spectral space, and the new
-        # modified energy comes by Parseval from the step's own spectrum
+        # every operator of the step stays in spectral space, the new spectrum
+        # is inverted once, and the new modified energy comes by Parseval
+        # from it
         calls = count_transforms(monkeypatch)
         rho = cos_product_density(32, d)
         solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5), rho)
@@ -94,7 +95,7 @@ class TestStepLocal:
         assert len(calls) == 1
         assert diag["modified_energy"] == pytest.approx(mod, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("d, per_step", [(1, 8), (2, 12)])
+    @pytest.mark.parametrize("d, per_step", [(1, 7), (2, 11)])
     def test_run_transforms(self, monkeypatch, d, per_step):
         # beyond the steps: the modified energy at t = 0 and the free energy
         # at the two samples, t = 0 and t = T; none for the energy check

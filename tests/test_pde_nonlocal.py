@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_pde_local import cos_product_density, count_transforms
+
 from torusdpa.fields import GridField
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
 from torusdpa.pde_nonlocal import _step, run_nonlocal, step_nonlocal
@@ -40,6 +42,18 @@ class TestStep:
         rho = sine_density()
         new = step_nonlocal(rho, sched, kset, 1e-5)
         assert new.mass() == pytest.approx(rho.mass(), abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_transforms_per_step(self, monkeypatch, grid_setup, kset_2d, d, nu):
+        # with the set's spectra cached: rho forward, rho*ot inverse, the
+        # power forward and d gradient inverses; the nu-diffusion adds 2
+        sched, kset = grid_setup if d == 1 else (kset_2d.schedule, kset_2d.at_resolution(128))
+        rho = cos_product_density(kset.n, d)
+        step_nonlocal(rho, sched, kset, 1e-6, nu)
+        calls = count_transforms(monkeypatch)
+        step_nonlocal(rho, sched, kset, 1e-6, nu)
+        assert len(calls) == 3 + d + (2 if nu > 0 else 0)
 
     def test_heat_decay_rate(self):
         # transport off (v = 0), pure implicit nu-diffusion: k=1 decays at

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from torusdpa.fields import GridField, periodic_convolve
 from torusdpa.kernels import KernelTable
 from torusdpa.spectral import (
+    face_grad_multipliers,
     forward_transform,
+    grad_multipliers,
     gradient,
     inner,
     inverse_transform,
@@ -72,6 +74,27 @@ def test_gradient_with_nyquist_zeroed(grid):
     for k, g in zip(full_lattice(n, d), got):
         mult = np.where(np.abs(k) == n / 2, 0.0, 2j * np.pi * k)
         close(g, np.real(np.fft.ifftn(mult * fhat)), scale=n)
+
+
+@PROPERTY
+@given(grids)
+def test_face_gradient_is_half_cell_shift(grid):
+    d, n, seed = grid
+    (f,) = draw(d, n, seed)
+    fhat = np.fft.fftn(f)
+    for k, face in zip(full_lattice(n, d), face_grad_multipliers(n, d)):
+        mult = np.where(np.abs(k) == n / 2, 0.0, 2j * np.pi * k * np.exp(1j * np.pi * k / n))
+        got = inverse_transform(face * forward_transform(f), n)
+        close(got, np.real(np.fft.ifftn(mult * fhat)), scale=n)
+
+
+def test_multipliers_memoised_read_only():
+    for multipliers in (grad_multipliers, face_grad_multipliers):
+        mults = multipliers(16, 2)
+        assert multipliers(16, 2) is mults
+        for m in mults:
+            with pytest.raises(ValueError):
+                m[...] = 0
 
 
 @PROPERTY

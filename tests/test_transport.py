@@ -276,6 +276,11 @@ class TestGridToMeasure:
         with pytest.raises(ValueError):
             grid_to_measure(GridField(np.array([1.0, -0.5, 1.0, 1.0])))
 
+    @pytest.mark.parametrize("max_atoms", [0, -1])
+    def test_nonpositive_max_atoms_rejected(self, max_atoms):
+        with pytest.raises(ValueError, match="max_atoms must be positive"):
+            grid_to_measure(GridField.constant(1.0, 16), max_atoms=max_atoms)
+
 
 def test_kantorovich_rubinstein_bound(rng):
     # |int phi d(mu - nu)| <= W2 for 1-Lipschitz phi (built as min of cones)
