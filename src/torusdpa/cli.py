@@ -30,6 +30,7 @@ from .harness import (
 )
 from .kernels import export_kernel_csv, lambda_convexity_constant
 from .transport import DiscreteMeasure, grid_to_measure, w2_circle_exact, w2_exact_lp, w2_sinkhorn
+from .transport import LP_ATOMS_PER_SIDE, check_lp_size
 
 
 def _load(path_or_preset, seed=None, appendix_a=None):
@@ -42,7 +43,7 @@ def _load(path_or_preset, seed=None, appendix_a=None):
     return Scenario.from_dict(raw)
 
 
-def _measure_from_file(path: str, max_atoms: int):
+def _measure_from_file(path: str, max_atoms, exact: bool):
     p = Path(path)
     if p.suffix == ".gf":
         fld = load_gridfield(p)
@@ -50,6 +51,8 @@ def _measure_from_file(path: str, max_atoms: int):
         from .fields import GridField
 
         fld = GridField(vals / (vals.sum() * fld.h**fld.d))
+        if max_atoms is None:
+            max_atoms = LP_ATOMS_PER_SIDE if exact and fld.d == 2 else 2048
         return grid_to_measure(fld, max_atoms=max_atoms)
     with open(p) as fh:
         reader = csv.reader(fh)
@@ -127,7 +130,9 @@ def main(argv=None) -> int:
     p_w2 = sub.add_parser("w2", help="W2 distance between two artifacts")
     p_w2.add_argument("fileA")
     p_w2.add_argument("fileB")
-    p_w2.add_argument("--max-atoms", type=int, default=2048)
+    p_w2.add_argument("--max-atoms", type=int, default=None,
+                      help="coarsen .gf fields to at most this many atoms (default "
+                      f"2048; {LP_ATOMS_PER_SIDE} for the exact solver in 2-d)")
     p_w2.add_argument("--sinkhorn-reg", type=float, default=None,
                       help="use entropic solver with this regularization")
 
@@ -180,9 +185,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "w2":
-        mu = _measure_from_file(args.fileA, args.max_atoms)
-        nu = _measure_from_file(args.fileB, args.max_atoms)
-        if args.sinkhorn_reg is not None:
+        exact = args.sinkhorn_reg is None
+        mu = _measure_from_file(args.fileA, args.max_atoms, exact)
+        nu = _measure_from_file(args.fileB, args.max_atoms, exact)
+        if not exact:
             res = w2_sinkhorn(mu, nu, args.sinkhorn_reg)
             print(f"sinkhorn divergence={res.divergence:.10g} "
                   f"entropic cost={res.entropic_cost:.10g}")
@@ -190,6 +196,11 @@ def _dispatch(args) -> int:
             w, _ = w2_circle_exact(mu, nu)
             print(f"W2={w:.10g}")
         else:
+            try:
+                check_lp_size(mu.n, nu.n, mu.n == nu.n and mu.is_uniform() and nu.is_uniform())
+            except ValueError:
+                raise ValueError(f"{mu.n} x {nu.n} atoms exceed the exact solver's caps; "
+                                 "lower --max-atoms or pass --sinkhorn-reg") from None
             w, _ = w2_exact_lp(mu, nu)
             print(f"W2={w:.10g}")
         return 0

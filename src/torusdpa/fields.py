@@ -230,8 +230,8 @@ def free_energy(
 def kde_density(state, kernel: KernelFamily, n: int) -> GridField:
     """Smoothed empirical measure (1/N) sum_i omega_tilde(x - X_i) on a grid.
 
-    Evaluates the tabulated kernel at exact particle offsets (no deposition),
-    so a particle sitting on a node reproduces the kernel table exactly.
+    Evaluates the kernel table's interpolant at exact particle offsets (no
+    deposition), so a particle sitting on a node reproduces the kernel table.
     Tiles of grid nodes against all particles hold about TILE_POINTS
     offsets each, and each node's value is one sum over the particles.
     """

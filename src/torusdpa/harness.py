@@ -385,6 +385,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     writer.gridfield("initial.gf", rho0)
     sched = scenario.schedule()
     kernels = build_scenario_kernels(scenario, sched)
+    results["kernels"] = kernels
 
     if "particles" in c["engines"]:
         states, dt = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
@@ -734,9 +735,10 @@ def second_moment_about_peaks(points: np.ndarray, weights, centers: np.ndarray) 
 
 
 def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 64) -> dict:
-    """Second-moment-about-clusters drop between t=0 and T for both engines."""
+    """Second-moment-about-clusters drop between t=0 and T for both engines,
+    with the kernel set that run_scenario built for the artifacts."""
     c = scenario.config
-    kernels = build_scenario_kernels(scenario)
+    kernels = artifacts.results["kernels"]
     rho0 = initial_density(scenario)
     out = {}
     if "particle_state" in artifacts.results:

@@ -14,8 +14,10 @@ Three families are built here:
   W = (ot*ot - o*ot*ot) / eps^2 and the pair potential used by the particle
   energy, U = W - 2*(ot*ot) + eps_star * R_alpha.
 
-Interpolation of tables is Catmull-Rom; parity (even values, odd gradients)
-is enforced exactly by evaluating at |delta| and applying component signs.
+Each table is interpolated by one periodic cubic B-spline (C^2), which gives
+both values and gradients, so a gradient is the exact derivative of the
+values; parity (even values, odd gradients) is enforced exactly by
+evaluating at |delta| and applying component signs.
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ from typing import Optional
 import numpy as np
 
 from .spectral import (
-    catmull_rom_apply,
-    catmull_rom_prepare,
     downsample_spectrum,
     forward_transform,
     freq_lattice,
-    gradient,
     grad_multipliers,
     inverse_transform,
     k_squared,
     minimage_coords,
-    pad_table,
+    spline_coefficients,
+    spline_gradient,
+    spline_prepare,
+    spline_values,
 )
 
 __all__ = [
@@ -81,27 +83,25 @@ class KernelResolutionError(KernelError):
 
 
 class KernelTable:
-    """A periodic kernel tabulated on a uniform n^d grid with its gradient."""
+    """A periodic kernel tabulated on a uniform n^d grid.  Values and gradients
+    off the grid come from one interpolant, the periodic cubic B-spline through
+    the samples, whose padded coefficients are built on first use."""
 
-    def __init__(self, values: np.ndarray, grads=None, support_radius: Optional[float] = None):
+    def __init__(self, values: np.ndarray, support_radius: Optional[float] = None):
         values = np.asarray(values, dtype=float)
         self.values = values
         self.d = values.ndim
         self.n = values.shape[0]
         self.h = 1.0 / self.n
-        if grads is None:
-            grads = gradient(forward_transform(values), self.n)
-        self.grads = [np.asarray(g, dtype=float) for g in grads]
         self.support_radius = support_radius
-        self._pad_cache: dict = {}
+        self._coeffs: Optional[np.ndarray] = None
 
-    def padded(self, which: str = "values", axis: int = 0) -> np.ndarray:
-        """Wrap-padded copy of a table, cached for the interpolation stencil."""
-        key = (which, axis)
-        if key not in self._pad_cache:
-            arr = self.values if which == "values" else self.grads[axis]
-            self._pad_cache[key] = pad_table(arr)
-        return self._pad_cache[key]
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Wrap-padded spline coefficients (spectral.spline_coefficients), cached."""
+        if self._coeffs is None:
+            self._coeffs = spline_coefficients(self.values)
+        return self._coeffs
 
     # -- integrals on the table ------------------------------------------
 
@@ -134,44 +134,38 @@ class KernelTable:
     def convolve(self, other: "KernelTable") -> "KernelTable":
         if other.n != self.n or other.d != self.d:
             raise KernelError("convolve: incompatible grids")
-        rad = None
-        if self.support_radius is not None and other.support_radius is not None:
-            total = self.support_radius + other.support_radius
-            rad = total if total < 0.5 else None
-        return KernelTable.from_spectrum(self.fourier() * other.fourier(), self.n, rad)
+        return KernelTable.from_spectrum(self.fourier() * other.fourier(), self.n)
 
     @classmethod
-    def from_spectrum(cls, spec: np.ndarray, n: int, support_radius=None) -> "KernelTable":
+    def from_spectrum(cls, spec: np.ndarray, n: int) -> "KernelTable":
         """The table on the n^d grid with half spectrum spec."""
-        return cls(inverse_transform(spec, n), grads=gradient(spec, n),
-                   support_radius=support_radius)
+        return cls(inverse_transform(spec, n))
 
     def resample(self, n2: int) -> "KernelTable":
         """Spectrally downsample the table to an n2-point grid."""
         if n2 == self.n:
             return self
-        spec = downsample_spectrum(self.fourier(), n2)
-        return KernelTable.from_spectrum(spec, n2, support_radius=self.support_radius)
+        return KernelTable.from_spectrum(downsample_spectrum(self.fourier(), n2), n2)
 
     # -- point evaluation (exact parity) -----------------------------------
 
     def value_at(self, points) -> np.ndarray:
-        """Even-symmetric Catmull-Rom evaluation of the kernel values."""
+        """The interpolant at |delta| per component: exactly even."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        prep = catmull_rom_prepare(np.abs(pts), self.n, self.d)
-        return catmull_rom_apply(self.values, prep, self.padded("values"))
+        prep = spline_prepare(np.abs(pts), self.n, self.d)
+        return spline_values(self.coefficients, prep)
 
     def grad_at(self, points) -> np.ndarray:
-        """Odd-symmetric gradient evaluation: interp at |delta|, apply signs."""
+        """The interpolant's gradient at |delta| with each component's sign
+        applied: exactly odd, and the exact gradient of value_at."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        prep = catmull_rom_prepare(np.abs(pts), self.n, self.d)
-        out = np.empty(pts.shape, dtype=float)
-        sign = np.sign(pts)
-        for ax in range(self.d):
-            out[..., ax] = sign[..., ax] * catmull_rom_apply(
-                self.grads[ax], prep, self.padded("grad", ax)
-            )
-        return out
+        prep = spline_prepare(np.abs(pts), self.n, self.d, gradient=True)
+        return np.sign(pts) * np.stack(spline_gradient(self.coefficients, prep), axis=-1)
+
+    def node_gradients(self) -> np.ndarray:
+        """The interpolant's gradient at the grid nodes, shape (n^d, d)."""
+        xis = minimage_coords(self.n, self.d)
+        return self.grad_at(np.stack([xi.ravel() for xi in xis], axis=-1))
 
     def hessian_inf_norm(self) -> float:
         """Max over the grid of the spectral-norm of the Hessian."""
@@ -207,52 +201,28 @@ def _bump_radial(r):
     return out
 
 
-def _bump_radial_deriv(r):
-    out = np.zeros_like(r)
-    inside = r < 1.0
-    ri = r[inside]
-    q = 1.0 - ri * ri
-    out[inside] = np.exp(-1.0 / q) * (-2.0 * ri / (q * q))
-    return out
-
-
 def _sample_profile(kind, width, cut, n, d):
-    """Sample an unnormalized radial profile and its gradient on the grid."""
+    """Sample an unnormalized radial profile on the grid."""
     xis = minimage_coords(n, d)
     r2 = sum(xi * xi for xi in xis)
     r = np.sqrt(r2)
     if kind == "compact-bump":
-        u = r / width
-        vals = _bump_radial(u)
-        dv = _bump_radial_deriv(u) / width
+        vals = _bump_radial(r / width)
     elif kind == "truncated-gaussian":
         vals = np.exp(-0.5 * r2 / width**2)
-        dv = vals * (-r / width**2)
         if 5.0 * width <= cut:
             # the 5-sigma cut: the jump there is e^{-12.5}, spectrally harmless
-            outside = r > cut
-            vals = np.where(outside, 0.0, vals)
-            dv = np.where(outside, 0.0, dv)
+            vals = np.where(r > cut, 0.0, vals)
         else:
             # cut capped by the torus: a hard cut would leave an O(1) jump and a
             # slowly decaying spectrum, so blend to zero with a C^1 cosine taper
             r0 = 0.8 * cut
-            span = cut - r0
-            s = np.clip((r - r0) / span, 0.0, 1.0)
+            s = np.clip((r - r0) / (cut - r0), 0.0, 1.0)
             taper = np.where(r <= r0, 1.0, np.where(r >= cut, 0.0, np.cos(0.5 * np.pi * s) ** 2))
-            dtaper = np.where(
-                (r > r0) & (r < cut),
-                -0.5 * np.pi / span * np.sin(np.pi * s),
-                0.0,
-            )
-            dv = dv * taper + vals * dtaper
             vals = vals * taper
     else:
         raise KernelError(f"unknown mollifier kind {kind!r}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = [np.where(r > 0, xi / r, 0.0) for xi in xis]
-    grads = [dv * u for u in unit]
-    return vals, grads
+    return vals
 
 
 @dataclass
@@ -306,14 +276,12 @@ class KernelFamily:
 
 def _build_mollifier_table(kind, width, n, d, cut_cap):
     cut = min(5.0 * width, cut_cap) if kind == "truncated-gaussian" else width
-    vals, grads = _sample_profile(kind, width, cut, n, d)
+    vals = _sample_profile(kind, width, cut, n, d)
     m = vals.sum() * (1.0 / n) ** d
     if m <= 0:
         raise KernelError("kernel sampled to zero mass; increase table resolution")
-    vals = vals / m
-    grads = [g / m for g in grads]
     radius = cut if kind == "truncated-gaussian" else width
-    return KernelTable(vals, grads=grads, support_radius=radius)
+    return KernelTable(vals / m, support_radius=radius)
 
 
 def make_mollifier(
@@ -506,7 +474,7 @@ def make_viscosity_kernel(
 
 
 def compose_W_eps(omega: KernelFamily, omega_tilde: KernelFamily, epsilon: float) -> KernelTable:
-    """Tabulate W_eps = (ot*ot - o*ot*ot)/eps^2 and its gradient spectrally."""
+    """Tabulate W_eps = (ot*ot - o*ot*ot)/eps^2 spectrally."""
     to, tt = omega.table, omega_tilde.table
     if to.n != tt.n or to.d != tt.d:
         raise KernelError("compose_W_eps: incompatible grids")
@@ -514,12 +482,7 @@ def compose_W_eps(omega: KernelFamily, omega_tilde: KernelFamily, epsilon: float
         raise KernelError("epsilon must be positive")
     ohat = to.fourier()
     that = tt.fourier()
-    spec = that * that * (1.0 - ohat) / epsilon**2
-    rad = None
-    if to.support_radius is not None and tt.support_radius is not None:
-        total = 2.0 * tt.support_radius + to.support_radius
-        rad = total if total < 0.5 else None
-    return KernelTable.from_spectrum(spec, to.n, support_radius=rad)
+    return KernelTable.from_spectrum(that * that * (1.0 - ohat) / epsilon**2, to.n)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +499,8 @@ class ParameterSchedule:
     alpha: float
     m: float = 2.0
     d: int = 1
-    p: float = field(default=None)  # eps_tilde = eps**p by default
-    q: float = 0.5  # eps_star = eps_tilde**q by default
-    c: float = 1.0  # alpha = exp(-c/eps) by default
 
     def __post_init__(self):
-        if self.p is None:
-            self.p = 1.0 / (self.d + 6)
         self.validate()
 
     def validate(self):
@@ -582,12 +540,10 @@ def schedule_from_epsilon(
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon {epsilon} outside (0, 1/2)")
-    p = 1.0 / (d + 6)
-    q = 0.5
     if epsilon_tilde is None:
-        epsilon_tilde = epsilon**p
+        epsilon_tilde = epsilon ** (1.0 / (d + 6))
     if epsilon_star is None:
-        epsilon_star = epsilon_tilde**q
+        epsilon_star = epsilon_tilde**0.5
     if alpha is None:
         alpha = math.exp(-c / epsilon)
     return ParameterSchedule(
@@ -597,9 +553,6 @@ def schedule_from_epsilon(
         alpha=alpha,
         m=m,
         d=d,
-        p=p,
-        q=q,
-        c=c,
     )
 
 
@@ -619,6 +572,7 @@ class KernelSet:
     _W: Optional[KernelTable] = None
     _pairs: dict = field(default_factory=dict)
     _spectra: Optional[tuple] = None
+    _stable_cache: dict = field(default_factory=dict)  # particles.stable_dt's bounds
 
     @property
     def n(self) -> int:
@@ -756,12 +710,13 @@ def lambda_convexity_constant(
 
 
 def export_kernel_csv(kernel, path):
-    """Write a kernel table as CSV: coordinates, value, gradient components."""
+    """Write a kernel table as CSV: coordinates, value, and the gradient
+    components of the table's interpolant at the nodes."""
     table = kernel.table if hasattr(kernel, "table") else kernel
     xis = minimage_coords(table.n, table.d)
     cols = [xi.ravel() for xi in xis]
     cols.append(table.values.ravel())
-    cols.extend(g.ravel() for g in table.grads)
+    cols.extend(table.node_gradients().T)
     header = (
         [f"x{i + 1}" for i in range(table.d)]
         + ["value"]

@@ -24,7 +24,7 @@ import numpy as np
 from .fields import GridField
 from .geometry import min_image, wrap
 from .kernels import KernelSet, ParameterSchedule
-from .spectral import TILE_POINTS, catmull_rom_apply, catmull_rom_prepare
+from .spectral import TILE_POINTS, spline_gradient, spline_prepare, spline_values
 
 __all__ = [
     "ParticleState",
@@ -161,11 +161,13 @@ def init_quantile(
 def _pair_sums(X: np.ndarray, tables, gradient: bool = True, weights=None):
     """out_i = sum_j w_j T(X_i - X_j) for each table T, over all pairs.
 
-    Row tiles [lo, hi) run against columns [lo, N), so each unordered pair
-    is interpolated once, with one |delta| stencil shared by the tables (all
-    on the same grid).  The pair's term goes to row i and, negated for the
-    odd gradient tables, to row j; the self term counts once and is exactly
-    0 for gradients, so gradient sums cancel pairwise by construction.  With
+    T is the table's cubic B-spline interpolant, and with gradient its exact
+    gradient, so a gradient sum is the exact position gradient of the value
+    sum.  Row tiles [lo, hi) run against columns [lo, N), so each unordered
+    pair is interpolated once, with one |delta| stencil shared by the tables
+    (all on the same grid).  The pair's term goes to row i and, negated for
+    the odd gradients, to row j; the self term counts once and is exactly 0
+    for gradients, so gradient sums cancel pairwise by construction.  With
     weights, row i takes w_j and row j takes w_i.  A tile holds about
     TILE_POINTS pairs, keeping its temporaries in cache.  Returns one (N, d)
     array per table for gradients, one (N,) array for values.
@@ -177,18 +179,17 @@ def _pair_sums(X: np.ndarray, tables, gradient: bool = True, weights=None):
     for lo in range(0, N, rows):
         hi = min(lo + rows, N)
         delta = min_image(XT[:, lo:hi, None], XT[:, None, lo:])  # (d, rows, cols)
-        prep = catmull_rom_prepare(np.moveaxis(np.abs(delta), 0, -1), tables[0].n, d)
+        prep = spline_prepare(np.moveaxis(np.abs(delta), 0, -1), tables[0].n, d, gradient)
         sign = np.sign(delta) if gradient else None
         for t, table in enumerate(tables):
             if gradient:
-                for ax in range(d):
-                    term = catmull_rom_apply(table.grads[ax], prep, table.padded("grad", ax))
+                for ax, term in enumerate(spline_gradient(table.coefficients, prep)):
                     term *= sign[ax]
                     row, col = _fold_tile(term, lo, hi, weights)
                     out[t][ax, lo:hi] += row
                     out[t][ax, lo:] -= col
             else:
-                term = catmull_rom_apply(table.values, prep, table.padded("values"))
+                term = spline_values(table.coefficients, prep)
                 row, col = _fold_tile(term, lo, hi, weights)
                 out[t][lo:hi] += row
                 out[t][lo:] += col
@@ -218,11 +219,13 @@ def compute_forces(
 ) -> ForceField:
     """Evaluate the particle velocities and their three-term decomposition.
 
-    Every term is an exact O(N^2) pair sum of interpolated kernel tables
-    (see _pair_sums): each pair is evaluated once and its gradient enters
-    the two particles with opposite signs, so the addends cancel pairwise
-    and total momentum stays at roundoff.  appendix_a=True drops the
-    viscosity term instead of sending eps_star to 0.
+    Every term is an exact O(N^2) pair sum of the gradients of the kernel
+    tables' cubic B-spline interpolants (see _pair_sums): each pair is
+    evaluated once and its gradient enters the two particles with opposite
+    signs, so the addends cancel pairwise and total momentum stays at
+    roundoff.  For m = 2 the velocities are exactly -N times the position
+    gradient of discrete_energy, which sums the same interpolants' values.
+    appendix_a=True drops the viscosity term instead of sending eps_star to 0.
     """
     sched = state.schedule or kernels.schedule
     m = sched.m
@@ -268,14 +271,12 @@ def momentum(forces: ForceField) -> np.ndarray:
 # time stepping
 
 
-def stable_dt(
-    state: ParticleState, kernels: KernelSet, appendix_a: bool = False, c_stab: float = 0.5
-) -> float:
-    """c_stab / L with L a Lipschitz bound of the force field from the tables."""
+def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False) -> float:
+    """0.5 / L with L a Lipschitz bound of the force field from the tables."""
     sched = state.schedule or kernels.schedule
     m = sched.m
-    key = ("L", m, bool(appendix_a))
-    cache = kernels.__dict__.setdefault("_stable_cache", {})
+    key = (m, bool(appendix_a))
+    cache = kernels._stable_cache
     if key not in cache:
         L = kernels.W.hessian_inf_norm()
         if m == 2.0:
@@ -283,7 +284,7 @@ def stable_dt(
         else:
             tt = kernels.omega_tilde.table
             rho_max = float(tt.values.max())
-            grad_max = float(max(np.max(np.abs(g)) for g in tt.grads))
+            grad_max = float(np.max(np.abs(tt.node_gradients())))
             L += (m / (m - 1.0)) * (
                 tt.hessian_inf_norm() * rho_max ** (m - 1.0)
                 + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
@@ -293,7 +294,7 @@ def stable_dt(
                 raise ValueError("viscosity tables missing; use appendix_a=True")
             L += sched.epsilon_star * kernels.viscosity.table.hessian_inf_norm()
         cache[key] = L
-    return c_stab / cache[key]
+    return 0.5 / cache[key]
 
 
 def fixed_steps(T: float, dt_max: float) -> tuple:

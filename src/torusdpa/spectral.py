@@ -1,5 +1,5 @@
 """Shared periodic-grid machinery: the real-FFT spectral layer and cubic
-interpolation.
+B-spline interpolation.
 
 Grid convention: n nodes per axis at x_j = j/n, j = 0..n-1, spacing h = 1/n,
 representing cells centered at the nodes.
@@ -34,13 +34,15 @@ __all__ = [
     "gradient",
     "inner",
     "downsample_spectrum",
-    "catmull_rom_prepare",
-    "catmull_rom_apply",
+    "spline_coefficients",
+    "spline_prepare",
+    "spline_values",
+    "spline_gradient",
     "TILE_POINTS",
 ]
 
-# Interpolation points per tile of a batched Catmull-Rom evaluation (pair
-# sums, kde): about 32k keeps each tile's stencil temporaries in cache.
+# Interpolation points per tile of a batched spline evaluation (pair sums,
+# kde): about 32k keeps each tile's stencil temporaries in cache.
 TILE_POINTS = 32_768
 
 
@@ -133,39 +135,47 @@ def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
     return out.copy()
 
 
-# -- Catmull-Rom interpolation on periodic grids -----------------------------
+# -- cubic B-spline interpolation on periodic grids --------------------------
 
 
-def _cr_weights(s: np.ndarray):
-    # Horner forms of the four Catmull-Rom basis cubics
-    w0 = s * (s * (1.0 - 0.5 * s) - 0.5)
-    w1 = s * s * (1.5 * s - 2.5) + 1.0
-    w2 = s * (0.5 + s * (2.0 - 1.5 * s))
-    w3 = 0.5 * s * s * (s - 1.0)
-    return (w0, w1, w2, w3)
+def spline_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the periodic cubic B-spline through a table, wrap-padded
+    so the stencil (i0-1 .. i0+2) never wraps.  The exact prefilter divides
+    the half spectrum by the spline's symbol prod_i (2 + cos(2 pi k_i/n))/3,
+    which is at least 1/3, so the spline reproduces the table at the nodes."""
+    n, d = values.shape[0], values.ndim
+    symbol = 1.0
+    for k in freq_lattice(n, d):
+        symbol = symbol * ((2.0 + np.cos(2.0 * np.pi * k / n)) / 3.0)
+    coeffs = inverse_transform(forward_transform(values) / symbol, n)
+    return np.pad(coeffs, [(1, 2)] * d, mode="wrap")
 
 
-def pad_table(table: np.ndarray) -> np.ndarray:
-    """Wrap-pad a periodic table so stencil (i0-1 .. i0+2) never wraps."""
-    if table.ndim == 1:
-        return np.concatenate([table[-1:], table, table[:2]])
-    padded = np.empty((table.shape[0] + 3, table.shape[1] + 3))
-    padded[1:-2, 1:-2] = table
-    padded[0, 1:-2] = table[-1]
-    padded[-2, 1:-2] = table[0]
-    padded[-1, 1:-2] = table[1]
-    padded[:, 0] = padded[:, -3]
-    padded[:, -2] = padded[:, 1]
-    padded[:, -1] = padded[:, 2]
-    return padded
+def _spline_weights(s: np.ndarray, n: int, value: bool, slope: bool):
+    """Weights of stencil nodes i0-1 .. i0+2 at cell fraction s: with value
+    the cubic B-spline basis ((1-s)^3, 3s^3 - 6s^2 + 4, -3s^3 + 3s^2 + 3s + 1,
+    s^3)/6, with slope its x-derivative n d/ds, each None otherwise.  Horner
+    chains in s keep fewer temporaries alive than shared powers, and run faster."""
+    w = dw = None
+    if value:
+        w = ((((-1.0 / 6.0) * s + 0.5) * s - 0.5) * s + 1.0 / 6.0,
+             (0.5 * s - 1.0) * s * s + 2.0 / 3.0,
+             ((-0.5 * s + 0.5) * s + 0.5) * s + 1.0 / 6.0,
+             s * s * s * (1.0 / 6.0))
+    if slope:
+        hn = 0.5 * n
+        dw = ((-hn * s + n) * s - hn, (1.5 * n * s - 2.0 * n) * s,
+              (-1.5 * n * s + n) * s + hn, hn * s * s)
+    return w, dw
 
 
-def catmull_rom_prepare(points: np.ndarray, n: int, d: int):
-    """Precompute stencil base indices and weights for a batch of points.
+def spline_prepare(points: np.ndarray, n: int, d: int, gradient: bool = False):
+    """Stencil base indices and weights for a batch of points.
 
-    points: (..., d) array of torus coordinates (wrapped internally).
-    The result is consumed by catmull_rom_apply together with a wrap-padded
-    table, so several tables on one grid share the stencil cost.
+    points: (..., d) array of torus coordinates (wrapped internally).  The
+    result is consumed by spline_values / spline_gradient together with
+    spline_coefficients of a table, so several tables on one grid share the
+    stencil cost; gradient=True also prepares the derivative weights.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != d:
@@ -178,36 +188,51 @@ def catmull_rom_prepare(points: np.ndarray, n: int, d: int):
             u = np.mod(u, 1.0)
         u = u * n
         i0 = u.astype(np.int64)  # floor: u >= 0
-        wts.append(_cr_weights(u - i0))
+        # a 1-d gradient reads no value weights
+        wts.append(_spline_weights(u - i0, n, not gradient or d > 1, gradient))
         base.append(i0)  # padded index of the leftmost stencil node
     return (d, n, base, wts)
 
 
-def catmull_rom_apply(table: np.ndarray, prep, padded: np.ndarray = None) -> np.ndarray:
-    """Interpolate one table at points prepared by catmull_rom_prepare."""
-    d, n, base, wts = prep
-    if padded is None:
-        padded = pad_table(table)
-    if d == 1:
-        i0 = base[0]
-        w = wts[0]
-        out = w[0] * padded[i0]
-        out += w[1] * padded[i0 + 1]
-        out += w[2] * padded[i0 + 2]
-        out += w[3] * padded[i0 + 3]
-        return out
+def _stencil(coeffs: np.ndarray, n: int, base, weight_sets) -> list:
+    """For each weight set (one 4-tuple per axis), the sum over the 4^d
+    stencil of the coefficients times the product of their axes' weights;
+    each coefficient is gathered once for all the sets."""
+    flat = coeffs.ravel()
     stride = n + 3
-    flat = padded.ravel()
-    ix = base[0] * stride + base[1]
-    wx, wy = wts
-    out = None
-    for a in range(4):
-        row = wy[0] * flat.take(ix)
-        row += wy[1] * flat.take(ix + 1)
-        row += wy[2] * flat.take(ix + 2)
-        row += wy[3] * flat.take(ix + 3)
-        row *= wx[a]
-        out = row if out is None else out + row
-        if a < 3:
-            ix = ix + stride
+    ix = base[0] if len(base) == 1 else base[0] * stride + base[1]
+    out = [None] * len(weight_sets)
+    for a in range(4 ** (len(base) - 1)):
+        row_ix = ix + a * stride if a else ix
+        c = flat.take(row_ix)
+        rows = [ws[-1][0] * c for ws in weight_sets]
+        for b in (1, 2, 3):
+            del c  # frees the last gather's buffer, still in cache, for the next
+            c = flat.take(row_ix + b)
+            for row, ws in zip(rows, weight_sets):
+                row += ws[-1][b] * c
+        for k, (row, ws) in enumerate(zip(rows, weight_sets)):
+            if len(base) == 2:
+                row *= ws[0][a]
+            if out[k] is None:
+                out[k] = row
+            else:
+                out[k] += row
     return out
+
+
+def spline_values(coeffs: np.ndarray, prep) -> np.ndarray:
+    """The spline with padded coefficients coeffs at points prepared by
+    spline_prepare."""
+    d, n, base, wts = prep
+    return _stencil(coeffs, n, base, [[w for w, _ in wts]])[0]
+
+
+def spline_gradient(coeffs: np.ndarray, prep) -> list:
+    """Gradient components of the spline at points prepared by
+    spline_prepare(..., gradient=True).  Component i takes the derivative
+    weights on axis i and the value weights on the others, and one gather of
+    the stencil coefficients serves every component."""
+    d, n, base, wts = prep
+    return _stencil(coeffs, n, base, [[dw if ax == i else w for ax, (w, dw) in enumerate(wts)]
+                                      for i in range(d)])

@@ -16,6 +16,7 @@ Three routes with increasing generality:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -42,6 +43,8 @@ __all__ = [
 
 _LP_SIZE_CAP = 3000
 _LP_PRODUCT_CAP = 250_000
+# atoms per side of the largest unequal-weight LP within the variable cap
+LP_ATOMS_PER_SIDE = math.isqrt(_LP_PRODUCT_CAP)
 
 # the circle search brackets the cut until at most this many breakpoints
 # (with multiplicity) are left, then evaluates the cost at each of them;

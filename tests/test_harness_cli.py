@@ -108,6 +108,17 @@ class TestRunScenario:
         }
         assert listed == on_disk
 
+    def test_clustering_report_reuses_the_run_kernels(self, tmp_path, monkeypatch):
+        sc = small_scenario(engines=["particles"])
+        art = run_scenario(sc, tmp_path / "c")
+
+        def build_again(*args, **kwargs):
+            raise AssertionError("clustering_report rebuilt the kernel set")
+
+        monkeypatch.setattr(H, "build_kernel_set", build_again)
+        rep = H.clustering_report(sc, art, kde_n=32)
+        assert rep["particles_initial_moment"] > 0.0
+
     def test_local_energy_monotone_flagged(self, tmp_path):
         sc = small_scenario(engines=["local-grid"])
         art = run_scenario(sc, tmp_path / "l")
@@ -170,6 +181,26 @@ class TestCli:
         )
         assert rc == 0
         assert "divergence" in capsys.readouterr().out
+
+    def test_w2_on_2d_gridfields(self, tmp_path, capsys, monkeypatch):
+        # 128^2 fields coarsen by default to 16^2 atoms with unequal weights,
+        # within the LP's variable cap; 2048 atoms exceed it and fail at entry
+        for k, name in ((1, "a.gf"), (2, "b.gf")):
+            fld = GridField.from_function(
+                lambda x, y, k=k: 1.0 + 0.5 * np.sin(2 * np.pi * (x + k * y)), 128, 2)
+            save_gridfield(fld, tmp_path / name)
+        files = [str(tmp_path / "a.gf"), str(tmp_path / "b.gf")]
+        assert cli_main(["w2", *files]) == 0
+        assert float(capsys.readouterr().out.strip().split("=")[1]) > 0
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solver called on an oversized problem")
+
+        monkeypatch.setattr(cli, "w2_exact_lp", solve)
+        assert cli_main(["w2", *files, "--max-atoms", "2048"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-atoms" in captured.err and "--sinkhorn-reg" in captured.err
 
     @pytest.mark.parametrize("extra", [[], ["--sinkhorn-reg", "0.05"]])
     def test_w2_dimension_mismatch_exits_1(self, tmp_path, capsys, extra):

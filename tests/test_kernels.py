@@ -1,19 +1,26 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_pde_local import count_transforms
 from torusdpa.kernels import (
     KernelEmbedError,
     KernelResolutionError,
+    KernelTable,
     build_kernel_set,
     compose_W_eps,
+    export_kernel_csv,
     lambda_convexity_constant,
     make_mollifier,
     make_viscosity_kernel,
     schedule_from_epsilon,
 )
 from torusdpa.oracles import bump_profile, quad_convolve
+from torusdpa.spectral import forward_transform, minimage_coords
 
 
 class TestMollifier:
@@ -85,6 +92,48 @@ class TestEvalGrad:
         got = fam.table.grad_at(pts)[:, 0]
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) / scale < 1e-4
+
+
+class TestSplineInterpolant:
+    def test_reproduces_table_at_nodes(self, kset_1d, kset_2d):
+        for table in (kset_1d.W, kset_1d.omega.table, kset_2d.pair_kernel(), kset_2d.W):
+            xis = minimage_coords(table.n, table.d)
+            nodes = np.stack([xi.ravel() for xi in xis], axis=-1)
+            got = table.value_at(nodes).reshape(table.values.shape)
+            assert np.max(np.abs(got - table.values)) <= 1e-13 * np.max(np.abs(table.values))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(8, 48), st.integers(0, 2**32 - 1))
+    def test_gradient_is_derivative_of_values(self, d, n, seed):
+        # any table, any point off the parity kinks at 0 (|x_i| >= 0.01)
+        rng = np.random.default_rng(seed)
+        table = KernelTable(rng.standard_normal((n,) * d))
+        pts = rng.uniform(0.01, 0.99, (16, d)) * rng.choice([-1.0, 1.0], (16, d))
+        step = 1e-6 / n
+        got = table.grad_at(pts)
+        for ax in range(d):
+            e = np.zeros(d)
+            e[ax] = step
+            fd = (table.value_at(pts + e) - table.value_at(pts - e)) / (2.0 * step)
+            scale = n * np.max(np.abs(table.values))
+            assert np.max(np.abs(got[:, ax] - fd)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_transform_counts(self, monkeypatch, d):
+        # a composed table is one inverse transform, and its interpolant's
+        # coefficients are built once (two transforms), on first use
+        rng = np.random.default_rng(d)
+        spec = forward_transform(rng.standard_normal((32,) * d))
+        calls = count_transforms(monkeypatch)
+        table = KernelTable.from_spectrum(spec, 32)
+        assert len(calls) == 1
+        pts = rng.random((5, d))
+        table.value_at(pts)
+        assert len(calls) == 3
+        table.grad_at(pts)
+        table.value_at(pts)
+        export_kernel_csv(table, io.StringIO())
+        assert len(calls) == 3
 
 
 class TestViscosity:

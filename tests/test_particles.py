@@ -20,6 +20,12 @@ from torusdpa.particles import (
 )
 
 
+@pytest.fixture(scope="module")
+def kset_2d_1024():
+    sched = schedule_from_epsilon(0.12, d=2, epsilon_tilde=0.3, epsilon_star=0.45, alpha=0.1)
+    return build_kernel_set(sched, kind="truncated-gaussian", table_points=1024)
+
+
 class TestInitQuantile:
     def test_uniform_quantiles(self, sched_1d):
         st = init_quantile(GridField.constant(1.0, 4096), 4, sched_1d)
@@ -178,6 +184,23 @@ class TestEnergy:
                 total += U(r)
         expected = total / (2.0 * 9.0)
         assert got == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("seed", [5, 7, 99])
+    def test_force_is_energy_gradient_2d(self, kset_2d_1024, seed):
+        # criterion 4's 2-d setup: forces and energy read one interpolant, so
+        # they agree to the finite-difference error, not the interpolation error
+        sched = kset_2d_1024.schedule
+        rng = np.random.default_rng(seed)
+        for N in (5, 20):
+            pos = rng.random((N, 2))
+            force = compute_forces(ParticleState(pos, schedule=sched), kset_2d_1024).velocities
+
+            def energy_at(p):
+                return discrete_energy(ParticleState(p.reshape(N, 2), schedule=sched),
+                                       kset_2d_1024)
+
+            grad = fd_gradient(energy_at, pos.ravel(), h=1e-6).reshape(N, 2)
+            assert np.max(np.abs(force + N * grad)) / np.max(np.abs(force)) < 1e-8
 
     def test_gradient_structure(self, kset_1d, sched_1d, rng):
         # forces = -N * Richardson central difference of the discrete energy
