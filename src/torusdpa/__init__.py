@@ -16,7 +16,7 @@ from .fields import (
     periodic_convolve,
     velocity_field_nl,
 )
-from .geometry import min_image, torus_cost_sq, torus_distance, wrap
+from .geometry import min_image, torus_cost_sq, wrap
 from .kernels import (
     KernelFamily,
     KernelSet,
@@ -24,7 +24,6 @@ from .kernels import (
     ParameterSchedule,
     ViscosityKernel,
     build_kernel_set,
-    compose_W_eps,
     lambda_convexity_constant,
     make_mollifier,
     make_viscosity_kernel,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import load_gridfield
+from .fields import GridField, load_gridfield
 from .harness import (
     PRESETS,
     Scenario,
@@ -47,13 +47,9 @@ def _measure_from_file(path: str, max_atoms, exact: bool):
     p = Path(path)
     if p.suffix == ".gf":
         fld = load_gridfield(p)
-        vals = np.maximum(fld.values, 0.0)
-        from .fields import GridField
-
-        fld = GridField(vals / (vals.sum() * fld.h**fld.d))
         if max_atoms is None:
             max_atoms = LP_ATOMS_PER_SIDE if exact and fld.d == 2 else 2048
-        return grid_to_measure(fld, max_atoms=max_atoms)
+        return grid_to_measure(GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
     with open(p) as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -40,7 +40,6 @@ __all__ = [
     "velocity_field_nl",
     "save_gridfield",
     "load_gridfield",
-    "gridfield_to_csv",
 ]
 
 _MAGIC = b"TDGF01\n"
@@ -96,6 +95,13 @@ class GridField:
 
 def _kernel_table(kernel) -> KernelTable:
     return kernel.table if hasattr(kernel, "table") else kernel
+
+
+def _spectra_on(kernels: KernelSet, f: GridField) -> tuple:
+    """The set's mollifier spectra, checked against the field's grid."""
+    if (f.n, f.d) != (kernels.n, kernels.d):
+        raise ValueError(f"kernel set on the {kernels.n}^{kernels.d} grid, field on {f.n}^{f.d}")
+    return kernels.spectra
 
 
 def periodic_convolve(f: GridField, kernel) -> GridField:
@@ -195,7 +201,7 @@ def free_energy(
     with_velocity: bool = True,
 ) -> EnergyReport:
     """Evaluate F_{eps,alpha} and companion diagnostics for a density field."""
-    _, ot_hat = kernels.grid_spectra(rho.n, rho.d)
+    _, ot_hat = _spectra_on(kernels, rho)
     rho_hat = forward_transform(rho.values)
     smoothed = GridField(inverse_transform(ot_hat * rho_hat, rho.n))
     D = dissipation_D_eps(smoothed, kernels.omega, schedule.epsilon)
@@ -259,10 +265,11 @@ def velocity_field_nl(
     from the potential spectrum (R_hat = 1 when alpha = 0)
         phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
                   - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
-    in 3 + d transforms once the set's spectra are cached.  Component i is
-    sampled at the nodes, or with at_faces at the faces x + h/2 e_i.
+    in 3 + d transforms once the set's spectra are cached (W_hat is
+    KernelSet.multiplier).  Component i is sampled at the nodes, or with
+    at_faces at the faces x + h/2 e_i.
     """
-    o_hat, ot_hat = kernels.grid_spectra(rho.n, rho.d)
+    _, ot_hat = _spectra_on(kernels, rho)
     n, m = rho.n, schedule.m
     rho_hat = forward_transform(rho.values)
     power = np.maximum(inverse_transform(ot_hat * rho_hat, n), 0.0) ** (m - 1.0)
@@ -270,7 +277,7 @@ def velocity_field_nl(
         visc = kernels.viscosity.spectrum
     else:
         visc = 1.0  # alpha = 0 convention: R_alpha * rho = rho
-    linear = ot_hat * ot_hat * (1.0 - o_hat) / schedule.epsilon**2 + schedule.epsilon_star * visc
+    linear = kernels.multiplier(W=1.0) + schedule.epsilon_star * visc
     phi_hat = (m / (m - 1.0)) * ot_hat * forward_transform(power) - linear * rho_hat
     mults = (face_grad_multipliers if at_faces else grad_multipliers)(n, rho.d)
     return np.stack([inverse_transform(g * phi_hat, n) for g in mults])
@@ -298,15 +305,3 @@ def load_gridfield(path) -> GridField:
         if abs(f.mass() - mass) > 1e-10 + 1e-10 * abs(mass):
             raise ValueError("GridField mass does not match header")
         return f
-
-
-def gridfield_to_csv(f: GridField, path):
-    x = np.arange(f.n) / f.n
-    if f.d == 1:
-        data = np.column_stack([x, f.values])
-        header = "x1,value"
-    else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        data = np.column_stack([X.ravel(), Y.ravel(), f.values.ravel()])
-        header = "x1,x2,value"
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["wrap", "min_image", "torus_cost_sq", "torus_distance"]
+__all__ = ["wrap", "min_image", "torus_cost_sq"]
 
 
 def wrap(raw) -> np.ndarray:
@@ -38,8 +38,3 @@ def torus_cost_sq(x, y, axis: int = -1):
     """Squared transport cost: inf_k |x - y + k|^2 over integer shifts."""
     d = min_image(x, y)
     return np.sum(d * d, axis=axis)
-
-
-def torus_distance(x, y, axis: int = -1):
-    """Geodesic (minimum-image Euclidean) distance on the torus."""
-    return np.sqrt(torus_cost_sq(x, y, axis=axis))

@@ -113,8 +113,9 @@ class Scenario:
                 raise ValueError(f"unknown engine {eng!r}")
             block = {"particles": "integrator", "nl-grid": "pde_nonlocal",
                      "local-grid": "pde_local"}[eng]
-            if block not in c:
-                raise ValueError(f"engine {eng} lacks config block {block}")
+            if not isinstance(c[block], dict):
+                raise ValueError(f"engine {eng} needs a mapping under {block!r}, "
+                                 f"got {c[block]!r}")
         if "epsilon" not in c["schedule"]:
             raise ValueError("schedule needs at least epsilon")
 
@@ -228,7 +229,6 @@ def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
     return build_kernel_set(
         schedule,
         kind=kc["kind"],
-        tilde_kind=kc.get("tilde_kind"),
         table_points=kc.get("table_points"),
         omega_moment=omega_target,
         normalize_omega=normalize_omega,
@@ -460,7 +460,6 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
         "scenario": c["name"],
         "config_hash": scenario.hash(),
         "seed": c["seed"],
-        "files": sorted(writer.entries, key=lambda e: e["path"]),
     }
     writer.json("runinfo.json", {"wall_seconds": time.time() - t_start}, volatile=True)
     manifest["files"] = sorted(writer.entries, key=lambda e: e["path"])
@@ -481,22 +480,13 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
 _SWEEP_ATOMS = 4096
 
 
-def _particle_kde_measure(scenario, kernels, state, n, max_atoms=None):
-    fld = F.kde_density(state, kernels.omega_tilde, n)
-    vals = np.maximum(fld.values, 0.0)
-    fld = F.GridField(vals / (vals.sum() * fld.h**fld.d))
-    return T.grid_to_measure(fld, max_atoms=max_atoms)
-
-
 def _field_measure(fld: F.GridField, max_atoms=None, smooth_with=None):
     """Grid field as a measure; optionally smoothed by the same kernel as the
     particle kde so the comparison carries identical smoothing on both sides
     (convolution with a probability kernel is W2-nonexpansive)."""
     if smooth_with is not None:
         fld = F.periodic_convolve(fld, smooth_with)
-    vals = np.maximum(fld.values, 0.0)
-    f = F.GridField(vals / (vals.sum() * fld.h**fld.d))
-    return T.grid_to_measure(f, max_atoms=max_atoms)
+    return T.grid_to_measure(F.GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
 
 
 def _w2(mu, nu, d):
@@ -544,7 +534,8 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
         nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)
         state = _particles_to_T(sc, kset, rho0)[0][-1]
-        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=_SWEEP_ATOMS)
+        kde = F.kde_density(state, kset.omega_tilde, rho0.n)
+        kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
         smooth = kgrid.omega_tilde
         rows.append(
             {
@@ -597,7 +588,8 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
         sc = Scenario.from_dict(_merge(c, {"N": int(N), "engines": []}))
         state = _particles_to_T(sc, kset, rho0)[0][-1]
         emp = T.DiscreteMeasure(state.positions)
-        kde_measure = _particle_kde_measure(sc, kset, state, rho0.n, max_atoms=_SWEEP_ATOMS)
+        kde = F.kde_density(state, kset.omega_tilde, rho0.n)
+        kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
         rows.append(
             {
                 "N": int(N),

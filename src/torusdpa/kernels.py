@@ -8,11 +8,15 @@ Three families are built here:
   hits the requested moment exactly (this is what makes the nonlocal
   diffusion operator consistent with the Laplacian); in natural mode the
   profile width equals the scale and the achieved moment is recorded.
-* a ``matern-viscosity`` kernel defined by the spectrum
-  (1 + |2 pi xi|^2)^(-k), together with its convolution square root.
-* spectral compositions: the interaction kernel
-  W = (ot*ot - o*ot*ot) / eps^2 and the pair potential used by the particle
-  energy, U = W - 2*(ot*ot) + eps_star * R_alpha.
+* a ``matern-viscosity`` kernel defined by its spectrum
+  R_hat = (1 + |2 pi alpha xi|^2)^(-k), with its convolution square root.
+* compositions.  A KernelSet holds the real half spectra of its two
+  mollifiers, o_hat and ot_hat, and R_hat; every other kernel is a
+  multiplier on them (KernelSet.multiplier): the interaction kernel
+  W_hat = ot_hat^2 (1 - o_hat)/eps^2, the squared smoothing kernel ot_hat^2,
+  the particles' pair potential U_hat = W_hat - 2 ot_hat^2 (+ eps_star R_hat)
+  and the grid velocity's linear part W_hat + eps_star R_hat.  Hessian
+  bounds are read off the multipliers, and a coarser set crops the spectra.
 
 Each table is interpolated by one periodic cubic B-spline (C^2), which gives
 both values and gradients, so a gradient is the exact derivative of the
@@ -22,8 +26,9 @@ evaluating at |delta| and applying component signs.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -53,7 +58,6 @@ __all__ = [
     "KernelSet",
     "make_mollifier",
     "make_viscosity_kernel",
-    "compose_W_eps",
     "schedule_from_epsilon",
     "lambda_convexity_constant",
     "build_kernel_set",
@@ -62,8 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_POINTS = {1: 4096, 2: 512}
-
-MOMENT_COEFFICIENTS = {"laplacian": lambda d: 2.0, "def11": lambda d: 2.0 / d}
 
 
 class KernelError(ValueError):
@@ -85,7 +87,8 @@ class KernelResolutionError(KernelError):
 class KernelTable:
     """A periodic kernel tabulated on a uniform n^d grid.  Values and gradients
     off the grid come from one interpolant, the periodic cubic B-spline through
-    the samples, whose padded coefficients are built on first use."""
+    the samples, whose padded coefficients are built on first use.  A table
+    made from a spectrum keeps that spectrum only until then."""
 
     def __init__(self, values: np.ndarray, support_radius: Optional[float] = None):
         values = np.asarray(values, dtype=float)
@@ -95,12 +98,15 @@ class KernelTable:
         self.h = 1.0 / self.n
         self.support_radius = support_radius
         self._coeffs: Optional[np.ndarray] = None
+        self._spectrum: Optional[np.ndarray] = None
 
     @property
     def coefficients(self) -> np.ndarray:
         """Wrap-padded spline coefficients (spectral.spline_coefficients), cached."""
         if self._coeffs is None:
-            self._coeffs = spline_coefficients(self.values)
+            spec = self._spectrum if self._spectrum is not None else self.fourier()
+            self._coeffs = spline_coefficients(spec, self.n)
+            self._spectrum = None
         return self._coeffs
 
     # -- integrals on the table ------------------------------------------
@@ -139,13 +145,9 @@ class KernelTable:
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, n: int) -> "KernelTable":
         """The table on the n^d grid with half spectrum spec."""
-        return cls(inverse_transform(spec, n))
-
-    def resample(self, n2: int) -> "KernelTable":
-        """Spectrally downsample the table to an n2-point grid."""
-        if n2 == self.n:
-            return self
-        return KernelTable.from_spectrum(downsample_spectrum(self.fourier(), n2), n2)
+        table = cls(inverse_transform(spec, n))
+        table._spectrum = spec
+        return table
 
     # -- point evaluation (exact parity) -----------------------------------
 
@@ -163,20 +165,36 @@ class KernelTable:
         return np.sign(pts) * np.stack(spline_gradient(self.coefficients, prep), axis=-1)
 
     def node_gradients(self) -> np.ndarray:
-        """The interpolant's gradient at the grid nodes, shape (n^d, d)."""
-        xis = minimage_coords(self.n, self.d)
-        return self.grad_at(np.stack([xi.ravel() for xi in xis], axis=-1))
+        """grad_at at the grid nodes, shape (n^d, d).  At a node the stencil
+        is fixed, slope weights (-n/2, 0, n/2) on its axis and value weights
+        (1/6, 2/3, 1/6) on the other, so each component is a sum of shifted
+        coefficient arrays, read at the node |x| and signed as in grad_at."""
+        n, d, c = self.n, self.d, self.coefficients
 
-    def hessian_inf_norm(self) -> float:
-        """Max over the grid of the spectral-norm of the Hessian."""
-        eigs = hessian_eigs(self)
-        return float(max(np.max(np.abs(e)) for e in eigs))
+        def shift(a, ax, lo):  # n entries from padded index lo on axis ax
+            return a[(slice(None),) * ax + (slice(lo, lo + n),)]
+
+        mirror = np.ix_(*[np.minimum(np.arange(n), n - np.arange(n))] * d)
+        sign = np.sign(minimage_coords(n, 1)[0])
+        out = np.empty((d,) + (n,) * d)
+        for ax in range(d):
+            g = shift(c, ax, 2) - shift(c, ax, 0)
+            g *= 0.5 * n
+            for other in range(d):
+                if other != ax:
+                    smooth = 4.0 * shift(g, other, 1)
+                    smooth += shift(g, other, 0)
+                    smooth += shift(g, other, 2)
+                    g = smooth
+                    g /= 6.0
+            np.multiply(sign.reshape((-1,) + (1,) * (d - 1 - ax)), g[mirror], out=out[ax])
+        return out.reshape(d, -1).T
 
 
-def hessian_eigs(table: KernelTable):
-    """Pointwise Hessian eigenvalues of a tabulated kernel (spectral)."""
-    n, d = table.n, table.d
-    spec = table.fourier()
+def hessian_eigs(spec: np.ndarray, n: int):
+    """Pointwise Hessian eigenvalues on the n^d grid of the kernel with half
+    spectrum spec."""
+    d = spec.ndim
     ks = freq_lattice(n, d)
     fxx = inverse_transform(-((2 * np.pi * ks[0]) ** 2) * spec, n)
     if d == 1:
@@ -187,6 +205,12 @@ def hessian_eigs(table: KernelTable):
     tr = fxx + fyy
     disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
     return (0.5 * (tr - disc), 0.5 * (tr + disc))
+
+
+def hessian_inf_norm(spec: np.ndarray, n: int) -> float:
+    """Max over the n^d grid of the spectral norm of the Hessian of the
+    kernel with half spectrum spec."""
+    return float(max(np.max(np.abs(e)) for e in hessian_eigs(spec, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +262,6 @@ class KernelFamily:
     moment_normalized: bool
     profile_width: float
 
-    def at_resolution(self, n2: int) -> "KernelFamily":
-        if n2 == self.table.n:
-            return self
-        return KernelFamily(
-            kind=self.kind,
-            scale=self.scale,
-            d=self.d,
-            second_moment_target=self.second_moment_target,
-            table=self.table.resample(n2),
-            moment_normalized=self.moment_normalized,
-            profile_width=self.profile_width,
-        )
-
     def validate(self, mass_tol=1e-8, sym_tol=1e-12, first_tol=1e-10, second_tol=1e-6):
         """Check all admissibility invariants; returns a dict of measured errors."""
         t = self.table
@@ -290,14 +301,13 @@ def make_mollifier(
     d: int = 1,
     second_moment_target: Optional[float] = None,
     normalize_moment: bool = True,
-    moment_convention: str = "laplacian",
     table_points: Optional[int] = None,
 ) -> KernelFamily:
     """Construct an admissible mollifier at the given scale.
 
     With normalize_moment=True the profile width is tuned so the tabulated
-    per-axis second moment equals second_moment_target (default: the
-    convention coefficient times scale^2).  With normalize_moment=False the
+    per-axis second moment equals second_moment_target (default 2 scale^2,
+    the Laplacian convention).  With normalize_moment=False the
     profile width is the scale itself and the achieved moment is recorded as
     the target.
     """
@@ -309,7 +319,7 @@ def make_mollifier(
 
     if normalize_moment:
         if second_moment_target is None:
-            second_moment_target = MOMENT_COEFFICIENTS[moment_convention](d) * scale**2
+            second_moment_target = 2.0 * scale**2
         width = scale  # starting guess; fixed-point drives the moment to target
         table = None
         tol = 1e-9 * max(second_moment_target, 1e-12)
@@ -401,27 +411,32 @@ def make_mollifier(
 
 @dataclass
 class ViscosityKernel:
-    """Bessel-spectrum kernel R_alpha with convolution square root R^(1/2)."""
+    """Bessel-spectrum kernel R_alpha with convolution square root R^(1/2);
+    both tables are built from the spectrum on first use."""
 
     alpha: float
     k: float
     d: int
-    table: KernelTable
-    half_table: KernelTable
+    n: int
     spectrum: np.ndarray  # R_alpha hat on the half-spectrum lattice
-    base_spectrum: np.ndarray  # unscaled R hat, used for the decay bounds
-    bound_a: float
-    bound_b: float
+
+    @functools.cached_property
+    def table(self) -> KernelTable:
+        return KernelTable.from_spectrum(self.spectrum, self.n)
+
+    @functools.cached_property
+    def half_table(self) -> KernelTable:
+        return KernelTable.from_spectrum(np.sqrt(self.spectrum), self.n)
 
     def verify_bounds(self):
-        """Check a/|xi|^{2k} <= R_hat(xi) <= b/|xi|^k for lattice 1 < |xi| <= Nyquist."""
-        ks = freq_lattice(self.table.n, self.d)
-        mag = np.sqrt(sum(k * k for k in ks))
+        """Check a/|xi|^{2k} <= R_hat(xi) <= b/|xi|^k for lattice 1 < |xi| <= Nyquist,
+        with R_hat unscaled (alpha = 1), a = (1 + 4 pi^2)^-k and b = (4 pi^2)^-k."""
+        mag = np.sqrt(sum(k * k for k in freq_lattice(self.n, self.d)))
         sel = mag > 1.0
         m = mag[sel]
-        spec = self.base_spectrum[sel]
-        lower = self.bound_a / m ** (2 * self.k)
-        upper = self.bound_b / m**self.k
+        spec = ((1.0 + k_squared(self.n, self.d)) ** (-self.k))[sel]
+        lower = (1.0 + 4.0 * np.pi**2) ** (-self.k) / m ** (2 * self.k)
+        upper = (4.0 * np.pi**2) ** (-self.k) / m**self.k
         return {
             "positive": bool(np.all(self.spectrum > 0.0)),
             "lower_ok": bool(np.all(spec >= lower * (1 - 1e-12))),
@@ -449,40 +464,8 @@ def make_viscosity_kernel(
         raise KernelResolutionError(
             f"only {alpha * n:.1f} samples across alpha={alpha}; need >= 8"
         )
-    mag2 = k_squared(n, d)
-    base = (1.0 + mag2) ** (-k)
-    spec = (1.0 + alpha**2 * mag2) ** (-k)
-    table = KernelTable.from_spectrum(spec, n)
-    half = KernelTable.from_spectrum(np.sqrt(spec), n)
-    a = (1.0 + 4.0 * np.pi**2) ** (-k)
-    b = (4.0 * np.pi**2) ** (-k)
-    return ViscosityKernel(
-        alpha=alpha,
-        k=k,
-        d=d,
-        table=table,
-        half_table=half,
-        spectrum=spec,
-        base_spectrum=base,
-        bound_a=a,
-        bound_b=b,
-    )
-
-
-# ---------------------------------------------------------------------------
-# compositions
-
-
-def compose_W_eps(omega: KernelFamily, omega_tilde: KernelFamily, epsilon: float) -> KernelTable:
-    """Tabulate W_eps = (ot*ot - o*ot*ot)/eps^2 spectrally."""
-    to, tt = omega.table, omega_tilde.table
-    if to.n != tt.n or to.d != tt.d:
-        raise KernelError("compose_W_eps: incompatible grids")
-    if epsilon <= 0:
-        raise KernelError("epsilon must be positive")
-    ohat = to.fourier()
-    that = tt.fourier()
-    return KernelTable.from_spectrum(that * that * (1.0 - ohat) / epsilon**2, to.n)
+    spec = (1.0 + alpha**2 * k_squared(n, d)) ** (-k)
+    return ViscosityKernel(alpha=alpha, k=k, d=d, n=n, spectrum=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +519,8 @@ def schedule_from_epsilon(
 
     Defaults: eps_tilde = eps^(1/(d+6)), eps_star = sqrt(eps_tilde),
     alpha = exp(-c/eps) (which underflows to 0.0 for very small eps; alpha=0
-    is accepted and means R_alpha * rho = rho).
+    is accepted and means R_alpha * rho = rho).  A kernel set needs
+    eps_tilde < 1/2, which the default meets only for eps < 2^-(d+6).
     """
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon {epsilon} outside (0, 1/2)")
@@ -562,7 +546,8 @@ def schedule_from_epsilon(
 
 @dataclass
 class KernelSet:
-    """All tabulated kernels needed by one schedule on a common grid."""
+    """All kernels needed by one schedule on a common grid: the two mollifier
+    families, the viscosity kernel, and the tables composed from their spectra."""
 
     schedule: ParameterSchedule
     omega: KernelFamily
@@ -583,74 +568,96 @@ class KernelSet:
         return self.omega.table.d
 
     @property
+    def spectra(self) -> tuple:
+        """Real half spectra (omega_hat, omega_tilde_hat) of the families on the
+        set's lattice, transformed once on first use (copied out of the
+        complex transforms, which are freed)."""
+        if self._spectra is None:
+            self._spectra = tuple(f.table.fourier().real.copy()
+                                  for f in (self.omega, self.omega_tilde))
+        return self._spectra
+
+    def multiplier(self, W: float = 0.0, smooth2: float = 0.0, viscosity: float = 0.0):
+        """The half spectrum W W_hat + smooth2 ot_hat^2 + viscosity R_hat, with
+        W_hat = ot_hat^2 (1 - o_hat)/eps^2; every composed kernel is one."""
+        o_hat, ot_hat = self.spectra
+        sq = ot_hat * ot_hat
+        out = np.zeros_like(sq)
+        if W:
+            out += W * (sq * (1.0 - o_hat) / self.schedule.epsilon**2)
+        if smooth2:
+            out += smooth2 * sq
+        if viscosity:
+            if self.viscosity is None:
+                raise KernelError("a viscosity term requires alpha > 0 "
+                                  "(use appendix-A mode to drop the term)")
+            out += viscosity * self.viscosity.spectrum
+        return out
+
+    @property
     def smooth2(self) -> KernelTable:
         """ot * ot, the squared smoothing kernel of the aggregation term."""
         if self._smooth2 is None:
-            self._smooth2 = self.omega_tilde.table.convolve(self.omega_tilde.table)
+            self._smooth2 = KernelTable.from_spectrum(self.multiplier(smooth2=1.0), self.n)
         return self._smooth2
 
     @property
     def W(self) -> KernelTable:
+        """W_eps = (ot*ot - o*ot*ot)/eps^2, the interaction kernel."""
         if self._W is None:
-            self._W = compose_W_eps(self.omega, self.omega_tilde, self.schedule.epsilon)
+            self._W = KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
         return self._W
 
-    def grid_spectra(self, n: int, d: int) -> tuple:
-        """Real half spectra (omega_hat, omega_tilde_hat), cached on first use;
-        only grid solvers call this, so particle-only sets never hold them."""
-        if (n, d) != (self.n, self.d):
-            raise KernelError(f"kernel set on the {self.n}^{self.d} grid, field on {n}^{d}")
-        if self._spectra is None:
-            self._spectra = tuple(f.table.fourier().real for f in (self.omega, self.omega_tilde))
-        return self._spectra
-
     def at_resolution(self, n2: int) -> "KernelSet":
-        """Same kernels on a coarser grid (families resampled spectrally,
-        the viscosity spectrum rebuilt exactly on the new lattice)."""
+        """Same kernels on a coarser grid: the spectra, R_hat included, cropped
+        to the n2 lattice, and the family tables built from the crops."""
         if n2 == self.n:
             return self
+        crops = tuple(downsample_spectrum(spec, n2) for spec in self.spectra)
         visc = None
         if self.viscosity is not None:
-            visc = make_viscosity_kernel(
-                self.viscosity.alpha, k=self.viscosity.k, d=self.d, table_points=n2
-            )
+            visc = replace(self.viscosity, n=n2,
+                           spectrum=downsample_spectrum(self.viscosity.spectrum, n2))
         return KernelSet(
             schedule=self.schedule,
-            omega=self.omega.at_resolution(n2),
-            omega_tilde=self.omega_tilde.at_resolution(n2),
+            omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2)),
+            omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2)),
             viscosity=visc,
+            _spectra=crops,
         )
 
+    def pair_spectrum(self, include_viscosity: bool = True) -> np.ndarray:
+        """U_hat = W_hat - 2 ot_hat^2 [+ eps_star R_hat], the m=2 pair potential."""
+        eps_star = self.schedule.epsilon_star if include_viscosity else 0.0
+        return self.multiplier(W=1.0, smooth2=-2.0, viscosity=eps_star)
+
     def pair_kernel(self, include_viscosity: bool = True) -> KernelTable:
-        """U = W - 2*(ot*ot) [+ eps_star*R_alpha]; the m=2 pair potential."""
+        """The table of pair_spectrum; its interpolant reads the same spectrum."""
         key = bool(include_viscosity)
         if key not in self._pairs:
-            spec = self.W.fourier() - 2.0 * self.smooth2.fourier()
-            if include_viscosity:
-                if self.viscosity is None:
-                    raise KernelError(
-                        "pair kernel with viscosity requires alpha > 0 "
-                        "(use appendix-A mode to drop the term)"
-                    )
-                spec = spec + self.schedule.epsilon_star * self.viscosity.spectrum
-            self._pairs[key] = KernelTable.from_spectrum(spec, self.n)
+            self._pairs[key] = KernelTable.from_spectrum(self.pair_spectrum(key), self.n)
         return self._pairs[key]
 
 
 def build_kernel_set(
     schedule: ParameterSchedule,
     kind: str = "compact-bump",
-    tilde_kind: Optional[str] = None,
     table_points: Optional[int] = None,
     omega_moment: Optional[float] = None,
     normalize_omega: bool = True,
     normalize_tilde: bool = False,
     tilde_moment: Optional[float] = None,
-    moment_convention: str = "laplacian",
     viscosity_k: float = 4.0,
     with_viscosity: bool = True,
 ) -> KernelSet:
     d = schedule.d
+    if not schedule.epsilon_tilde < 0.5:
+        raise KernelError(
+            f"epsilon_tilde {schedule.epsilon_tilde:.4g} is not below 1/2, the largest "
+            f"mollifier scale; the default epsilon_tilde = epsilon^(1/(d+6)) is below 1/2 "
+            f"only for epsilon < 2^-(d+6) = {0.5 ** (d + 6):.4g}, so lower epsilon or set "
+            f"epsilon_tilde and epsilon_star"
+        )
     n = table_points or DEFAULT_TABLE_POINTS[d]
     omega = make_mollifier(
         kind,
@@ -658,16 +665,14 @@ def build_kernel_set(
         d,
         second_moment_target=omega_moment,
         normalize_moment=normalize_omega,
-        moment_convention=moment_convention,
         table_points=n,
     )
     omega_tilde = make_mollifier(
-        tilde_kind or kind,
+        kind,
         schedule.epsilon_tilde,
         d,
         second_moment_target=tilde_moment,
         normalize_moment=normalize_tilde,
-        moment_convention=moment_convention,
         table_points=n,
     )
     viscosity = None
@@ -684,8 +689,8 @@ def lambda_convexity_constant(
     """Geodesic-convexity modulus of the pair interaction energy (always <= 0).
 
     Default path: minus the max-norm of the negative part of the pair
-    kernel's Hessian, computed spectrally on the table.  With an explicit
-    prefactor C, returns -C*(eps^-2*et^-(d+2) + et^-(d+2) + eps_star*alpha^-(d+2)).
+    kernel's Hessian, computed from its spectrum on the table grid.  With an
+    explicit prefactor C, returns -C*(eps^-2*et^-(d+2) + et^-(d+2) + eps_star*alpha^-(d+2)).
     """
     sched = schedule or (kernels.schedule if kernels is not None else None)
     if sched is None:
@@ -701,7 +706,7 @@ def lambda_convexity_constant(
         )
     if kernels is None:
         raise ValueError("default path needs the tabulated kernels")
-    eigs = hessian_eigs(kernels.pair_kernel(include_viscosity=True))
+    eigs = hessian_eigs(kernels.pair_spectrum(include_viscosity=True), kernels.n)
     return float(min(0.0, eigs[0].min()))
 
 

@@ -21,10 +21,8 @@ from scipy.integrate import quad
 __all__ = [
     "quad_convolve",
     "fd_gradient",
-    "fd_second_derivative",
     "brute_w2",
     "bump_profile",
-    "gaussian_profile",
     "direct_convolve_table",
     "direct_double_sum",
     "direct_pair_sum",
@@ -65,11 +63,6 @@ def _richardson_diff(fn, point, i, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def fd_second_derivative(fn, x: float, h: float = 1e-4) -> float:
-    """Central second difference of a scalar callable."""
-    return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / h**2
-
-
 def brute_w2(mu_points, nu_points) -> float:
     """Exact W2 between tiny equal-weight atom sets by full enumeration."""
     X = np.atleast_2d(np.asarray(mu_points, dtype=float))
@@ -104,18 +97,6 @@ def bump_profile(width: float):
         if r >= 1.0:
             return 0.0
         return math.exp(-1.0 / (1.0 - r * r))
-
-    return f
-
-
-def gaussian_profile(sigma: float, cut: float):
-    """Unnormalized truncated Gaussian on the circle, as a callable."""
-
-    def f(y):
-        r = abs(((y + 0.5) % 1.0) - 0.5)
-        if r > cut:
-            return 0.0
-        return math.exp(-0.5 * r * r / sigma**2)
 
     return f
 

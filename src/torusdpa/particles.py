@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import GridField
 from .geometry import min_image, wrap
-from .kernels import KernelSet, ParameterSchedule
+from .kernels import KernelSet, ParameterSchedule, hessian_inf_norm
 from .spectral import TILE_POINTS, spline_gradient, spline_prepare, spline_values
 
 __all__ = [
@@ -272,27 +272,29 @@ def momentum(forces: ForceField) -> np.ndarray:
 
 
 def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False) -> float:
-    """0.5 / L with L a Lipschitz bound of the force field from the tables."""
+    """0.5 / L with L a Lipschitz bound of the force field, from the Hessians
+    of the kernels' spectra."""
     sched = state.schedule or kernels.schedule
     m = sched.m
     key = (m, bool(appendix_a))
     cache = kernels._stable_cache
     if key not in cache:
-        L = kernels.W.hessian_inf_norm()
+        n = kernels.n
+        L = hessian_inf_norm(kernels.multiplier(W=1.0), n)
         if m == 2.0:
-            L += 2.0 * kernels.smooth2.hessian_inf_norm()
+            L += 2.0 * hessian_inf_norm(kernels.multiplier(smooth2=1.0), n)
         else:
             tt = kernels.omega_tilde.table
             rho_max = float(tt.values.max())
             grad_max = float(np.max(np.abs(tt.node_gradients())))
             L += (m / (m - 1.0)) * (
-                tt.hessian_inf_norm() * rho_max ** (m - 1.0)
+                hessian_inf_norm(kernels.spectra[1], n) * rho_max ** (m - 1.0)
                 + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
             )
         if not appendix_a:
             if kernels.viscosity is None:
                 raise ValueError("viscosity tables missing; use appendix_a=True")
-            L += sched.epsilon_star * kernels.viscosity.table.hessian_inf_norm()
+            L += sched.epsilon_star * hessian_inf_norm(kernels.viscosity.spectrum, n)
         cache[key] = L
     return 0.5 / cache[key]
 

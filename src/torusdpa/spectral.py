@@ -138,16 +138,17 @@ def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
 # -- cubic B-spline interpolation on periodic grids --------------------------
 
 
-def spline_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients of the periodic cubic B-spline through a table, wrap-padded
-    so the stencil (i0-1 .. i0+2) never wraps.  The exact prefilter divides
-    the half spectrum by the spline's symbol prod_i (2 + cos(2 pi k_i/n))/3,
-    which is at least 1/3, so the spline reproduces the table at the nodes."""
-    n, d = values.shape[0], values.ndim
+def spline_coefficients(spec: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the periodic cubic B-spline through the n^d table with
+    half spectrum spec, wrap-padded so the stencil (i0-1 .. i0+2) never wraps.
+    The exact prefilter divides the spectrum by the spline's symbol
+    prod_i (2 + cos(2 pi k_i/n))/3, which is at least 1/3, so the spline
+    reproduces the table at the nodes."""
+    d = spec.ndim
     symbol = 1.0
     for k in freq_lattice(n, d):
         symbol = symbol * ((2.0 + np.cos(2.0 * np.pi * k / n)) / 3.0)
-    coeffs = inverse_transform(forward_transform(values) / symbol, n)
+    coeffs = inverse_transform(spec / symbol, n)
     return np.pad(coeffs, [(1, 2)] * d, mode="wrap")
 
 

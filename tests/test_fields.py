@@ -147,7 +147,7 @@ class TestDissipation:
         assert d == pytest.approx(oracle, rel=1e-12)
 
     def test_against_loop_oracle_2d(self, kset_2d, rng):
-        om = kset_2d.omega.at_resolution(64)
+        om = kset_2d.at_resolution(64).omega
         f = GridField(1.0 + 0.5 * rng.random((64, 64)))
         d = dissipation_D_eps(f, om, 0.1)
         oracle = direct_double_sum(f.values, om.table.values, 0.1)

@@ -119,6 +119,23 @@ class TestRunScenario:
         rep = H.clustering_report(sc, art, kde_n=32)
         assert rep["particles_initial_moment"] > 0.0
 
+    def test_particle_run_builds_no_W_or_smooth2_table(self, tmp_path):
+        # the step bound reads Hessians off the spectra, and the velocity and
+        # energy read U; W, ot*ot and the viscosity tables stay unbuilt
+        art = run_scenario(small_scenario(engines=["particles"]), tmp_path / "p")
+        kset = art.results["kernels"]
+        assert kset._W is None and kset._smooth2 is None
+        assert "table" not in vars(kset.viscosity)
+
+    def test_default_1d_nl_grid_on_a_coarse_grid(self, tmp_path):
+        # grid.n = 64 has 5.1 samples across alpha = 0.08: the cropped
+        # viscosity spectrum serves the grid all the same
+        raw = dict(PRESETS["default-1d"], engines=["nl-grid"], grid={"n": 64}, T=0.002)
+        art = run_scenario(Scenario.from_dict(raw), tmp_path / "nl")
+        trace = art.results["nl_run"].traces[0]
+        assert trace.final.n == 64
+        assert trace.mass_drift <= 1e-10 and trace.min_value >= -1e-12
+
     def test_local_energy_monotone_flagged(self, tmp_path):
         sc = small_scenario(engines=["local-grid"])
         art = run_scenario(sc, tmp_path / "l")
@@ -255,6 +272,21 @@ class TestCli:
             manifest_path=out, results={"nl_run": nl(min_value=-1e-3)}))
         assert cli_main(["simulate", "default-1d", "--out", "unused"]) == 2
         assert "min value" in capsys.readouterr().out
+
+    def test_null_engine_block_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"engines": ["particles"], "integrator": None}))
+        assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "integrator" in err and "Traceback" not in err
+
+    def test_default_schedule_names_the_derivation(self, tmp_path, capsys):
+        # epsilon = 0.1 alone derives epsilon_tilde = 0.1^(1/7) = 0.72
+        cfg = tmp_path / "eps.json"
+        cfg.write_text(json.dumps({"schedule": {"epsilon": 0.1}}))
+        assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "epsilon^(1/(d+6))" in err and "0.7197" in err
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["simulate", "no-such-file.json"])

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from torusdpa.kernels import (
     KernelResolutionError,
     KernelTable,
     build_kernel_set,
-    compose_W_eps,
     export_kernel_csv,
     lambda_convexity_constant,
     make_mollifier,
@@ -20,7 +20,8 @@ from torusdpa.kernels import (
     schedule_from_epsilon,
 )
 from torusdpa.oracles import bump_profile, quad_convolve
-from torusdpa.spectral import forward_transform, minimage_coords
+from torusdpa.particles import ParticleState, stable_dt
+from torusdpa.spectral import forward_transform, k_squared, minimage_coords
 
 
 class TestMollifier:
@@ -62,11 +63,6 @@ class TestMollifier:
         assert fam.second_moment_target == pytest.approx(
             float(fam.table.second_moment()[0]), abs=1e-15
         )
-
-    def test_def11_convention(self):
-        fam = make_mollifier("truncated-gaussian", 0.1, d=2,
-                             moment_convention="def11", table_points=256)
-        assert fam.second_moment_target == pytest.approx(0.01)  # (2/d) eps^2
 
 
 class TestEvalGrad:
@@ -121,7 +117,8 @@ class TestSplineInterpolant:
     @pytest.mark.parametrize("d", [1, 2])
     def test_transform_counts(self, monkeypatch, d):
         # a composed table is one inverse transform, and its interpolant's
-        # coefficients are built once (two transforms), on first use
+        # coefficients are built once, on first use, from the same spectrum
+        # (one transform); a table of values needs a forward transform too
         rng = np.random.default_rng(d)
         spec = forward_transform(rng.standard_normal((32,) * d))
         calls = count_transforms(monkeypatch)
@@ -129,11 +126,66 @@ class TestSplineInterpolant:
         assert len(calls) == 1
         pts = rng.random((5, d))
         table.value_at(pts)
-        assert len(calls) == 3
+        assert len(calls) == 2
         table.grad_at(pts)
         table.value_at(pts)
         export_kernel_csv(table, io.StringIO())
-        assert len(calls) == 3
+        assert len(calls) == 2
+        KernelTable(table.values).value_at(pts)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_node_gradients_are_grad_at_the_nodes(self, kset_1d, kset_2d, d):
+        table = (kset_1d if d == 1 else kset_2d).omega_tilde.table
+        nodes = np.stack([xi.ravel() for xi in minimage_coords(table.n, d)], axis=-1)
+        ref = table.grad_at(nodes)
+        got = table.node_gradients()
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_node_gradients_memory(self, kset_2d):
+        table = kset_2d.omega_tilde.table
+        table.coefficients  # built before measuring
+        tracemalloc.start()
+        try:
+            got = table.node_gradients()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * got.nbytes
+
+
+class TestSpectralSet:
+    """Every composed kernel is a multiplier on the mollifier spectra and R_hat."""
+
+    def test_set_build_transform_count(self, monkeypatch):
+        # 2 mollifier spectra, 3 x 3 Hessian transforms (W, ot*ot, R) for
+        # stable_dt, 1 + 1 for the U table and its coefficients, 3 for lambda
+        sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
+                                      alpha=0.1)
+        calls = count_transforms(monkeypatch)
+        kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128)
+        stable_dt(ParticleState(np.array([[0.5, 0.5]]), schedule=sched), kset)
+        kset.pair_kernel().coefficients
+        lambda_convexity_constant(kset)
+        assert len(calls) == 16
+
+    def test_coarse_grid_crops_the_spectra(self, kset_2d):
+        # 64 points give 6.4 samples across alpha = 0.1: too few to tabulate
+        # R_alpha on its own, but its spectrum crops exactly
+        visc = kset_2d.viscosity
+        with pytest.raises(KernelResolutionError):
+            make_viscosity_kernel(visc.alpha, k=visc.k, d=2, table_points=64)
+        for n2 in (128, 64):
+            coarse = kset_2d.at_resolution(n2)
+            assert coarse.n == n2 and coarse.viscosity.n == n2
+            ref = (1.0 + visc.alpha**2 * k_squared(n2, 2)) ** (-visc.k)
+            assert np.array_equal(coarse.viscosity.spectrum, ref)
+            for fam, spec in zip((coarse.omega, coarse.omega_tilde), coarse.spectra):
+                assert fam.table.n == n2
+                assert np.max(np.abs(fam.table.fourier() - spec)) <= 1e-15
+        built = make_viscosity_kernel(visc.alpha, k=visc.k, d=2, table_points=128)
+        assert np.array_equal(kset_2d.at_resolution(128).viscosity.spectrum, built.spectrum)
 
 
 class TestViscosity:
@@ -198,12 +250,6 @@ class TestComposition:
     def test_squared_kernel_spectral_positivity(self, kset_1d):
         spec = np.real(np.fft.fft(kset_1d.smooth2.values)) / kset_1d.n
         assert spec.min() >= -1e-12
-
-    def test_incompatible_grids(self):
-        a = make_mollifier("truncated-gaussian", 0.1, d=1, table_points=1024)
-        b = make_mollifier("truncated-gaussian", 0.12, d=1, table_points=2048)
-        with pytest.raises(Exception):
-            compose_W_eps(a, b, 0.1)
 
 
 class TestSchedule:
@@ -271,7 +317,7 @@ class TestLambdaConstant:
 
 
 def test_resample_preserves_moments(kset_1d):
-    fam = kset_1d.omega.at_resolution(512)
+    fam = kset_1d.at_resolution(512).omega
     assert fam.table.n == 512
     assert fam.table.mass() == pytest.approx(1.0, abs=1e-10)
     assert float(fam.table.second_moment()[0]) == pytest.approx(

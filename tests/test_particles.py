@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from torusdpa.fields import GridField
-from torusdpa.kernels import KernelSet, KernelTable, build_kernel_set, schedule_from_epsilon
+from torusdpa.kernels import KernelSet, build_kernel_set, hessian_inf_norm, schedule_from_epsilon
 from torusdpa import particles
 from torusdpa.oracles import bump_profile, direct_pair_sum, fd_gradient, quad_convolve
 from torusdpa.particles import (
@@ -286,31 +287,28 @@ class TestStableDt:
         assert dts[1] > dts[0]
 
     def test_amplitude_scaling_halves_dt(self, kset_1d, sched_1d):
+        # ot_hat times sqrt(2) and R_hat times 2 double W, ot*ot and R_alpha
         st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
         base = stable_dt(st, kset_1d)
+        o_hat, ot_hat = kset_1d.spectra
+        visc = kset_1d.viscosity
         doubled = KernelSet(
             schedule=kset_1d.schedule,
             omega=kset_1d.omega,
             omega_tilde=kset_1d.omega_tilde,
-            viscosity=kset_1d.viscosity,
+            viscosity=dataclasses.replace(visc, spectrum=2.0 * visc.spectrum),
+            _spectra=(o_hat, math.sqrt(2.0) * ot_hat),
         )
-        doubled._W = KernelTable(2.0 * kset_1d.W.values)
-        doubled._smooth2 = KernelTable(2.0 * kset_1d.smooth2.values)
-        import dataclasses
-
-        visc2 = dataclasses.replace(
-            kset_1d.viscosity, table=KernelTable(2.0 * kset_1d.viscosity.table.values)
-        )
-        doubled.viscosity = visc2
         st2 = ParticleState(np.array([[0.5]]), schedule=sched_1d)
         assert stable_dt(st2, doubled) == pytest.approx(0.5 * base, rel=1e-12)
 
     def test_lipschitz_vs_fd_hessian(self, kset_1d, sched_1d):
-        # table Hessian sup matches dense second differencing within 5%
+        # spectral Hessian sup matches dense second differencing within 5%
         W = kset_1d.W
         h = W.h
         fd = (np.roll(W.values, -1) - 2.0 * W.values + np.roll(W.values, 1)) / h**2
-        assert W.hessian_inf_norm() == pytest.approx(np.max(np.abs(fd)), rel=0.05)
+        hess = hessian_inf_norm(kset_1d.multiplier(W=1.0), kset_1d.n)
+        assert hess == pytest.approx(np.max(np.abs(fd)), rel=0.05)
 
 
 def test_energy_dissipation_rk4(kset_1d, sched_1d, rng):
