@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import min_image
 from .kernels import KernelFamily, KernelSet, KernelTable, ParameterSchedule
 from .spectral import (
-    TILE_POINTS,
     face_grad_multipliers,
     forward_transform,
     grad_multipliers,
     inner,
     inverse_transform,
     minimage_coords,
+    spline_stencil,
+    spline_symbol,
+    spread,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "entropy",
     "free_energy",
     "kde_density",
+    "check_kde_size",
     "velocity_field_nl",
     "save_gridfield",
     "load_gridfield",
@@ -233,26 +235,34 @@ def free_energy(
     )
 
 
-def kde_density(state, kernel: KernelFamily, n: int) -> GridField:
-    """Smoothed empirical measure (1/N) sum_i omega_tilde(x - X_i) on a grid.
+def check_kde_size(n: int, table_n: int):
+    """Raise ValueError unless the kde grid size n divides the kernel table
+    size, which kde_density needs."""
+    if n <= 0 or table_n % n:
+        raise ValueError(f"kde grid n = {n} does not divide the kernel table size "
+                         f"{table_n}; choose a grid size that divides it")
 
-    Evaluates the kernel table's interpolant at exact particle offsets (no
-    deposition), so a particle sitting on a node reproduces the kernel table.
-    Tiles of grid nodes against all particles hold about TILE_POINTS
-    offsets each, and each node's value is one sum over the particles.
+
+def kde_density(state, kernel: KernelFamily, n: int) -> GridField:
+    """Smoothed empirical measure (1/N) sum_i S(x - X_i) on the n^d grid, with
+    S the cubic B-spline through the kernel's table, exactly.
+
+    n must divide the table size n_t (check_kde_size), so node g of the grid
+    is node q g of the table lattice, q = n_t/n.  With S(x) = sum_j c_j
+    B(n_t x - j), the sum at node q g is the circular convolution (c * s)(q g)
+    of the spline coefficients c with s, the particles' B-spline spread on
+    the table lattice: one forward transform of s, the spectrum of c (the
+    kernel's spectrum over the spline symbol), one inverse transform, read
+    at stride q.  A particle on a node reproduces the kernel table.
     """
     positions = np.atleast_2d(state.positions if hasattr(state, "positions") else state)
     N, d = positions.shape
-    table = kernel.table
-    x = np.arange(n) / n
-    nodes = np.stack([c.ravel() for c in np.meshgrid(*([x] * d), indexing="ij")])
-    PT = np.ascontiguousarray(positions.T)
-    out = np.empty(n**d)
-    rows = max(1, TILE_POINTS // N)  # grid nodes per tile
-    for lo in range(0, n**d, rows):
-        delta = min_image(nodes[:, lo : lo + rows, None], PT[:, None, :])
-        out[lo : lo + rows] = table.value_at(np.moveaxis(delta, 0, -1)).sum(axis=1)
-    return GridField(out.reshape((n,) * d) / N)
+    nt = kernel.table.n
+    check_kde_size(n, nt)
+    s_hat = forward_transform(spread(spline_stencil(positions, nt, d), np.full(N, 1.0 / N)))
+    s_hat *= kernel.spectrum / spline_symbol(nt, d) * float(nt) ** d
+    vals = inverse_transform(s_hat, nt)
+    return GridField(vals[(slice(None, None, nt // n),) * d].copy())
 
 
 def velocity_field_nl(

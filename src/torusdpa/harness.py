@@ -28,6 +28,7 @@ from . import pde_local as PL
 from . import pde_nonlocal as PN
 from . import transport as T
 from .kernels import (
+    DEFAULT_TABLE_POINTS,
     KernelSet,
     ParameterSchedule,
     build_kernel_set,
@@ -507,6 +508,13 @@ def _check_sweep_w2(c, particle_counts=()):
         T.check_lp_size(size, atoms)
 
 
+def _check_sweep_kde(c, rho0: F.GridField):
+    """Fail before any run when the sweep's kde grid (the initial field's)
+    does not divide the kernel table size (fields.check_kde_size)."""
+    F.check_kde_size(rho0.n, c["kernels"].get("table_points") or
+                     DEFAULT_TABLE_POINTS[c["dimension"]])
+
+
 def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     """Shared local run vs particle and nl-grid runs across decreasing eps.
 
@@ -520,6 +528,7 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     _check_sweep_w2(c)
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
+    _check_sweep_kde(c, rho0)
     kernels0 = build_scenario_kernels(base_scenario)
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
     local_measure = _field_measure(local.final, max_atoms=_SWEEP_ATOMS)
@@ -573,6 +582,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     _check_sweep_w2(c, [int(N) for N in n_list])
     d = c["dimension"]
     rho0 = initial_density(base_scenario)
+    _check_sweep_kde(c, rho0)
     sched = base_scenario.schedule()
     kset = build_scenario_kernels(base_scenario, sched)
     kgrid = kset.at_resolution(rho0.n)

@@ -16,7 +16,9 @@ Three families are built here:
   W_hat = ot_hat^2 (1 - o_hat)/eps^2, the squared smoothing kernel ot_hat^2,
   the particles' pair potential U_hat = W_hat - 2 ot_hat^2 (+ eps_star R_hat)
   and the grid velocity's linear part W_hat + eps_star R_hat.  Hessian
-  bounds are read off the multipliers, and a coarser set crops the spectra.
+  bounds are read off the multipliers, a coarser set crops the spectra, and
+  the particle sums run on a spectral.ParticleMesh that holds the
+  multipliers cropped to its box (KernelSet.particle_mesh).
 
 Each table is interpolated by one periodic cubic B-spline (C^2), which gives
 both values and gradients, so a gradient is the exact derivative of the
@@ -34,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import (
+    ParticleMesh,
     downsample_spectrum,
     forward_transform,
     freq_lattice,
@@ -45,6 +48,7 @@ from .spectral import (
     spline_gradient,
     spline_prepare,
     spline_values,
+    tail_cutoff,
 )
 
 __all__ = [
@@ -101,11 +105,16 @@ class KernelTable:
         self._spectrum: Optional[np.ndarray] = None
 
     @property
+    def spectrum(self) -> np.ndarray:
+        """The half spectrum the table was made from while it is held (until
+        the coefficients are built), else a forward transform of the values."""
+        return self._spectrum if self._spectrum is not None else self.fourier()
+
+    @property
     def coefficients(self) -> np.ndarray:
         """Wrap-padded spline coefficients (spectral.spline_coefficients), cached."""
         if self._coeffs is None:
-            spec = self._spectrum if self._spectrum is not None else self.fourier()
-            self._coeffs = spline_coefficients(spec, self.n)
+            self._coeffs = spline_coefficients(self.spectrum, self.n)
             self._spectrum = None
         return self._coeffs
 
@@ -225,11 +234,18 @@ def _bump_radial(r):
     return out
 
 
-def _sample_profile(kind, width, cut, n, d):
-    """Sample an unnormalized radial profile on the grid."""
-    xis = minimage_coords(n, d)
+def _radial_grid(n, d):
+    """(minimum-image coordinates, r^2, r) of the n^d grid nodes; the
+    coordinates are sparse (one axis each) and broadcast like minimage_coords."""
+    x = minimage_coords(n, 1)[0]
+    xis = (x,) if d == 1 else (x[:, None], x[None, :])
     r2 = sum(xi * xi for xi in xis)
-    r = np.sqrt(r2)
+    return xis, r2, np.sqrt(r2)
+
+
+def _sample_profile(kind, width, cut, grid):
+    """Sample an unnormalized radial profile on the grid (_radial_grid)."""
+    _, r2, r = grid
     if kind == "compact-bump":
         vals = _bump_radial(r / width)
     elif kind == "truncated-gaussian":
@@ -261,6 +277,16 @@ class KernelFamily:
     table: KernelTable
     moment_normalized: bool
     profile_width: float
+    _spectrum: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Real half spectrum of the table (an admissible mollifier is even),
+        transformed once on first use (copied out of the complex transform,
+        which is freed)."""
+        if self._spectrum is None:
+            self._spectrum = self.table.fourier().real.copy()
+        return self._spectrum
 
     def validate(self, mass_tol=1e-8, sym_tol=1e-12, first_tol=1e-10, second_tol=1e-6):
         """Check all admissibility invariants; returns a dict of measured errors."""
@@ -285,14 +311,19 @@ class KernelFamily:
         return report
 
 
-def _build_mollifier_table(kind, width, n, d, cut_cap):
+def _build_mollifier_table(kind, width, grid, cut_cap):
+    """The unit-mass table of the profile at this width, and its second
+    moment along the first axis (KernelTable.second_moment, bit for bit)."""
+    xi = grid[0][0]
+    n, d = xi.shape[0], len(grid[0])
     cut = min(5.0 * width, cut_cap) if kind == "truncated-gaussian" else width
-    vals = _sample_profile(kind, width, cut, n, d)
+    vals = _sample_profile(kind, width, cut, grid)
     m = vals.sum() * (1.0 / n) ** d
     if m <= 0:
         raise KernelError("kernel sampled to zero mass; increase table resolution")
     radius = cut if kind == "truncated-gaussian" else width
-    return KernelTable(vals / m, support_radius=radius)
+    table = KernelTable(vals / m, support_radius=radius)
+    return table, float((table.values * xi * xi).sum() * table.h**d)
 
 
 def make_mollifier(
@@ -316,6 +347,7 @@ def make_mollifier(
     n = table_points or DEFAULT_TABLE_POINTS[d]
     h = 1.0 / n
     cut_cap = 0.5 - 2.0 * h
+    grid = _radial_grid(n, d)  # sampled once; only the profile's width varies
 
     if normalize_moment:
         if second_moment_target is None:
@@ -330,8 +362,7 @@ def make_mollifier(
                     f"compact-bump with per-axis moment {second_moment_target:.3e} needs "
                     f"support radius {w:.3f} > {cut_cap:.3f}; scale too large to embed"
                 )
-            t = _build_mollifier_table(kind, w, n, d, cut_cap)
-            return t, float(t.second_moment()[0])
+            return _build_mollifier_table(kind, w, grid, cut_cap)
 
         converged = False
         for _ in range(30):
@@ -387,8 +418,7 @@ def make_mollifier(
             raise KernelEmbedError(
                 f"support radius {width:.3f} > {cut_cap:.3f}; scale too large to embed"
             )
-        table = _build_mollifier_table(kind, width, n, d, cut_cap)
-        second_moment_target = float(table.second_moment()[0])
+        table, second_moment_target = _build_mollifier_table(kind, width, grid, cut_cap)
 
     if width / h < 8.0:
         raise KernelResolutionError(
@@ -558,6 +588,7 @@ class KernelSet:
     _pairs: dict = field(default_factory=dict)
     _spectra: Optional[tuple] = None
     _stable_cache: dict = field(default_factory=dict)  # particles.stable_dt's bounds
+    _meshes: dict = field(default_factory=dict)  # particle_mesh's meshes and multipliers
 
     @property
     def n(self) -> int:
@@ -570,11 +601,9 @@ class KernelSet:
     @property
     def spectra(self) -> tuple:
         """Real half spectra (omega_hat, omega_tilde_hat) of the families on the
-        set's lattice, transformed once on first use (copied out of the
-        complex transforms, which are freed)."""
+        set's lattice (KernelFamily.spectrum)."""
         if self._spectra is None:
-            self._spectra = tuple(f.table.fourier().real.copy()
-                                  for f in (self.omega, self.omega_tilde))
+            self._spectra = (self.omega.spectrum, self.omega_tilde.spectrum)
         return self._spectra
 
     def multiplier(self, W: float = 0.0, smooth2: float = 0.0, viscosity: float = 0.0):
@@ -620,8 +649,10 @@ class KernelSet:
                            spectrum=downsample_spectrum(self.viscosity.spectrum, n2))
         return KernelSet(
             schedule=self.schedule,
-            omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2)),
-            omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2)),
+            omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2),
+                          _spectrum=crops[0]),
+            omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2),
+                                _spectrum=crops[1]),
             viscosity=visc,
             _spectra=crops,
         )
@@ -637,6 +668,30 @@ class KernelSet:
         if key not in self._pairs:
             self._pairs[key] = KernelTable.from_spectrum(self.pair_spectrum(key), self.n)
         return self._pairs[key]
+
+    def particle_mesh(self, include_viscosity: bool = True, m: float = 2.0):
+        """(mesh, multipliers): the spectral.ParticleMesh of the particle sums
+        and their multipliers on its box, divided by the kernel's transform
+        squared (ParticleMesh.crop); built on first use per viscosity flag and
+        m = 2 or not.  For m = 2 the box is cut at U's tail, U read from
+        pair_kernel's spectrum, and the multipliers are "U", "W", "smooth2"
+        and "viscosity"; for other m it is cut at ot's tail and they are
+        "omega_tilde", "W" and "viscosity" (R_hat unscaled, present only
+        with include_viscosity)."""
+        key = (bool(include_viscosity), m == 2.0)
+        if key not in self._meshes:
+            specs = {"W": self.multiplier(W=1.0)}
+            if include_viscosity:
+                specs["viscosity"] = self.multiplier(viscosity=1.0)
+            if m == 2.0:
+                specs["U"] = np.real(self.pair_kernel(include_viscosity).spectrum)
+                specs["smooth2"] = self.multiplier(smooth2=1.0)
+                cut = specs["U"]
+            else:
+                cut = specs["omega_tilde"] = self.spectra[1]
+            mesh = ParticleMesh(self.d, tail_cutoff(cut, self.n))
+            self._meshes[key] = (mesh, {name: mesh.crop(spec) for name, spec in specs.items()})
+        return self._meshes[key]
 
 
 def build_kernel_set(

@@ -2,12 +2,10 @@
 
 These deliberately share no convolution, interpolation, or transport code
 with the production modules: convolutions are adaptive quadrature of
-callables, gradients are Richardson-extrapolated central differences, and
-tiny transport problems are exhaustive over assignments.  The one exception
-is the particle pair-sum reference, which evaluates the kernel tables
-through KernelTable.grad_at / value_at on the full N x N displacement array:
-what it checks is the tiling and symmetric accumulation of the production
-pair sums, not the interpolation.  Never used on hot paths.
+callables, gradients are Richardson-extrapolated central differences,
+tiny transport problems are exhaustive over assignments, and particle sums
+against a kernel spectrum are dense Fourier series over the kernel's lattice,
+with no mesh and no transform.  Never used on hot paths.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ __all__ = [
     "bump_profile",
     "direct_convolve_table",
     "direct_double_sum",
-    "direct_pair_sum",
+    "dense_fourier_sum",
+    "dense_fourier_energy",
 ]
 
 
@@ -127,18 +126,64 @@ def direct_double_sum(f_vals: np.ndarray, w_vals: np.ndarray, epsilon: float) ->
     return total * (1.0 / n) ** (2 * d) / epsilon**2
 
 
-def direct_pair_sum(positions, table, gradient: bool = True, weights=None) -> np.ndarray:
-    """sum_j w_j T(X_i - X_j) for every i, from the full N x N displacement
-    array (no tiling, no symmetry).  Gradient sums are (N, d), value sums (N,)."""
-    X = np.atleast_2d(np.asarray(positions, dtype=float))
+def _dense_coefficients(X, spec, n, weights):
+    """Per-axis phases exp(-2 pi i k x) of the particles on the half-spectrum
+    lattice of the n^d grid, the weighted measure's coefficients there, and
+    the mirror weights: each last-axis column but k = 0 stands for itself and
+    its conjugate, and for even n a mode with a Nyquist component |k_i| = n/2
+    weighs 0, since a real table's Nyquist mode has no unique continuation
+    between the nodes."""
     N, d = X.shape
-    r = X[:, None, :] - X[None, :, :]
-    delta = (r - np.ceil(r - 0.5)).reshape(-1, d)
-    if gradient:
-        terms = table.grad_at(delta).reshape(N, N, d)
+    full = np.concatenate([np.arange((n + 1) // 2), np.arange(-(n // 2), 0)]).astype(float)
+    last = np.arange(n // 2 + 1, dtype=float)
+    ks = [last] if d == 1 else [full, last]
+    phases = [np.exp(-2j * np.pi * X[:, ax, None] * k[None, :]) for ax, k in enumerate(ks)]
+    w = np.ones(N) if weights is None else np.asarray(weights, dtype=float)
+    if d == 1:
+        coeffs = w @ phases[0]
     else:
-        terms = table.value_at(delta).reshape(N, N, 1)
-    if weights is not None:
-        terms = terms * np.asarray(weights, dtype=float)[None, :, None]
-    out = terms.sum(axis=1)
-    return out if gradient else out[:, 0]
+        coeffs = (w[:, None] * phases[0]).T @ phases[1]
+    mirror = np.full(last.size, 2.0)
+    mirror[0] = 1.0
+    if n % 2 == 0:
+        mirror[-1] = 0.0
+        if d == 2:
+            mirror = np.where(np.abs(full)[:, None] == n / 2, 0.0, mirror[None, :])
+    return ks, phases, coeffs, mirror
+
+
+def dense_fourier_sum(positions, spec, n, weights=None, gradient=True) -> np.ndarray:
+    """sum_j w_j K(X_i - X_j) for every i, or with gradient its gradient, for
+    the kernel K(x) = sum_k spec(k) exp(2 pi i k.x) whose half spectrum on
+    the n^d lattice is spec, summed densely over the lattice below Nyquist.
+    Gradient sums are (N, d), value sums (N,)."""
+    X = np.atleast_2d(np.asarray(positions, dtype=float))
+    d = X.shape[1]
+    ks, phases, coeffs, mirror = _dense_coefficients(X, spec, n, weights)
+    conj = [p.conj() for p in phases]
+
+    def evaluate(c):
+        c = c * mirror
+        if d == 1:
+            return (conj[0] @ c).real
+        return ((conj[0] @ c) * conj[1]).sum(axis=1).real
+
+    c = np.broadcast_to(spec, coeffs.shape) * coeffs
+    if not gradient:
+        return evaluate(c)
+    grads = []
+    for ax, k in enumerate(ks):
+        shape = [1] * d
+        shape[ax] = k.size
+        grads.append(evaluate(2j * np.pi * k.reshape(shape) * c))
+    return np.stack(grads, axis=-1)
+
+
+def dense_fourier_energy(positions, spec, n) -> float:
+    """(1/(2N^2)) sum_ij K(X_i - X_j) = (1/2) sum_k spec(k) |mu_hat(k)|^2 over
+    the n^d lattice below Nyquist, with mu_hat the empirical measure's
+    coefficients."""
+    X = np.atleast_2d(np.asarray(positions, dtype=float))
+    N = X.shape[0]
+    _, _, coeffs, mirror = _dense_coefficients(X, spec, n, np.full(N, 1.0 / N))
+    return 0.5 * float((mirror * np.broadcast_to(spec, coeffs.shape) * np.abs(coeffs) ** 2).sum())

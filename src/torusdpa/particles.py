@@ -7,9 +7,15 @@ Particles carry uniform weight 1/N and move by the pairwise ODE
                                            general m: density-weighted form)
               - eps_star (1/N) sum_j grad R_alpha(X_ij)  [viscosity]
 
-with X_ij the minimum-image displacement.  Self terms j = i are kept (all
-gradients vanish exactly at 0).  Appendix-A mode drops the viscosity term
-entirely instead of sending eps_star to 0.
+with X_ij the minimum-image displacement.  Self terms j = i are kept; the
+kernels' gradients vanish at 0, and the computed self terms vanish to
+roundoff.  Appendix-A mode drops the viscosity term entirely instead of
+sending eps_star to 0.
+
+Every sum runs on the kernel set's particle mesh (spectral.ParticleMesh): a
+spread of the particles, spectral multipliers read off the set's spectra, and
+a gather at the particles.  The kernels are trigonometric polynomials, so the
+sums are those of the dense Fourier series over the mesh's box of modes.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .fields import GridField
-from .geometry import min_image, wrap
+from .geometry import wrap
 from .kernels import KernelSet, ParameterSchedule, hessian_inf_norm
-from .spectral import TILE_POINTS, spline_gradient, spline_prepare, spline_values
+from .spectral import inner
 
 __all__ = [
     "ParticleState",
@@ -158,60 +164,6 @@ def init_quantile(
 # forces
 
 
-def _pair_sums(X: np.ndarray, tables, gradient: bool = True, weights=None):
-    """out_i = sum_j w_j T(X_i - X_j) for each table T, over all pairs.
-
-    T is the table's cubic B-spline interpolant, and with gradient its exact
-    gradient, so a gradient sum is the exact position gradient of the value
-    sum.  Row tiles [lo, hi) run against columns [lo, N), so each unordered
-    pair is interpolated once, with one |delta| stencil shared by the tables
-    (all on the same grid).  The pair's term goes to row i and, negated for
-    the odd gradients, to row j; the self term counts once and is exactly 0
-    for gradients, so gradient sums cancel pairwise by construction.  With
-    weights, row i takes w_j and row j takes w_i.  A tile holds about
-    TILE_POINTS pairs, keeping its temporaries in cache.  Returns one (N, d)
-    array per table for gradients, one (N,) array for values.
-    """
-    N, d = X.shape
-    XT = np.ascontiguousarray(X.T)
-    out = [np.zeros((d, N) if gradient else N) for _ in tables]
-    rows = max(1, TILE_POINTS // max(N, 1))
-    for lo in range(0, N, rows):
-        hi = min(lo + rows, N)
-        delta = min_image(XT[:, lo:hi, None], XT[:, None, lo:])  # (d, rows, cols)
-        prep = spline_prepare(np.moveaxis(np.abs(delta), 0, -1), tables[0].n, d, gradient)
-        sign = np.sign(delta) if gradient else None
-        for t, table in enumerate(tables):
-            if gradient:
-                for ax, term in enumerate(spline_gradient(table.coefficients, prep)):
-                    term *= sign[ax]
-                    row, col = _fold_tile(term, lo, hi, weights)
-                    out[t][ax, lo:hi] += row
-                    out[t][ax, lo:] -= col
-            else:
-                term = spline_values(table.coefficients, prep)
-                row, col = _fold_tile(term, lo, hi, weights)
-                out[t][lo:hi] += row
-                out[t][lo:] += col
-    return [o.T.copy() for o in out] if gradient else out
-
-
-def _fold_tile(term: np.ndarray, lo: int, hi: int, weights):
-    """Row and column sums of one tile's pair terms, each pair counted once.
-
-    The tile's first hi - lo columns are its own rows: pairs below that
-    diagonal repeat pairs above it and are dropped, and the diagonal (self
-    terms) goes to the row sums only.
-    """
-    r = hi - lo
-    term[np.tril_indices(r, -1)] = 0.0
-    row = (term if weights is None else term * weights[None, lo:]).sum(axis=1)
-    diag = np.arange(r)
-    term[diag, diag] = 0.0
-    col = (term if weights is None else term * weights[lo:hi, None]).sum(axis=0)
-    return row, col
-
-
 def compute_forces(
     state: ParticleState,
     kernels: KernelSet,
@@ -219,37 +171,37 @@ def compute_forces(
 ) -> ForceField:
     """Evaluate the particle velocities and their three-term decomposition.
 
-    Every term is an exact O(N^2) pair sum of the gradients of the kernel
-    tables' cubic B-spline interpolants (see _pair_sums): each pair is
-    evaluated once and its gradient enters the two particles with opposite
-    signs, so the addends cancel pairwise and total momentum stays at
-    roundoff.  For m = 2 the velocities are exactly -N times the position
-    gradient of discrete_energy, which sums the same interpolants' values.
+    All three addends come from one spread of the particles (weights 1/N):
+    each is the gathered gradient of its kernel's multiplier times the
+    measure's coefficients, -W_hat, (m = 2) 2 ot_hat^2 and -eps_star R_hat.
+    For other m the smoothed density at the particles is a gather of
+    ot_hat times those coefficients, and the aggregation term the gradient of
+    ot_hat times a spread weighted by its (m - 1)th power.  Each addend is an
+    antisymmetric operator's quadratic form summed over the particles, so the
+    momentum stays at roundoff.  For m = 2 the velocities are -N times the
+    position gradient of discrete_energy, to the mesh's accuracy.
     appendix_a=True drops the viscosity term instead of sending eps_star to 0.
     """
     sched = state.schedule or kernels.schedule
     m = sched.m
     N = state.N
-    X = state.positions
     include_visc = not appendix_a
     if include_visc and (sched.alpha == 0.0 or kernels.viscosity is None):
         raise ValueError(
             "viscosity particle term needs alpha > 0; use appendix_a=True to drop it"
         )
-    visc = [kernels.viscosity.table] if include_visc else []
+    mesh, mult = kernels.particle_mesh(include_visc, m)
+    stencil = mesh.stencil(state.positions)
+    mu = mesh.transform(stencil, np.full(N, 1.0 / N))
+    term1 = mesh.gradient(stencil, -mult["W"] * mu)
     if m == 2.0:
-        sums = _pair_sums(X, [kernels.W, kernels.smooth2] + visc)
-        term1 = -sums[0] / N
-        term2 = 2.0 * sums[1] / N
+        term2 = mesh.gradient(stencil, 2.0 * mult["smooth2"] * mu)
     else:
-        (dens,) = _pair_sums(X, [kernels.omega_tilde.table], gradient=False)
-        wj = (dens / N) ** (m - 1.0)
-        sums = _pair_sums(X, [kernels.W] + visc)
-        (s2,) = _pair_sums(X, [kernels.omega_tilde.table], weights=wj)
-        term1 = -sums[0] / N
-        term2 = (m / (m - 1.0)) * s2 / N
+        dens = mesh.values(stencil, mult["omega_tilde"] * mu)
+        agg = mesh.transform(stencil, dens ** (m - 1.0) / N)
+        term2 = mesh.gradient(stencil, (m / (m - 1.0)) * mult["omega_tilde"] * agg)
     if include_visc:
-        term3 = -sched.epsilon_star * sums[-1] / N  # the viscosity table is last
+        term3 = mesh.gradient(stencil, -sched.epsilon_star * mult["viscosity"] * mu)
     else:
         term3 = np.zeros_like(term1)
     vel = term1 + term2 + term3
@@ -317,14 +269,16 @@ def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> n
     """Total velocity without the decomposition.
 
     For m = 2 the three gradients combine linearly into the single pair
-    potential U, so one table interpolation suffices; identical to summing
-    compute_forces addends up to float associativity.
+    potential U: one spread, one forward transform, and per axis one inverse
+    transform of -2 pi i k U_hat times the coefficients and one gather.  The
+    same as summing compute_forces addends, to roundoff.
     """
     sched = state.schedule or kernels.schedule
     if sched.m == 2.0:
-        U = kernels.pair_kernel(include_viscosity=not appendix_a)
-        (s,) = _pair_sums(state.positions, [U])
-        return -s / state.N
+        mesh, mult = kernels.particle_mesh(not appendix_a)
+        stencil = mesh.stencil(state.positions)
+        mu = mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
+        return mesh.gradient(stencil, -mult["U"] * mu)
     return compute_forces(state, kernels, appendix_a=appendix_a).velocities
 
 
@@ -371,14 +325,16 @@ def step(
 def discrete_energy(
     state: ParticleState, kernels: KernelSet, appendix_a: bool = False
 ) -> float:
-    """(1/(2N^2)) sum_ij U(X_i - X_j) with the m=2 pair potential U.
+    """(1/(2N^2)) sum_ij U(X_i - X_j) with the m=2 pair potential U, self
+    terms included, as (1/2) sum_k U_hat(k) |mu_hat(k)|^2 over the mesh's box
+    from one spread and one forward transform (no gather).
 
     This is the interaction form of the free energy on the empirical measure;
-    particle forces are exactly -N times its position gradient.
+    particle forces are -N times its position gradient, to the mesh's accuracy.
     """
     sched = state.schedule or kernels.schedule
     if sched.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
-    U = kernels.pair_kernel(include_viscosity=not appendix_a)
-    (s,) = _pair_sums(state.positions, [U], gradient=False)
-    return float(s.sum()) / (2.0 * state.N**2)
+    mesh, mult = kernels.particle_mesh(not appendix_a)
+    mu = mesh.transform(mesh.stencil(state.positions), np.full(state.N, 1.0 / state.N))
+    return 0.5 * inner(mult["U"] * mu, mu, mesh.box)

@@ -1,5 +1,5 @@
-"""Shared periodic-grid machinery: the real-FFT spectral layer and cubic
-B-spline interpolation.
+"""Shared periodic-grid machinery: the real-FFT spectral layer, cubic
+B-spline interpolation, and the particle mesh that evaluates particle sums.
 
 Grid convention: n nodes per axis at x_j = j/n, j = 0..n-1, spacing h = 1/n,
 representing cells centered at the nodes.
@@ -15,6 +15,15 @@ continuous Fourier transform on the unit torus, f_hat(k) = h^d * rfftn[k];
 inverse_transform undoes that and takes the grid size, which the half
 spectrum alone does not fix when n is odd.  Frequency arrays are sparse
 (one axis each) and broadcast against a half spectrum.
+
+Particle mesh.  Every particle sum is one spread of weighted particles onto a
+grid, spectral multipliers, and a gather back at the particles, where the
+gather is the exact transpose of the spread (same stencil, same weights).  Two
+stencils serve it: the "exponential of semicircle" (ES) kernel of Barnett,
+Magland & af Klinteberg (SISC 2019) on a grid upsampled twice, for sums with
+a trigonometric-polynomial kernel (ParticleMesh), and the 4-point cubic
+B-spline stencil of the interpolation layer, for sums through a table's
+interpolant (the kernel density estimate).
 """
 
 from __future__ import annotations
@@ -34,16 +43,33 @@ __all__ = [
     "gradient",
     "inner",
     "downsample_spectrum",
+    "spline_symbol",
     "spline_coefficients",
     "spline_prepare",
     "spline_values",
     "spline_gradient",
-    "TILE_POINTS",
+    "Stencil",
+    "spline_stencil",
+    "spread",
+    "gather",
+    "tail_cutoff",
+    "ParticleMesh",
 ]
 
-# Interpolation points per tile of a batched spline evaluation (pair sums,
-# kde): about 32k keeps each tile's stencil temporaries in cache.
-TILE_POINTS = 32_768
+# The ES kernel exp(ES_BETA (sqrt(1 - z^2) - 1)) on |z| <= 1 spans ES_WIDTH
+# fine-grid points per axis, and the fine grid has UPSAMPLING points per mode
+# of the box |k|_inf <= K.  Barnett, Magland & af Klinteberg take
+# ES_BETA = 2.30 ES_WIDTH at this upsampling, which keeps the aliasing error
+# even over the box (5e-13 to 7e-12 relative at 13 points).  The particle
+# multipliers fall by ten orders or more before the box edge, so the kernel
+# is steeper: 2.5 ES_WIDTH cuts the error below |k| = K/2 under 1e-13 and
+# lets it grow only near K, where the multipliers are negligible.
+ES_WIDTH = 13
+UPSAMPLING = 2
+ES_BETA = 2.5 * ES_WIDTH
+# A 2-d mesh keeps the smallest box whose dropped modes carry at most this
+# share of the multiplier's absolute sum; a 1-d mesh keeps the whole lattice.
+TAIL_TOL = 1e-11
 
 
 def freq_lattice(n: int, d: int):
@@ -98,13 +124,17 @@ def minimage_coords(n: int, d: int):
 def forward_transform(values: np.ndarray) -> np.ndarray:
     """Continuous-normalized half spectrum: h^d * rfftn(values)."""
     n = values.shape[0]
-    return np.fft.rfftn(values) * (1.0 / n) ** values.ndim
+    out = np.fft.rfftn(values)
+    out *= (1.0 / n) ** values.ndim
+    return out
 
 
 def inverse_transform(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values on the n^d grid of a half spectrum; inverse of forward_transform."""
     d = coeffs.ndim
-    return np.fft.irfftn(coeffs, s=(n,) * d, axes=tuple(range(d))) * n**d
+    out = np.fft.irfftn(coeffs, s=(n,) * d, axes=tuple(range(d)))
+    out *= n**d
+    return out
 
 
 def gradient(coeffs: np.ndarray, n: int):
@@ -124,32 +154,50 @@ def inner(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> float:
 
 
 def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
-    """Crop a half spectrum of an even-n grid to the even n2 <= n."""
+    """Crop a half spectrum of an even-n grid to the n2 <= n grid; for an odd
+    n2 = 2K + 1 that is the box |k|_inf <= K."""
     n = 2 * (spec.shape[-1] - 1)
     if n2 > n:
         raise ValueError("downsample_spectrum: target finer than source")
-    half = n2 // 2
-    out = spec[..., : half + 1]
+    out = spec[..., : n2 // 2 + 1]
     if spec.ndim == 2:
-        return out[np.r_[0:half, n - half : n]]
+        return out[np.r_[0 : (n2 + 1) // 2, n - n2 // 2 : n]]
     return out.copy()
+
+
+def _embed(box: np.ndarray, n: int) -> np.ndarray:
+    """The half spectrum of the n^d grid that holds the box half spectrum of
+    an odd grid and zeros elsewhere; downsample_spectrum undoes it."""
+    K = box.shape[-1] - 1
+    out = np.zeros((n,) * (box.ndim - 1) + (n // 2 + 1,), dtype=box.dtype)
+    if box.ndim == 1:
+        out[: K + 1] = box
+    else:
+        out[: K + 1, : K + 1] = box[: K + 1]
+        out[n - K :, : K + 1] = box[K + 1 :]
+    return out
 
 
 # -- cubic B-spline interpolation on periodic grids --------------------------
 
 
-def spline_coefficients(spec: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of the periodic cubic B-spline through the n^d table with
-    half spectrum spec, wrap-padded so the stencil (i0-1 .. i0+2) never wraps.
-    The exact prefilter divides the spectrum by the spline's symbol
-    prod_i (2 + cos(2 pi k_i/n))/3, which is at least 1/3, so the spline
-    reproduces the table at the nodes."""
-    d = spec.ndim
+@functools.lru_cache(maxsize=8)
+def spline_symbol(n: int, d: int) -> np.ndarray:
+    """The cubic B-spline's symbol prod_i (2 + cos(2 pi k_i/n))/3 on the
+    half-spectrum lattice, at least 3^-d (memoised, read-only)."""
     symbol = 1.0
     for k in freq_lattice(n, d):
         symbol = symbol * ((2.0 + np.cos(2.0 * np.pi * k / n)) / 3.0)
-    coeffs = inverse_transform(spec / symbol, n)
-    return np.pad(coeffs, [(1, 2)] * d, mode="wrap")
+    return _frozen(np.asarray(symbol))
+
+
+def spline_coefficients(spec: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the periodic cubic B-spline through the n^d table with
+    half spectrum spec, wrap-padded so the stencil (i0-1 .. i0+2) never wraps.
+    The exact prefilter divides the spectrum by the spline's symbol, so the
+    spline reproduces the table at the nodes."""
+    coeffs = inverse_transform(spec / spline_symbol(n, spec.ndim), n)
+    return np.pad(coeffs, [(1, 2)] * spec.ndim, mode="wrap")
 
 
 def _spline_weights(s: np.ndarray, n: int, value: bool, slope: bool):
@@ -237,3 +285,166 @@ def spline_gradient(coeffs: np.ndarray, prep) -> list:
     d, n, base, wts = prep
     return _stencil(coeffs, n, base, [[dw if ax == i else w for ax, (w, dw) in enumerate(wts)]
                                       for i in range(d)])
+
+
+# -- particle mesh: spread, spectral multipliers, gather ---------------------
+
+
+class Stencil:
+    """The grid points each particle touches on the periodic n^d grid: flat
+    indices and tensor-product weights, both (N, w^d), built from per-axis
+    indices and weights, each (N, w)."""
+
+    def __init__(self, n: int, index, weight):
+        self.n = n
+        self.d = len(index)
+        if self.d == 1:
+            self.index, self.weight = index[0], weight[0]
+        else:
+            N = index[0].shape[0]
+            self.index = ((index[0] * n)[:, :, None] + index[1][:, None, :]).reshape(N, -1)
+            self.weight = (weight[0][:, :, None] * weight[1][:, None, :]).reshape(N, -1)
+
+
+def _wrapped(points: np.ndarray, d: int) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != d:
+        raise ValueError(f"expected points with {d} components")
+    if np.any(pts < 0.0) or np.any(pts >= 1.0):
+        pts = np.mod(pts, 1.0)
+    return pts
+
+
+def spline_stencil(points, n: int, d: int) -> Stencil:
+    """Cubic B-spline stencil: nodes i0-1 .. i0+2 around each point with the
+    basis weights of spline_values, so a gather of spline coefficients is the
+    spline, and a spread is the transpose."""
+    pts = _wrapped(points, d)
+    index, weight = [], []
+    for ax in range(d):
+        u = pts[:, ax] * n
+        i0 = u.astype(np.int64)
+        index.append((i0[:, None] + np.arange(-1, 3)) % n)
+        weight.append(np.stack(_spline_weights(u - i0, n, True, False)[0], axis=-1))
+    return Stencil(n, index, weight)
+
+
+def _es_stencil(points: np.ndarray, n: int, d: int) -> Stencil:
+    """ES stencil: the ES_WIDTH nodes l with |l/n - x| <= ES_WIDTH/(2n) on
+    each axis, weighted by the kernel at z = 2(l - n x)/ES_WIDTH."""
+    pts = _wrapped(points, d)
+    offsets = np.arange(ES_WIDTH)
+    index, weight = [], []
+    for ax in range(d):
+        u = pts[:, ax] * n
+        lo = np.ceil(u - 0.5 * ES_WIDTH).astype(np.int64)
+        z = ((lo - u)[:, None] + offsets) * (2.0 / ES_WIDTH)
+        index.append((lo[:, None] + offsets) % n)
+        weight.append(np.exp(ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0)))
+    return Stencil(n, index, weight)
+
+
+def _es_transform(n: int, K: int) -> np.ndarray:
+    """Continuous Fourier transform at k = 0 .. K of the ES kernel spanning
+    ES_WIDTH points of the n grid, by Gauss-Legendre quadrature on its support."""
+    z, wq = np.polynomial.legendre.leggauss(4 * ES_WIDTH + 40)
+    phi = np.exp(ES_BETA * (np.sqrt(1.0 - z * z) - 1.0)) * wq
+    half = 0.5 * ES_WIDTH / n
+    return half * np.cos((2.0 * np.pi * half) * np.arange(K + 1)[:, None] * z) @ phi
+
+
+def spread(stencil: Stencil, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i times particle i's stencil weights, on the n^d grid."""
+    n, d = stencil.n, stencil.d
+    out = np.bincount(stencil.index.ravel(), (stencil.weight * weights[:, None]).ravel(),
+                      minlength=n**d)
+    return out.reshape((n,) * d)
+
+
+def gather(stencil: Stencil, grid: np.ndarray) -> np.ndarray:
+    """Per particle, the grid values at its stencil times its stencil weights,
+    summed: the exact transpose of spread."""
+    return np.einsum("ij,ij->i", grid.ravel().take(stencil.index), stencil.weight)
+
+
+def tail_cutoff(spec: np.ndarray, n: int) -> int:
+    """Cutoff K < n/2 of a half spectrum on the n^d lattice: the whole lattice
+    below Nyquist in 1-d; in 2-d the smallest K whose dropped modes
+    |k|_inf > K carry at most TAIL_TOL of the absolute sum (each last-axis
+    column counted with its mirror, as in inner)."""
+    d = spec.ndim
+    top = (n - 1) // 2
+    if d == 1:
+        return top
+    kinf = np.maximum(*(np.abs(k).astype(np.int64) for k in freq_lattice(n, d)))
+    mirror = np.full(spec.shape[-1], 2.0)
+    mirror[0] = 1.0
+    shells = np.bincount(kinf.ravel(), (np.abs(spec) * mirror).ravel())
+    tail = np.cumsum(shells[::-1])[::-1]  # tail[K] = sum over |k|_inf >= K
+    kept = np.nonzero(tail[1 : top + 2] <= TAIL_TOL * tail[0])[0]
+    return int(kept[0]) if kept.size else top
+
+
+def _fine_size(K: int) -> int:
+    """The smallest even 2^a 3^b 5^c of at least UPSAMPLING (2K + 1) points."""
+    n = UPSAMPLING * (2 * K + 1)
+    n += n % 2
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 2
+
+
+class ParticleMesh:
+    """Sums over particles of a trigonometric polynomial kernel with the modes
+    |k|_inf <= K, by the ES kernel on a fine grid of UPSAMPLING (2K + 1)
+    points or more per axis (NFFT fast summation, Potts & Steidl, SISC 2003).
+
+    The modes live in the box: the half spectrum of the (2K + 1)^d grid
+    (downsample_spectrum).  transform(stencil, a) is a spread of the weights
+    a, one forward transform and a crop to the box: psi_hat(k) times the
+    measure's coefficients sum_i a_i exp(-2 pi i k.X_i), with psi_hat the
+    kernel's transform.  crop(spec) divides a multiplier by psi_hat^2, so a
+    cropped multiplier times a transform is the coefficients of the kernel's
+    sum over the particles divided by psi_hat; values() and gradient() take
+    such coefficients, and each is one inverse transform on the fine grid and
+    one gather, the spread's transpose, which multiplies by psi_hat again.
+    Sums with an odd multiplier are then a quadratic form of an
+    antisymmetric operator, and cancel over the particles to roundoff.
+    """
+
+    def __init__(self, d: int, K: int):
+        self.d, self.K = d, K
+        self.box = 2 * K + 1
+        self.fine = _fine_size(K)
+        psi = _es_transform(self.fine, K)
+        self._deconv = 1.0
+        for k in freq_lattice(self.box, d):
+            self._deconv = self._deconv / psi[np.abs(k).astype(np.int64)] ** 2
+
+    def crop(self, spec: np.ndarray) -> np.ndarray:
+        """A multiplier on an even lattice, cropped to the box and divided by
+        psi_hat^2."""
+        return downsample_spectrum(spec, self.box) * self._deconv
+
+    def stencil(self, points) -> Stencil:
+        return _es_stencil(points, self.fine, self.d)
+
+    def transform(self, stencil: Stencil, weights: np.ndarray) -> np.ndarray:
+        """psi_hat times the coefficients of sum_i weights_i delta_{X_i} on the box."""
+        return downsample_spectrum(forward_transform(spread(stencil, weights)), self.box)
+
+    def values(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
+        """At each particle, the function whose coefficients are psi_hat times
+        coeffs, a box half spectrum."""
+        grid = inverse_transform(_embed(coeffs, self.fine), self.fine)
+        return gather(stencil, grid) * (1.0 / self.fine) ** self.d
+
+    def gradient(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
+        """(N, d): the gradient of the same function at each particle."""
+        return np.stack([self.values(stencil, g * coeffs)
+                         for g in grad_multipliers(self.box, self.d)], axis=-1)

@@ -46,9 +46,9 @@ _LP_PRODUCT_CAP = 250_000
 # atoms per side of the largest unequal-weight LP within the variable cap
 LP_ATOMS_PER_SIDE = math.isqrt(_LP_PRODUCT_CAP)
 
-# the circle search brackets the cut until at most this many breakpoints
-# (with multiplicity) are left, then evaluates the cost at each of them;
-# one golden step costs one evaluation and removes about 38 % of them
+# the circle search brackets the cut until at most this many distinct
+# breakpoints are left, then evaluates the cost at each of them; one golden
+# step costs one evaluation and removes about 38 % of them
 _BREAKPOINTS_LEFT = 16
 # cuts closer than this are one cut: breakpoints carry roundoff of order
 # eps, and a golden step on a wider bracket keeps both probes strictly inside
@@ -134,6 +134,7 @@ class _CircleProblem:
         self.A[-1] = 1.0
         self.B[-1] = 1.0
         self.m = self.y.size
+        self.repeat = min(self.A.size, self.m)
         self.yy = np.concatenate([self.y - 1.0, self.y, self.y + 1.0])
         self.BB = np.concatenate([self.B - 1.0, self.B, self.B + 1.0])
 
@@ -172,10 +173,23 @@ class _CircleProblem:
         hi = np.searchsorted(self.BB, self.A + b, side="right")
         return lo, hi
 
-    def count(self, a: float, b: float) -> int:
-        """Breakpoints in [a, b], counted with multiplicity."""
+    def few_left(self, a: float, b: float) -> bool:
+        """Whether at most _BREAKPOINTS_LEFT distinct breakpoints lie in [a, b].
+
+        Counting with multiplicity is cheap; the distinct ones are counted
+        (candidates) only once that count is at most _BREAKPOINTS_LEFT times
+        self.repeat, the mean multiplicity last measured: at first the most
+        one breakpoint can repeat, min(n, m), then the count over the
+        distinct number of the last bracket that had too many."""
         lo, hi = self._window(a, b)
-        return int((hi - lo).sum())
+        count = int((hi - lo).sum())
+        if count <= _BREAKPOINTS_LEFT:
+            return True
+        if count > _BREAKPOINTS_LEFT * self.repeat:
+            return False
+        distinct = self.candidates(a, b).size
+        self.repeat = count / distinct
+        return distinct <= _BREAKPOINTS_LEFT
 
     def candidates(self, a: float, b: float) -> np.ndarray:
         """The distinct breakpoints in [a, b]; for an empty bracket, which
@@ -200,10 +214,11 @@ def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     Returns (distance, TransportPlan).  The cut cost theta -> cost(theta) is
     convex and piecewise linear with breakpoints B_j - A_i + k, so a minimum
     sits at a breakpoint.  Golden section shrinks the bracket [-1, 1] until
-    at most _BREAKPOINTS_LEFT breakpoints (counted with multiplicity) remain
-    in it, or until it is roundoff-narrow; the cost is then evaluated at each
-    distinct breakpoint left, or at the two nearest ones outside an empty
-    bracket (a flat minimum).  No tolerance enters the result.
+    at most _BREAKPOINTS_LEFT distinct breakpoints remain in it (equal
+    weights repeat one breakpoint up to min(n, m) times), or until it is
+    roundoff-narrow; the cost is then evaluated at each distinct breakpoint
+    left, or at the two nearest ones outside an empty bracket (a flat
+    minimum).  No tolerance enters the result.
     """
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w2_circle_exact is one-dimensional only")
@@ -211,7 +226,7 @@ def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
     a, b = -1.0, 1.0
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = prob.cost(c), prob.cost(d)
-    while b - a > _THETA_ROUNDOFF and prob.count(a, b) > _BREAKPOINTS_LEFT:
+    while b - a > _THETA_ROUNDOFF and not prob.few_left(a, b):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

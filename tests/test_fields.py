@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from torusdpa import fields, spectral
+from torusdpa import spectral
 from torusdpa.fields import (
     B_eps,
     GridField,
@@ -21,6 +21,7 @@ from torusdpa.kernels import KernelTable, build_kernel_set, make_mollifier, sche
 from torusdpa.oracles import direct_convolve_table, direct_double_sum
 from torusdpa.particles import ParticleState, compute_forces, init_quantile
 from torusdpa.transport import DiscreteMeasure, w2_circle_exact
+from test_pde_local import count_transforms
 
 
 def sin_field(n=2048, amp=1.0, offset=0.0):
@@ -233,11 +234,11 @@ class TestKde:
         assert np.max(np.abs(np.roll(a.values, shift) - b.values)) < 1e-10
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_tiles_match_per_particle_sum(self, kset_1d, kset_2d, rng, monkeypatch, d):
-        # tiles of 7 grid nodes, the last one ragged, against a particle loop
+    def test_tiles_match_per_particle_sum(self, kset_1d, kset_2d, rng, d):
+        # the particle mesh against a loop over the particles of the
+        # interpolant's values (named for the tiled loop the mesh replaced)
         kset = kset_1d if d == 1 else kset_2d
         N, n = 5, 16
-        monkeypatch.setattr(fields, "TILE_POINTS", 7 * N)
         pos = rng.random((N, d))
         fld = kde_density(pos, kset.omega_tilde, n)
         x = np.arange(n) / n
@@ -245,6 +246,18 @@ class TestKde:
         table = kset.omega_tilde.table
         expected = sum(table.value_at(min_image(nodes, p)) for p in pos) / N
         assert np.max(np.abs(fld.values.ravel() - expected)) <= 1e-13 * np.max(expected)
+
+    def test_grid_must_divide_the_table(self, kset_1d):
+        with pytest.raises(ValueError, match="n = 1000 does not divide the kernel table size 4096"):
+            kde_density(np.array([[0.5]]), kset_1d.omega_tilde, 1000)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_two_transforms(self, kset_1d, kset_2d, rng, monkeypatch, d):
+        kset = kset_1d if d == 1 else kset_2d
+        kset.omega_tilde.spectrum  # the family's spectrum, transformed once
+        calls = count_transforms(monkeypatch)
+        kde_density(rng.random((9, d)), kset.omega_tilde, kset.n // 4)
+        assert len(calls) == 2
 
     def test_uniform_flatness(self, kset_1d, sched_1d):
         N = 1000

@@ -385,6 +385,23 @@ class TestCliSweeps:
             else:
                 H.particle_count_sweep(sc, n_list)
 
+    @pytest.mark.parametrize("mode", [["--eps", "0.2", "0.15", "0.1"],
+                                      ["--n-particles", "32", "64", "128"]])
+    def test_sweep_checks_kde_grid_before_any_run(self, tmp_path, monkeypatch, capsys, mode):
+        # grid.n = 384 does not divide the 1024-point kernel tables
+        def engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for owner, name in ((H, "_particles_to_T"), (PL, "run_local"), (PN, "run_nonlocal")):
+            monkeypatch.setattr(owner, name, engine)
+        cfg = self._sweep_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["grid"] = {"n": 384}
+        cfg.write_text(json.dumps(raw))
+        assert cli_main(["sweep", str(cfg), *mode, "--out", str(tmp_path / "out")]) == 1
+        assert ("kde grid n = 384 does not divide the kernel table size 1024"
+                in capsys.readouterr().err)
+
     def test_sweep_needs_mode(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)
         assert cli_main(["sweep", str(cfg)]) == 1

@@ -57,6 +57,31 @@ class TestMollifier:
             make_mollifier("compact-bump", 0.01, d=1, normalize_moment=False,
                            table_points=256)
 
+    @pytest.mark.parametrize("kind, d, target", [
+        ("truncated-gaussian", 2, 0.05 * 0.1**2),  # fig1-2d's omega
+        ("truncated-gaussian", 1, None),
+        ("compact-bump", 1, 0.02),
+    ])
+    def test_coordinates_sampled_once(self, monkeypatch, kind, d, target):
+        # the moment iteration samples the grid once, and the table is bit for
+        # bit the profile sampled afresh at the final width, so manifests do
+        # not move; each step's moment is KernelTable.second_moment's, exactly
+        from torusdpa import kernels
+
+        grids = []
+        monkeypatch.setattr(kernels, "_radial_grid",
+                            lambda *a, _f=kernels._radial_grid: grids.append(1) or _f(*a))
+        fam = make_mollifier(kind, 0.1, d, second_moment_target=target,
+                             table_points=512 if d == 2 else None)
+        assert len(grids) == 1
+        n = fam.table.n
+        xis = minimage_coords(n, d)
+        r2 = sum(xi * xi for xi in xis)
+        table, moment = kernels._build_mollifier_table(kind, fam.profile_width,
+                                                       (xis, r2, np.sqrt(r2)), 0.5 - 2.0 / n)
+        assert np.array_equal(table.values, fam.table.values)
+        assert moment == table.second_moment()[0]
+
     def test_natural_mode_records_moment(self):
         fam = make_mollifier("compact-bump", 0.25, d=1, normalize_moment=False)
         assert fam.profile_width == 0.25

@@ -13,13 +13,17 @@ import torusdpa.spectral as spectral
 from torusdpa.fields import GridField, periodic_convolve
 from torusdpa.kernels import KernelTable
 from torusdpa.spectral import (
+    ParticleMesh,
     face_grad_multipliers,
     forward_transform,
+    gather,
     grad_multipliers,
     gradient,
     inner,
     inverse_transform,
     k_squared,
+    spline_stencil,
+    spread,
 )
 
 grids = st.tuples(st.sampled_from([1, 2]), st.integers(3, 64), st.integers(0, 2**32 - 1))
@@ -119,6 +123,27 @@ def test_parseval(grid):
     want = float((f * g).sum()) / n**d
     got = inner(forward_transform(f), forward_transform(g), n)
     assert got == pytest.approx(want, abs=1e-12 * (1.0 + np.sqrt((f * f).sum() * (g * g).sum())))
+
+
+@PROPERTY
+@given(st.sampled_from(["es", "spline"]), st.sampled_from([1, 2]), st.integers(1, 60),
+       st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_gather_is_the_transpose_of_spread(kernel, d, N, size, seed):
+    # <spread(X, a), g> = <a, gather(X, g)>: the ES stencil of a mesh with
+    # K = size (fine grid of 2(2K + 1) points or more), or the B-spline
+    # stencil on a grid of size points (stencils may wrap onto themselves)
+    rng = np.random.default_rng(seed)
+    X = rng.random((N, d)) * 3.0 - 1.0  # wrapped by the stencils
+    if kernel == "es":
+        stencil = ParticleMesh(d, size).stencil(X)
+    else:
+        stencil = spline_stencil(X, size, d)
+    a = rng.standard_normal(N)
+    g = rng.standard_normal((stencil.n,) * d)
+    lhs = float((spread(stencil, a) * g).sum())
+    rhs = float(a @ gather(stencil, g))
+    scale = np.abs(stencil.weight).sum(axis=1) @ np.abs(a) * np.abs(g).max()
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_only_spectral_calls_the_fft():

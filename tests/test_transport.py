@@ -156,6 +156,37 @@ class TestCircle:
         w2_circle_exact(mu, nu)
         assert len(calls) <= 100
 
+    def test_equal_weight_twins_count_distinct_breakpoints(self, monkeypatch, rng):
+        # contraction twins: equal weights 1/128 repeat each breakpoint
+        # (j - i)/128 up to 128 times, so a count with multiplicity never
+        # falls to 16 before the bracket is roundoff-narrow; the distinct
+        # count stops the search early, at the same distance and plan
+        x = (np.arange(128) + 0.5) / 128
+        x = x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi)  # quantiles of a bumpy density
+        mu = uniform_measure(x[:, None])
+        nu = uniform_measure(x[:, None] + 1e-3 * rng.standard_normal((128, 1)))
+        calls = []
+        cost = T._CircleProblem.cost
+        monkeypatch.setattr(T._CircleProblem, "cost",
+                            lambda prob, theta: calls.append(theta) or cost(prob, theta))
+        w, plan = w2_circle_exact(mu, nu)
+        assert len(calls) <= 40
+        few_left = T._CircleProblem.few_left
+
+        def with_multiplicity(prob, a, b):  # repeat = 1: the count with multiplicity
+            prob.repeat = 1
+            return few_left(prob, a, b)
+
+        monkeypatch.setattr(T._CircleProblem, "few_left", with_multiplicity)
+        del calls[:]
+        w_ref, plan_ref = w2_circle_exact(mu, nu)
+        assert len(calls) > 40
+        assert w == w_ref
+        for got, ref in ((plan.rows, plan_ref.rows), (plan.cols, plan_ref.cols),
+                         (plan.weights, plan_ref.weights)):
+            assert np.array_equal(got, ref)
+        assert w == pytest.approx(w2_exact_lp(mu, nu)[0], abs=1e-10)
+
 
 class TestExactLP:
     def test_identity(self, rng):
