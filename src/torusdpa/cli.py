@@ -52,17 +52,22 @@ def _measure_from_file(path: str, max_atoms, exact: bool):
         return grid_to_measure(GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
     with open(p) as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         cols = {name: i for i, name in enumerate(header)}
-        if "particle_id" not in cols:
-            raise ValueError(f"{path}: expected a particle snapshot CSV or a .gf field")
+        axes = [c for c in header if c.startswith("x_")]
+        if "particle_id" not in cols or "t" not in cols or not axes:
+            raise ValueError(f"{path}: expected a particle snapshot CSV (columns particle_id, "
+                             "t, x_0, ...) or a .gf field")
         rows = list(reader)
-    times = sorted({float(r[cols["t"]]) for r in rows})
-    last = times[-1]
-    axes = [c for c in header if c.startswith("x_")]
-    pts = np.array(
-        [[float(r[cols[ax]]) for ax in axes] for r in rows if float(r[cols["t"]]) == last]
-    )
+    if not rows:
+        raise ValueError(f"{path}: particle snapshot CSV has no rows")
+    try:
+        last = max(float(r[cols["t"]]) for r in rows)
+        pts = np.array(
+            [[float(r[cols[ax]]) for ax in axes] for r in rows if float(r[cols["t"]]) == last]
+        )
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed particle row ({exc})") from None
     return DiscreteMeasure(pts)
 
 

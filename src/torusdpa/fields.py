@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSet, KernelTable, ParameterSchedule
+from .kernels import KernelFamily, KernelSet, ParameterSchedule
 from .spectral import (
     face_grad_multipliers,
     forward_transform,
@@ -95,10 +95,6 @@ class GridField:
             raise ValueError(f"density mass {self.mass():.12f} != declared {mass}")
 
 
-def _kernel_table(kernel) -> KernelTable:
-    return kernel.table if hasattr(kernel, "table") else kernel
-
-
 def _spectra_on(kernels: KernelSet, f: GridField) -> tuple:
     """The set's mollifier spectra, checked against the field's grid."""
     if (f.n, f.d) != (kernels.n, kernels.d):
@@ -107,11 +103,11 @@ def _spectra_on(kernels: KernelSet, f: GridField) -> tuple:
 
 
 def periodic_convolve(f: GridField, kernel) -> GridField:
-    """Circular convolution with a tabulated kernel via the DFT."""
-    table = _kernel_table(kernel)
-    if table.n != f.n or table.d != f.d:
+    """Circular convolution with a kernel (a KernelTable, KernelFamily or
+    ViscosityKernel) on the field's grid, by the kernel's spectrum."""
+    if (kernel.n, kernel.d) != (f.n, f.d):
         raise ValueError("periodic_convolve: grid mismatch")
-    return GridField(inverse_transform(forward_transform(f.values) * table.fourier(), f.n))
+    return GridField(inverse_transform(forward_transform(f.values) * kernel.spectrum, f.n))
 
 
 def B_eps(f: GridField, omega: KernelFamily, epsilon: float) -> GridField:
@@ -132,10 +128,9 @@ def dissipation_D_eps(f: GridField, omega, epsilon: float) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    table = _kernel_table(omega)
-    if table.n != f.n or table.d != f.d:
+    if (omega.n, omega.d) != (f.n, f.d):
         raise ValueError("dissipation_D_eps: grid mismatch")
-    ohat = table.fourier().real
+    ohat = omega.spectrum.real
     fhat = forward_transform(f.values)
     return 2.0 * inner((ohat.flat[0] - ohat) * fhat, fhat, f.n) / epsilon**2
 

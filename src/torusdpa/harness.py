@@ -153,6 +153,9 @@ def load_scenario(path_or_name) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError:
         raw = yaml.safe_load(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path_or_name}: a scenario file holds a mapping, "
+                         f"got {type(raw).__name__}")
     return Scenario.from_dict(raw)
 
 

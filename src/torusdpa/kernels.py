@@ -23,7 +23,12 @@ Three families are built here:
 Each table is interpolated by one periodic cubic B-spline (C^2), which gives
 both values and gradients, so a gradient is the exact derivative of the
 values; parity (even values, odd gradients) is enforced exactly by
-evaluating at |delta| and applying component signs.
+evaluating at |delta| and applying component signs.  The interpolant is a
+gather of the table's spline coefficients through the same B-spline stencil
+as the kernel density estimate (spectral.spline_stencil and
+spline_slope_stencils).  The particles read their kernels from the spectra,
+so the interpolant serves only stable_dt's gradient bound at m != 2
+(node_gradients), the CSV export and the tests.
 """
 
 from __future__ import annotations
@@ -40,14 +45,14 @@ from .spectral import (
     downsample_spectrum,
     forward_transform,
     freq_lattice,
+    gather,
     grad_multipliers,
     inverse_transform,
     k_squared,
     minimage_coords,
     spline_coefficients,
-    spline_gradient,
-    spline_prepare,
-    spline_values,
+    spline_slope_stencils,
+    spline_stencil,
     tail_cutoff,
 )
 
@@ -91,8 +96,9 @@ class KernelResolutionError(KernelError):
 class KernelTable:
     """A periodic kernel tabulated on a uniform n^d grid.  Values and gradients
     off the grid come from one interpolant, the periodic cubic B-spline through
-    the samples, whose padded coefficients are built on first use.  A table
-    made from a spectrum keeps that spectrum only until then."""
+    the samples, read through the spectral B-spline stencil; its coefficients
+    are built on first use.  A table made from a spectrum keeps that spectrum
+    only until then."""
 
     def __init__(self, values: np.ndarray, support_radius: Optional[float] = None):
         values = np.asarray(values, dtype=float)
@@ -112,7 +118,7 @@ class KernelTable:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Wrap-padded spline coefficients (spectral.spline_coefficients), cached."""
+        """Spline coefficients on the n^d grid (spectral.spline_coefficients), cached."""
         if self._coeffs is None:
             self._coeffs = spline_coefficients(self.spectrum, self.n)
             self._spectrum = None
@@ -163,37 +169,32 @@ class KernelTable:
     def value_at(self, points) -> np.ndarray:
         """The interpolant at |delta| per component: exactly even."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        prep = spline_prepare(np.abs(pts), self.n, self.d)
-        return spline_values(self.coefficients, prep)
+        return gather(spline_stencil(np.abs(pts), self.n, self.d), self.coefficients)
 
     def grad_at(self, points) -> np.ndarray:
         """The interpolant's gradient at |delta| with each component's sign
         applied: exactly odd, and the exact gradient of value_at."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        prep = spline_prepare(np.abs(pts), self.n, self.d, gradient=True)
-        return np.sign(pts) * np.stack(spline_gradient(self.coefficients, prep), axis=-1)
+        stencils = spline_slope_stencils(np.abs(pts), self.n, self.d)
+        return np.sign(pts) * np.stack([gather(s, self.coefficients) for s in stencils], axis=-1)
 
     def node_gradients(self) -> np.ndarray:
         """grad_at at the grid nodes, shape (n^d, d).  At a node the stencil
         is fixed, slope weights (-n/2, 0, n/2) on its axis and value weights
-        (1/6, 2/3, 1/6) on the other, so each component is a sum of shifted
+        (1/6, 2/3, 1/6) on the other, so each component is a sum of rolled
         coefficient arrays, read at the node |x| and signed as in grad_at."""
         n, d, c = self.n, self.d, self.coefficients
-
-        def shift(a, ax, lo):  # n entries from padded index lo on axis ax
-            return a[(slice(None),) * ax + (slice(lo, lo + n),)]
-
         mirror = np.ix_(*[np.minimum(np.arange(n), n - np.arange(n))] * d)
         sign = np.sign(minimage_coords(n, 1)[0])
         out = np.empty((d,) + (n,) * d)
         for ax in range(d):
-            g = shift(c, ax, 2) - shift(c, ax, 0)
+            g = np.roll(c, -1, axis=ax) - np.roll(c, 1, axis=ax)
             g *= 0.5 * n
             for other in range(d):
                 if other != ax:
-                    smooth = 4.0 * shift(g, other, 1)
-                    smooth += shift(g, other, 0)
-                    smooth += shift(g, other, 2)
+                    smooth = 4.0 * g
+                    smooth += np.roll(g, 1, axis=other)
+                    smooth += np.roll(g, -1, axis=other)
                     g = smooth
                     g /= 6.0
             np.multiply(sign.reshape((-1,) + (1,) * (d - 1 - ax)), g[mirror], out=out[ax])
@@ -278,6 +279,10 @@ class KernelFamily:
     moment_normalized: bool
     profile_width: float
     _spectrum: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.table.n
 
     @property
     def spectrum(self) -> np.ndarray:

@@ -3,9 +3,10 @@
 These deliberately share no convolution, interpolation, or transport code
 with the production modules: convolutions are adaptive quadrature of
 callables, gradients are Richardson-extrapolated central differences,
-tiny transport problems are exhaustive over assignments, and particle sums
+tiny transport problems are exhaustive over assignments, particle sums
 against a kernel spectrum are dense Fourier series over the kernel's lattice,
-with no mesh and no transform.  Never used on hot paths.
+with no mesh and no transform, and a table's periodic cubic spline is scipy's
+interpolating spline, built axis by axis.  Never used on hot paths.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import make_interp_spline
 
 __all__ = [
     "quad_convolve",
@@ -25,6 +27,7 @@ __all__ = [
     "direct_double_sum",
     "dense_fourier_sum",
     "dense_fourier_energy",
+    "periodic_spline",
 ]
 
 
@@ -187,3 +190,29 @@ def dense_fourier_energy(positions, spec, n) -> float:
     N = X.shape[0]
     _, _, coeffs, mirror = _dense_coefficients(X, spec, n, np.full(N, 1.0 / N))
     return 0.5 * float((mirror * np.broadcast_to(spec, coeffs.shape) * np.abs(coeffs) ** 2).sum())
+
+
+def periodic_spline(values, points, gradient=False) -> np.ndarray:
+    """The periodic cubic spline through the n^d table values (node j at j/n)
+    at points (N, d), or with gradient its gradient (N, d), by scipy's
+    make_interp_spline along the last axis and then, per point, along the
+    first (the tensor-product spline is separable)."""
+    X = np.atleast_2d(np.asarray(points, dtype=float)) % 1.0
+    n, d = np.shape(values)[0], np.ndim(values)
+    diag = np.arange(X.shape[0])
+
+    def spline(table, axis):  # periodic along axis, the table closed at x = 1
+        closed = np.concatenate([table, np.take(table, [0], axis=axis)], axis=axis)
+        return make_interp_spline(np.arange(n + 1) / n, closed, k=3, bc_type="periodic",
+                                  axis=axis)
+
+    def at(nu):  # the derivative of order nu[i] along axis i, per point
+        if d == 1:
+            return spline(values, 0)(X[:, 0], nu=nu[0])
+        # the rows at each point's second coordinate are (n, N); their spline
+        # along the first axis at the first coordinates is (N, N), point p at (p, p)
+        return spline(spline(values, 1)(X[:, 1], nu=nu[1]), 0)(X[:, 0], nu=nu[0])[diag, diag]
+
+    if not gradient:
+        return at((0, 0))
+    return np.stack([at(np.eye(2, dtype=int)[i]) for i in range(d)], axis=-1)

@@ -22,12 +22,15 @@ gather is the exact transpose of the spread (same stencil, same weights).  Two
 stencils serve it: the "exponential of semicircle" (ES) kernel of Barnett,
 Magland & af Klinteberg (SISC 2019) on a grid upsampled twice, for sums with
 a trigonometric-polynomial kernel (ParticleMesh), and the 4-point cubic
-B-spline stencil of the interpolation layer, for sums through a table's
-interpolant (the kernel density estimate).
+B-spline stencil, the package's one B-spline evaluator: a spread for sums
+through a table's interpolant (the kernel density estimate), and a gather of
+a table's spline coefficients for the interpolant itself and, with
+spline_slope_stencils, its gradient.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -45,11 +48,9 @@ __all__ = [
     "downsample_spectrum",
     "spline_symbol",
     "spline_coefficients",
-    "spline_prepare",
-    "spline_values",
-    "spline_gradient",
     "Stencil",
     "spline_stencil",
+    "spline_slope_stencils",
     "spread",
     "gather",
     "tail_cutoff",
@@ -193,101 +194,34 @@ def spline_symbol(n: int, d: int) -> np.ndarray:
 
 def spline_coefficients(spec: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of the periodic cubic B-spline through the n^d table with
-    half spectrum spec, wrap-padded so the stencil (i0-1 .. i0+2) never wraps.
-    The exact prefilter divides the spectrum by the spline's symbol, so the
-    spline reproduces the table at the nodes."""
-    coeffs = inverse_transform(spec / spline_symbol(n, spec.ndim), n)
-    return np.pad(coeffs, [(1, 2)] * spec.ndim, mode="wrap")
+    half spectrum spec.  The exact prefilter divides the spectrum by the
+    spline's symbol, so the spline reproduces the table at the nodes."""
+    return inverse_transform(spec / spline_symbol(n, spec.ndim), n)
 
 
-def _spline_weights(s: np.ndarray, n: int, value: bool, slope: bool):
-    """Weights of stencil nodes i0-1 .. i0+2 at cell fraction s: with value
-    the cubic B-spline basis ((1-s)^3, 3s^3 - 6s^2 + 4, -3s^3 + 3s^2 + 3s + 1,
-    s^3)/6, with slope its x-derivative n d/ds, each None otherwise.  Horner
-    chains in s keep fewer temporaries alive than shared powers, and run faster."""
-    w = dw = None
-    if value:
-        w = ((((-1.0 / 6.0) * s + 0.5) * s - 0.5) * s + 1.0 / 6.0,
-             (0.5 * s - 1.0) * s * s + 2.0 / 3.0,
-             ((-0.5 * s + 0.5) * s + 0.5) * s + 1.0 / 6.0,
-             s * s * s * (1.0 / 6.0))
-    if slope:
-        hn = 0.5 * n
-        dw = ((-hn * s + n) * s - hn, (1.5 * n * s - 2.0 * n) * s,
-              (-1.5 * n * s + n) * s + hn, hn * s * s)
-    return w, dw
-
-
-def spline_prepare(points: np.ndarray, n: int, d: int, gradient: bool = False):
-    """Stencil base indices and weights for a batch of points.
-
-    points: (..., d) array of torus coordinates (wrapped internally).  The
-    result is consumed by spline_values / spline_gradient together with
-    spline_coefficients of a table, so several tables on one grid share the
-    stencil cost; gradient=True also prepares the derivative weights.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != d:
-        raise ValueError(f"expected points with {d} components")
-    base = []
-    wts = []
-    for ax in range(d):
-        u = pts[..., ax]
-        if np.any(u < 0.0) or np.any(u >= 1.0):
-            u = np.mod(u, 1.0)
-        u = u * n
-        i0 = u.astype(np.int64)  # floor: u >= 0
-        # a 1-d gradient reads no value weights
-        wts.append(_spline_weights(u - i0, n, not gradient or d > 1, gradient))
-        base.append(i0)  # padded index of the leftmost stencil node
-    return (d, n, base, wts)
-
-
-def _stencil(coeffs: np.ndarray, n: int, base, weight_sets) -> list:
-    """For each weight set (one 4-tuple per axis), the sum over the 4^d
-    stencil of the coefficients times the product of their axes' weights;
-    each coefficient is gathered once for all the sets."""
-    flat = coeffs.ravel()
-    stride = n + 3
-    ix = base[0] if len(base) == 1 else base[0] * stride + base[1]
-    out = [None] * len(weight_sets)
-    for a in range(4 ** (len(base) - 1)):
-        row_ix = ix + a * stride if a else ix
-        c = flat.take(row_ix)
-        rows = [ws[-1][0] * c for ws in weight_sets]
-        for b in (1, 2, 3):
-            del c  # frees the last gather's buffer, still in cache, for the next
-            c = flat.take(row_ix + b)
-            for row, ws in zip(rows, weight_sets):
-                row += ws[-1][b] * c
-        for k, (row, ws) in enumerate(zip(rows, weight_sets)):
-            if len(base) == 2:
-                row *= ws[0][a]
-            if out[k] is None:
-                out[k] = row
-            else:
-                out[k] += row
-    return out
-
-
-def spline_values(coeffs: np.ndarray, prep) -> np.ndarray:
-    """The spline with padded coefficients coeffs at points prepared by
-    spline_prepare."""
-    d, n, base, wts = prep
-    return _stencil(coeffs, n, base, [[w for w, _ in wts]])[0]
-
-
-def spline_gradient(coeffs: np.ndarray, prep) -> list:
-    """Gradient components of the spline at points prepared by
-    spline_prepare(..., gradient=True).  Component i takes the derivative
-    weights on axis i and the value weights on the others, and one gather of
-    the stencil coefficients serves every component."""
-    d, n, base, wts = prep
-    return _stencil(coeffs, n, base, [[dw if ax == i else w for ax, (w, dw) in enumerate(wts)]
-                                      for i in range(d)])
+def _spline_weights(s: np.ndarray, n: int):
+    """Value and slope weights, each (N, 4), of stencil nodes i0-1 .. i0+2 at
+    cell fractions s: the cubic B-spline basis ((1-s)^3, 3s^3 - 6s^2 + 4,
+    -3s^3 + 3s^2 + 3s + 1, s^3)/6 and its x-derivative n d/ds.  Horner chains
+    in s keep fewer temporaries alive than shared powers, and run faster."""
+    hn = 0.5 * n
+    w = ((((-1.0 / 6.0) * s + 0.5) * s - 0.5) * s + 1.0 / 6.0,
+         (0.5 * s - 1.0) * s * s + 2.0 / 3.0,
+         ((-0.5 * s + 0.5) * s + 0.5) * s + 1.0 / 6.0,
+         s * s * s * (1.0 / 6.0))
+    dw = ((-hn * s + n) * s - hn, (1.5 * n * s - 2.0 * n) * s,
+          (-1.5 * n * s + n) * s + hn, hn * s * s)
+    return np.stack(w, axis=-1), np.stack(dw, axis=-1)
 
 
 # -- particle mesh: spread, spectral multipliers, gather ---------------------
+
+
+def _product(weight) -> np.ndarray:
+    """Tensor-product weights (N, w^d) of per-axis weights, each (N, w)."""
+    if len(weight) == 1:
+        return weight[0]
+    return (weight[0][:, :, None] * weight[1][:, None, :]).reshape(weight[0].shape[0], -1)
 
 
 class Stencil:
@@ -299,11 +233,17 @@ class Stencil:
         self.n = n
         self.d = len(index)
         if self.d == 1:
-            self.index, self.weight = index[0], weight[0]
+            self.index = index[0]
         else:
             N = index[0].shape[0]
             self.index = ((index[0] * n)[:, :, None] + index[1][:, None, :]).reshape(N, -1)
-            self.weight = (weight[0][:, :, None] * weight[1][:, None, :]).reshape(N, -1)
+        self.weight = _product(weight)
+
+    def reweighted(self, weight) -> "Stencil":
+        """The same grid points with other per-axis weights."""
+        out = copy.copy(self)
+        out.weight = _product(weight)
+        return out
 
 
 def _wrapped(points: np.ndarray, d: int) -> np.ndarray:
@@ -315,18 +255,35 @@ def _wrapped(points: np.ndarray, d: int) -> np.ndarray:
     return pts
 
 
-def spline_stencil(points, n: int, d: int) -> Stencil:
-    """Cubic B-spline stencil: nodes i0-1 .. i0+2 around each point with the
-    basis weights of spline_values, so a gather of spline coefficients is the
-    spline, and a spread is the transpose."""
+def _spline_axes(points, n: int, d: int):
+    """Per axis, the nodes i0-1 .. i0+2 around each point, (N, 4), and their
+    value and slope weights (_spline_weights)."""
     pts = _wrapped(points, d)
-    index, weight = [], []
+    index, weights = [], []
     for ax in range(d):
         u = pts[:, ax] * n
         i0 = u.astype(np.int64)
         index.append((i0[:, None] + np.arange(-1, 3)) % n)
-        weight.append(np.stack(_spline_weights(u - i0, n, True, False)[0], axis=-1))
-    return Stencil(n, index, weight)
+        weights.append(_spline_weights(u - i0, n))
+    return index, weights
+
+
+def spline_stencil(points, n: int, d: int) -> Stencil:
+    """Cubic B-spline stencil: nodes i0-1 .. i0+2 around each point with the
+    basis weights, so a gather of spline coefficients (spline_coefficients)
+    is the spline, and a spread is the transpose."""
+    index, weights = _spline_axes(points, n, d)
+    return Stencil(n, index, [w for w, _ in weights])
+
+
+def spline_slope_stencils(points, n: int, d: int) -> list:
+    """Per axis i, spline_stencil with the slope weights on axis i and the
+    value weights on the others, so a gather of spline coefficients is the
+    spline's i-th partial derivative.  The stencils share one index array."""
+    index, weights = _spline_axes(points, n, d)
+    stencil = Stencil(n, index, [w for w, _ in weights])
+    return [stencil.reweighted([dw if ax == i else w for ax, (w, dw) in enumerate(weights)])
+            for i in range(d)]
 
 
 def _es_stencil(points: np.ndarray, n: int, d: int) -> Stencil:

@@ -347,6 +347,18 @@ class TestVelocityField:
         half_pair = 0.5 * float((rho.values * urho).sum()) * rho.h**d
         assert rep.F_eps_alpha == pytest.approx(half_pair, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_free_energy_transform_count(self, velocity_grids, monkeypatch, d):
+        # rho forward, the smoothed field back and forward again (D_eps),
+        # R^(1/2) * rho back, and the velocity's 3 + d: omega's spectrum is
+        # the family's cached one, not a transform of its table
+        sched, kgrid, _, rho = velocity_grids[d]
+        assert sched.alpha > 0 and kgrid.viscosity is not None
+        free_energy(rho, sched, kgrid)  # the set's spectra are cached
+        calls = count_transforms(monkeypatch)
+        free_energy(rho, sched, kgrid)
+        assert len(calls) == 7 + d
+
     def test_constant_density(self, kset_1d, sched_1d):
         f = GridField.constant(1.0, kset_1d.n)
         v = velocity_field_nl(f, sched_1d, kset_1d)

@@ -280,6 +280,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integrator" in err and "Traceback" not in err
 
+    def test_yaml_list_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "list.yaml"
+        cfg.write_text("- engines\n- particles\n")
+        assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(cfg) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "particle_id,t,x_0\n",  # a header and no rows
+        "particle_id,x_0\n0,0.5\n",  # no t column
+        "",  # no header
+        "particle_id,t,x_0\n0,0.0\n",  # a short row
+        "particle_id,t,x_0\n0,0.0,half\n",  # a value that is not a number
+    ], ids=["no-rows", "no-t", "empty", "short-row", "not-a-number"])
+    def test_w2_malformed_particle_csv_exits_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        save_gridfield(GridField(np.ones(16)), tmp_path / "ok.gf")
+        assert cli_main(["w2", str(bad), str(tmp_path / "ok.gf")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err and "Traceback" not in err
+
     def test_default_schedule_names_the_derivation(self, tmp_path, capsys):
         # epsilon = 0.1 alone derives epsilon_tilde = 0.1^(1/7) = 0.72
         cfg = tmp_path / "eps.json"

@@ -19,7 +19,7 @@ from torusdpa.kernels import (
     make_viscosity_kernel,
     schedule_from_epsilon,
 )
-from torusdpa.oracles import bump_profile, quad_convolve
+from torusdpa.oracles import bump_profile, periodic_spline, quad_convolve
 from torusdpa.particles import ParticleState, stable_dt
 from torusdpa.spectral import forward_transform, k_squared, minimage_coords
 
@@ -138,6 +138,27 @@ class TestSplineInterpolant:
             fd = (table.value_at(pts + e) - table.value_at(pts - e)) / (2.0 * step)
             scale = n * np.max(np.abs(table.values))
             assert np.max(np.abs(got[:, ax] - fd)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("table_kind", ["random-8", "random-17", "random-32", "W"])
+    def test_matches_scipy_spline(self, kset_1d, kset_2d, d, table_kind):
+        # scipy's periodic interpolating spline shares no code with the
+        # B-spline stencil.  A random table is read at positive off-node
+        # points, where value_at and grad_at are the spline and its gradient
+        # unsigned; the even kernel table W at signed points checks the signs
+        rng = np.random.default_rng(d)
+        if table_kind == "W":
+            table = (kset_1d if d == 1 else kset_2d).W
+            pts = rng.uniform(-0.5, 0.5, (64, d))
+        else:
+            table = KernelTable(rng.standard_normal((int(table_kind[7:]),) * d))
+            pts = rng.uniform(0.001, 0.999, (64, d))
+        scale = np.max(np.abs(table.values))
+        got = table.value_at(pts)
+        assert np.max(np.abs(got - periodic_spline(table.values, pts))) <= 1e-13 * scale
+        got = table.grad_at(pts)
+        ref = periodic_spline(table.values, pts, gradient=True)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * table.n * scale
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_transform_counts(self, monkeypatch, d):
