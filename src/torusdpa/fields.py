@@ -300,13 +300,22 @@ def save_gridfield(f: GridField, path):
 
 
 def load_gridfield(path) -> GridField:
+    """Read a save_gridfield file, checking its header, its length (8 n^d
+    bytes of values after the header) and its declared mass."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a GridField file: {path}")
-        d, n, mass = struct.unpack("<iid", fh.read(16))
-        vals = np.frombuffer(fh.read(8 * n**d), dtype="<f8").reshape((n,) * d)
-        f = GridField(vals.copy())
-        if abs(f.mass() - mass) > 1e-10 + 1e-10 * abs(mass):
-            raise ValueError("GridField mass does not match header")
-        return f
+        data = fh.read()
+    if not data.startswith(_MAGIC):
+        raise ValueError(f"not a GridField file: {path}")
+    start = len(_MAGIC) + 16
+    if len(data) < start:
+        raise ValueError(f"{path}: GridField header cut short ({len(data)} of {start} bytes)")
+    d, n, mass = struct.unpack_from("<iid", data, len(_MAGIC))
+    if d not in (1, 2) or n < 1:
+        raise ValueError(f"{path}: GridField header gives d = {d}, n = {n}")
+    if len(data) - start != 8 * n**d:
+        raise ValueError(f"{path}: GridField body holds {len(data) - start} bytes, "
+                         f"not the {8 * n**d} of {n}^{d} values")
+    f = GridField(np.frombuffer(data, dtype="<f8", offset=start).reshape((n,) * d).copy())
+    if abs(f.mass() - mass) > 1e-10 + 1e-10 * abs(mass):
+        raise ValueError(f"{path}: GridField mass does not match header")
+    return f

@@ -105,18 +105,23 @@ class Scenario:
 
     def validate(self):
         c = self.config
+        for key, default in _DEFAULTS.items():
+            if isinstance(default, dict) and not isinstance(c[key], dict):
+                raise ValueError(f"{key!r} needs a mapping, got {c[key]!r}")
         if c["dimension"] not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if c["m"] <= 1:
             raise ValueError("m must exceed 1")
+        T = c["T"]
+        if not isinstance(T, (int, float)) or not T >= 0:
+            raise ValueError(f"T must be a nonnegative number, got {T!r}")
         for eng in c["engines"]:
             if eng not in ("particles", "nl-grid", "local-grid"):
                 raise ValueError(f"unknown engine {eng!r}")
-            block = {"particles": "integrator", "nl-grid": "pde_nonlocal",
-                     "local-grid": "pde_local"}[eng]
-            if not isinstance(c[block], dict):
-                raise ValueError(f"engine {eng} needs a mapping under {block!r}, "
-                                 f"got {c[block]!r}")
+        method = c["integrator"]["method"]
+        if method not in P.METHODS:
+            raise ValueError(f"unknown integrator method {method!r}; "
+                             f"choose one of {', '.join(P.METHODS)}")
         if "epsilon" not in c["schedule"]:
             raise ValueError("schedule needs at least epsilon")
 
@@ -130,14 +135,12 @@ class Scenario:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def schedule(self) -> ParameterSchedule:
-        s = dict(self.config["schedule"])
-        eps = s.pop("epsilon")
-        s.pop("c", None)
+        s = self.config["schedule"]
         return schedule_from_epsilon(
-            eps,
+            s["epsilon"],
             d=self.config["dimension"],
             m=self.config["m"],
-            c=self.config["schedule"].get("c", 1.0),
+            c=s.get("c", 1.0),
             epsilon_tilde=s.get("epsilon_tilde"),
             epsilon_star=s.get("epsilon_star"),
             alpha=s.get("alpha"),
@@ -172,7 +175,7 @@ def initial_density(scenario: Scenario) -> F.GridField:
     kind = spec["type"]
     x = np.arange(n) / n
     if kind == "uniform-plus-modes":
-        amps = spec.get("amplitudes", [0.5])
+        amps = spec["amplitudes"]
         if d == 1:
             vals = np.ones(n)
             for k, a in enumerate(amps, start=1):
@@ -222,23 +225,23 @@ def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
     c = scenario.config
     kc = c["kernels"]
     schedule = schedule or scenario.schedule()
-    coeff = float(kc.get("moment_coefficient", 2.0))
+    coeff = float(kc["moment_coefficient"])
     omega_target = None
-    normalize_omega = kc.get("omega_moment", "target") == "target"
+    normalize_omega = kc["omega_moment"] == "target"
     if normalize_omega:
         omega_target = coeff * schedule.epsilon**2
-    normalize_tilde = kc.get("tilde_moment", "natural") == "target"
+    normalize_tilde = kc["tilde_moment"] == "target"
     tilde_target = coeff * schedule.epsilon_tilde**2 if normalize_tilde else None
     need_visc = (not c["appendix_a_mode"]) and schedule.alpha > 0.0
     return build_kernel_set(
         schedule,
         kind=kc["kind"],
-        table_points=kc.get("table_points"),
+        table_points=kc["table_points"],
         omega_moment=omega_target,
         normalize_omega=normalize_omega,
         normalize_tilde=normalize_tilde,
         tilde_moment=tilde_target,
-        viscosity_k=float(kc.get("viscosity_k", 4.0)),
+        viscosity_k=float(kc["viscosity_k"]),
         with_viscosity=need_visc,
     )
 
@@ -248,15 +251,15 @@ def _local_config(scenario: Scenario, kernels: KernelSet) -> PL.LocalSolverConfi
     "auto" is matched to the omega moment convention."""
     c = scenario.config
     lc = c["pde_local"]
-    coeff = lc.get("biharmonic_coeff", "auto")
+    coeff = lc["biharmonic_coeff"]
     if coeff == "auto":
         coeff = 0.5 * float(kernels.omega.second_moment_target) / kernels.schedule.epsilon**2
     return PL.LocalSolverConfig(
         dt=float(lc["dt"]),
         m=c["m"],
         T=c["T"],
-        kappa=lc.get("kappa"),
-        C0=lc.get("C0"),
+        kappa=lc["kappa"],
+        C0=lc["C0"],
         biharmonic_coeff=float(coeff),
         energy_every=c["output"]["energy_every"],
     )
@@ -342,7 +345,7 @@ def _particle_dt(scenario, state, kernels):
     if integ["dt"] == "auto":
         return P.stable_dt(
             state, kernels, appendix_a=scenario.config["appendix_a_mode"]
-        ) * float(integ.get("dt_safety", 1.0))
+        ) * float(integ["dt_safety"])
     return float(integ["dt"])
 
 
@@ -358,7 +361,7 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
     with warnings.catch_warnings():
         # a dt_safety above 1 opts into exceeding the conservative step bound
         # (heun/rk4 stability reaches beyond it); silence the per-step warning
-        if float(c["integrator"].get("dt_safety", 1.0)) > 1.0:
+        if float(c["integrator"]["dt_safety"]) > 1.0:
             warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
         for k in range(1, nsteps + 1):
             state = P.step(state, kernels, dt, method=method, appendix_a=appendix_a)
@@ -381,15 +384,15 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     """Execute every configured engine; write artifacts and the manifest."""
     t_start = time.time()
     c = scenario.config
-    writer = _Writer(out_dir)
-    writer.json("config.json", c)
-    results = {}
     d = c["dimension"]
     rho0 = initial_density(scenario)
-    writer.gridfield("initial.gf", rho0)
     sched = scenario.schedule()
     kernels = build_scenario_kernels(scenario, sched)
-    results["kernels"] = kernels
+    results = {"kernels": kernels}
+    # nothing is written until the initial density and the kernels are built
+    writer = _Writer(out_dir)
+    writer.json("config.json", c)
+    writer.gridfield("initial.gf", rho0)
 
     if "particles" in c["engines"]:
         states, dt = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
@@ -413,7 +416,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
         results["particle_state"] = state
 
     if "nl-grid" in c["engines"]:
-        nus = c["pde_nonlocal"].get("nu", [0.0])
+        nus = c["pde_nonlocal"]["nu"]
         kgrid = kernels.at_resolution(rho0.n)
         run = PN.run_nonlocal(
             rho0,
@@ -514,7 +517,7 @@ def _check_sweep_w2(c, particle_counts=()):
 def _check_sweep_kde(c, rho0: F.GridField):
     """Fail before any run when the sweep's kde grid (the initial field's)
     does not divide the kernel table size (fields.check_kde_size)."""
-    F.check_kde_size(rho0.n, c["kernels"].get("table_points") or
+    F.check_kde_size(rho0.n, c["kernels"]["table_points"] or
                      DEFAULT_TABLE_POINTS[c["dimension"]])
 
 

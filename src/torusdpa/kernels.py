@@ -20,15 +20,13 @@ Three families are built here:
   the particle sums run on a spectral.ParticleMesh that holds the
   multipliers cropped to its box (KernelSet.particle_mesh).
 
-Each table is interpolated by one periodic cubic B-spline (C^2), which gives
-both values and gradients, so a gradient is the exact derivative of the
-values; parity (even values, odd gradients) is enforced exactly by
-evaluating at |delta| and applying component signs.  The interpolant is a
-gather of the table's spline coefficients through the same B-spline stencil
-as the kernel density estimate (spectral.spline_stencil and
-spline_slope_stencils).  The particles read their kernels from the spectra,
-so the interpolant serves only stable_dt's gradient bound at m != 2
-(node_gradients), the CSV export and the tests.
+A kernel is read only through its spectrum: the particle sums through the
+particle mesh's multipliers, the grid operators (fields.periodic_convolve)
+and the kernel density estimate (fields.kde_density) as multipliers, the
+step bounds through Hessians and gradients of the spectra, and the CSV
+export through the spectral node gradient (spectral.gradient).  A
+KernelTable holds the samples, for the moments and the export, and keeps the
+spectrum it was made from.
 """
 
 from __future__ import annotations
@@ -45,14 +43,11 @@ from .spectral import (
     downsample_spectrum,
     forward_transform,
     freq_lattice,
-    gather,
     grad_multipliers,
+    gradient,
     inverse_transform,
     k_squared,
     minimage_coords,
-    spline_coefficients,
-    spline_slope_stencils,
-    spline_stencil,
     tail_cutoff,
 )
 
@@ -94,11 +89,8 @@ class KernelResolutionError(KernelError):
 
 
 class KernelTable:
-    """A periodic kernel tabulated on a uniform n^d grid.  Values and gradients
-    off the grid come from one interpolant, the periodic cubic B-spline through
-    the samples, read through the spectral B-spline stencil; its coefficients
-    are built on first use.  A table made from a spectrum keeps that spectrum
-    only until then."""
+    """A periodic kernel tabulated on a uniform n^d grid; a table made from a
+    spectrum keeps it."""
 
     def __init__(self, values: np.ndarray, support_radius: Optional[float] = None):
         values = np.asarray(values, dtype=float)
@@ -107,22 +99,13 @@ class KernelTable:
         self.n = values.shape[0]
         self.h = 1.0 / self.n
         self.support_radius = support_radius
-        self._coeffs: Optional[np.ndarray] = None
         self._spectrum: Optional[np.ndarray] = None
 
     @property
     def spectrum(self) -> np.ndarray:
-        """The half spectrum the table was made from while it is held (until
-        the coefficients are built), else a forward transform of the values."""
+        """The half spectrum the table was made from, else a forward transform
+        of the values."""
         return self._spectrum if self._spectrum is not None else self.fourier()
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Spline coefficients on the n^d grid (spectral.spline_coefficients), cached."""
-        if self._coeffs is None:
-            self._coeffs = spline_coefficients(self.spectrum, self.n)
-            self._spectrum = None
-        return self._coeffs
 
     # -- integrals on the table ------------------------------------------
 
@@ -163,42 +146,6 @@ class KernelTable:
         table = cls(inverse_transform(spec, n))
         table._spectrum = spec
         return table
-
-    # -- point evaluation (exact parity) -----------------------------------
-
-    def value_at(self, points) -> np.ndarray:
-        """The interpolant at |delta| per component: exactly even."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return gather(spline_stencil(np.abs(pts), self.n, self.d), self.coefficients)
-
-    def grad_at(self, points) -> np.ndarray:
-        """The interpolant's gradient at |delta| with each component's sign
-        applied: exactly odd, and the exact gradient of value_at."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        stencils = spline_slope_stencils(np.abs(pts), self.n, self.d)
-        return np.sign(pts) * np.stack([gather(s, self.coefficients) for s in stencils], axis=-1)
-
-    def node_gradients(self) -> np.ndarray:
-        """grad_at at the grid nodes, shape (n^d, d).  At a node the stencil
-        is fixed, slope weights (-n/2, 0, n/2) on its axis and value weights
-        (1/6, 2/3, 1/6) on the other, so each component is a sum of rolled
-        coefficient arrays, read at the node |x| and signed as in grad_at."""
-        n, d, c = self.n, self.d, self.coefficients
-        mirror = np.ix_(*[np.minimum(np.arange(n), n - np.arange(n))] * d)
-        sign = np.sign(minimage_coords(n, 1)[0])
-        out = np.empty((d,) + (n,) * d)
-        for ax in range(d):
-            g = np.roll(c, -1, axis=ax) - np.roll(c, 1, axis=ax)
-            g *= 0.5 * n
-            for other in range(d):
-                if other != ax:
-                    smooth = 4.0 * g
-                    smooth += np.roll(g, 1, axis=other)
-                    smooth += np.roll(g, -1, axis=other)
-                    g = smooth
-                    g /= 6.0
-            np.multiply(sign.reshape((-1,) + (1,) * (d - 1 - ax)), g[mirror], out=out[ax])
-        return out.reshape(d, -1).T
 
 
 def hessian_eigs(spec: np.ndarray, n: int):
@@ -668,7 +615,7 @@ class KernelSet:
         return self.multiplier(W=1.0, smooth2=-2.0, viscosity=eps_star)
 
     def pair_kernel(self, include_viscosity: bool = True) -> KernelTable:
-        """The table of pair_spectrum; its interpolant reads the same spectrum."""
+        """The table of pair_spectrum, which it keeps."""
         key = bool(include_viscosity)
         if key not in self._pairs:
             self._pairs[key] = KernelTable.from_spectrum(self.pair_spectrum(key), self.n)
@@ -776,12 +723,13 @@ def lambda_convexity_constant(
 
 def export_kernel_csv(kernel, path):
     """Write a kernel table as CSV: coordinates, value, and the gradient
-    components of the table's interpolant at the nodes."""
+    components at the nodes of the trigonometric interpolant of the kernel's
+    spectrum (spectral.gradient), the spectrum periodic_convolve reads."""
     table = kernel.table if hasattr(kernel, "table") else kernel
     xis = minimage_coords(table.n, table.d)
     cols = [xi.ravel() for xi in xis]
     cols.append(table.values.ravel())
-    cols.extend(table.node_gradients().T)
+    cols.extend(g.ravel() for g in gradient(kernel.spectrum, table.n))
     header = (
         [f"x{i + 1}" for i in range(table.d)]
         + ["value"]

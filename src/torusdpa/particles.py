@@ -30,7 +30,7 @@ import numpy as np
 from .fields import GridField
 from .geometry import wrap
 from .kernels import KernelSet, ParameterSchedule, hessian_inf_norm
-from .spectral import inner
+from .spectral import gradient, inner
 
 __all__ = [
     "ParticleState",
@@ -42,7 +42,12 @@ __all__ = [
     "fixed_steps",
     "discrete_energy",
     "momentum",
+    "METHODS",
 ]
+
+# the explicit integrators of step, in order of stages
+METHODS = ("euler", "heun", "rk4")
+
 
 @dataclass
 class ParticleState:
@@ -236,9 +241,8 @@ def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False
         if m == 2.0:
             L += 2.0 * hessian_inf_norm(kernels.multiplier(smooth2=1.0), n)
         else:
-            tt = kernels.omega_tilde.table
-            rho_max = float(tt.values.max())
-            grad_max = float(np.max(np.abs(tt.node_gradients())))
+            rho_max = float(kernels.omega_tilde.table.values.max())
+            grad_max = max(float(np.max(np.abs(g))) for g in gradient(kernels.spectra[1], n))
             L += (m / (m - 1.0)) * (
                 hessian_inf_norm(kernels.spectra[1], n) * rho_max ** (m - 1.0)
                 + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
@@ -289,7 +293,9 @@ def step(
     method: str = "rk4",
     appendix_a: bool = False,
 ) -> ParticleState:
-    """Advance one explicit step (euler, heun, or rk4) and wrap to the torus."""
+    """Advance one explicit step (one of METHODS) and wrap to the torus."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt_max = stable_dt(state, kernels, appendix_a=appendix_a)
@@ -309,14 +315,12 @@ def step(
         k1 = rhs(X)
         k2 = rhs(wrap(X + dt * k1))
         Xn = X + 0.5 * dt * (k1 + k2)
-    elif method == "rk4":
+    else:  # rk4
         k1 = rhs(X)
         k2 = rhs(wrap(X + 0.5 * dt * k1))
         k3 = rhs(wrap(X + 0.5 * dt * k2))
         k4 = rhs(wrap(X + dt * k3))
         Xn = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return ParticleState(
         positions=wrap(Xn), time=state.time + dt, schedule=state.schedule, meta=flags
     )

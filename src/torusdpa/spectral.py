@@ -1,5 +1,5 @@
-"""Shared periodic-grid machinery: the real-FFT spectral layer, cubic
-B-spline interpolation, and the particle mesh that evaluates particle sums.
+"""Shared periodic-grid machinery: the real-FFT spectral layer and the
+particle mesh that evaluates particle sums.
 
 Grid convention: n nodes per axis at x_j = j/n, j = 0..n-1, spacing h = 1/n,
 representing cells centered at the nodes.
@@ -22,15 +22,13 @@ gather is the exact transpose of the spread (same stencil, same weights).  Two
 stencils serve it: the "exponential of semicircle" (ES) kernel of Barnett,
 Magland & af Klinteberg (SISC 2019) on a grid upsampled twice, for sums with
 a trigonometric-polynomial kernel (ParticleMesh), and the 4-point cubic
-B-spline stencil, the package's one B-spline evaluator: a spread for sums
-through a table's interpolant (the kernel density estimate), and a gather of
-a table's spline coefficients for the interpolant itself and, with
-spline_slope_stencils, its gradient.
+B-spline stencil on a table's own lattice, for sums of the cubic B-spline
+through a kernel table (the kernel density estimate), whose spline
+coefficients are the table's spectrum over the spline symbol.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 
 import numpy as np
@@ -47,10 +45,8 @@ __all__ = [
     "inner",
     "downsample_spectrum",
     "spline_symbol",
-    "spline_coefficients",
     "Stencil",
     "spline_stencil",
-    "spline_slope_stencils",
     "spread",
     "gather",
     "tail_cutoff",
@@ -179,7 +175,7 @@ def _embed(box: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# -- cubic B-spline interpolation on periodic grids --------------------------
+# -- the cubic B-spline on periodic grids ------------------------------------
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,26 +188,16 @@ def spline_symbol(n: int, d: int) -> np.ndarray:
     return _frozen(np.asarray(symbol))
 
 
-def spline_coefficients(spec: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of the periodic cubic B-spline through the n^d table with
-    half spectrum spec.  The exact prefilter divides the spectrum by the
-    spline's symbol, so the spline reproduces the table at the nodes."""
-    return inverse_transform(spec / spline_symbol(n, spec.ndim), n)
-
-
-def _spline_weights(s: np.ndarray, n: int):
-    """Value and slope weights, each (N, 4), of stencil nodes i0-1 .. i0+2 at
-    cell fractions s: the cubic B-spline basis ((1-s)^3, 3s^3 - 6s^2 + 4,
-    -3s^3 + 3s^2 + 3s + 1, s^3)/6 and its x-derivative n d/ds.  Horner chains
-    in s keep fewer temporaries alive than shared powers, and run faster."""
-    hn = 0.5 * n
+def _spline_weights(s: np.ndarray) -> np.ndarray:
+    """Weights (N, 4) of stencil nodes i0-1 .. i0+2 at cell fractions s: the
+    cubic B-spline basis ((1-s)^3, 3s^3 - 6s^2 + 4, -3s^3 + 3s^2 + 3s + 1,
+    s^3)/6.  Horner chains in s keep fewer temporaries alive than shared
+    powers, and run faster."""
     w = ((((-1.0 / 6.0) * s + 0.5) * s - 0.5) * s + 1.0 / 6.0,
          (0.5 * s - 1.0) * s * s + 2.0 / 3.0,
          ((-0.5 * s + 0.5) * s + 0.5) * s + 1.0 / 6.0,
          s * s * s * (1.0 / 6.0))
-    dw = ((-hn * s + n) * s - hn, (1.5 * n * s - 2.0 * n) * s,
-          (-1.5 * n * s + n) * s + hn, hn * s * s)
-    return np.stack(w, axis=-1), np.stack(dw, axis=-1)
+    return np.stack(w, axis=-1)
 
 
 # -- particle mesh: spread, spectral multipliers, gather ---------------------
@@ -239,12 +225,6 @@ class Stencil:
             self.index = ((index[0] * n)[:, :, None] + index[1][:, None, :]).reshape(N, -1)
         self.weight = _product(weight)
 
-    def reweighted(self, weight) -> "Stencil":
-        """The same grid points with other per-axis weights."""
-        out = copy.copy(self)
-        out.weight = _product(weight)
-        return out
-
 
 def _wrapped(points: np.ndarray, d: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -255,35 +235,18 @@ def _wrapped(points: np.ndarray, d: int) -> np.ndarray:
     return pts
 
 
-def _spline_axes(points, n: int, d: int):
-    """Per axis, the nodes i0-1 .. i0+2 around each point, (N, 4), and their
-    value and slope weights (_spline_weights)."""
+def spline_stencil(points, n: int, d: int) -> Stencil:
+    """Cubic B-spline stencil: nodes i0-1 .. i0+2 around each point with the
+    basis weights, so a gather of spline coefficients is the spline, and a
+    spread is the transpose."""
     pts = _wrapped(points, d)
-    index, weights = [], []
+    index, weight = [], []
     for ax in range(d):
         u = pts[:, ax] * n
         i0 = u.astype(np.int64)
         index.append((i0[:, None] + np.arange(-1, 3)) % n)
-        weights.append(_spline_weights(u - i0, n))
-    return index, weights
-
-
-def spline_stencil(points, n: int, d: int) -> Stencil:
-    """Cubic B-spline stencil: nodes i0-1 .. i0+2 around each point with the
-    basis weights, so a gather of spline coefficients (spline_coefficients)
-    is the spline, and a spread is the transpose."""
-    index, weights = _spline_axes(points, n, d)
-    return Stencil(n, index, [w for w, _ in weights])
-
-
-def spline_slope_stencils(points, n: int, d: int) -> list:
-    """Per axis i, spline_stencil with the slope weights on axis i and the
-    value weights on the others, so a gather of spline coefficients is the
-    spline's i-th partial derivative.  The stencils share one index array."""
-    index, weights = _spline_axes(points, n, d)
-    stencil = Stencil(n, index, [w for w, _ in weights])
-    return [stencil.reweighted([dw if ax == i else w for ax, (w, dw) in enumerate(weights)])
-            for i in range(d)]
+        weight.append(_spline_weights(u - i0))
+    return Stencil(n, index, weight)
 
 
 def _es_stencil(points: np.ndarray, n: int, d: int) -> Stencil:

@@ -18,7 +18,7 @@ from torusdpa.fields import (
 )
 from torusdpa.geometry import min_image
 from torusdpa.kernels import KernelTable, build_kernel_set, make_mollifier, schedule_from_epsilon
-from torusdpa.oracles import direct_convolve_table, direct_double_sum
+from torusdpa.oracles import direct_convolve_table, direct_double_sum, periodic_spline
 from torusdpa.particles import ParticleState, compute_forces, init_quantile
 from torusdpa.transport import DiscreteMeasure, w2_circle_exact
 from test_pde_local import count_transforms
@@ -218,8 +218,7 @@ class TestKde:
         n = kset_1d.n
         st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
         fld = kde_density(st, kset_1d.omega_tilde, n)
-        x = np.arange(n) / n
-        expected = kset_1d.omega_tilde.table.value_at((x - 0.5)[:, None])
+        expected = np.roll(kset_1d.omega_tilde.table.values, n // 2)
         assert np.max(np.abs(fld.values - expected)) < 1e-12
         assert fld.mass() == pytest.approx(1.0, abs=1e-8)
 
@@ -235,8 +234,9 @@ class TestKde:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_tiles_match_per_particle_sum(self, kset_1d, kset_2d, rng, d):
-        # the particle mesh against a loop over the particles of the
-        # interpolant's values (named for the tiled loop the mesh replaced)
+        # the B-spline spread against a loop over the particles of scipy's
+        # periodic spline through the table (named for the tiled loop the
+        # spread replaced)
         kset = kset_1d if d == 1 else kset_2d
         N, n = 5, 16
         pos = rng.random((N, d))
@@ -244,7 +244,7 @@ class TestKde:
         x = np.arange(n) / n
         nodes = np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
         table = kset.omega_tilde.table
-        expected = sum(table.value_at(min_image(nodes, p)) for p in pos) / N
+        expected = sum(periodic_spline(table.values, min_image(nodes, p)) for p in pos) / N
         assert np.max(np.abs(fld.values.ravel() - expected)) <= 1e-13 * np.max(expected)
 
     def test_grid_must_divide_the_table(self, kset_1d):

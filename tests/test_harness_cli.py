@@ -280,6 +280,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integrator" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"grid": 5}, "grid"),
+        ({"schedule": 0.1}, "schedule"),
+        ({"T": -1}, "T"),
+        ({"integrator": {"method": "rk5"}}, "rk5"),
+    ], ids=["grid-not-a-mapping", "schedule-not-a-mapping", "negative-T", "unknown-method"])
+    def test_bad_scenario_exits_1_before_any_file(self, tmp_path, capsys, raw, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("cut", [9, 20, -8], ids=["magic-only", "short-header", "short-body"])
+    def test_truncated_gridfield_exits_1(self, tmp_path, capsys, cut):
+        good = tmp_path / "good.gf"
+        save_gridfield(GridField(np.ones(16)), good)
+        bad = tmp_path / "bad.gf"
+        bad.write_bytes(good.read_bytes()[:cut])
+        assert cli_main(["w2", str(bad), str(good)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err and "Traceback" not in err
+        cfg = tmp_path / "from_file.json"
+        cfg.write_text(json.dumps({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25},
+                                   "initial": {"type": "file", "path": str(bad)}}))
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_yaml_list_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "list.yaml"
         cfg.write_text("- engines\n- particles\n")

@@ -1,17 +1,13 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from test_pde_local import count_transforms
 from torusdpa.kernels import (
     KernelEmbedError,
     KernelResolutionError,
-    KernelTable,
     build_kernel_set,
     export_kernel_csv,
     lambda_convexity_constant,
@@ -21,7 +17,7 @@ from torusdpa.kernels import (
 )
 from torusdpa.oracles import bump_profile, periodic_spline, quad_convolve
 from torusdpa.particles import ParticleState, stable_dt
-from torusdpa.spectral import forward_transform, k_squared, minimage_coords
+from torusdpa.spectral import gradient, k_squared, minimage_coords
 
 
 class TestMollifier:
@@ -91,12 +87,6 @@ class TestMollifier:
 
 
 class TestEvalGrad:
-    def test_zero_at_origin_and_odd(self, kset_1d):
-        t = kset_1d.W
-        assert np.all(t.grad_at([[0.0]]) == 0.0)
-        pts = np.array([[0.13], [0.31], [-0.22]])
-        assert np.array_equal(t.grad_at(pts), -t.grad_at(-pts))
-
     def test_matches_analytic_gaussian(self):
         fam = make_mollifier("truncated-gaussian", 0.05, d=1)
         sig = fam.profile_width
@@ -110,95 +100,9 @@ class TestEvalGrad:
         expected = np.where(
             np.abs(r) <= cut, -r / sig**2 * np.exp(-0.5 * r * r / sig**2) / Z, 0.0
         )
-        got = fam.table.grad_at(pts)[:, 0]
+        got = periodic_spline(fam.table.values, pts, gradient=True)[:, 0]
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) / scale < 1e-4
-
-
-class TestSplineInterpolant:
-    def test_reproduces_table_at_nodes(self, kset_1d, kset_2d):
-        for table in (kset_1d.W, kset_1d.omega.table, kset_2d.pair_kernel(), kset_2d.W):
-            xis = minimage_coords(table.n, table.d)
-            nodes = np.stack([xi.ravel() for xi in xis], axis=-1)
-            got = table.value_at(nodes).reshape(table.values.shape)
-            assert np.max(np.abs(got - table.values)) <= 1e-13 * np.max(np.abs(table.values))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([1, 2]), st.integers(8, 48), st.integers(0, 2**32 - 1))
-    def test_gradient_is_derivative_of_values(self, d, n, seed):
-        # any table, any point off the parity kinks at 0 (|x_i| >= 0.01)
-        rng = np.random.default_rng(seed)
-        table = KernelTable(rng.standard_normal((n,) * d))
-        pts = rng.uniform(0.01, 0.99, (16, d)) * rng.choice([-1.0, 1.0], (16, d))
-        step = 1e-6 / n
-        got = table.grad_at(pts)
-        for ax in range(d):
-            e = np.zeros(d)
-            e[ax] = step
-            fd = (table.value_at(pts + e) - table.value_at(pts - e)) / (2.0 * step)
-            scale = n * np.max(np.abs(table.values))
-            assert np.max(np.abs(got[:, ax] - fd)) <= 1e-6 * scale
-
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("table_kind", ["random-8", "random-17", "random-32", "W"])
-    def test_matches_scipy_spline(self, kset_1d, kset_2d, d, table_kind):
-        # scipy's periodic interpolating spline shares no code with the
-        # B-spline stencil.  A random table is read at positive off-node
-        # points, where value_at and grad_at are the spline and its gradient
-        # unsigned; the even kernel table W at signed points checks the signs
-        rng = np.random.default_rng(d)
-        if table_kind == "W":
-            table = (kset_1d if d == 1 else kset_2d).W
-            pts = rng.uniform(-0.5, 0.5, (64, d))
-        else:
-            table = KernelTable(rng.standard_normal((int(table_kind[7:]),) * d))
-            pts = rng.uniform(0.001, 0.999, (64, d))
-        scale = np.max(np.abs(table.values))
-        got = table.value_at(pts)
-        assert np.max(np.abs(got - periodic_spline(table.values, pts))) <= 1e-13 * scale
-        got = table.grad_at(pts)
-        ref = periodic_spline(table.values, pts, gradient=True)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * table.n * scale
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_transform_counts(self, monkeypatch, d):
-        # a composed table is one inverse transform, and its interpolant's
-        # coefficients are built once, on first use, from the same spectrum
-        # (one transform); a table of values needs a forward transform too
-        rng = np.random.default_rng(d)
-        spec = forward_transform(rng.standard_normal((32,) * d))
-        calls = count_transforms(monkeypatch)
-        table = KernelTable.from_spectrum(spec, 32)
-        assert len(calls) == 1
-        pts = rng.random((5, d))
-        table.value_at(pts)
-        assert len(calls) == 2
-        table.grad_at(pts)
-        table.value_at(pts)
-        export_kernel_csv(table, io.StringIO())
-        assert len(calls) == 2
-        KernelTable(table.values).value_at(pts)
-        assert len(calls) == 4
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_node_gradients_are_grad_at_the_nodes(self, kset_1d, kset_2d, d):
-        table = (kset_1d if d == 1 else kset_2d).omega_tilde.table
-        nodes = np.stack([xi.ravel() for xi in minimage_coords(table.n, d)], axis=-1)
-        ref = table.grad_at(nodes)
-        got = table.node_gradients()
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_node_gradients_memory(self, kset_2d):
-        table = kset_2d.omega_tilde.table
-        table.coefficients  # built before measuring
-        tracemalloc.start()
-        try:
-            got = table.node_gradients()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * got.nbytes
 
 
 class TestSpectralSet:
@@ -206,15 +110,15 @@ class TestSpectralSet:
 
     def test_set_build_transform_count(self, monkeypatch):
         # 2 mollifier spectra, 3 x 3 Hessian transforms (W, ot*ot, R) for
-        # stable_dt, 1 + 1 for the U table and its coefficients, 3 for lambda
+        # stable_dt, 1 for the U table, 3 for lambda
         sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
                                       alpha=0.1)
         calls = count_transforms(monkeypatch)
         kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128)
         stable_dt(ParticleState(np.array([[0.5, 0.5]]), schedule=sched), kset)
-        kset.pair_kernel().coefficients
+        kset.pair_kernel()
         lambda_convexity_constant(kset)
-        assert len(calls) == 16
+        assert len(calls) == 15
 
     def test_coarse_grid_crops_the_spectra(self, kset_2d):
         # 64 points give 6.4 samples across alpha = 0.1: too few to tabulate
@@ -257,7 +161,8 @@ class TestViscosity:
 class TestComposition:
     def test_gradient_zero_and_mass(self, kset_1d):
         W = kset_1d.W
-        assert np.all(W.grad_at([[0.0]]) == 0.0)
+        grad = gradient(W.spectrum, W.n)[0]
+        assert abs(grad[0]) <= 1e-13 * np.max(np.abs(grad))
         assert abs(W.mass()) <= 1e-8
 
     def test_against_nested_quadrature(self, kset_1d_bump):
@@ -283,7 +188,7 @@ class TestComposition:
         x0 = 0.1
         wA = quad(lambda y: omega_n(y) * A(x0 - y), 0, 1, epsabs=1e-11, limit=400)[0]
         expected = (A(x0) - wA) / eps**2
-        got = float(kset.W.value_at([[x0]])[0])
+        got = float(periodic_spline(kset.W.values, [[x0]])[0])
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_associativity(self, kset_1d):
@@ -372,10 +277,24 @@ def test_resample_preserves_moments(kset_1d):
 
 
 def test_kernel_csv_export(tmp_path, kset_1d):
-    from torusdpa.kernels import export_kernel_csv
-
     path = tmp_path / "omega.csv"
     export_kernel_csv(kset_1d.omega, path)
     head = path.read_text().splitlines()
     assert head[0] == "x1,value,grad1"
     assert len(head) == kset_1d.n + 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_csv_gradients_are_spectral(kset_1d, kset_2d, monkeypatch, d):
+    # the gradient columns are the spectral node gradients of the family's
+    # cached spectrum: d inverse transforms and no forward transform
+    fam = (kset_1d if d == 1 else kset_2d).omega_tilde
+    fam.spectrum
+    calls = count_transforms(monkeypatch)
+    buf = io.StringIO()
+    export_kernel_csv(fam, buf)
+    assert len(calls) == d
+    monkeypatch.undo()
+    data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
+    for ax, grad in enumerate(gradient(fam.spectrum, fam.n)):
+        assert np.array_equal(data[:, d + 1 + ax], grad.ravel())

@@ -25,6 +25,7 @@ from torusdpa.particles import (
     stable_dt,
     step,
 )
+from torusdpa.spectral import gradient
 from test_pde_local import count_transforms
 
 # two particles of kset_1d: their velocities (about 21 in size) scale the
@@ -153,7 +154,7 @@ class TestEnergy:
     def test_single_particle_value(self, kset_1d, sched_1d):
         st = ParticleState(np.array([[0.2]]), schedule=sched_1d)
         U = kset_1d.pair_kernel(include_viscosity=True)
-        expected = 0.5 * float(U.value_at([[0.0]])[0])
+        expected = 0.5 * float(U.values[0])
         assert discrete_energy(st, kset_1d) == pytest.approx(expected, rel=1e-12)
 
     def test_translation_invariance(self, kset_1d, sched_1d, rng):
@@ -321,6 +322,26 @@ class TestStableDt:
         fd = (np.roll(W.values, -1) - 2.0 * W.values + np.roll(W.values, 1)) / h**2
         hess = hessian_inf_norm(kset_1d.multiplier(W=1.0), kset_1d.n)
         assert hess == pytest.approx(np.max(np.abs(fd)), rel=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_general_m_gradient_bound(self, kset_1d, kset_2d, d):
+        # at m != 2 the bound takes max |grad ot| from ot's spectrum; it is
+        # within 1 % of central differences of the table
+        kset = kset_1d if d == 1 else kset_2d
+        n, m = kset.n, 3.0
+        values = kset.omega_tilde.table.values
+        fd = 0.5 * n * max(np.max(np.abs(np.roll(values, -1, ax) - np.roll(values, 1, ax)))
+                           for ax in range(d))
+        grad_max = max(np.max(np.abs(g)) for g in gradient(kset.spectra[1], n))
+        assert grad_max == pytest.approx(fd, rel=0.01)
+        sched = dataclasses.replace(kset.schedule, m=m)
+        rho_max = values.max()
+        L = (hessian_inf_norm(kset.multiplier(W=1.0), n)
+             + m / (m - 1.0) * (hessian_inf_norm(kset.spectra[1], n) * rho_max ** (m - 1.0)
+                                + (m - 1.0) * rho_max ** (m - 2.0) * grad_max**2)
+             + sched.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))
+        st = ParticleState(np.full((1, d), 0.5), schedule=sched)
+        assert stable_dt(st, kset) == pytest.approx(0.5 / L, rel=1e-12)
 
 
 def test_energy_dissipation_rk4(kset_1d, sched_1d, rng):

@@ -148,7 +148,8 @@ def test_gather_is_the_transpose_of_spread(kernel, d, N, size, seed):
 
 def test_only_spectral_calls_the_fft():
     # the transform counters (count_transforms, the benchmark's tracer) patch
-    # np.fft, so they are exact only while spectral.py is its one caller
+    # np.fft, so they are exact only while spectral.py is its one caller; the
+    # word fft also catches numpy.fft and scipy.fft, imported or attributed
     package = Path(spectral.__file__).parent
     callers = [p.name for p in sorted(package.glob("*.py"))
                if p.name != "spectral.py" and re.search(r"\bfft\b", p.read_text())]

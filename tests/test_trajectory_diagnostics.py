@@ -75,10 +75,10 @@ def test_kde_2d_single_particle_on_node(kset_2d):
     st = ParticleState(np.array([[0.5, 0.25]]), schedule=sched)
     n = 64
     fld = kde_density(st, kset_2d.omega_tilde, n)
-    x = np.arange(n) / n
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([(X - 0.5).ravel(), (Y - 0.25).ravel()])
-    expected = kset_2d.omega_tilde.table.value_at(pts).reshape(n, n)
+    # the table shifted to the particle, read at the kde grid's stride
+    nt = kset_2d.n
+    shifted = np.roll(kset_2d.omega_tilde.table.values, (nt // 2, nt // 4), axis=(0, 1))
+    expected = shifted[:: nt // n, :: nt // n]
     assert np.max(np.abs(fld.values - expected)) < 1e-10
     # coarse sampling grids carry O(h^2) quadrature error in the mass;
     # at the table's own resolution the mass is exact
