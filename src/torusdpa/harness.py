@@ -29,6 +29,8 @@ from . import pde_nonlocal as PN
 from . import transport as T
 from .kernels import (
     DEFAULT_TABLE_POINTS,
+    MOLLIFIER_KINDS,
+    KernelResolutionError,
     KernelSet,
     ParameterSchedule,
     build_kernel_set,
@@ -38,6 +40,8 @@ from .kernels import (
 
 __all__ = [
     "Scenario",
+    "SCENARIO_KEYS",
+    "ENGINES",
     "RunArtifacts",
     "run_scenario",
     "convergence_sweep",
@@ -55,31 +59,115 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-_DEFAULTS = {
-    "name": "unnamed",
-    "dimension": 1,
-    "m": 2.0,
-    "N": 1000,
-    "T": 0.01,
-    "seed": 1234,
-    "appendix_a_mode": False,
-    "initial": {"type": "uniform-plus-modes", "amplitudes": [0.5]},
-    "schedule": {"epsilon": 0.1},
-    "kernels": {
-        "kind": "truncated-gaussian",
-        "omega_moment": "target",
-        "moment_coefficient": 2.0,
-        "tilde_moment": "natural",
-        "table_points": None,
-        "viscosity_k": 4.0,
-    },
-    "integrator": {"method": "rk4", "dt": "auto", "dt_safety": 1.0},
-    "engines": ["particles"],
-    "grid": {"n": 512},
-    "pde_local": {"dt": 1e-6, "biharmonic_coeff": "auto", "kappa": None, "C0": None},
-    "pde_nonlocal": {"nu": [0.0]},
-    "output": {"snapshot_every": None, "energy_every": None},
+ENGINES = ("particles", "nl-grid", "local-grid")
+
+# Every scenario key, once: dotted key -> (default, type, range or choices).
+# A default of ... marks a key that is absent unless given (null is the same as
+# absent).  A key accepts its default, or a value of its type (float: any
+# number; bool is not a number; [t]: a list of t) within the range ("> x",
+# ">= x") or among the choices; nothing is coerced.  Ranges the library checks
+# itself (epsilon, m, alpha and the schedule ordering) are left to it.
+SCENARIO_KEYS = {
+    "name": ("unnamed", str, None),
+    "dimension": (1, int, (1, 2)),
+    "m": (2.0, float, None),
+    "N": (1000, int, ">= 1"),
+    "T": (0.01, float, ">= 0"),
+    "seed": (1234, int, None),
+    "appendix_a_mode": (False, bool, None),
+    "initial.type": ("uniform-plus-modes", str, ("uniform-plus-modes", "random-fourier", "file")),
+    "initial.amplitudes": ([0.5], [float], None),
+    "initial.kmax": (..., int, ">= 0"),
+    "initial.amplitude": (..., float, None),
+    "initial.path": (..., str, None),
+    "schedule.epsilon": (0.1, float, None),
+    "schedule.epsilon_tilde": (..., float, None),
+    "schedule.epsilon_star": (..., float, None),
+    "schedule.alpha": (..., float, None),
+    "schedule.c": (..., float, None),
+    "kernels.kind": ("truncated-gaussian", str, MOLLIFIER_KINDS),
+    "kernels.omega_moment": ("target", str, ("target", "natural")),
+    "kernels.moment_coefficient": (2.0, float, "> 0"),
+    "kernels.tilde_moment": ("natural", str, ("target", "natural")),
+    "kernels.table_points": (None, int, ">= 1"),
+    "kernels.viscosity_k": (4.0, float, None),
+    "integrator.method": ("rk4", str, P.METHODS),
+    "integrator.dt": ("auto", float, "> 0"),
+    "integrator.dt_safety": (1.0, float, "> 0"),
+    "engines": (["particles"], [str], ENGINES),
+    "grid.n": (512, int, ">= 1"),
+    "pde_local.dt": (1e-6, float, "> 0"),
+    "pde_local.biharmonic_coeff": ("auto", float, ">= 0"),
+    "pde_local.kappa": (None, float, ">= 0"),
+    "pde_local.C0": (None, float, None),
+    "pde_nonlocal.nu": ([0.0], [float], ">= 0"),
+    "output.snapshot_every": (None, float, "> 0"),
+    "output.energy_every": (None, float, "> 0"),
 }
+_BLOCKS = {key.split(".")[0] for key in SCENARIO_KEYS if "." in key}
+_NOUNS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _defaults() -> dict:
+    out = {}
+    for key, (default, _, _) in SCENARIO_KEYS.items():
+        if default is not ...:
+            *block, leaf = key.split(".")
+            (out.setdefault(block[0], {}) if block else out)[leaf] = default
+    return out
+
+
+_DEFAULTS = _defaults()
+
+
+def _fits(value, kind, rule) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0], rule) for v in value)
+    if kind is float:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool) != (kind is bool):
+        return False
+    if isinstance(rule, str):
+        op, bound = rule.split()
+        return value > float(bound) if op == ">" else value >= float(bound)
+    return rule is None or value in rule
+
+
+def _expected(default, kind, rule) -> str:
+    item = kind[0] if isinstance(kind, list) else kind
+    text = (f"one of {', '.join(map(str, rule))}" if isinstance(rule, tuple)
+            else _NOUNS[item] + (f" {rule}" if rule else ""))
+    if isinstance(kind, list):
+        return "a list, each item " + text
+    default = None if default is ... else default
+    return text if isinstance(default, kind) else f"{text} or {json.dumps(default)}"
+
+
+def _check_keys(cfg: dict, prefix: str = ""):
+    """Walk a merged config against SCENARIO_KEYS; raise on the first key that
+    is unknown, or whose value is not its default and not of its type and range."""
+    for key, value in cfg.items():
+        dotted = prefix + key
+        if dotted in _BLOCKS:
+            if not isinstance(value, dict):
+                raise ValueError(f"{dotted!r} needs a mapping, got {value!r}")
+            _check_keys(value, dotted + ".")
+        elif dotted not in SCENARIO_KEYS:
+            from difflib import get_close_matches
+
+            names = {name: name for name in [*SCENARIO_KEYS, *_BLOCKS]}
+            names.update((name.split(".")[-1], name) for name in SCENARIO_KEYS)
+            close = get_close_matches(dotted, names, n=1)
+            hint = f"; did you mean {names[close[0]]!r}?" if close else ""
+            raise ValueError(f"unknown scenario key {dotted!r}{hint}")
+        else:
+            default, kind, rule = SCENARIO_KEYS[dotted]
+            same = type(value) is type(default) and value == default
+            if not (same or (default is ... and value is None) or _fits(value, kind, rule)):
+                raise ValueError(f"{dotted} must be {_expected(default, kind, rule)}, "
+                                 f"got {value!r}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -98,53 +186,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
+        """The defaults merged with raw, every key checked against
+        SCENARIO_KEYS and the schedule built, so a bad config fails here."""
         cfg = _merge(_DEFAULTS, raw)
+        _check_keys(cfg)
+        if cfg["initial"]["type"] == "file" and cfg["initial"].get("path") is None:
+            raise ValueError("initial.type file needs initial.path")
         sc = cls(config=cfg)
-        sc.validate()
+        sc.schedule()
         return sc
 
-    def validate(self):
-        c = self.config
-        for key, default in _DEFAULTS.items():
-            if isinstance(default, dict) and not isinstance(c[key], dict):
-                raise ValueError(f"{key!r} needs a mapping, got {c[key]!r}")
-        if c["dimension"] not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
-        if c["m"] <= 1:
-            raise ValueError("m must exceed 1")
-        T = c["T"]
-        if not isinstance(T, (int, float)) or not T >= 0:
-            raise ValueError(f"T must be a nonnegative number, got {T!r}")
-        for eng in c["engines"]:
-            if eng not in ("particles", "nl-grid", "local-grid"):
-                raise ValueError(f"unknown engine {eng!r}")
-        method = c["integrator"]["method"]
-        if method not in P.METHODS:
-            raise ValueError(f"unknown integrator method {method!r}; "
-                             f"choose one of {', '.join(P.METHODS)}")
-        if "epsilon" not in c["schedule"]:
-            raise ValueError("schedule needs at least epsilon")
-
-    def __getitem__(self, key):
-        return self.config[key]
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.config, sort_keys=True, indent=1)
-
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """sha256 of the canonical config.json (the merged config)."""
+        text = json.dumps(self.config, sort_keys=True, indent=1)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def schedule(self) -> ParameterSchedule:
-        s = self.config["schedule"]
-        return schedule_from_epsilon(
-            s["epsilon"],
-            d=self.config["dimension"],
-            m=self.config["m"],
-            c=s.get("c", 1.0),
-            epsilon_tilde=s.get("epsilon_tilde"),
-            epsilon_star=s.get("epsilon_star"),
-            alpha=s.get("alpha"),
-        )
+        c = self.config
+        given = {k: v for k, v in c["schedule"].items() if v is not None}
+        return schedule_from_epsilon(d=c["dimension"], m=c["m"], **given)
 
 
 def load_scenario(path_or_name) -> Scenario:
@@ -155,7 +215,12 @@ def load_scenario(path_or_name) -> Scenario:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+            raise ValueError(f"{path_or_name}: neither JSON nor YAML{where}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path_or_name}: a scenario file holds a mapping, "
                          f"got {type(raw).__name__}")
@@ -166,56 +231,54 @@ def load_scenario(path_or_name) -> Scenario:
 # scenario ingredients
 
 
+def _random_fourier(x, d, rng, kmax=4, amplitude=0.4):
+    """Seeded random Fourier modes up to kmax per axis, scaled to the given
+    relative amplitude around 1."""
+    if d == 1:
+        vals = np.zeros(x.size)
+        for k in range(1, kmax + 1):
+            a, b = rng.standard_normal(2) / k
+            vals += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
+    else:
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        vals = np.zeros((x.size, x.size))
+        for kx in range(0, kmax + 1):
+            for ky in range(0, kmax + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                a, b, cc, dd2 = rng.standard_normal(4) / (kx + ky)
+                vals += (
+                    a * np.cos(2 * np.pi * (kx * X + ky * Y))
+                    + b * np.sin(2 * np.pi * (kx * X + ky * Y))
+                    + cc * np.cos(2 * np.pi * (kx * X - ky * Y))
+                    + dd2 * np.sin(2 * np.pi * (kx * X - ky * Y))
+                )
+    scale = np.max(np.abs(vals)) or 1.0
+    return 1.0 + amplitude * vals / scale
+
+
 def initial_density(scenario: Scenario) -> F.GridField:
     """Build the seeded nonnegative unit-mass initial density on the grid."""
     c = scenario.config
     n = c["grid"]["n"]
     d = c["dimension"]
     spec = c["initial"]
-    kind = spec["type"]
     x = np.arange(n) / n
-    if kind == "uniform-plus-modes":
-        amps = spec["amplitudes"]
-        if d == 1:
-            vals = np.ones(n)
-            for k, a in enumerate(amps, start=1):
-                vals += a * np.sin(2 * np.pi * k * x)
-        else:
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            vals = np.ones((n, n))
-            for k, a in enumerate(amps, start=1):
-                vals += a * np.sin(2 * np.pi * k * X) * np.sin(2 * np.pi * k * Y)
-    elif kind == "random-fourier":
-        rng = np.random.default_rng(c["seed"])
-        kmax = int(spec.get("kmax", 4))
-        amp = float(spec.get("amplitude", 0.4))
-        if d == 1:
-            vals = np.zeros(n)
-            for k in range(1, kmax + 1):
-                a, b = rng.standard_normal(2) / k
-                vals += a * np.cos(2 * np.pi * k * x) + b * np.sin(2 * np.pi * k * x)
-            scale = np.max(np.abs(vals)) or 1.0
-            vals = 1.0 + amp * vals / scale
-        else:
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            vals = np.zeros((n, n))
-            for kx in range(0, kmax + 1):
-                for ky in range(0, kmax + 1):
-                    if kx == 0 and ky == 0:
-                        continue
-                    a, b, cc, dd2 = rng.standard_normal(4) / (kx + ky)
-                    vals += (
-                        a * np.cos(2 * np.pi * (kx * X + ky * Y))
-                        + b * np.sin(2 * np.pi * (kx * X + ky * Y))
-                        + cc * np.cos(2 * np.pi * (kx * X - ky * Y))
-                        + dd2 * np.sin(2 * np.pi * (kx * X - ky * Y))
-                    )
-            scale = np.max(np.abs(vals)) or 1.0
-            vals = 1.0 + amp * vals / scale
-    elif kind == "file":
+    if spec["type"] == "file":
         return F.load_gridfield(spec["path"])
+    if spec["type"] == "random-fourier":
+        # the function's own defaults fill a kmax or amplitude not given
+        given = {k: spec[k] for k in ("kmax", "amplitude") if spec.get(k) is not None}
+        vals = _random_fourier(x, d, np.random.default_rng(c["seed"]), **given)
+    elif d == 1:
+        vals = np.ones(n)
+        for k, a in enumerate(spec["amplitudes"], start=1):
+            vals += a * np.sin(2 * np.pi * k * x)
     else:
-        raise ValueError(f"unknown initial type {kind!r}")
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        vals = np.ones((n, n))
+        for k, a in enumerate(spec["amplitudes"], start=1):
+            vals += a * np.sin(2 * np.pi * k * X) * np.sin(2 * np.pi * k * Y)
     vals = np.maximum(vals, 0.0)
     vals = vals / (vals.sum() * (1.0 / n) ** d)
     return F.GridField(vals)
@@ -233,17 +296,25 @@ def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
     normalize_tilde = kc["tilde_moment"] == "target"
     tilde_target = coeff * schedule.epsilon_tilde**2 if normalize_tilde else None
     need_visc = (not c["appendix_a_mode"]) and schedule.alpha > 0.0
-    return build_kernel_set(
-        schedule,
-        kind=kc["kind"],
-        table_points=kc["table_points"],
-        omega_moment=omega_target,
-        normalize_omega=normalize_omega,
-        normalize_tilde=normalize_tilde,
-        tilde_moment=tilde_target,
-        viscosity_k=float(kc["viscosity_k"]),
-        with_viscosity=need_visc,
-    )
+    try:
+        return build_kernel_set(
+            schedule,
+            kind=kc["kind"],
+            table_points=kc["table_points"],
+            omega_moment=omega_target,
+            normalize_omega=normalize_omega,
+            normalize_tilde=normalize_tilde,
+            tilde_moment=tilde_target,
+            viscosity_k=float(kc["viscosity_k"]),
+            with_viscosity=need_visc,
+        )
+    except KernelResolutionError as exc:
+        if not need_visc or c["schedule"].get("alpha") is not None:
+            raise
+        raise KernelResolutionError(
+            f"{exc}; alpha = exp(-c/epsilon) = {schedule.alpha:.3g} was derived from "
+            f"epsilon = {schedule.epsilon:g}, so set schedule.alpha, or appendix_a_mode "
+            f"to drop the viscosity term") from None
 
 
 def _local_config(scenario: Scenario, kernels: KernelSet) -> PL.LocalSolverConfig:
@@ -315,14 +386,7 @@ class _Writer:
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return v
-
-
-def _energy_rows(reports):
-    for rep in reports:
-        yield rep.row()
+    return format(v, ".17g") if isinstance(v, float) else v
 
 
 _ENERGY_HEADER = [
@@ -418,30 +482,17 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     if "nl-grid" in c["engines"]:
         nus = c["pde_nonlocal"]["nu"]
         kgrid = kernels.at_resolution(rho0.n)
-        run = PN.run_nonlocal(
-            rho0,
-            sched,
-            kgrid,
-            T=c["T"],
-            nu_sequence=nus,
-            energy_every=c["output"]["energy_every"],
-        )
+        run = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=nus,
+                              energy_every=c["output"]["energy_every"])
         for idx, tr in enumerate(run.traces):
             writer.gridfield(f"nl_final_{idx}.gf", tr.final)
-            writer.csv(
-                f"nl_energy_{idx}.csv",
-                _energy_header(d),
-                _energy_rows(tr.reports),
-                "energy-report-v1",
-            )
+            writer.csv(f"nl_energy_{idx}.csv", _energy_header(d),
+                       (rep.row() for rep in tr.reports), "energy-report-v1")
         if run.l2_differences:
             writer.csv(
                 "nl_nu_cauchy.csv",
                 ["nu_high", "nu_low", "l2_difference"],
-                [
-                    [nus[i], nus[i + 1], run.l2_differences[i]]
-                    for i in range(len(run.l2_differences))
-                ],
+                [[nus[i], nus[i + 1], l2] for i, l2 in enumerate(run.l2_differences)],
                 "nu-continuation-v1",
             )
         results["nl_run"] = run
@@ -449,15 +500,9 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     if "local-grid" in c["engines"]:
         run = PL.run_local(rho0, _local_config(scenario, kernels))
         writer.gridfield("local_final.gf", run.final)
-        writer.csv(
-            "local_energy.csv",
-            ["t", "free_energy", "modified_energy", "sav_r", "mass", "min"],
-            [
-                [r["t"], r["free_energy"], r["modified_energy"], r["sav_r"], r["mass"], r["min"]]
-                for r in run.records
-            ],
-            "local-energy-v1",
-        )
+        cols = ["t", "free_energy", "modified_energy", "sav_r", "mass", "min"]
+        writer.csv("local_energy.csv", cols, ([r[k] for k in cols] for r in run.records),
+                   "local-energy-v1")
         results["local_run"] = run
         results["local_flags"] = run.flags
 
@@ -552,31 +597,20 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
         kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
         smooth = kgrid.omega_tilde
-        rows.append(
-            {
-                "epsilon": eps,
-                "w2_nl_local": _w2(nl_measure, local_measure, d),
-                "w2_particle_local": _w2(
-                    kde_measure, _field_measure(local.final, max_atoms=_SWEEP_ATOMS,
-                                                smooth_with=smooth), d
-                ),
-                "w2_particle_nl": _w2(
-                    kde_measure, _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS,
-                                                smooth_with=smooth), d
-                ),
-                "local_flags": local.flags,
-                "nl_run": nl,
-            }
-        )
+        rows.append({
+            "epsilon": eps,
+            "w2_nl_local": _w2(nl_measure, local_measure, d),
+            "w2_particle_local": _w2(
+                kde_measure, _field_measure(local.final, _SWEEP_ATOMS, smooth), d),
+            "w2_particle_nl": _w2(
+                kde_measure, _field_measure(nl.traces[0].final, _SWEEP_ATOMS, smooth), d),
+            "local_flags": local.flags,
+            "nl_run": nl,
+        })
     if out_dir is not None:
-        writer = _Writer(out_dir)
-        writer.csv(
-            "sweep_eps.csv",
-            ["epsilon", "w2_nl_local", "w2_particle_local", "w2_particle_nl"],
-            [[r["epsilon"], r["w2_nl_local"], r["w2_particle_local"], r["w2_particle_nl"]]
-             for r in rows],
-            "sweep-eps-v1",
-        )
+        cols = ["epsilon", "w2_nl_local", "w2_particle_local", "w2_particle_nl"]
+        _Writer(out_dir).csv("sweep_eps.csv", cols, ([r[k] for k in cols] for r in rows),
+                             "sweep-eps-v1")
     return rows
 
 
@@ -606,22 +640,12 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
         emp = T.DiscreteMeasure(state.positions)
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
         kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
-        rows.append(
-            {
-                "N": int(N),
-                "w2_particle_nl": _w2(emp, nl_measure, d),
-                "w2_kde_nl": _w2(kde_measure, nl_smoothed, d),
-                "nl_run": nl,
-            }
-        )
+        rows.append({"N": int(N), "w2_particle_nl": _w2(emp, nl_measure, d),
+                     "w2_kde_nl": _w2(kde_measure, nl_smoothed, d), "nl_run": nl})
     if out_dir is not None:
-        writer = _Writer(out_dir)
-        writer.csv(
-            "sweep_n.csv",
-            ["N", "w2_particle_nl", "w2_kde_nl"],
-            [[r["N"], r["w2_particle_nl"], r["w2_kde_nl"]] for r in rows],
-            "sweep-n-v1",
-        )
+        cols = ["N", "w2_particle_nl", "w2_kde_nl"]
+        _Writer(out_dir).csv("sweep_n.csv", cols, ([r[k] for k in cols] for r in rows),
+                             "sweep-n-v1")
     return rows
 
 
@@ -653,9 +677,7 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     state_b = P.ParticleState(state_a.positions + shift, schedule=sched)
 
     def measure(sa, sb):
-        mu = T.DiscreteMeasure(sa.positions)
-        nu = T.DiscreteMeasure(sb.positions)
-        return _w2(mu, nu, d)
+        return _w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions), d)
 
     w0 = measure(state_a, state_b)
     # equal steps in `samples` equal legs, so every sample ends a step
@@ -697,12 +719,9 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     }
     if out_dir is not None:
         writer = _Writer(out_dir)
-        writer.csv(
-            "contraction.csv",
-            ["t", "w2", "ratio", "envelope"],
-            [[r["t"], r["w2"], r["ratio"], r["envelope"]] for r in rows],
-            "contraction-v1",
-        )
+        cols = ["t", "w2", "ratio", "envelope"]
+        writer.csv("contraction.csv", cols, ([r[k] for k in cols] for r in rows),
+                   "contraction-v1")
         writer.json("contraction_report.json",
                     {k: v for k, v in report.items() if k != "samples"})
     return report
@@ -756,19 +775,16 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
             kde = F.kde_density(st, kernels.omega_tilde, kde_n)
             centers = density_peaks(kde)
             out[f"particles_{label}_moment"] = second_moment_about_peaks(
-                st.positions, np.full(st.N, 1.0 / st.N), centers
-            )
+                st.positions, np.full(st.N, 1.0 / st.N), centers)
             out[f"particles_{label}_peaks"] = len(centers)
-        out["particles_drop"] = 1.0 - out["particles_final_moment"] / out[
-            "particles_initial_moment"
-        ]
+        initial, final = out["particles_initial_moment"], out["particles_final_moment"]
+        out["particles_drop"] = 1.0 - final / initial
     if "local_run" in artifacts.results:
         run = artifacts.results["local_run"]
         for label, fld in (("initial", rho0), ("final", run.final)):
             centers = density_peaks(fld)
-            x = np.arange(fld.n) / fld.n
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            pts = np.column_stack([X.ravel(), Y.ravel()])
+            axes = np.meshgrid(*[np.arange(fld.n) / fld.n] * fld.d, indexing="ij")
+            pts = np.stack(axes, axis=-1).reshape(-1, fld.d)
             w = np.maximum(fld.values.ravel(), 0.0)
             out[f"local_{label}_moment"] = second_moment_about_peaks(pts, w, centers)
             out[f"local_{label}_peaks"] = len(centers)
@@ -780,43 +796,27 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
 # presets
 
 
+# Entries equal to the SCENARIO_KEYS defaults are left out.
 PRESETS = {
     "default-1d": {
         "name": "default-1d",
-        "dimension": 1,
-        "m": 2.0,
-        "N": 1000,
-        "T": 0.01,
-        "seed": 1234,
-        "initial": {"type": "uniform-plus-modes", "amplitudes": [0.5]},
         "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
                       "alpha": 0.08},
-        "kernels": {"kind": "truncated-gaussian", "omega_moment": "target",
-                     "moment_coefficient": 2.0, "tilde_moment": "natural"},
         "engines": ["particles", "nl-grid", "local-grid"],
-        "grid": {"n": 512},
         "output": {"snapshot_every": 0.002, "energy_every": 0.0005},
     },
     "contraction-1d": {
         "name": "contraction-1d",
-        "dimension": 1,
-        "m": 2.0,
         "N": 128,
         "T": 0.1,
         "seed": 77,
-        "initial": {"type": "uniform-plus-modes", "amplitudes": [0.5]},
         "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
                       "alpha": 0.1},
-        "kernels": {"kind": "truncated-gaussian", "omega_moment": "target",
-                     "moment_coefficient": 2.0, "tilde_moment": "natural"},
-        "integrator": {"method": "heun", "dt": "auto", "dt_safety": 1.0},
-        "engines": ["particles"],
-        "grid": {"n": 512},
+        "integrator": {"method": "heun"},
     },
     "fig1-2d": {
         "name": "fig1-2d",
         "dimension": 2,
-        "m": 2.0,
         "N": 750,
         "T": 0.35,
         "seed": 2024,
@@ -824,13 +824,11 @@ PRESETS = {
         "initial": {"type": "random-fourier", "kmax": 2, "amplitude": 0.35},
         "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.12, "epsilon_star": 0.3,
                       "alpha": 0.0},
-        "kernels": {"kind": "truncated-gaussian", "omega_moment": "target",
-                     "moment_coefficient": 0.05, "tilde_moment": "natural",
-                     "table_points": 512},
-        "integrator": {"method": "heun", "dt": "auto", "dt_safety": 2.0},
+        "kernels": {"moment_coefficient": 0.05, "table_points": 512},
+        "integrator": {"method": "heun", "dt_safety": 2.0},
         "engines": ["particles", "local-grid"],
         "grid": {"n": 128},
-        "pde_local": {"dt": 2e-5, "biharmonic_coeff": "auto", "kappa": None, "C0": 300.0},
+        "pde_local": {"dt": 2e-5, "C0": 300.0},
         "output": {"snapshot_every": 0.125, "energy_every": 0.05},
     },
 }

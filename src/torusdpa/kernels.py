@@ -67,9 +67,11 @@ __all__ = [
     "build_kernel_set",
     "export_kernel_csv",
     "DEFAULT_TABLE_POINTS",
+    "MOLLIFIER_KINDS",
 ]
 
 DEFAULT_TABLE_POINTS = {1: 4096, 2: 512}
+MOLLIFIER_KINDS = ("compact-bump", "truncated-gaussian")
 
 
 class KernelError(ValueError):

@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +55,45 @@ class TestScenario:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"dimension": 3})
+
+    def test_preset_config_hashes_are_pinned(self):
+        assert {name: load_scenario(name).hash() for name in PRESETS} == {
+            "default-1d": "fdefaba7094f46ba632b46ef12f0bd302cdaa12170e75f6907bd2e8ae63c3c78",
+            "contraction-1d": "a1b7233cd33c6a6d9346942045513b1d454cd4484d3e1762de814128bdefe319",
+            "fig1-2d": "af7edaea327271249920ac6427034e16918658664099233710f45bb9bfc04b45",
+        }
+
+    def test_docs_list_every_scenario_key(self):
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        section = text.split("## Scenario config")[1].split("\n## ")[0]
+        documented = re.findall(r"^\s*- `([\w.]+)`", section, flags=re.M)
+        assert sorted(documented) == sorted(H.SCENARIO_KEYS)
+
+    def test_config_is_the_merged_input_uncoerced(self):
+        sc = Scenario.from_dict({"m": 2, "grid": {"n": 64}, "pde_local": {"C0": 3}})
+        assert sc.config["m"] == 2 and type(sc.config["m"]) is int
+        assert sc.config["grid"] == {"n": 64} and sc.config["pde_local"]["C0"] == 3
+        assert sc.config["kernels"] == {k.split(".")[1]: v[0] for k, v in H.SCENARIO_KEYS.items()
+                                        if k.startswith("kernels.")}
+        assert "epsilon_tilde" not in sc.config["schedule"]
+        # a key absent unless given may be null, the same as absent
+        sc = Scenario.from_dict({"schedule": {"epsilon": 0.1, "epsilon_tilde": None, "c": None}})
+        assert sc.config["schedule"]["epsilon_tilde"] is None
+        assert sc.schedule().epsilon_tilde == pytest.approx(0.1 ** (1 / 7))
+
+    @pytest.mark.parametrize("raw", [
+        {"N": 1.0}, {"N": True}, {"T": True}, {"appendix_a_mode": 1}, {"seed": "1"},
+        {"initial": {"amplitudes": 0.5}}, {"kernels": {"table_points": 512.0}},
+    ])
+    def test_wrong_types_rejected(self, raw):
+        with pytest.raises(ValueError, match="must be"):
+            Scenario.from_dict(raw)
+
+    def test_initial_takes_the_union_of_its_type_keys(self, tmp_path):
+        save_gridfield(GridField(np.ones(16)), tmp_path / "flat.gf")
+        spec = {"type": "file", "path": str(tmp_path / "flat.gf"), "kmax": 2, "amplitude": 0.35}
+        rho = initial_density(Scenario.from_dict({"initial": spec}))
+        assert np.array_equal(rho.values, np.ones(16))
 
     def test_yaml_and_json_files(self, tmp_path):
         raw = {"name": "filetest", "N": 10}
@@ -135,6 +176,12 @@ class TestRunScenario:
         trace = art.results["nl_run"].traces[0]
         assert trace.final.n == 64
         assert trace.mass_drift <= 1e-10 and trace.min_value >= -1e-12
+
+    def test_clustering_report_on_a_1d_local_run(self, tmp_path):
+        sc = small_scenario(engines=["local-grid"], T=2e-5)
+        rep = H.clustering_report(sc, run_scenario(sc, tmp_path / "c1"))
+        assert rep["local_initial_moment"] > 0.0 and rep["local_final_peaks"] >= 1
+        assert np.isfinite(rep["local_drop"])
 
     def test_local_energy_monotone_flagged(self, tmp_path):
         sc = small_scenario(engines=["local-grid"])
@@ -285,15 +332,37 @@ class TestCli:
         ({"schedule": 0.1}, "schedule"),
         ({"T": -1}, "T"),
         ({"integrator": {"method": "rk5"}}, "rk5"),
-    ], ids=["grid-not-a-mapping", "schedule-not-a-mapping", "negative-T", "unknown-method"])
+        ({"engine": ["nl-grid"]}, "'engines'"),
+        ({"schedule": {"epsilon": 0.1, "epsilon_tidle": 0.25}}, "'schedule.epsilon_tilde'"),
+        ({"epsilon_tidle": 0.25}, "'schedule.epsilon_tilde'"),
+        ({"N": True}, "N must be"),
+        ({"dimension": 2.0}, "dimension must be"),
+        ({"kernels": {"omega_moment": "targte"}}, "kernels.omega_moment"),
+        ({"output": {"snapshot_every": -1}}, "output.snapshot_every"),
+        ({"grid": {"n": 0}}, "grid.n"),
+        ({"m": "2"}, "m must be"),
+        ({"N": 0}, "N must be"),
+    ], ids=["grid-not-a-mapping", "schedule-not-a-mapping", "negative-T", "unknown-method",
+            "misspelt-engines", "misspelt-schedule-key", "misplaced-schedule-key", "bool-N",
+            "float-dimension", "unknown-omega-moment", "negative-snapshot-cadence",
+            "zero-grid", "string-m", "zero-N"])
     def test_bad_scenario_exits_1_before_any_file(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "run"
         assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and key in err and "Traceback" not in err
+        assert err.count("error:") == 1 and key in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_unparsable_scenario_file_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cut.json"
+        cfg.write_text('{"T": [1,')
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(cfg) in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut", [9, 20, -8], ids=["magic-only", "short-header", "short-body"])
     def test_truncated_gridfield_exits_1(self, tmp_path, capsys, cut):
@@ -342,6 +411,12 @@ class TestCli:
         assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "epsilon^(1/(d+6))" in err and "0.7197" in err
+        # epsilon = 0.005 alone derives alpha = exp(-1/0.005) = 1.4e-87, unresolvable
+        cfg.write_text(json.dumps({"schedule": {"epsilon": 0.005}}))
+        assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "exp(-c/epsilon)" in err and "derived from epsilon = 0.005" in err
+        assert "schedule.alpha" in err and "appendix_a_mode" in err
 
     def test_error_exit_code(self, capsys):
         rc = cli_main(["simulate", "no-such-file.json"])
