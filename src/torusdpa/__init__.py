@@ -47,7 +47,6 @@ from .transport import (
     grid_to_measure,
     w2_circle_exact,
     w2_exact_lp,
-    w2_sinkhorn,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

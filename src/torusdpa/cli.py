@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .fields import GridField, load_gridfield
 from .harness import (
+    _SWEEP_ATOMS,
     PRESETS,
     Scenario,
     contraction_test,
@@ -29,8 +30,7 @@ from .harness import (
     run_scenario,
 )
 from .kernels import export_kernel_csv, lambda_convexity_constant
-from .transport import DiscreteMeasure, grid_to_measure, w2_circle_exact, w2_exact_lp, w2_sinkhorn
-from .transport import LP_ATOMS_PER_SIDE, check_lp_size
+from .transport import DiscreteMeasure, grid_to_measure, w2_circle_exact, w2_exact_lp
 
 
 def _load(path_or_preset, seed=None, appendix_a=None):
@@ -43,12 +43,10 @@ def _load(path_or_preset, seed=None, appendix_a=None):
     return Scenario.from_dict(raw)
 
 
-def _measure_from_file(path: str, max_atoms, exact: bool):
+def _measure_from_file(path: str, max_atoms):
     p = Path(path)
     if p.suffix == ".gf":
         fld = load_gridfield(p)
-        if max_atoms is None:
-            max_atoms = LP_ATOMS_PER_SIDE if exact and fld.d == 2 else 2048
         return grid_to_measure(GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
     with open(p) as fh:
         reader = csv.reader(fh)
@@ -131,11 +129,9 @@ def main(argv=None) -> int:
     p_w2 = sub.add_parser("w2", help="W2 distance between two artifacts")
     p_w2.add_argument("fileA")
     p_w2.add_argument("fileB")
-    p_w2.add_argument("--max-atoms", type=int, default=None,
-                      help="coarsen .gf fields to at most this many atoms (default "
-                      f"2048; {LP_ATOMS_PER_SIDE} for the exact solver in 2-d)")
-    p_w2.add_argument("--sinkhorn-reg", type=float, default=None,
-                      help="use entropic solver with this regularization")
+    p_w2.add_argument("--max-atoms", type=int, default=_SWEEP_ATOMS,
+                      help="coarsen .gf fields to at most this many atoms "
+                      f"(default {_SWEEP_ATOMS})")
 
     p_k = sub.add_parser("kernels", help="kernel tooling")
     k_sub = p_k.add_subparsers(dest="kernels_command", required=True)
@@ -186,24 +182,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "w2":
-        exact = args.sinkhorn_reg is None
-        mu = _measure_from_file(args.fileA, args.max_atoms, exact)
-        nu = _measure_from_file(args.fileB, args.max_atoms, exact)
-        if not exact:
-            res = w2_sinkhorn(mu, nu, args.sinkhorn_reg)
-            print(f"sinkhorn divergence={res.divergence:.10g} "
-                  f"entropic cost={res.entropic_cost:.10g}")
-        elif mu.d == nu.d == 1:
-            w, _ = w2_circle_exact(mu, nu)
-            print(f"W2={w:.10g}")
-        else:
-            try:
-                check_lp_size(mu.n, nu.n, mu.n == nu.n and mu.is_uniform() and nu.is_uniform())
-            except ValueError:
-                raise ValueError(f"{mu.n} x {nu.n} atoms exceed the exact solver's caps; "
-                                 "lower --max-atoms or pass --sinkhorn-reg") from None
-            w, _ = w2_exact_lp(mu, nu)
-            print(f"W2={w:.10g}")
+        mu = _measure_from_file(args.fileA, args.max_atoms)
+        nu = _measure_from_file(args.fileB, args.max_atoms)
+        w, _ = (w2_circle_exact if mu.d == nu.d == 1 else w2_exact_lp)(mu, nu)
+        print(f"W2={w:.10g}")
         return 0
 
     if args.command == "kernels" and args.kernels_command == "inspect":

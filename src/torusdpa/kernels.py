@@ -698,8 +698,10 @@ def lambda_convexity_constant(
     """Geodesic-convexity modulus of the pair interaction energy (always <= 0).
 
     Default path: minus the max-norm of the negative part of the pair
-    kernel's Hessian, computed from its spectrum on the table grid.  With an
-    explicit prefactor C, returns -C*(eps^-2*et^-(d+2) + et^-(d+2) + eps_star*alpha^-(d+2)).
+    kernel's Hessian, computed from its spectrum on the table grid, with the
+    viscosity term only when the set carries it (not in appendix-A mode): the
+    pair potential the particles integrate.  With an explicit prefactor C,
+    returns -C*(eps^-2*et^-(d+2) + et^-(d+2) + eps_star*alpha^-(d+2)).
     """
     sched = schedule or (kernels.schedule if kernels is not None else None)
     if sched is None:
@@ -715,7 +717,7 @@ def lambda_convexity_constant(
         )
     if kernels is None:
         raise ValueError("default path needs the tabulated kernels")
-    eigs = hessian_eigs(kernels.pair_spectrum(include_viscosity=True), kernels.n)
+    eigs = hessian_eigs(kernels.pair_spectrum(kernels.viscosity is not None), kernels.n)
     return float(min(0.0, eigs[0].min()))
 
 

@@ -51,6 +51,15 @@ class LocalSolverConfig:
     energy_every: Optional[float] = None  # time cadence; None: T/50
     blowup_threshold: float = 1e3
 
+    def initial_shift(self, rho0: GridField) -> tuple:
+        """(C0, E_m[rho0]): C0 as given, or 2*E_m[rho0] + 1 for None, which
+        must exceed E_m[rho0], since the SAV scalar starts at sqrt(C0 - E_m)."""
+        em0 = energy_E_m(rho0, self.m)
+        C0 = self.C0 if self.C0 is not None else 2.0 * em0 + 1.0
+        if C0 <= em0:
+            raise ValueError(f"C0={C0} must exceed E_m[rho0]={em0}")
+        return C0, em0
+
 
 @dataclass
 class LocalRun:
@@ -80,10 +89,7 @@ class LocalSolver:
         self.mask = 1.0
         for k in freq_lattice(n, d):
             self.mask = self.mask * (np.abs(k) <= cutoff)
-        em0 = energy_E_m(rho0, cfg.m)
-        self.C0 = cfg.C0 if cfg.C0 is not None else 2.0 * em0 + 1.0
-        if self.C0 <= em0:
-            raise ValueError(f"C0={self.C0} must exceed E_m[rho0]={em0}")
+        self.C0, em0 = cfg.initial_shift(rho0)
         self.r = float(np.sqrt(self.C0 - em0))
         self.mass0 = rho0.mass()
 

@@ -1,50 +1,48 @@
 """2-Wasserstein distances on the torus between discrete measures.
 
-Three routes with increasing generality:
+Two exact routes:
 
-* ``w2_circle_exact``: d = 1, exact.  The cost of the rotation-parametrized
+* ``w2_circle_exact``: d = 1.  The cost of the rotation-parametrized
   monotone matching is convex and piecewise linear in the cut parameter, so
   the minimum is attained at a breakpoint B_j - A_i + k (A, B the two CDFs);
   golden section narrows the cut to a few breakpoints, counted by binary
   search, and the cost is evaluated at each of them.
-* ``w2_exact_lp``: any d, exact, via assignment (equal sizes and weights) or
-  the HiGHS LP solver on the transport polytope.
-* ``w2_sinkhorn``: entropic regularization in the log domain with symmetric
-  (parallel) updates; returns the debiased divergence and the raw entropic
-  cost as a bracket.
+* ``w2_exact_lp``: any d, via assignment (equal sizes and weights, up to
+  _ASSIGNMENT_ATOMS atoms) or a coarse-to-fine sparse LP solved by HiGHS,
+  whose dense reduced costs certify that its optimum is the dense LP's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix, vstack
-from scipy.special import logsumexp
+from scipy.sparse import coo_matrix
 
 from .fields import GridField
-from .geometry import min_image, wrap
+from .geometry import min_image, torus_cost_sq, wrap
 
 __all__ = [
     "DiscreteMeasure",
     "TransportPlan",
     "w2_circle_exact",
     "w2_exact_lp",
-    "w2_sinkhorn",
-    "SinkhornResult",
     "grid_to_measure",
-    "coarsening_factor",
-    "check_lp_size",
-    "cost_matrix",
 ]
 
-_LP_SIZE_CAP = 3000
-_LP_PRODUCT_CAP = 250_000
-# atoms per side of the largest unequal-weight LP within the variable cap
-LP_ATOMS_PER_SIDE = math.isqrt(_LP_PRODUCT_CAP)
+# equal-size uniform pairs up to this many atoms go to the assignment solver
+_ASSIGNMENT_ATOMS = 3000
+# the coarsest level of the sparse LP has at most this many atoms per side
+_COARSEST_ATOMS = 64
+# the primal and dual feasibility tolerance of every LP solve; a pair whose
+# reduced cost is below -_LP_TOL violates the certificate.  At HiGHS's default
+# 1e-7 the LP stops measurably above the optimum on costs of order 1e-2
+_LP_TOL = 1e-10
+_LP_OPTIONS = {"primal_feasibility_tolerance": _LP_TOL, "dual_feasibility_tolerance": _LP_TOL}
+# the certificate reads the dense cost matrix in row chunks of about this many entries
+_CHUNK_ENTRIES = 1 << 20
 
 # the circle search brackets the cut until at most this many distinct
 # breakpoints are left, then evaluates the cost at each of them; one golden
@@ -107,14 +105,6 @@ class TransportPlan:
             float(np.max(np.abs(row - mu.weights))),
             float(np.max(np.abs(col - nu.weights))),
         )
-
-
-def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Pairwise squared minimum-image cost."""
-    if mu.d != nu.d:
-        raise ValueError(f"measures live in different dimensions: {mu.d} and {nu.d}")
-    diff = min_image(mu.points[:, None, :], nu.points[None, :, :])
-    return np.sum(diff * diff, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,186 +232,190 @@ def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 # ---------------------------------------------------------------------------
-# exact transport via assignment / LP
+# exact transport: assignment, or a coarse-to-fine sparse LP
 
 
-def check_lp_size(n: int, m: int, assignment: bool = False):
-    """Raise ValueError when w2_exact_lp would refuse supports of n and m
-    atoms: the assignment route (equal sizes and uniform weights) caps each
-    size, and the LP route also caps the number of plan variables."""
-    if n > _LP_SIZE_CAP or m > _LP_SIZE_CAP:
-        raise ValueError(
-            f"support sizes {n}x{m} exceed the exact-solver cap "
-            f"{_LP_SIZE_CAP}; use w2_sinkhorn"
-        )
-    if not assignment and n * m > _LP_PRODUCT_CAP:
-        raise ValueError(
-            f"LP with {n * m} variables exceeds cap {_LP_PRODUCT_CAP}; use w2_sinkhorn"
-        )
+class _Level:
+    """One side of one level of the coarse-to-fine LP: atoms (points,
+    weights), the cell q of each on the r^d lattice, and the atoms sorted by
+    cell, those of flat cell c at order[start[c]:start[c + 1]]."""
+
+    def __init__(self, points, weights, q, r):
+        self.points, self.weights, self.q, self.r = points, weights, q, r
+        self.n = weights.size
+        flat = self.flat(q)
+        self.order = np.argsort(flat, kind="stable")
+        self.start = np.searchsorted(flat[self.order], np.arange(r ** q.shape[-1] + 1))
+
+    def flat(self, cells):
+        """Flat indices of the cells (..., d), taken periodically."""
+        shape = (self.r,) * cells.shape[-1]
+        return np.ravel_multi_index(np.moveaxis(cells % self.r, -1, 0), shape)
+
+    def coarser(self) -> "_Level":
+        """The nonempty cells of the lattice twice as coarse, as atoms at the
+        barycenters of their mass."""
+        q, parent = np.unique(self.q // 2, axis=0, return_inverse=True)
+        w = np.bincount(parent, self.weights)
+        pts = np.stack([np.bincount(parent, self.weights * x) for x in self.points.T], axis=1)
+        return _Level(pts / w[:, None], w, q, self.r // 2)
+
+    def members(self, cells, partner):
+        """(partner[k], atom) for every atom in the flat cell cells[k]."""
+        count = self.start[cells + 1] - self.start[cells]
+        first = np.repeat(self.start[cells] - np.cumsum(count) + count, count)
+        return np.repeat(partner, count), self.order[np.arange(count.sum()) + first]
+
+    def first(self, cells):
+        """The first atom in each flat cell, or -1 for an empty one."""
+        atom = self.order[np.minimum(self.start[cells], self.n - 1)]
+        return np.where(self.start[cells + 1] > self.start[cells], atom, -1)
+
+
+def _sparse_lp(a: _Level, b: _Level, keys):
+    """The optimal plan g >= 0 on the pairs keys = i * b.n + j with the
+    marginals of a and b, and the duals (u, v) of its row and column
+    constraints (the last column's is implied by the others and dropped:
+    v = 0 there)."""
+    rows, cols = np.divmod(keys, b.n)
+    keep = np.flatnonzero(cols < b.n - 1)
+    A = coo_matrix(
+        (np.ones(keys.size + keep.size),
+         (np.concatenate([rows, a.n + cols[keep]]), np.concatenate([np.arange(keys.size), keep]))),
+        shape=(a.n + b.n - 1, keys.size),
+    )
+    res = linprog(torus_cost_sq(a.points[rows], b.points[cols]), A_eq=A.tocsr(),
+                  b_eq=np.concatenate([a.weights, b.weights[:-1]]), bounds=(0, None),
+                  method="highs-ipm", options=_LP_OPTIONS)
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    y = res.eqlin.marginals
+    return res.x, y[:a.n], np.append(y[a.n:], 0.0)
+
+
+def _violators(a: _Level, b: _Level, u, v, keys):
+    """Per row i, the pair (i, j) not among keys whose reduced cost
+    C_ij - u_i - v_j is least, if it is below -_LP_TOL.  The dense reduced
+    costs are read in row chunks, one axis of the cost at a time."""
+    step = max(1, _CHUNK_ENTRIES // b.n)
+    rows, cols = [], []
+    for lo in range(0, a.n, step):
+        hi = min(lo + step, a.n)
+        reduced = -u[lo:hi, None] - v
+        for ax in range(a.points.shape[1]):
+            reduced += min_image(a.points[lo:hi, ax, None], b.points[:, ax]) ** 2
+        own = keys[np.searchsorted(keys, lo * b.n):np.searchsorted(keys, hi * b.n)]
+        reduced.ravel()[own - lo * b.n] = np.inf
+        j = reduced.argmin(axis=1)
+        i = np.flatnonzero(reduced[np.arange(hi - lo), j] < -_LP_TOL)
+        rows.append(i + lo)
+        cols.append(j[i])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _solve_level(a: _Level, b: _Level, keys):
+    """The optimal plan between one level's atoms: the sparse LP on the
+    pairs keys, grown by each violator and the pairs of first atoms in its
+    cells' lattice neighbours (c_i + o, c_j + o), until there is none.  Then
+    the duals are feasible for the dense LP, so the sparse optimum is the
+    dense one.  Returns the pairs and the plan on them."""
+    d = a.q.shape[1]
+    near = np.indices((3,) * d).reshape(d, -1).T - 1
+    while True:
+        keys = np.unique(keys)
+        gamma, u, v = _sparse_lp(a, b, keys)
+        i, j = _violators(a, b, u, v, keys)
+        if i.size == 0:
+            return keys, gamma
+        ni = a.first(a.flat(a.q[i][:, None, :] + near))
+        nj = b.first(b.flat(b.q[j][:, None, :] + near))
+        both = (ni >= 0) & (nj >= 0)
+        keys = np.concatenate([keys, i * b.n + j, ni[both] * b.n + nj[both]])
+
+
+def _coarse_to_fine(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """An optimal plan (rows, cols, weights) by the coarse-to-fine sparse LP,
+    its rows on the side with more atoms, since each round adds at most one
+    violator per row."""
+    if mu.n < nu.n:
+        cols, rows, gamma = _coarse_to_fine(nu, mu)
+        return rows, cols, gamma
+    d = mu.d
+    r = 1
+    while r**d < mu.n:
+        r *= 2
+    atoms = [np.flatnonzero(ms.weights > 0) for ms in (mu, nu)]
+    levels = [tuple(_Level(ms.points[k], ms.weights[k], (ms.points[k] * r).astype(int), r)
+                    for ms, k in zip((mu, nu), atoms))]
+    while max(lv.n for lv in levels[-1]) > _COARSEST_ATOMS:
+        levels.append(tuple(lv.coarser() for lv in levels[-1]))
+    a, b = levels.pop()
+    keys, gamma = _solve_level(a, b, np.arange(a.n * b.n))
+    children = np.indices((2,) * d).reshape(d, -1).T
+    for fine_a, fine_b in reversed(levels):
+        rows, cols = np.divmod(keys[gamma > 0], b.n)
+        cols, rows = fine_a.members(fine_a.flat(2 * a.q[rows][:, None, :] + children).ravel(),
+                                    np.repeat(cols, 2**d))
+        rows, cols = fine_b.members(fine_b.flat(2 * b.q[cols][:, None, :] + children).ravel(),
+                                    np.repeat(rows, 2**d))
+        a, b = fine_a, fine_b
+        keys, gamma = _solve_level(a, b, rows * b.n + cols)
+    rows, cols = np.divmod(keys[gamma > 0], b.n)
+    return atoms[0][rows], atoms[1][cols], gamma[gamma > 0]
 
 
 def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Exact W2 for discrete measures in any dimension.
+    """Exact W2 for discrete measures in any dimension, with an optimal plan.
 
-    Equal-size uniform inputs go through the assignment solver; general
-    weights go through the HiGHS LP on the transport polytope.
+    Equal-size uniform pairs of at most _ASSIGNMENT_ATOMS atoms go through
+    the assignment solver.  Every other pair goes through a coarse-to-fine
+    sparse LP (Merigot 2011, Schmitzer 2016): the atoms of positive weight
+    are binned onto r^d cells, r the least power of two with r^d at least
+    the larger atom count, then r is halved, each nonempty cell an atom,
+    until each side has at most _COARSEST_ATOMS; that level is solved on
+    the full product, and each finer one from the children of the coarser
+    plan's support, until its dense reduced costs certify the optimum.
     """
-    assignment = mu.n == nu.n and mu.is_uniform() and nu.is_uniform()
-    check_lp_size(mu.n, nu.n, assignment)
-    C = cost_matrix(mu, nu)
-    if assignment:
-        rows, cols = linear_sum_assignment(C)
-        w = np.full(mu.n, 1.0 / mu.n)
-        cost = float(C[rows, cols].mean())
-        plan = TransportPlan(rows=rows, cols=cols, weights=w, shape=C.shape)
-        return float(np.sqrt(max(cost, 0.0))), plan
-    n, m = mu.n, nu.n
-    ij = np.arange(n * m)
-    rows_idx = ij // m
-    cols_idx = ij % m
-    data = np.ones(n * m)
-    A_rows = coo_matrix((data, (rows_idx, ij)), shape=(n, n * m))
-    sel = cols_idx < m - 1  # last column constraint is redundant
-    A_cols = coo_matrix(
-        (data[sel], (cols_idx[sel], ij[sel])), shape=(m - 1, n * m)
-    )
-    A_eq = vstack([A_rows, A_cols])
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    gamma = res.x
-    keep = gamma > 1e-15
-    plan = TransportPlan(
-        rows=rows_idx[keep], cols=cols_idx[keep], weights=gamma[keep], shape=(n, m)
-    )
-    cost = float(np.dot(gamma, C.ravel()))
-    return float(np.sqrt(max(cost, 0.0))), plan
-
-
-# ---------------------------------------------------------------------------
-# entropic transport
-
-
-class SinkhornResult(NamedTuple):
-    divergence: float
-    entropic_cost: float
-    iterations: int
-    marginal_error: float
-
-
-def _sinkhorn_cost(a, b, C, reg, max_iter, tol):
-    la = np.log(a)
-    lb = np.log(b)
-    f = np.zeros_like(a)
-    g = np.zeros_like(b)
-    it = 0
-    err = np.inf
-    while it < max_iter:
-        # symmetric (parallel) updates keep the algorithm invariant under
-        # swapping the inputs, so the divergence is symmetric to roundoff
-        f_new = -reg * logsumexp((g[None, :] - C) / reg + lb[None, :], axis=1)
-        g_new = -reg * logsumexp((f[:, None] - C) / reg + la[:, None], axis=0)
-        f, g = 0.5 * (f + f_new), 0.5 * (g + g_new)
-        it += 1
-        if it % 10 == 0 or it == max_iter:
-            logP = (f[:, None] + g[None, :] - C) / reg + la[:, None] + lb[None, :]
-            P = np.exp(logP)
-            err = max(
-                float(np.abs(P.sum(axis=1) - a).sum()),
-                float(np.abs(P.sum(axis=0) - b).sum()),
-            )
-            if err < tol:
-                break
-    if err >= tol:
-        raise RuntimeError(
-            f"sinkhorn did not converge: marginal violation {err:.3e} after {it} iterations"
-        )
-    cost = float((P * C).sum())
-    return cost, it, err
-
-
-def w2_sinkhorn(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    reg: float,
-    max_iter: int = 20000,
-    tol: float = 1e-9,
-) -> SinkhornResult:
-    """Debiased entropic transport; divergence and raw cost bracket W2^2."""
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    C = cost_matrix(mu, nu)
-    cost, it, err = _sinkhorn_cost(mu.weights, nu.weights, C, reg, max_iter, tol)
-    cmu, _, _ = _sinkhorn_cost(
-        mu.weights, mu.weights, cost_matrix(mu, mu), reg, max_iter, tol
-    )
-    cnu, _, _ = _sinkhorn_cost(
-        nu.weights, nu.weights, cost_matrix(nu, nu), reg, max_iter, tol
-    )
-    return SinkhornResult(
-        divergence=cost - 0.5 * cmu - 0.5 * cnu,
-        entropic_cost=cost,
-        iterations=it,
-        marginal_error=err,
-    )
+    if mu.d != nu.d:
+        raise ValueError(f"measures live in different dimensions: {mu.d} and {nu.d}")
+    if mu.n == nu.n <= _ASSIGNMENT_ATOMS and mu.is_uniform() and nu.is_uniform():
+        rows, cols = linear_sum_assignment(torus_cost_sq(mu.points[:, None], nu.points[None]))
+        weights = np.full(mu.n, 1.0 / mu.n)
+    else:
+        rows, cols, weights = _coarse_to_fine(mu, nu)
+    cost = float(np.dot(weights, torus_cost_sq(mu.points[rows], nu.points[cols])))
+    return float(np.sqrt(max(cost, 0.0))), TransportPlan(rows, cols, weights, (mu.n, nu.n))
 
 
 # ---------------------------------------------------------------------------
 # grids to measures
 
 
-def coarsening_factor(n: int, d: int, max_atoms: Optional[int] = None) -> int:
-    """The power-of-two block size grid_to_measure uses to bring the n^d grid
-    to at most max_atoms atoms (1: no coarsening)."""
+def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> DiscreteMeasure:
+    """Atoms at grid nodes weighted by cell mass.  With max_atoms, the n^d grid
+    is cut into blocks of a power-of-two side, the least that leaves at most
+    max_atoms, each an atom at the barycenter of its mass.  Empty cells and
+    blocks carry no atom."""
+    if rho.values.min() < -1e-12:
+        raise ValueError("negative density cells")
     if max_atoms is not None and max_atoms < 1:
         raise ValueError(f"max_atoms must be positive, got {max_atoms}")
+    n, d = rho.n, rho.d
     factor = 1
     while max_atoms is not None and (n // factor) ** d > max_atoms:
         factor *= 2
-    return factor
-
-
-def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> DiscreteMeasure:
-    """Atoms at grid nodes weighted by cell mass, optionally block-coarsened."""
-    if rho.values.min() < -1e-12:
-        raise ValueError("negative density cells")
-    vals = np.maximum(rho.values, 0.0)
-    n, d = rho.n, rho.d
-    factor = coarsening_factor(n, d, max_atoms)
     if n % factor:
         raise ValueError(f"grid size {n} not divisible by coarsening factor {factor}")
-    x = np.arange(n) / n
-    if d == 1:
-        if factor == 1:
-            pts = x[:, None]
-            w = vals.copy()
-        else:
-            blocks = vals.reshape(n // factor, factor)
-            w = blocks.sum(axis=1)
-            centers = (x.reshape(n // factor, factor) * blocks).sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                centers = np.where(w > 0, centers / np.where(w > 0, w, 1.0), 0.0)
-            base = x.reshape(n // factor, factor)[:, 0] + 0.5 * (factor - 1) / n
-            pts = np.where(w > 0, centers, base)[:, None]
+    vals = np.maximum(rho.values, 0.0)
+    coords = np.meshgrid(*[np.arange(n) / n] * d, indexing="ij")
+    if factor == 1:
+        pts, w = np.stack([x.ravel() for x in coords], axis=1), vals.ravel()
     else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        if factor == 1:
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            w = vals.ravel()
-        else:
-            nb = n // factor
-            blocks = vals.reshape(nb, factor, nb, factor)
-            w = blocks.sum(axis=(1, 3))
-            cx = (X.reshape(nb, factor, nb, factor) * blocks).sum(axis=(1, 3))
-            cy = (Y.reshape(nb, factor, nb, factor) * blocks).sum(axis=(1, 3))
-            safe = np.where(w > 0, w, 1.0)
-            bx = X.reshape(nb, factor, nb, factor)[:, 0, :, 0] + 0.5 * (factor - 1) / n
-            by = Y.reshape(nb, factor, nb, factor)[:, 0, :, 0] + 0.5 * (factor - 1) / n
-            cx = np.where(w > 0, cx / safe, bx)
-            cy = np.where(w > 0, cy / safe, by)
-            pts = np.column_stack([cx.ravel(), cy.ravel()])
-            w = w.ravel()
+        shape, inner = (n // factor, factor) * d, tuple(range(1, 2 * d, 2))
+        blocks = vals.reshape(shape)
+        w = blocks.sum(axis=inner).ravel()
+        with np.errstate(invalid="ignore"):
+            pts = np.stack([(x.reshape(shape) * blocks).sum(axis=inner).ravel() / w
+                            for x in coords], axis=1)
     keep = w > 0
-    w = w[keep]
-    return DiscreteMeasure(points=pts[keep], weights=w / w.sum())
+    return DiscreteMeasure(points=pts[keep], weights=w[keep] / w[keep].sum())

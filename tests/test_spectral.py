@@ -154,3 +154,11 @@ def test_only_spectral_calls_the_fft():
     callers = [p.name for p in sorted(package.glob("*.py"))
                if p.name != "spectral.py" and re.search(r"\bfft\b", p.read_text())]
     assert callers == []
+
+
+def test_only_transport_and_oracles_call_the_lp():
+    # one transport layer: the exact solvers and the dense test reference
+    package = Path(spectral.__file__).parent
+    callers = [p.name for p in sorted(package.glob("*.py"))
+               if re.search(r"\b(linprog|linear_sum_assignment)\b", p.read_text())]
+    assert callers == ["oracles.py", "transport.py"]

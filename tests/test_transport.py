@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 import torusdpa.transport as T
 from torusdpa.fields import GridField
-from torusdpa.geometry import min_image
-from torusdpa.oracles import brute_w2
+from torusdpa.geometry import min_image, torus_cost_sq
+from torusdpa.oracles import brute_w2, dense_lp_w2
 from torusdpa.transport import (
     DiscreteMeasure,
-    cost_matrix,
     grid_to_measure,
     w2_circle_exact,
     w2_exact_lp,
-    w2_sinkhorn,
 )
 
 
@@ -28,7 +26,7 @@ def grid_measure(n=512):
 
 
 def plan_cost(plan, mu, nu):
-    return float(np.dot(plan.weights, cost_matrix(mu, nu)[plan.rows, plan.cols]))
+    return float(np.dot(plan.weights, torus_cost_sq(mu.points[plan.rows], nu.points[plan.cols])))
 
 
 def draw_measure(rng, n, weights, duplicates, share=None):
@@ -48,6 +46,23 @@ def draw_measure(rng, n, weights, duplicates, share=None):
     if weights == "zeros" and n > 1:
         w[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
     return DiscreteMeasure(pts[:, None], w / w.sum())
+
+
+def lattice_measure(rng, k, d):
+    """Random weights on the k^d lattice, about a fifth of them exactly zero."""
+    x = np.arange(k) / k
+    pts = np.stack(np.meshgrid(*[x] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    w = rng.random(len(pts))
+    w[rng.random(len(pts)) < 0.2] = 0.0
+    return DiscreteMeasure(pts, w / w.sum())
+
+
+def assert_matches_dense(mu, nu):
+    w, plan = w2_exact_lp(mu, nu)
+    assert w == pytest.approx(dense_lp_w2(mu.points, mu.weights, nu.points, nu.weights),
+                              rel=1e-10)
+    assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+    assert plan_cost(plan, mu, nu) == pytest.approx(w * w, rel=1e-12)
 
 
 class TestCircle:
@@ -212,16 +227,6 @@ class TestExactLP:
         _, plan = w2_exact_lp(mu, nu)
         assert max(plan.marginal_errors(mu, nu)) <= 1e-9
 
-    def test_size_caps_mention_sinkhorn(self, rng):
-        big = DiscreteMeasure(rng.random((3001, 1)))
-        with pytest.raises(ValueError, match="sinkhorn"):
-            w2_exact_lp(big, big)
-        mu = DiscreteMeasure(rng.random((600, 1)), np.full(600, 1 / 600.0))
-        nu_w = rng.random(600)
-        nu = DiscreteMeasure(rng.random((600, 1)), nu_w / nu_w.sum())
-        with pytest.raises(ValueError, match="sinkhorn"):
-            w2_exact_lp(mu, nu)
-
     def test_dimension_mismatch_rejected(self, rng):
         mu = DiscreteMeasure(rng.random((6, 2)))
         nu = DiscreteMeasure(rng.random((6, 1)))
@@ -229,6 +234,47 @@ class TestExactLP:
             w2_exact_lp(mu, nu)
         with pytest.raises(ValueError, match="dimensions"):
             w2_exact_lp(nu, mu)
+
+    @pytest.mark.parametrize("d, k", [(1, 16), (1, 64), (1, 256), (2, 4), (2, 8), (2, 16)])
+    def test_lattices_match_dense_reference(self, rng, d, k):
+        # random weights on k^d lattices, about a fifth of them exactly zero
+        mu, nu = lattice_measure(rng, k, d), lattice_measure(rng, k, d)
+        assert_matches_dense(mu, nu)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_particles_match_dense_reference(self, rng, d):
+        k = 256 if d == 1 else 16
+        cloud = DiscreteMeasure(rng.random((150, d)))
+        assert_matches_dense(cloud, lattice_measure(rng, k, d))
+        assert_matches_dense(lattice_measure(rng, k, d), cloud)
+        w = rng.random(90)
+        assert_matches_dense(cloud, DiscreteMeasure(rng.random((90, d)), w / w.sum()))
+
+    def test_equal_uniform_pairs_above_the_assignment_bound(self, rng, monkeypatch):
+        mu = DiscreteMeasure(rng.random((80, 2)))
+        nu = DiscreteMeasure(rng.random((80, 2)))
+        w_assignment = w2_exact_lp(mu, nu)[0]
+        monkeypatch.setattr(T, "_ASSIGNMENT_ATOMS", 79)
+        w, plan = w2_exact_lp(mu, nu)
+        assert w == pytest.approx(w_assignment, rel=1e-10)
+        assert max(plan.marginal_errors(mu, nu)) <= 1e-9
+
+    def test_certificate_finds_a_removed_pair(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK_ENTRIES", 100)  # one row per chunk
+        mu, nu = lattice_measure(rng, 8, 2), lattice_measure(rng, 8, 2)
+        a, b = (T._Level(m.points, m.weights, (m.points * 8).astype(int), 8) for m in (mu, nu))
+        full = np.arange(a.n * b.n)
+        gamma, u, v = T._sparse_lp(a, b, full)
+        # the dense optimum's duals are feasible: a brute-force reduced-cost check
+        cost = torus_cost_sq(mu.points[:, None], nu.points[None])
+        assert np.min(cost - u[:, None] - v[None, :]) >= -1e-10
+        # pairs already in the LP are never violators, whatever the duals
+        assert T._violators(a, b, u + 1.0, v, full)[0].size == 0
+        removed = full[np.argmax(gamma)]
+        keys = np.delete(full, removed)
+        _, u, v = T._sparse_lp(a, b, keys)
+        i, j = T._violators(a, b, u, v, keys)
+        assert list(zip(i, j)) == [divmod(removed, b.n)]
 
     def test_metric_axioms_on_triples(self, rng):
         for _ in range(5):
@@ -239,44 +285,6 @@ class TestExactLP:
             d02 = w2_exact_lp(ms[0], ms[2])[0]
             assert d01 == pytest.approx(d10, abs=1e-10)
             assert d02 <= d01 + d12 + 1e-9
-
-
-class TestSinkhorn:
-    def test_identity_divergence(self, rng):
-        mu = DiscreteMeasure(rng.random((20, 1)))
-        res = w2_sinkhorn(mu, mu, 0.05)
-        assert abs(res.divergence) <= 1e-8
-
-    def test_symmetry(self, rng):
-        mu = DiscreteMeasure(rng.random((15, 1)))
-        nu = DiscreteMeasure(rng.random((15, 1)))
-        a = w2_sinkhorn(mu, nu, 0.02).divergence
-        b = w2_sinkhorn(nu, mu, 0.02).divergence
-        assert abs(a - b) <= 1e-10
-
-    def test_reg_sweep_brackets_lp(self, rng):
-        mu = DiscreteMeasure(rng.random((50, 1)))
-        nu = DiscreteMeasure(rng.random((50, 1)))
-        exact_sq = w2_exact_lp(mu, nu)[0] ** 2
-        costs = [w2_sinkhorn(mu, nu, reg).entropic_cost for reg in (0.1, 0.01, 0.001)]
-        assert costs[0] > costs[1] > costs[2] > exact_sq
-
-    def test_nonconvergence_reports_residual(self, rng):
-        mu = DiscreteMeasure(rng.random((10, 1)))
-        nu = DiscreteMeasure(rng.random((10, 1)))
-        with pytest.raises(RuntimeError, match="marginal violation"):
-            w2_sinkhorn(mu, nu, 1e-4, max_iter=5)
-
-    def test_dimension_mismatch_rejected(self, rng):
-        mu = DiscreteMeasure(rng.random((6, 2)))
-        nu = DiscreteMeasure(rng.random((6, 1)))
-        with pytest.raises(ValueError, match="dimensions"):
-            w2_sinkhorn(mu, nu, 0.05)
-
-    def test_reg_positive(self, rng):
-        mu = DiscreteMeasure(rng.random((4, 1)))
-        with pytest.raises(ValueError):
-            w2_sinkhorn(mu, mu, 0.0)
 
 
 class TestGridToMeasure:
