@@ -270,20 +270,22 @@ def velocity_field_nl(
     from the potential spectrum (R_hat = 1 when alpha = 0)
         phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
                   - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
-    in 3 + d transforms once the set's spectra are cached (W_hat is
-    KernelSet.multiplier).  Component i is sampled at the nodes, or with
-    at_faces at the faces x + h/2 e_i.
+    in 3 + d transforms, with the two multipliers from
+    KernelSet.velocity_multipliers.  Component i is sampled at the nodes, or
+    with at_faces at the faces x + h/2 e_i.
     """
     _, ot_hat = _spectra_on(kernels, rho)
     n, m = rho.n, schedule.m
+    power_mult, linear = kernels.velocity_multipliers(
+        m, schedule.epsilon_star, schedule.alpha > 0.0 and kernels.viscosity is not None)
     rho_hat = forward_transform(rho.values)
-    power = np.maximum(inverse_transform(ot_hat * rho_hat, n), 0.0) ** (m - 1.0)
-    if schedule.alpha > 0.0 and kernels.viscosity is not None:
-        visc = kernels.viscosity.spectrum
-    else:
-        visc = 1.0  # alpha = 0 convention: R_alpha * rho = rho
-    linear = kernels.multiplier(W=1.0) + schedule.epsilon_star * visc
-    phi_hat = (m / (m - 1.0)) * ot_hat * forward_transform(power) - linear * rho_hat
+    power = inverse_transform(ot_hat * rho_hat, n)
+    np.maximum(power, 0.0, out=power)
+    power **= m - 1.0
+    phi_hat = forward_transform(power)
+    phi_hat *= power_mult
+    rho_hat *= linear
+    phi_hat -= rho_hat
     mults = (face_grad_multipliers if at_faces else grad_multipliers)(n, rho.d)
     return np.stack([inverse_transform(g * phi_hat, n) for g in mults])
 

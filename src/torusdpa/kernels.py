@@ -543,6 +543,7 @@ class KernelSet:
     _spectra: Optional[tuple] = None
     _stable_cache: dict = field(default_factory=dict)  # particles.stable_dt's bounds
     _meshes: dict = field(default_factory=dict)  # particle_mesh's meshes and multipliers
+    _velocity: dict = field(default_factory=dict)  # velocity_multipliers per (m, eps_star, R)
 
     @property
     def n(self) -> int:
@@ -590,6 +591,17 @@ class KernelSet:
         if self._W is None:
             self._W = KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
         return self._W
+
+    def velocity_multipliers(self, m: float, epsilon_star: float, viscosity: bool) -> tuple:
+        """((m/(m-1)) ot_hat, W_hat + eps_star R_hat), the two multipliers of
+        the nonlocal potential (R_hat = 1 without viscosity); built on first
+        use per (m, eps_star, viscosity)."""
+        key = (m, epsilon_star, bool(viscosity))
+        if key not in self._velocity:
+            visc = self.viscosity.spectrum if viscosity else 1.0
+            self._velocity[key] = ((m / (m - 1.0)) * self.spectra[1],
+                                   self.multiplier(W=1.0) + epsilon_star * visc)
+        return self._velocity[key]
 
     def at_resolution(self, n2: int) -> "KernelSet":
         """Same kernels on a coarser grid: the spectra, R_hat included, cropped

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -21,6 +22,7 @@ from torusdpa.harness import (
     load_scenario,
     run_scenario,
 )
+from torusdpa.kernels import KernelResolutionError
 
 
 def small_scenario(**over):
@@ -187,6 +189,28 @@ class TestRunScenario:
         sc = small_scenario(engines=["local-grid"])
         art = run_scenario(sc, tmp_path / "l")
         assert art.results["local_flags"]["energy_increases"] == 0
+
+
+def test_csv_rows_match_csv_writer(tmp_path):
+    # mixed rows: Python and numpy floats and ints, bools, a string that needs
+    # quoting, None, an empty row, and a column whose type changes
+    rows = [
+        [0.1, 3, np.float64(1 / 3), np.int64(-7)],
+        [1e-300, -0.0, float("nan"), float("inf"), 10**20, True],
+        [2.5, "a,b", None, np.float32(0.1)],
+        [],
+        [1, 0.1, np.int32(4), 2**70],
+        [0.1, 3, np.float64(2 / 3), np.int64(8)],
+    ]
+    path = H._Writer(tmp_path).csv("rows.csv", ["a", "b c", "d"], iter(rows), "test")
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b c", "d"])
+        for row in rows:
+            w.writerow([H._fmt(v) for v in row])
+    assert path.read_bytes() == expected.read_bytes()
+    assert b"\r\n0.10000000000000001,3,0.33333333333333331,-7\r\n" in path.read_bytes()
 
 
 class TestContraction:
@@ -503,6 +527,17 @@ class TestCliSweeps:
         assert cli_main(["sweep", str(cfg), *mode, "--out", str(tmp_path / "out")]) == 1
         assert ("kde grid n = 384 does not divide the kernel table size 1024"
                 in capsys.readouterr().err)
+
+    def test_eps_sweep_builds_every_kernel_set_before_any_run(self, monkeypatch):
+        # fig1's 512-point tables resolve omega at eps = 0.08 but not at 0.06
+        def engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for owner, name in ((H, "_particles_to_T"), (PL, "run_local"), (PN, "run_nonlocal")):
+            monkeypatch.setattr(owner, name, engine)
+        sc = Scenario.from_dict({**PRESETS["fig1-2d"], "grid": {"n": 16}})
+        with pytest.raises(KernelResolutionError, match="samples across scale"):
+            H.convergence_sweep(sc, [0.1, 0.08, 0.06])
 
     def test_sweep_needs_mode(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)
