@@ -367,23 +367,12 @@ class _Writer:
         return path
 
     def csv(self, name: str, header, rows, schema: str):
-        """Rows as csv.writer writes [_fmt(v) for v in row]: each row of floats
-        and ints goes through one format string per sequence of value types,
-        and any other row through csv.writer."""
         path = self.out_dir / name
-        formats = {}
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:
-                types = tuple(map(type, row))
-                fmt = formats.get(types)
-                if fmt is None:
-                    fmt = formats[types] = _row_format(types)
-                if fmt:
-                    fh.write(fmt % tuple(row))
-                else:
-                    w.writerow([_fmt(v) for v in row])
+                w.writerow([_fmt(v) for v in row])
         return self.register(name, schema)
 
     def gridfield(self, name: str, fld: F.GridField):
@@ -398,21 +387,6 @@ class _Writer:
 
 def _fmt(v):
     return format(v, ".17g") if isinstance(v, float) else v
-
-
-def _row_format(types) -> str:
-    """One %-format CSV line for values of these types: .17g for a float
-    (the same digits as _fmt's format()), str for an int, neither of which
-    ever needs quoting; "" when another type leaves the row to csv.writer."""
-    fields = []
-    for t in types:
-        if issubclass(t, float):
-            fields.append("%.17g")
-        elif issubclass(t, (int, np.integer)):
-            fields.append("%s")
-        else:
-            return ""
-    return ",".join(fields) + "\r\n"
 
 
 _ENERGY_HEADER = [
@@ -598,7 +572,8 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     _check_sweep_kde(c, rho0)
     kernels0 = build_scenario_kernels(base_scenario)
     # every eps's kernels are built before the shared local run, so an eps
-    # the tables cannot resolve fails at entry
+    # the tables cannot resolve fails at entry; each set, with the mesh
+    # caches its particle run fills, is dropped as the next eps starts
     plan = []
     for eps in eps_list:
         sc = Scenario.from_dict(
@@ -609,7 +584,8 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
     local_measure = _field_measure(local.final, max_atoms=_SWEEP_ATOMS)
     rows = []
-    for eps, sc, sched, kset in plan:
+    while plan:
+        eps, sc, sched, kset = plan.pop(0)
         kgrid = kset.at_resolution(rho0.n)
         nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
         nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)

@@ -31,6 +31,7 @@ from .spectral import (
     freq_lattice,
     grad_multipliers,
     gradient,
+    inner,
     inverse_transform,
     k_squared,
 )
@@ -89,8 +90,8 @@ def _div_hat(vals, grads, gmult):
 class LocalSolver:
     """init / step / observe of the SAV scheme.  The solver carries the field,
     its half spectrum and the SAV scalar r from step to step, and builds the
-    grid's multipliers and Parseval weights once; the grid size follows from
-    rho0 and cfg is never modified."""
+    grid's multipliers and the gradient-energy weight once; the grid size
+    follows from rho0 and cfg is never modified."""
 
     def __init__(self, cfg: LocalSolverConfig, rho0: GridField):
         self.cfg = cfg
@@ -109,13 +110,13 @@ class LocalSolver:
             mask = mask * (np.abs(k) <= cutoff)
         self.neg_Dmask = -D * mask
         self.neg_mask = -mask
-        # Parseval on the half spectrum (spectral.inner): each last-axis
-        # column stands for itself and its mirror, except these; and
-        # 0.5 D ||grad rho||^2 weighs |rho_hat|^2 by 0.5 D |2 pi k|^2 (Nyquist
-        # zeroed) and the column weights
-        self.single_columns = (0, n // 2) if n % 2 == 0 else (0,)
+        # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
+        # by 0.5 D |2 pi k|^2 (Nyquist zeroed), twice for each last-axis column
+        # that stands for itself and its mirror
         w = np.full(n // 2 + 1, 2.0)
-        w[list(self.single_columns)] = 1.0
+        w[0] = 1.0
+        if n % 2 == 0:
+            w[-1] = 1.0
         self.grad_weight = 0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult) * w
         self.C0, em0 = cfg.initial_shift(rho0)
         self.r = float(np.sqrt(self.C0 - em0))
@@ -123,16 +124,6 @@ class LocalSolver:
         self.values = rho0.values
         self.spec = forward_transform(rho0.values)
         self._peak = float(rho0.values.max())  # max(rho), kept from each step's check
-
-    def _inner(self, a_hat, b_hat) -> float:
-        """spectral.inner without building its weights: every column counted
-        twice, less the single columns.  spectral.inner keeps its pairwise
-        sum, since the particle energies' finite-difference checks sit close
-        to the roundoff of that sum."""
-        total = 2.0 * np.vdot(b_hat, a_hat).real
-        for col in self.single_columns:
-            total -= np.vdot(b_hat[..., col], a_hat[..., col]).real
-        return float(total)
 
     def _grad_energy(self, spec) -> float:
         """0.5 D ||grad rho||^2 by Parseval on the half spectrum of rho."""
@@ -210,8 +201,8 @@ class LocalSolver:
         rho2_hat = _div_hat(mob, gradient(g_hat, n), self.gmult)
         rho2_hat *= (dt / q * self.neg_mask) * inv_denom
 
-        inner_g_rho2 = self._inner(g_hat, rho2_hat)
-        inner_g_diff = self._inner(g_hat, drho1_hat)
+        inner_g_rho2 = inner(g_hat, rho2_hat, n)
+        inner_g_diff = inner(g_hat, drho1_hat, n)
         r_new = (self.r - inner_g_diff / (2.0 * q)) / (1.0 + inner_g_rho2 / (2.0 * q))
         if r_new <= 0.0:
             raise RuntimeError(

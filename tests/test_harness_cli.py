@@ -1,4 +1,3 @@
-import csv
 import json
 import re
 import warnings
@@ -189,28 +188,6 @@ class TestRunScenario:
         sc = small_scenario(engines=["local-grid"])
         art = run_scenario(sc, tmp_path / "l")
         assert art.results["local_flags"]["energy_increases"] == 0
-
-
-def test_csv_rows_match_csv_writer(tmp_path):
-    # mixed rows: Python and numpy floats and ints, bools, a string that needs
-    # quoting, None, an empty row, and a column whose type changes
-    rows = [
-        [0.1, 3, np.float64(1 / 3), np.int64(-7)],
-        [1e-300, -0.0, float("nan"), float("inf"), 10**20, True],
-        [2.5, "a,b", None, np.float32(0.1)],
-        [],
-        [1, 0.1, np.int32(4), 2**70],
-        [0.1, 3, np.float64(2 / 3), np.int64(8)],
-    ]
-    path = H._Writer(tmp_path).csv("rows.csv", ["a", "b c", "d"], iter(rows), "test")
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a", "b c", "d"])
-        for row in rows:
-            w.writerow([H._fmt(v) for v in row])
-    assert path.read_bytes() == expected.read_bytes()
-    assert b"\r\n0.10000000000000001,3,0.33333333333333331,-7\r\n" in path.read_bytes()
 
 
 class TestContraction:
