@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import fields as F
 from . import particles as P
@@ -208,13 +207,16 @@ class Scenario:
 
 
 def load_scenario(path_or_name) -> Scenario:
-    """Load a scenario from a preset name or a JSON/YAML file."""
+    """Load a scenario from a preset name or a JSON/YAML file.  pyyaml is
+    imported only for a file that is not JSON."""
     if str(path_or_name) in PRESETS:
         return Scenario.from_dict(PRESETS[str(path_or_name)])
     text = Path(path_or_name).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
+        import yaml
+
         try:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:

@@ -10,6 +10,10 @@ Two exact routes:
 * ``w2_exact_lp``: any d, via assignment (equal sizes and weights, up to
   _ASSIGNMENT_ATOMS atoms) or a coarse-to-fine sparse LP solved by HiGHS,
   whose dense reduced costs certify that its optimum is the dense LP's.
+
+Only ``w2_exact_lp`` needs scipy (HiGHS and the assignment solver), and
+it imports scipy on its first call in a process, so importing this module,
+or the package, loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
 
 from .fields import GridField
 from .geometry import min_image, torus_cost_sq, wrap
@@ -277,6 +279,9 @@ def _sparse_lp(a: _Level, b: _Level, keys):
     marginals of a and b, and the duals (u, v) of its row and column
     constraints (the last column's is implied by the others and dropped:
     v = 0 there)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     rows, cols = np.divmod(keys, b.n)
     keep = np.flatnonzero(cols < b.n - 1)
     A = coo_matrix(
@@ -379,6 +384,8 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if mu.d != nu.d:
         raise ValueError(f"measures live in different dimensions: {mu.d} and {nu.d}")
     if mu.n == nu.n <= _ASSIGNMENT_ATOMS and mu.is_uniform() and nu.is_uniform():
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(torus_cost_sq(mu.points[:, None], nu.points[None]))
         weights = np.full(mu.n, 1.0 / mu.n)
     else:

@@ -1,6 +1,7 @@
 """Property tests of the real-FFT spectral layer against plain complex
 np.fft.fftn references on full grids, odd sizes included."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -162,3 +163,26 @@ def test_only_transport_and_oracles_call_the_lp():
     callers = [p.name for p in sorted(package.glob("*.py"))
                if re.search(r"\b(linprog|linear_sum_assignment)\b", p.read_text())]
     assert callers == ["oracles.py", "transport.py"]
+
+
+def test_one_place_per_heavy_import():
+    # scipy and pyyaml are imported where they are called, never at load time
+    package = Path(spectral.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert [n for n, s in sources.items() if re.search(r"\bscipy\b", s)] == [
+        "oracles.py", "transport.py"]
+    assert [n for n, s in sources.items() if re.search(r"\byaml\b", s)] == ["harness.py"]
+
+    def load_time_imports(node):
+        # every module an import statement outside a function body names
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                yield child.module or ""
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from load_time_imports(child)
+
+    for name in ("transport.py", "harness.py"):
+        imported = load_time_imports(ast.parse(sources[name]))
+        assert [m for m in imported if m.split(".")[0] in ("scipy", "yaml")] == [], name
