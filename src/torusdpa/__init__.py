@@ -45,6 +45,7 @@ from .transport import (
     DiscreteMeasure,
     TransportPlan,
     grid_to_measure,
+    w2,
     w2_circle_exact,
     w2_exact_lp,
 )

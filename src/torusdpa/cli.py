@@ -30,7 +30,7 @@ from .harness import (
     run_scenario,
 )
 from .kernels import export_kernel_csv, lambda_convexity_constant
-from .transport import DiscreteMeasure, grid_to_measure, w2_circle_exact, w2_exact_lp
+from .transport import DiscreteMeasure, grid_to_measure, w2
 
 
 def _load(path_or_preset, seed=None, appendix_a=None):
@@ -184,8 +184,7 @@ def _dispatch(args) -> int:
     if args.command == "w2":
         mu = _measure_from_file(args.fileA, args.max_atoms)
         nu = _measure_from_file(args.fileB, args.max_atoms)
-        w, _ = (w2_circle_exact if mu.d == nu.d == 1 else w2_exact_lp)(mu, nu)
-        print(f"W2={w:.10g}")
+        print(f"W2={w2(mu, nu):.10g}")
         return 0
 
     if args.command == "kernels" and args.kernels_command == "inspect":

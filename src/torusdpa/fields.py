@@ -178,12 +178,7 @@ class EnergyReport:
     mean_position: np.ndarray
     step_dissipation: float
     d_term: float = 0.0
-    e_term: float = 0.0
     visc_term: float = 0.0
-
-    def identity_error(self) -> float:
-        """Recomputed decomposition identity F = d_term - e_term + visc_term."""
-        return abs(self.F_eps_alpha - (self.d_term - self.e_term + self.visc_term))
 
     def row(self):
         return [self.t, self.F_eps_alpha, self.D_eps, self.E_m, self.entropy,
@@ -225,7 +220,6 @@ def free_energy(
         mean_position=circular_mean(rho),
         step_dissipation=diss,
         d_term=d_term,
-        e_term=Em,
         visc_term=visc_term,
     )
 

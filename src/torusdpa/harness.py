@@ -291,22 +291,16 @@ def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
     kc = c["kernels"]
     schedule = schedule or scenario.schedule()
     coeff = float(kc["moment_coefficient"])
-    omega_target = None
-    normalize_omega = kc["omega_moment"] == "target"
-    if normalize_omega:
-        omega_target = coeff * schedule.epsilon**2
-    normalize_tilde = kc["tilde_moment"] == "target"
-    tilde_target = coeff * schedule.epsilon_tilde**2 if normalize_tilde else None
     need_visc = (not c["appendix_a_mode"]) and schedule.alpha > 0.0
     try:
         return build_kernel_set(
             schedule,
             kind=kc["kind"],
             table_points=kc["table_points"],
-            omega_moment=omega_target,
-            normalize_omega=normalize_omega,
-            normalize_tilde=normalize_tilde,
-            tilde_moment=tilde_target,
+            omega_moment=(coeff * schedule.epsilon**2
+                          if kc["omega_moment"] == "target" else None),
+            tilde_moment=(coeff * schedule.epsilon_tilde**2
+                          if kc["tilde_moment"] == "target" else None),
             viscosity_k=float(kc["viscosity_k"]),
             with_viscosity=need_visc,
         )
@@ -546,12 +540,6 @@ def _field_measure(fld: F.GridField, max_atoms=None, smooth_with=None):
     return T.grid_to_measure(F.GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
 
 
-def _w2(mu, nu, d):
-    if d == 1:
-        return T.w2_circle_exact(mu, nu)[0]
-    return T.w2_exact_lp(mu, nu)[0]
-
-
 def _check_sweep_kde(c, rho0: F.GridField):
     """Fail before any run when the sweep's kde grid (the initial field's)
     does not divide the kernel table size (fields.check_kde_size)."""
@@ -569,7 +557,6 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     c = base_scenario.config
-    d = c["dimension"]
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
     kernels0 = build_scenario_kernels(base_scenario)
@@ -597,11 +584,11 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         smooth = kgrid.omega_tilde
         rows.append({
             "epsilon": eps,
-            "w2_nl_local": _w2(nl_measure, local_measure, d),
-            "w2_particle_local": _w2(
-                kde_measure, _field_measure(local.final, _SWEEP_ATOMS, smooth), d),
-            "w2_particle_nl": _w2(
-                kde_measure, _field_measure(nl.traces[0].final, _SWEEP_ATOMS, smooth), d),
+            "w2_nl_local": T.w2(nl_measure, local_measure),
+            "w2_particle_local": T.w2(
+                kde_measure, _field_measure(local.final, _SWEEP_ATOMS, smooth)),
+            "w2_particle_nl": T.w2(
+                kde_measure, _field_measure(nl.traces[0].final, _SWEEP_ATOMS, smooth)),
             "local_flags": local.flags,
             "nl_run": nl,
         })
@@ -617,7 +604,6 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
 
     Each row also carries that nl run under the run_scenario key "nl_run"."""
     c = base_scenario.config
-    d = c["dimension"]
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
     sched = base_scenario.schedule()
@@ -637,8 +623,8 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
         emp = T.DiscreteMeasure(state.positions)
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
         kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
-        rows.append({"N": int(N), "w2_particle_nl": _w2(emp, nl_measure, d),
-                     "w2_kde_nl": _w2(kde_measure, nl_smoothed, d), "nl_run": nl})
+        rows.append({"N": int(N), "w2_particle_nl": T.w2(emp, nl_measure),
+                     "w2_kde_nl": T.w2(kde_measure, nl_smoothed), "nl_run": nl})
     if out_dir is not None:
         cols = ["N", "w2_particle_nl", "w2_kde_nl"]
         _Writer(out_dir).csv("sweep_n.csv", cols, ([r[k] for k in cols] for r in rows),
@@ -658,7 +644,6 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     sched = scenario.schedule()
     if sched.alpha <= 0.0:
         raise ValueError("contraction test requires alpha > 0")
-    d = c["dimension"]
     kernels = build_scenario_kernels(scenario, sched)
     lam = lambda_convexity_constant(kernels)
     rho0 = initial_density(scenario)
@@ -674,7 +659,7 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     state_b = P.ParticleState(state_a.positions + shift, schedule=sched)
 
     def measure(sa, sb):
-        return _w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions), d)
+        return T.w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions))
 
     w0 = measure(state_a, state_b)
     # equal steps in `samples` equal legs, so every sample ends a step

@@ -3,19 +3,20 @@
 Three families are built here:
 
 * ``compact-bump`` / ``truncated-gaussian`` mollifiers, tabulated on a
-  periodic grid, with optional normalization of the per-axis second moment.
-  In moment-targeted mode the profile width is tuned so the tabulated kernel
-  hits the requested moment exactly (this is what makes the nonlocal
-  diffusion operator consistent with the Laplacian); in natural mode the
-  profile width equals the scale and the achieved moment is recorded.
+  periodic grid.  One argument sets the per-axis second moment: given a
+  target, make_mollifier tunes the profile width until the tabulated kernel
+  hits it (this is what makes the nonlocal diffusion operator consistent
+  with the Laplacian); given none, the profile width equals the scale and
+  the achieved moment is recorded.
 * a ``matern-viscosity`` kernel defined by its spectrum
   R_hat = (1 + |2 pi alpha xi|^2)^(-k), with its convolution square root.
-* compositions.  A KernelSet holds the real half spectra of its two
-  mollifiers, o_hat and ot_hat, and R_hat; every other kernel is a
-  multiplier on them (KernelSet.multiplier): the interaction kernel
-  W_hat = ot_hat^2 (1 - o_hat)/eps^2, the squared smoothing kernel ot_hat^2,
-  the particles' pair potential U_hat = W_hat - 2 ot_hat^2 (+ eps_star R_hat)
-  and the grid velocity's linear part W_hat + eps_star R_hat.  Hessian
+* compositions.  A KernelSet holds its two mollifiers, whose real half
+  spectra o_hat and ot_hat are transformed once, and R_hat; every other
+  kernel is a multiplier on them (KernelSet.multiplier): the interaction
+  kernel W_hat = ot_hat^2 (1 - o_hat)/eps^2, the squared smoothing kernel
+  ot_hat^2, the particles' pair potential U_hat = W_hat - 2 ot_hat^2
+  (+ eps_star R_hat) and the grid velocity's linear part W_hat + eps_star
+  R_hat.  The W and U tables are built when asked for, never kept.  Hessian
   bounds are read off the multipliers, a coarser set crops the spectra, and
   the particle sums run on a spectral.ParticleMesh that holds the
   multipliers cropped to its box (KernelSet.particle_mesh).
@@ -72,6 +73,11 @@ __all__ = [
 
 DEFAULT_TABLE_POINTS = {1: 4096, 2: 512}
 MOLLIFIER_KINDS = ("compact-bump", "truncated-gaussian")
+# make_mollifier's largest gaussian width: past it the profile under the
+# torus-capped cut is flat to 1e-6, so its moment has saturated
+_GAUSSIAN_WIDTH_CAP = 1e3
+# make_mollifier's table builds per mollifier before it gives up
+_MAX_TABLE_BUILDS = 200
 
 
 class KernelError(ValueError):
@@ -225,7 +231,6 @@ class KernelFamily:
     d: int
     second_moment_target: float
     table: KernelTable
-    moment_normalized: bool
     profile_width: float
     _spectrum: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -285,94 +290,63 @@ def make_mollifier(
     scale: float,
     d: int = 1,
     second_moment_target: Optional[float] = None,
-    normalize_moment: bool = True,
     table_points: Optional[int] = None,
 ) -> KernelFamily:
     """Construct an admissible mollifier at the given scale.
 
-    With normalize_moment=True the profile width is tuned so the tabulated
-    per-axis second moment equals second_moment_target (default 2 scale^2,
-    the Laplacian convention).  With normalize_moment=False the
-    profile width is the scale itself and the achieved moment is recorded as
-    the target.
+    With second_moment_target None the profile width is the scale itself and
+    the achieved per-axis second moment is recorded as the target.  With a
+    target (2 scale^2 is the Laplacian convention) the width is tuned until
+    the tabulated moment is within 1e-9 relative of it: a fixed-point step
+    width sqrt(target / m2) while it stays inside the bracket of measured
+    widths and keeps halving the moment error, else the bracket's midpoint,
+    or 1.3 times the width while no measured width overshoots.  A width past
+    the kind's cap raises KernelEmbedError: the bump's support must stay
+    inside the half-torus, and a gaussian wider than _GAUSSIAN_WIDTH_CAP is
+    flat under its torus-capped cut.
     """
     if not (0.0 < scale < 0.5):
         raise KernelError(f"scale {scale} outside (0, 1/2)")
     n = table_points or DEFAULT_TABLE_POINTS[d]
     h = 1.0 / n
     cut_cap = 0.5 - 2.0 * h
+    width_cap = cut_cap if kind == "compact-bump" else _GAUSSIAN_WIDTH_CAP
     grid = _radial_grid(n, d)  # sampled once; only the profile's width varies
-
-    if normalize_moment:
-        if second_moment_target is None:
-            second_moment_target = 2.0 * scale**2
-        width = scale  # starting guess; fixed-point drives the moment to target
-        table = None
-        tol = 1e-9 * max(second_moment_target, 1e-12)
-
-        def measure(w):
-            if kind == "compact-bump" and w > cut_cap:
-                raise KernelEmbedError(
-                    f"compact-bump with per-axis moment {second_moment_target:.3e} needs "
-                    f"support radius {w:.3f} > {cut_cap:.3f}; scale too large to embed"
-                )
-            return _build_mollifier_table(kind, w, grid, cut_cap)
-
-        converged = False
-        for _ in range(30):
-            table, m2 = measure(width)
-            if abs(m2 - second_moment_target) <= tol:
-                converged = True
-                break
-            if m2 <= 0:
-                raise KernelError("degenerate moment during normalization")
-            factor = math.sqrt(second_moment_target / m2)
-            if kind == "truncated-gaussian" and width > 50.0 and factor > 1.0:
-                raise KernelEmbedError(
-                    f"truncated-gaussian cannot reach per-axis moment "
-                    f"{second_moment_target:.3e} inside the torus (max ~{m2:.3e})"
-                )
-            width *= factor
-        if not converged:
-            # near the torus cap the moment saturates in width and the
-            # fixed-point stalls; the moment is monotone in width, so bisect
-            lo, hi = width, width
-            t_lo, m_lo = measure(lo)
-            while m_lo > second_moment_target:
-                hi, lo = lo, lo / 1.3
-                t_lo, m_lo = measure(lo)
-            t_hi, m_hi = measure(hi) if hi > lo else (t_lo, m_lo)
-            while m_hi < second_moment_target:
-                hi *= 1.3
-                if kind == "truncated-gaussian" and hi > 1e3:
-                    raise KernelEmbedError(
-                        f"truncated-gaussian cannot reach per-axis moment "
-                        f"{second_moment_target:.3e} inside the torus (max ~{m_hi:.3e})"
-                    )
-                t_hi, m_hi = measure(hi)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                table, m2 = measure(mid)
-                if abs(m2 - second_moment_target) <= tol:
-                    width = mid
-                    converged = True
-                    break
-                if m2 < second_moment_target:
-                    lo = mid
-                else:
-                    hi = mid
-            if not converged:
-                raise KernelError(
-                    f"moment normalization did not converge (target "
-                    f"{second_moment_target:.6e}, reached {m2:.6e})"
-                )
-    else:
-        width = scale
-        if kind == "compact-bump" and width > cut_cap:
+    target = second_moment_target
+    width = scale
+    lo, hi = 0.0, math.inf  # widths whose moments fell short of / overshot the target
+    err_last, m_max = math.inf, 0.0
+    for _ in range(_MAX_TABLE_BUILDS):
+        if width > width_cap:
+            reach = "" if target is None else (
+                f"; it cannot reach per-axis moment {target:.3e} inside the torus "
+                f"(largest moment reached {m_max:.3e})")
             raise KernelEmbedError(
-                f"support radius {width:.3f} > {cut_cap:.3f}; scale too large to embed"
+                f"{kind} width {width:.3f} exceeds its cap {width_cap:.3f}{reach}"
             )
-        table, second_moment_target = _build_mollifier_table(kind, width, grid, cut_cap)
+        table, m2 = _build_mollifier_table(kind, width, grid, cut_cap)
+        if target is None:
+            target = m2
+        err = abs(m2 - target)
+        if err <= 1e-9 * max(target, 1e-12):
+            break
+        if m2 <= 0:
+            raise KernelError("degenerate moment during normalization")
+        m_max = max(m_max, m2)
+        if m2 < target:
+            lo = width
+        else:
+            hi = width
+        step = width * math.sqrt(target / m2)
+        if lo < step < hi and err <= 0.5 * err_last:
+            width = step
+        else:
+            width = 0.5 * (lo + hi) if hi < math.inf else 1.3 * width
+        err_last = err
+    else:
+        raise KernelError(
+            f"moment normalization did not converge (target {target:.6e}, reached {m2:.6e})"
+        )
 
     if width / h < 8.0:
         raise KernelResolutionError(
@@ -382,9 +356,8 @@ def make_mollifier(
         kind=kind,
         scale=scale,
         d=d,
-        second_moment_target=second_moment_target,
+        second_moment_target=target,
         table=table,
-        moment_normalized=normalize_moment,
         profile_width=width,
     )
 
@@ -531,16 +504,13 @@ def schedule_from_epsilon(
 @dataclass
 class KernelSet:
     """All kernels needed by one schedule on a common grid: the two mollifier
-    families, the viscosity kernel, and the tables composed from their spectra."""
+    families and the viscosity kernel, with the multipliers composed from
+    their spectra and the caches the particle and grid engines fill."""
 
     schedule: ParameterSchedule
     omega: KernelFamily
     omega_tilde: KernelFamily
     viscosity: Optional[ViscosityKernel] = None
-    _smooth2: Optional[KernelTable] = None
-    _W: Optional[KernelTable] = None
-    _pairs: dict = field(default_factory=dict)
-    _spectra: Optional[tuple] = None
     _stable_cache: dict = field(default_factory=dict)  # particles.stable_dt's bounds
     _meshes: dict = field(default_factory=dict)  # particle_mesh's meshes and multipliers
     _velocity: dict = field(default_factory=dict)  # velocity_multipliers per (m, eps_star, R)
@@ -557,9 +527,7 @@ class KernelSet:
     def spectra(self) -> tuple:
         """Real half spectra (omega_hat, omega_tilde_hat) of the families on the
         set's lattice (KernelFamily.spectrum)."""
-        if self._spectra is None:
-            self._spectra = (self.omega.spectrum, self.omega_tilde.spectrum)
-        return self._spectra
+        return self.omega.spectrum, self.omega_tilde.spectrum
 
     def multiplier(self, W: float = 0.0, smooth2: float = 0.0, viscosity: float = 0.0):
         """The half spectrum W W_hat + smooth2 ot_hat^2 + viscosity R_hat, with
@@ -579,18 +547,10 @@ class KernelSet:
         return out
 
     @property
-    def smooth2(self) -> KernelTable:
-        """ot * ot, the squared smoothing kernel of the aggregation term."""
-        if self._smooth2 is None:
-            self._smooth2 = KernelTable.from_spectrum(self.multiplier(smooth2=1.0), self.n)
-        return self._smooth2
-
-    @property
     def W(self) -> KernelTable:
-        """W_eps = (ot*ot - o*ot*ot)/eps^2, the interaction kernel."""
-        if self._W is None:
-            self._W = KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
-        return self._W
+        """W_eps = (ot*ot - o*ot*ot)/eps^2, the interaction kernel, tabulated
+        on each access."""
+        return KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
 
     def velocity_multipliers(self, m: float, epsilon_star: float, viscosity: bool) -> tuple:
         """((m/(m-1)) ot_hat, W_hat + eps_star R_hat), the two multipliers of
@@ -620,7 +580,6 @@ class KernelSet:
             omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2),
                                 _spectrum=crops[1]),
             viscosity=visc,
-            _spectra=crops,
         )
 
     def pair_spectrum(self, include_viscosity: bool = True) -> np.ndarray:
@@ -629,11 +588,8 @@ class KernelSet:
         return self.multiplier(W=1.0, smooth2=-2.0, viscosity=eps_star)
 
     def pair_kernel(self, include_viscosity: bool = True) -> KernelTable:
-        """The table of pair_spectrum, which it keeps."""
-        key = bool(include_viscosity)
-        if key not in self._pairs:
-            self._pairs[key] = KernelTable.from_spectrum(self.pair_spectrum(key), self.n)
-        return self._pairs[key]
+        """The table of pair_spectrum, which keeps that spectrum."""
+        return KernelTable.from_spectrum(self.pair_spectrum(include_viscosity), self.n)
 
     def particle_mesh(self, include_viscosity: bool = True, m: float = 2.0):
         """(mesh, multipliers): the spectral.ParticleMesh of the particle sums
@@ -665,12 +621,14 @@ def build_kernel_set(
     kind: str = "compact-bump",
     table_points: Optional[int] = None,
     omega_moment: Optional[float] = None,
-    normalize_omega: bool = True,
-    normalize_tilde: bool = False,
     tilde_moment: Optional[float] = None,
     viscosity_k: float = 4.0,
     with_viscosity: bool = True,
 ) -> KernelSet:
+    """The kernel set of a schedule on the n^d table grid: omega at scale eps
+    and omega_tilde at scale eps_tilde, each at the per-axis second moment
+    given (make_mollifier's second_moment_target; None keeps the natural
+    width), and R_alpha when with_viscosity and alpha > 0."""
     d = schedule.d
     if not schedule.epsilon_tilde < 0.5:
         raise KernelError(
@@ -680,55 +638,22 @@ def build_kernel_set(
             f"epsilon_tilde and epsilon_star"
         )
     n = table_points or DEFAULT_TABLE_POINTS[d]
-    omega = make_mollifier(
-        kind,
-        schedule.epsilon,
-        d,
-        second_moment_target=omega_moment,
-        normalize_moment=normalize_omega,
-        table_points=n,
-    )
-    omega_tilde = make_mollifier(
-        kind,
-        schedule.epsilon_tilde,
-        d,
-        second_moment_target=tilde_moment,
-        normalize_moment=normalize_tilde,
-        table_points=n,
-    )
+    omega = make_mollifier(kind, schedule.epsilon, d, omega_moment, n)
+    omega_tilde = make_mollifier(kind, schedule.epsilon_tilde, d, tilde_moment, n)
     viscosity = None
     if with_viscosity and schedule.alpha > 0.0:
         viscosity = make_viscosity_kernel(schedule.alpha, k=viscosity_k, d=d, table_points=n)
     return KernelSet(schedule=schedule, omega=omega, omega_tilde=omega_tilde, viscosity=viscosity)
 
 
-def lambda_convexity_constant(
-    kernels: Optional[KernelSet] = None,
-    schedule: Optional[ParameterSchedule] = None,
-    prefactor: Optional[float] = None,
-) -> float:
-    """Geodesic-convexity modulus of the pair interaction energy (always <= 0).
-
-    Default path: minus the max-norm of the negative part of the pair
-    kernel's Hessian, computed from its spectrum on the table grid, with the
-    viscosity term only when the set carries it (not in appendix-A mode): the
-    pair potential the particles integrate.  With an explicit prefactor C,
-    returns -C*(eps^-2*et^-(d+2) + et^-(d+2) + eps_star*alpha^-(d+2)).
-    """
-    sched = schedule or (kernels.schedule if kernels is not None else None)
-    if sched is None:
-        raise ValueError("need a schedule or a kernel set")
-    if sched.alpha == 0.0:
+def lambda_convexity_constant(kernels: KernelSet) -> float:
+    """Geodesic-convexity modulus of the pair interaction energy (always <= 0):
+    minus the max-norm of the negative part of the pair kernel's Hessian,
+    computed from its spectrum on the table grid, with the viscosity term
+    only when the set carries it (not in appendix-A mode): the pair
+    potential the particles integrate."""
+    if kernels.schedule.alpha == 0.0:
         raise ValueError("lambda undefined at alpha=0: viscosity degenerates to local diffusion")
-    if prefactor is not None:
-        dd = sched.d + 2
-        return -prefactor * (
-            sched.epsilon**-2 * sched.epsilon_tilde**-dd
-            + sched.epsilon_tilde**-dd
-            + sched.epsilon_star * sched.alpha**-dd
-        )
-    if kernels is None:
-        raise ValueError("default path needs the tabulated kernels")
     eigs = hessian_eigs(kernels.pair_spectrum(kernels.viscosity is not None), kernels.n)
     return float(min(0.0, eigs[0].min()))
 

@@ -42,6 +42,8 @@ __all__ = ["LocalSolverConfig", "LocalSolver", "LocalRun", "run_local", "ch_oper
 UNDERSHOOT_TOL = -1e-10
 # a modified-energy rise above this between two steps is flagged
 ENERGY_INCREASE_TOL = 1e-10
+# a step whose field exceeds this in absolute value, or is not finite, fails
+BLOWUP_THRESHOLD = 1e3
 
 
 @dataclass
@@ -53,7 +55,6 @@ class LocalSolverConfig:
     C0: Optional[float] = None  # None: 2*E_m[rho0] + 1
     biharmonic_coeff: float = 1.0
     energy_every: Optional[float] = None  # time cadence; None: T/50
-    blowup_threshold: float = 1e3
 
     def initial_shift(self, rho0: GridField) -> tuple:
         """(C0, E_m[rho0]): C0 as given, or 2*E_m[rho0] + 1 for None, which
@@ -217,9 +218,9 @@ class LocalSolver:
         # one min and one max give the check, the step's minimum and the next
         # step's max(rho); a NaN fails the check
         lo, hi = float(new_vals.min()), float(new_vals.max())
-        if not (hi <= cfg.blowup_threshold and -lo <= cfg.blowup_threshold):
+        if not (hi <= BLOWUP_THRESHOLD and -lo <= BLOWUP_THRESHOLD):
             raise RuntimeError(
-                f"blow-up detected: max|rho| = {max(hi, -lo):.3e} > {cfg.blowup_threshold}"
+                f"blow-up detected: max|rho| = {max(hi, -lo):.3e} > {BLOWUP_THRESHOLD}"
             )
         self.values, self.spec, self.r, self._peak = new_vals, new_hat, float(r_new), hi
         return {

@@ -70,7 +70,12 @@ def _step(rho: GridField, vfaces, dt_cfl: float, dt: float, nu: float, k2) -> Gr
     div *= dt
     new = rho.values - div
     if nu > 0.0:
-        new = inverse_transform(forward_transform(new) / (1.0 + nu * dt * k2), rho.n)
+        inv_denom = np.multiply(k2, nu * dt)
+        inv_denom += 1.0
+        np.reciprocal(inv_denom, out=inv_denom)
+        spec = forward_transform(new)
+        spec *= inv_denom
+        new = inverse_transform(spec, rho.n)
     return GridField(new)
 
 

@@ -1,6 +1,6 @@
 """2-Wasserstein distances on the torus between discrete measures.
 
-Two exact routes:
+Two exact routes, and ``w2``, which picks the one for a pair's dimension:
 
 * ``w2_circle_exact``: d = 1.  The cost of the rotation-parametrized
   monotone matching is convex and piecewise linear in the cut parameter, so
@@ -29,6 +29,7 @@ from .geometry import min_image, torus_cost_sq, wrap
 __all__ = [
     "DiscreteMeasure",
     "TransportPlan",
+    "w2",
     "w2_circle_exact",
     "w2_exact_lp",
     "grid_to_measure",
@@ -392,6 +393,14 @@ def w2_exact_lp(mu: DiscreteMeasure, nu: DiscreteMeasure):
         rows, cols, weights = _coarse_to_fine(mu, nu)
     cost = float(np.dot(weights, torus_cost_sq(mu.points[rows], nu.points[cols])))
     return float(np.sqrt(max(cost, 0.0))), TransportPlan(rows, cols, weights, (mu.n, nu.n))
+
+
+def w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact W2 between two measures on the same torus: w2_circle_exact in
+    1-d, w2_exact_lp otherwise."""
+    if mu.d != nu.d:
+        raise ValueError(f"measures live in different dimensions: {mu.d} and {nu.d}")
+    return (w2_circle_exact if mu.d == 1 else w2_exact_lp)(mu, nu)[0]
 
 
 # ---------------------------------------------------------------------------

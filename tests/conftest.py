@@ -14,7 +14,8 @@ def sched_1d():
 @pytest.fixture(scope="session")
 def kset_1d(sched_1d):
     # tapered gaussians: the default scenario family
-    return build_kernel_set(sched_1d, kind="truncated-gaussian")
+    return build_kernel_set(sched_1d, kind="truncated-gaussian",
+                            omega_moment=2 * sched_1d.epsilon**2)
 
 
 @pytest.fixture(scope="session")
@@ -23,9 +24,7 @@ def kset_1d_bump():
     sched = schedule_from_epsilon(
         0.05, d=1, epsilon_tilde=0.25, epsilon_star=0.3, alpha=0.08
     )
-    return build_kernel_set(
-        sched, kind="compact-bump", normalize_omega=False, normalize_tilde=False
-    )
+    return build_kernel_set(sched, kind="compact-bump")
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +32,8 @@ def kset_2d():
     sched = schedule_from_epsilon(
         0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3, alpha=0.1
     )
-    return build_kernel_set(sched, kind="truncated-gaussian", table_points=256)
+    return build_kernel_set(sched, kind="truncated-gaussian", table_points=256,
+                            omega_moment=2 * sched.epsilon**2)
 
 
 @pytest.fixture()

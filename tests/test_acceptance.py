@@ -99,8 +99,7 @@ def test_criterion_01_kernel_admissibility():
     for d, n in ((1, 4096), (2, 512)):
         for eps in (0.2, 0.1, 0.05):
             for kind in ("compact-bump", "truncated-gaussian"):
-                fam = make_mollifier(kind, eps, d=d, normalize_moment=False,
-                                     table_points=n)
+                fam = make_mollifier(kind, eps, d=d, table_points=n)
                 rep = fam.validate()
                 if not rep["ok"]:
                     failures.append((kind, d, eps, rep))
@@ -113,7 +112,8 @@ def test_criterion_01_kernel_admissibility():
     # moment-targeted constructions where the torus admits them
     for d, n, eps_ok in ((1, 4096, (0.1, 0.05)), (2, 512, (0.1, 0.05))):
         for eps in eps_ok:
-            fam = make_mollifier("truncated-gaussian", eps, d=d, table_points=n)
+            fam = make_mollifier("truncated-gaussian", eps, d=d,
+                                 second_moment_target=2 * eps**2, table_points=n)
             if not fam.validate()["ok"]:
                 failures.append(("targeted", d, eps, fam.validate()))
     # infeasible targets raise the documented error
@@ -134,7 +134,8 @@ def test_criterion_02_B_eps_consistency():
 
     errs = []
     for eps in (0.04, 0.02, 0.01):
-        om = make_mollifier("compact-bump", eps, d=1, table_points=n)
+        om = make_mollifier("compact-bump", eps, d=1, second_moment_target=2 * eps**2,
+                            table_points=n)
         out = B_eps(f, om, eps)
         errs.append(float(np.max(np.abs(out.values - target))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -148,7 +149,8 @@ def test_criterion_03_D_eps_limit():
     n = 4096
     x = np.arange(n) / n
     f = GridField(np.sin(2 * np.pi * x))
-    om = make_mollifier("compact-bump", 0.01, d=1, table_points=n)
+    om = make_mollifier("compact-bump", 0.01, d=1, second_moment_target=2 * 0.01**2,
+                        table_points=n)
     d = dissipation_D_eps(f, om, 0.01)
     target = (2 * np.pi) ** 2  # 2 * int |f'|^2 with int |f'|^2 = (2 pi)^2 / 2
     rel = abs(d - target) / target
@@ -163,11 +165,13 @@ def test_criterion_04_gradient_structure():
     setups = []
     sched1 = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                    alpha=0.08)
-    setups.append((sched1, build_kernel_set(sched1, kind="truncated-gaussian")))
+    setups.append((sched1, build_kernel_set(sched1, kind="truncated-gaussian",
+                                            omega_moment=2 * sched1.epsilon**2)))
     sched2 = schedule_from_epsilon(0.12, d=2, epsilon_tilde=0.3, epsilon_star=0.45,
                                    alpha=0.1)
     setups.append((sched2, build_kernel_set(sched2, kind="truncated-gaussian",
-                                            table_points=1024)))
+                                            table_points=1024,
+                                            omega_moment=2 * sched2.epsilon**2)))
     for sched, kset in setups:
         d = sched.d
         for N in (2, 5, 20):
@@ -194,7 +198,8 @@ def test_criterion_04_gradient_structure():
 def test_criterion_05_conservation():
     sc = load_scenario("default-1d")
     sched = sc.schedule()
-    kset = build_kernel_set(sched, kind="truncated-gaussian")
+    kset = build_kernel_set(sched, kind="truncated-gaussian",
+                            omega_moment=2 * sched.epsilon**2)
     rho0 = GridField.constant(1.0, 4096)
     st = init_quantile(rho0, 1000, sched)
     dt = stable_dt(st, kset)
@@ -224,7 +229,8 @@ def test_criterion_05_conservation():
 def test_criterion_06_energy_dissipation():
     sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                   alpha=0.08)
-    kset = build_kernel_set(sched, kind="truncated-gaussian")
+    kset = build_kernel_set(sched, kind="truncated-gaussian",
+                            omega_moment=2 * sched.epsilon**2)
     rng = np.random.default_rng(6)
     st = ParticleState(rng.random((64, 1)), schedule=sched)
     dt = stable_dt(st, kset) / 10.0

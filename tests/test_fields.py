@@ -50,7 +50,8 @@ class TestConvolve:
         assert out.mass() == pytest.approx(f.mass(), abs=1e-12)
 
     def test_sine_multiplier_vs_quadrature(self):
-        fam = make_mollifier("truncated-gaussian", 0.05, d=1, table_points=2048)
+        fam = make_mollifier("truncated-gaussian", 0.05, d=1,
+                             second_moment_target=2 * 0.05**2, table_points=2048)
         sig, cut = fam.profile_width, fam.table.support_radius
         Z = quad(lambda y: np.exp(-0.5 * y * y / sig**2), -cut, cut, epsabs=1e-14)[0]
         mult = (
@@ -94,7 +95,8 @@ class TestBeps:
         target = (2 * np.pi) ** 2 * np.sin(2 * np.pi * np.arange(n) / n)
         errs = []
         for eps in (0.04, 0.02, 0.01):
-            om = make_mollifier("compact-bump", eps, d=1, table_points=n)
+            om = make_mollifier("compact-bump", eps, d=1, second_moment_target=2 * eps**2,
+                                table_points=n)
             out = B_eps(f, om, eps)
             errs.append(np.max(np.abs(out.values - target)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -116,7 +118,8 @@ class TestDissipation:
         # D_eps[sin] -> 2 int |f'|^2 = (2 pi)^2 within 2% at eps = 0.01
         n = 4096
         f = sin_field(n)
-        om = make_mollifier("compact-bump", 0.01, d=1, table_points=n)
+        om = make_mollifier("compact-bump", 0.01, d=1, second_moment_target=2 * 0.01**2,
+                            table_points=n)
         d = dissipation_D_eps(f, om, 0.01)
         assert d == pytest.approx((2 * np.pi) ** 2, rel=0.02)
 
@@ -141,7 +144,8 @@ class TestDissipation:
 
     def test_against_loop_oracle(self, rng):
         n = 512
-        om = make_mollifier("compact-bump", 0.05, d=1, table_points=n)
+        om = make_mollifier("compact-bump", 0.05, d=1, second_moment_target=2 * 0.05**2,
+                            table_points=n)
         f = GridField(1.0 + 0.5 * rng.random(n))
         d = dissipation_D_eps(f, om, 0.05)
         oracle = direct_double_sum(f.values, om.table.values, 0.05)
@@ -185,13 +189,19 @@ class TestFreeEnergy:
         assert rep.F_eps_alpha == pytest.approx(expected, abs=1e-8)
         assert rep.D_eps == pytest.approx(0.0, abs=1e-10)
         assert rep.entropy == pytest.approx(-1.0)
-        assert rep.identity_error() < 1e-10
 
     def test_identity_invariant(self, kset_1d, sched_1d, rng):
+        # F = D_eps[rho*ot]/4 - E_m[rho*ot] + (eps_star/2) E_2[rho*R^(1/2)],
+        # rebuilt from the public pieces
         vals = 1.0 + 0.4 * np.sin(2 * np.pi * np.arange(kset_1d.n) / kset_1d.n)
         f = GridField(vals / (vals.sum() / kset_1d.n))
         rep = free_energy(f, sched_1d, kset_1d)
-        assert rep.identity_error() < 1e-10
+        smoothed = periodic_convolve(f, kset_1d.omega_tilde)
+        half = periodic_convolve(f, kset_1d.viscosity.half_table)
+        expected = (0.25 * dissipation_D_eps(smoothed, kset_1d.omega, sched_1d.epsilon)
+                    - energy_E_m(smoothed, sched_1d.m)
+                    + 0.5 * sched_1d.epsilon_star * energy_E_m(half, 2.0))
+        assert rep.F_eps_alpha == pytest.approx(expected, rel=1e-10)
 
     def test_against_independent_quadrature(self):
         # no shared convolution code: roll-based convolution + loop double sum
@@ -200,7 +210,7 @@ class TestFreeEnergy:
             0.02, d=1, epsilon_tilde=0.2, epsilon_star=0.3, alpha=0.1
         )
         kset = build_kernel_set(sched, kind="compact-bump", table_points=n,
-                                normalize_tilde=False)
+                                omega_moment=2 * 0.02**2)
         x = np.arange(n) / n
         f = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
         rep = free_energy(f, sched, kset, with_velocity=False)
@@ -270,7 +280,8 @@ def chain_velocity(rho, sched, kset):
     """The nonlocal velocity by the real-space convolution chain:
     grad(-B_eps[rho*ot*ot] + (m/(m-1)) ot*max(rho*ot, 0)^(m-1) - eps_star rho*R)."""
     m = sched.m
-    bterm = B_eps(periodic_convolve(rho, kset.smooth2), kset.omega, sched.epsilon)
+    smooth2 = KernelTable.from_spectrum(kset.multiplier(smooth2=1.0), kset.n)
+    bterm = B_eps(periodic_convolve(rho, smooth2), kset.omega, sched.epsilon)
     rt = periodic_convolve(rho, kset.omega_tilde)
     agg = periodic_convolve(GridField(np.maximum(rt.values, 0.0) ** (m - 1.0)),
                             kset.omega_tilde)
@@ -423,7 +434,8 @@ def test_alpha_zero_convention():
     # alpha = 0 means rho * R_alpha = rho in the velocity and the free energy
     sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                   alpha=0.0)
-    kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=1024)
+    kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=1024,
+                            omega_moment=2 * sched.epsilon**2)
     assert kset.viscosity is None
     n = 1024
     x = np.arange(n) / n

@@ -21,7 +21,7 @@ from torusdpa.harness import (
     load_scenario,
     run_scenario,
 )
-from torusdpa.kernels import KernelResolutionError
+from torusdpa.kernels import KernelResolutionError, KernelTable
 
 
 def small_scenario(**over):
@@ -161,12 +161,19 @@ class TestRunScenario:
         rep = H.clustering_report(sc, art, kde_n=32)
         assert rep["particles_initial_moment"] > 0.0
 
-    def test_particle_run_builds_no_W_or_smooth2_table(self, tmp_path):
+    def test_particle_run_builds_no_W_or_smooth2_table(self, tmp_path, monkeypatch):
         # the step bound reads Hessians off the spectra, and the velocity and
         # energy read U; W, ot*ot and the viscosity tables stay unbuilt
+        spectra = []
+        build = KernelTable.from_spectrum.__func__
+        monkeypatch.setattr(KernelTable, "from_spectrum", classmethod(
+            lambda cls, spec, n: spectra.append(spec) or build(cls, spec, n)))
         art = run_scenario(small_scenario(engines=["particles"]), tmp_path / "p")
         kset = art.results["kernels"]
-        assert kset._W is None and kset._smooth2 is None
+        for unbuilt in (kset.multiplier(W=1.0), kset.multiplier(smooth2=1.0),
+                        kset.viscosity.spectrum, np.sqrt(kset.viscosity.spectrum)):
+            assert not any(np.array_equal(spec, unbuilt) for spec in spectra)
+        assert spectra  # the U table, read by the particle mesh
         assert "table" not in vars(kset.viscosity)
 
     def test_default_1d_nl_grid_on_a_coarse_grid(self, tmp_path):

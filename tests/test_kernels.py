@@ -7,7 +7,9 @@ import pytest
 from test_pde_local import count_transforms
 from torusdpa.kernels import (
     KernelEmbedError,
+    KernelError,
     KernelResolutionError,
+    KernelTable,
     build_kernel_set,
     export_kernel_csv,
     lambda_convexity_constant,
@@ -31,16 +33,17 @@ class TestMollifier:
 
     def test_even_symmetry_exact(self):
         for kind in ("compact-bump", "truncated-gaussian"):
-            fam = make_mollifier(kind, 0.08, d=1)
+            fam = make_mollifier(kind, 0.08, d=1, second_moment_target=2 * 0.08**2)
             assert fam.table.symmetry_error() == 0.0
 
     def test_gaussian_mass_across_scales(self):
         for eps in (0.1, 0.05, 0.02):
-            fam = make_mollifier("truncated-gaussian", eps, d=1)
+            fam = make_mollifier("truncated-gaussian", eps, d=1, second_moment_target=2 * eps**2)
             assert abs(fam.table.mass() - 1.0) <= 1e-8
 
     def test_2d_invariants(self):
-        fam = make_mollifier("truncated-gaussian", 0.1, d=2, table_points=256)
+        fam = make_mollifier("truncated-gaussian", 0.1, d=2, second_moment_target=2 * 0.1**2,
+                             table_points=256)
         rep = fam.validate()
         assert rep["ok"], rep
 
@@ -50,12 +53,11 @@ class TestMollifier:
 
     def test_resolution_error(self):
         with pytest.raises(KernelResolutionError):
-            make_mollifier("compact-bump", 0.01, d=1, normalize_moment=False,
-                           table_points=256)
+            make_mollifier("compact-bump", 0.01, d=1, table_points=256)
 
     @pytest.mark.parametrize("kind, d, target", [
         ("truncated-gaussian", 2, 0.05 * 0.1**2),  # fig1-2d's omega
-        ("truncated-gaussian", 1, None),
+        ("truncated-gaussian", 1, None),  # natural width: one sample
         ("compact-bump", 1, 0.02),
     ])
     def test_coordinates_sampled_once(self, monkeypatch, kind, d, target):
@@ -78,8 +80,44 @@ class TestMollifier:
         assert np.array_equal(table.values, fam.table.values)
         assert moment == table.second_moment()[0]
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_bracket_reaches_a_target_near_the_torus_cap(self, monkeypatch, n):
+        # a gaussian of width ~0.48 under a cut capped by the torus: the moment
+        # saturates in width, the fixed-point step stalls, and the bracket's
+        # midpoints finish the job
+        from torusdpa import kernels
+
+        builds = []
+        build = kernels._build_mollifier_table
+        monkeypatch.setattr(kernels, "_build_mollifier_table",
+                            lambda *a: builds.append(1) or build(*a))
+        fam = make_mollifier("truncated-gaussian", 0.2, d=1, second_moment_target=0.06,
+                             table_points=n)
+        assert abs(fam.table.second_moment()[0] - 0.06) <= 1e-9 * 0.06
+        assert len(builds) <= 56
+
+    def test_unreachable_target_raises_embed_error(self):
+        # the flattest profile on the torus has per-axis moment 1/12
+        with pytest.raises(KernelEmbedError, match="largest moment reached"):
+            make_mollifier("truncated-gaussian", 0.2, d=1, second_moment_target=0.1,
+                           table_points=256)
+
+    def test_zero_moment_raises(self):
+        # a bump narrower than a cell samples to the origin alone
+        with pytest.raises(KernelError, match="degenerate moment"):
+            make_mollifier("compact-bump", 1e-5, d=1, second_moment_target=2e-10)
+
+    @pytest.mark.parametrize("preset, width", [
+        ("default-1d", 0.1427955374669045),
+        ("fig1-2d", 0.02236121144000389),
+    ])
+    def test_preset_omega_widths(self, preset, width):
+        from torusdpa.harness import build_scenario_kernels, load_scenario
+
+        assert build_scenario_kernels(load_scenario(preset)).omega.profile_width == width
+
     def test_natural_mode_records_moment(self):
-        fam = make_mollifier("compact-bump", 0.25, d=1, normalize_moment=False)
+        fam = make_mollifier("compact-bump", 0.25, d=1)
         assert fam.profile_width == 0.25
         assert fam.second_moment_target == pytest.approx(
             float(fam.table.second_moment()[0]), abs=1e-15
@@ -88,7 +126,7 @@ class TestMollifier:
 
 class TestEvalGrad:
     def test_matches_analytic_gaussian(self):
-        fam = make_mollifier("truncated-gaussian", 0.05, d=1)
+        fam = make_mollifier("truncated-gaussian", 0.05, d=1, second_moment_target=2 * 0.05**2)
         sig = fam.profile_width
         cut = fam.table.support_radius
         rng = np.random.default_rng(3)
@@ -114,7 +152,8 @@ class TestSpectralSet:
         sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
                                       alpha=0.1)
         calls = count_transforms(monkeypatch)
-        kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128)
+        kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128,
+                                omega_moment=2 * sched.epsilon**2)
         stable_dt(ParticleState(np.array([[0.5, 0.5]]), schedule=sched), kset)
         kset.pair_kernel()
         lambda_convexity_constant(kset)
@@ -199,7 +238,8 @@ class TestComposition:
         assert np.max(np.abs(left.values - right.values)) <= 1e-10
 
     def test_squared_kernel_spectral_positivity(self, kset_1d):
-        spec = np.real(np.fft.fft(kset_1d.smooth2.values)) / kset_1d.n
+        smooth2 = KernelTable.from_spectrum(kset_1d.multiplier(smooth2=1.0), kset_1d.n)
+        spec = np.real(np.fft.fft(smooth2.values)) / kset_1d.n
         assert spec.min() >= -1e-12
 
 
@@ -235,28 +275,29 @@ class TestSchedule:
 
 class TestLambdaConstant:
     def test_sign_and_alpha_monotonicity(self):
+        # a narrower R_alpha has a more negative Hessian at the origin
         lams = []
         for alpha in (0.2, 0.1, 0.05):
             s = schedule_from_epsilon(
                 0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3, alpha=alpha
             )
-            lams.append(lambda_convexity_constant(schedule=s, prefactor=1.0))
+            lams.append(lambda_convexity_constant(build_kernel_set(s, kind="compact-bump")))
         assert all(l <= 0 for l in lams)
         assert abs(lams[0]) < abs(lams[1]) < abs(lams[2])
 
     def test_alpha_zero_rejected(self):
-        s = schedule_from_epsilon(0.1, d=1, alpha=0.0)
-        with pytest.raises(ValueError):
-            lambda_convexity_constant(schedule=s, prefactor=1.0)
+        s = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3, alpha=0.0)
+        kset = build_kernel_set(s, kind="compact-bump")
+        with pytest.raises(ValueError, match="alpha=0"):
+            lambda_convexity_constant(kset)
 
     def test_default_path_matches_fd_hessian(self):
-        # spec example scales: 1-d bumps at natural widths, eps=0.1/et=0.4/alpha=0.2
+        # spec example scales: 1-d bumps, omega at moment 2 eps^2 and omega_tilde
+        # at its natural width, eps=0.1/et=0.4/alpha=0.2
         sched = schedule_from_epsilon(
             0.1, d=1, epsilon_tilde=0.4, epsilon_star=0.7, alpha=0.2
         )
-        kset = build_kernel_set(
-            sched, kind="compact-bump", normalize_omega=False, normalize_tilde=False
-        )
+        kset = build_kernel_set(sched, kind="compact-bump", omega_moment=2 * sched.epsilon**2)
         lam = lambda_convexity_constant(kset)
         U = kset.pair_kernel(include_viscosity=True)
         h = U.h

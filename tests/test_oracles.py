@@ -31,8 +31,7 @@ class TestQuadConvolve:
 
     def test_matches_fft_convolution(self, rng):
         n = 2048
-        fam = make_mollifier("compact-bump", 0.08, d=1, normalize_moment=False,
-                             table_points=n)
+        fam = make_mollifier("compact-bump", 0.08, d=1, table_points=n)
         x = np.arange(n) / n
         fvals = 1.0 + 0.5 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)
         conv = periodic_convolve(GridField(fvals), fam)

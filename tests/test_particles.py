@@ -36,7 +36,8 @@ TWO = np.array([[0.3], [0.41]])
 @pytest.fixture(scope="module")
 def kset_2d_1024():
     sched = schedule_from_epsilon(0.12, d=2, epsilon_tilde=0.3, epsilon_star=0.45, alpha=0.1)
-    return build_kernel_set(sched, kind="truncated-gaussian", table_points=1024)
+    return build_kernel_set(sched, kind="truncated-gaussian", table_points=1024,
+                            omega_moment=2 * sched.epsilon**2)
 
 
 class TestInitQuantile:
@@ -130,7 +131,8 @@ class TestForces:
     def test_general_m_runs_and_is_equivariant(self, rng):
         sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                       alpha=0.1, m=3.0)
-        kset = build_kernel_set(sched, kind="truncated-gaussian")
+        kset = build_kernel_set(sched, kind="truncated-gaussian",
+                                omega_moment=2 * sched.epsilon**2)
         pos = rng.random((8, 1))
         st = ParticleState(pos, schedule=sched)
         ff = compute_forces(st, kset)
@@ -142,7 +144,8 @@ class TestForces:
     def test_alpha_zero_needs_appendix_mode(self, rng):
         sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                       alpha=0.0)
-        kset = build_kernel_set(sched, kind="truncated-gaussian")
+        kset = build_kernel_set(sched, kind="truncated-gaussian",
+                                omega_moment=2 * sched.epsilon**2)
         st = ParticleState(rng.random((4, 1)), schedule=sched)
         with pytest.raises(ValueError):
             compute_forces(st, kset)
@@ -293,8 +296,7 @@ class TestStableDt:
         for et in (0.2, 0.3):
             sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=et,
                                           epsilon_star=0.4, alpha=0.1)
-            kset = build_kernel_set(sched, kind="compact-bump",
-                                    normalize_omega=False, normalize_tilde=False)
+            kset = build_kernel_set(sched, kind="compact-bump")
             st = ParticleState(np.array([[0.5]]), schedule=sched)
             dts.append(stable_dt(st, kset))
         assert dts[1] > dts[0]
@@ -303,14 +305,14 @@ class TestStableDt:
         # ot_hat times sqrt(2) and R_hat times 2 double W, ot*ot and R_alpha
         st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
         base = stable_dt(st, kset_1d)
-        o_hat, ot_hat = kset_1d.spectra
+        ot_hat = kset_1d.omega_tilde.spectrum
         visc = kset_1d.viscosity
         doubled = KernelSet(
             schedule=kset_1d.schedule,
             omega=kset_1d.omega,
-            omega_tilde=kset_1d.omega_tilde,
+            omega_tilde=dataclasses.replace(kset_1d.omega_tilde,
+                                            _spectrum=math.sqrt(2.0) * ot_hat),
             viscosity=dataclasses.replace(visc, spectrum=2.0 * visc.spectrum),
-            _spectra=(o_hat, math.sqrt(2.0) * ot_hat),
         )
         st2 = ParticleState(np.array([[0.5]]), schedule=sched_1d)
         assert stable_dt(st2, doubled) == pytest.approx(0.5 * base, rel=1e-12)

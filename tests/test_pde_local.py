@@ -70,8 +70,9 @@ class TestStepLocal:
         sigma = 2.0 * (2 * np.pi) ** 2 - (2 * np.pi) ** 4
         assert rate == pytest.approx(sigma, rel=0.05)
 
-    def test_blowup_detector(self):
-        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, blowup_threshold=1.0)
+    def test_blowup_detector(self, monkeypatch):
+        monkeypatch.setattr(PL, "BLOWUP_THRESHOLD", 1.0)
+        cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)
         rho = smooth_random_density(128)
         solver = LocalSolver(cfg, rho)
         with pytest.raises(RuntimeError, match="blow-up"):

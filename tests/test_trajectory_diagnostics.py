@@ -17,7 +17,8 @@ from torusdpa.pde_nonlocal import run_nonlocal
 def setup_1d():
     sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                   alpha=0.08)
-    kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=1024)
+    kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=1024,
+                            omega_moment=2 * sched.epsilon**2)
     return sched, kset
 
 

@@ -287,6 +287,30 @@ class TestExactLP:
             assert d02 <= d01 + d12 + 1e-9
 
 
+class TestW2:
+    def test_picks_the_solver_by_dimension(self, rng):
+        mu1, nu1 = DiscreteMeasure(rng.random((7, 1))), DiscreteMeasure(rng.random((9, 1)))
+        assert T.w2(mu1, nu1) == w2_circle_exact(mu1, nu1)[0]
+        mu2, nu2 = DiscreteMeasure(rng.random((6, 2))), DiscreteMeasure(rng.random((6, 2)))
+        assert T.w2(mu2, nu2) == w2_exact_lp(mu2, nu2)[0]
+
+    def test_circle_solver_is_read_from_the_module(self, rng, monkeypatch):
+        # callers that rebind transport.w2_circle_exact (a tracer, say) see w2 use it
+        calls = []
+        monkeypatch.setattr(T, "w2_circle_exact", lambda mu, nu: calls.append(1) or (0.5, None))
+        assert T.w2(DiscreteMeasure(rng.random((3, 1))), DiscreteMeasure(rng.random((3, 1)))) == 0.5
+        assert calls == [1]
+
+    def test_dimension_mismatch_raises_before_any_solver(self, rng, monkeypatch):
+        def solver(mu, nu):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(T, "w2_circle_exact", solver)
+        monkeypatch.setattr(T, "w2_exact_lp", solver)
+        with pytest.raises(ValueError, match="different dimensions: 1 and 2"):
+            T.w2(DiscreteMeasure(rng.random((3, 1))), DiscreteMeasure(rng.random((3, 2))))
+
+
 class TestGridToMeasure:
     def test_uniform_lattice(self):
         m = grid_to_measure(GridField.constant(1.0, 16))
