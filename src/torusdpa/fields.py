@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSet, ParameterSchedule
+from .kernels import KernelFamily, KernelSet
 from .spectral import (
     face_grad_multipliers,
     forward_transform,
@@ -87,12 +87,6 @@ class GridField:
             return cls(np.asarray(fn(x), dtype=float))
         X, Y = np.meshgrid(x, x, indexing="ij")
         return cls(np.asarray(fn(X, Y), dtype=float))
-
-    def check_density(self, mass: float = 1.0, tol: float = 1e-10, neg_tol: float = -1e-12):
-        if self.values.min() < neg_tol:
-            raise ValueError(f"density has negative cells (min {self.values.min():.3e})")
-        if abs(self.mass() - mass) > tol:
-            raise ValueError(f"density mass {self.mass():.12f} != declared {mass}")
 
 
 def _spectra_on(kernels: KernelSet, f: GridField) -> tuple:
@@ -187,12 +181,13 @@ class EnergyReport:
 
 def free_energy(
     rho: GridField,
-    schedule: ParameterSchedule,
     kernels: KernelSet,
     t: float = 0.0,
     with_velocity: bool = True,
 ) -> EnergyReport:
-    """Evaluate F_{eps,alpha} and companion diagnostics for a density field."""
+    """Evaluate F_{eps,alpha} and companion diagnostics for a density field,
+    at the kernel set's schedule."""
+    schedule = kernels.schedule
     _, ot_hat = _spectra_on(kernels, rho)
     rho_hat = forward_transform(rho.values)
     smoothed = GridField(inverse_transform(ot_hat * rho_hat, rho.n))
@@ -208,7 +203,7 @@ def free_energy(
     F = d_term - Em + visc_term
     diss = 0.0
     if with_velocity:
-        v = velocity_field_nl(rho, schedule, kernels)
+        v = velocity_field_nl(rho, kernels)
         speed2 = np.sum(v * v, axis=0)
         diss = float((rho.values * speed2).sum() * rho.h**rho.d)
     return EnergyReport(
@@ -254,24 +249,18 @@ def kde_density(state, kernel: KernelFamily, n: int) -> GridField:
     return GridField(vals[(slice(None, None, nt // n),) * d].copy())
 
 
-def velocity_field_nl(
-    rho: GridField,
-    schedule: ParameterSchedule,
-    kernels: KernelSet,
-    at_faces: bool = False,
-) -> np.ndarray:
+def velocity_field_nl(rho: GridField, kernels: KernelSet, at_faces: bool = False) -> np.ndarray:
     """Velocity grad(phi) of the nonlocal continuity equation, shape (d, *grid),
     from the potential spectrum (R_hat = 1 when alpha = 0)
         phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
                   - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
-    in 3 + d transforms, with the two multipliers from
-    KernelSet.velocity_multipliers.  Component i is sampled at the nodes, or
-    with at_faces at the faces x + h/2 e_i.
+    in 3 + d transforms, with m, eps_star and the two multipliers from the
+    kernel set (KernelSet.velocity_multipliers).  Component i is sampled at
+    the nodes, or with at_faces at the faces x + h/2 e_i.
     """
     _, ot_hat = _spectra_on(kernels, rho)
-    n, m = rho.n, schedule.m
-    power_mult, linear = kernels.velocity_multipliers(
-        m, schedule.epsilon_star, schedule.alpha > 0.0 and kernels.viscosity is not None)
+    n, m = rho.n, kernels.schedule.m
+    power_mult, linear = kernels.velocity_multipliers()
     rho_hat = forward_transform(rho.values)
     power = inverse_transform(ot_hat * rho_hat, n)
     np.maximum(power, 0.0, out=power)

@@ -286,10 +286,12 @@ def initial_density(scenario: Scenario) -> F.GridField:
     return F.GridField(vals)
 
 
-def build_scenario_kernels(scenario: Scenario, schedule=None) -> KernelSet:
+def build_scenario_kernels(scenario: Scenario) -> KernelSet:
+    """The kernel set of a scenario's schedule and kernel keys; the set
+    carries the schedule every engine reads."""
     c = scenario.config
     kc = c["kernels"]
-    schedule = schedule or scenario.schedule()
+    schedule = scenario.schedule()
     coeff = float(kc["moment_coefficient"])
     need_visc = (not c["appendix_a_mode"]) and schedule.alpha > 0.0
     try:
@@ -432,12 +434,11 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
 
 def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, cadence=None):
     """Quantile particles of rho0 stepped to the scenario's T.  Returns the
-    states at t = 0, about every `cadence` (None: none between) and at T, and
-    the step size."""
-    state = P.init_quantile(rho0, scenario.config["N"], schedule=kernels.schedule)
+    states at t = 0, about every `cadence` (None: none between) and at T."""
+    state = P.init_quantile(rho0, scenario.config["N"])
     nsteps, dt = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, state, kernels))
     stride = max(1, int(round(cadence / dt))) if cadence else nsteps
-    return _run_particles(scenario, kernels, state, nsteps, stride), dt
+    return _run_particles(scenario, kernels, state, nsteps, stride)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
@@ -446,26 +447,26 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     c = scenario.config
     d = c["dimension"]
     rho0 = initial_density(scenario)
-    sched = scenario.schedule()
-    kernels = build_scenario_kernels(scenario, sched)
+    kernels = build_scenario_kernels(scenario)
     results = {"kernels": kernels}
+    local_cfg = None
     if "local-grid" in c["engines"]:
-        _local_config(scenario, kernels).initial_shift(rho0)
+        local_cfg = _local_config(scenario, kernels)
+        local_cfg.initial_shift(rho0)
     # nothing is written until rho0, the kernels and the local engine's C0 pass
     writer = _Writer(out_dir)
     writer.json("config.json", c)
     writer.gridfield("initial.gf", rho0)
 
     if "particles" in c["engines"]:
-        states, dt = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
-        state = states[-1]
+        states = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
         writer.csv(
             "particles.csv",
             ["t", "particle_id"] + [f"x_{ax + 1}" for ax in range(d)],
             ([st.time, i, *st.positions[i]] for st in states for i in range(st.N)),
             "particle-snapshots-v1",
         )
-        if sched.m == 2.0:
+        if kernels.schedule.m == 2.0:
             appendix_a = c["appendix_a_mode"]
             writer.csv(
                 "particle_energy.csv",
@@ -474,13 +475,12 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
                  for st in states),
                 "particle-energy-v1",
             )
-        results["particles"] = {"final_time": state.time, "dt": dt, "N": state.N}
-        results["particle_state"] = state
+        results["particle_state"] = states[-1]
 
     if "nl-grid" in c["engines"]:
         nus = c["pde_nonlocal"]["nu"]
         kgrid = kernels.at_resolution(rho0.n)
-        run = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=nus,
+        run = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=nus,
                               energy_every=c["output"]["energy_every"])
         for idx, tr in enumerate(run.traces):
             writer.gridfield(f"nl_final_{idx}.gf", tr.final)
@@ -496,7 +496,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
         results["nl_run"] = run
 
     if "local-grid" in c["engines"]:
-        run = PL.run_local(rho0, _local_config(scenario, kernels))
+        run = PL.run_local(rho0, local_cfg)
         writer.gridfield("local_final.gf", run.final)
         cols = ["t", "free_energy", "modified_energy", "sav_r", "mass", "min"]
         writer.csv("local_energy.csv", cols, ([r[k] for k in cols] for r in run.records),
@@ -531,13 +531,14 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
 _SWEEP_ATOMS = 4096
 
 
-def _field_measure(fld: F.GridField, max_atoms=None, smooth_with=None):
-    """Grid field as a measure; optionally smoothed by the same kernel as the
-    particle kde so the comparison carries identical smoothing on both sides
-    (convolution with a probability kernel is W2-nonexpansive)."""
+def _field_measure(fld: F.GridField, smooth_with=None):
+    """Grid field as a measure of at most _SWEEP_ATOMS atoms; optionally
+    smoothed by the same kernel as the particle kde so the comparison carries
+    identical smoothing on both sides (convolution with a probability kernel
+    is W2-nonexpansive)."""
     if smooth_with is not None:
         fld = F.periodic_convolve(fld, smooth_with)
-    return T.grid_to_measure(F.GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
+    return T.grid_to_measure(F.GridField(np.maximum(fld.values, 0.0)), max_atoms=_SWEEP_ATOMS)
 
 
 def _check_sweep_kde(c, rho0: F.GridField):
@@ -568,27 +569,26 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         sc = Scenario.from_dict(
             _merge(c, {"schedule": {**c["schedule"], "epsilon": eps}, "engines": []})
         )
-        sched = sc.schedule()
-        plan.append((eps, sc, sched, build_scenario_kernels(sc, sched)))
+        plan.append((eps, sc, build_scenario_kernels(sc)))
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
-    local_measure = _field_measure(local.final, max_atoms=_SWEEP_ATOMS)
+    local_measure = _field_measure(local.final)
     rows = []
     while plan:
-        eps, sc, sched, kset = plan.pop(0)
+        eps, sc, kset = plan.pop(0)
         kgrid = kset.at_resolution(rho0.n)
-        nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
-        nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)
-        state = _particles_to_T(sc, kset, rho0)[0][-1]
+        nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,))
+        nl_measure = _field_measure(nl.traces[0].final)
+        state = _particles_to_T(sc, kset, rho0)[-1]
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
-        kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
+        kde_measure = _field_measure(kde)
         smooth = kgrid.omega_tilde
         rows.append({
             "epsilon": eps,
             "w2_nl_local": T.w2(nl_measure, local_measure),
             "w2_particle_local": T.w2(
-                kde_measure, _field_measure(local.final, _SWEEP_ATOMS, smooth)),
+                kde_measure, _field_measure(local.final, smooth)),
             "w2_particle_nl": T.w2(
-                kde_measure, _field_measure(nl.traces[0].final, _SWEEP_ATOMS, smooth)),
+                kde_measure, _field_measure(nl.traces[0].final, smooth)),
             "local_flags": local.flags,
             "nl_run": nl,
         })
@@ -606,23 +606,21 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     c = base_scenario.config
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
-    sched = base_scenario.schedule()
-    kset = build_scenario_kernels(base_scenario, sched)
+    kset = build_scenario_kernels(base_scenario)
     kgrid = kset.at_resolution(rho0.n)
-    nl = PN.run_nonlocal(rho0, sched, kgrid, T=c["T"], nu_sequence=(0.0,))
+    nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,))
     # the asserted trend uses the raw empirical measure: any fixed smoothing
     # either annihilates the N-dependent granularity (smoothing both sides)
     # or buries it under an N-independent bias (smoothing one side)
-    nl_measure = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS)
-    nl_smoothed = _field_measure(nl.traces[0].final, max_atoms=_SWEEP_ATOMS,
-                                 smooth_with=kgrid.omega_tilde)
+    nl_measure = _field_measure(nl.traces[0].final)
+    nl_smoothed = _field_measure(nl.traces[0].final, smooth_with=kgrid.omega_tilde)
     rows = []
     for N in n_list:
         sc = Scenario.from_dict(_merge(c, {"N": int(N), "engines": []}))
-        state = _particles_to_T(sc, kset, rho0)[0][-1]
+        state = _particles_to_T(sc, kset, rho0)[-1]
         emp = T.DiscreteMeasure(state.positions)
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
-        kde_measure = _field_measure(kde, max_atoms=_SWEEP_ATOMS)
+        kde_measure = _field_measure(kde)
         rows.append({"N": int(N), "w2_particle_nl": T.w2(emp, nl_measure),
                      "w2_kde_nl": T.w2(kde_measure, nl_smoothed), "nl_run": nl})
     if out_dir is not None:
@@ -641,13 +639,12 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     c = scenario.config
     if c["m"] != 2.0:
         raise ValueError("contraction test requires m = 2")
-    sched = scenario.schedule()
-    if sched.alpha <= 0.0:
+    if scenario.schedule().alpha <= 0.0:
         raise ValueError("contraction test requires alpha > 0")
-    kernels = build_scenario_kernels(scenario, sched)
+    kernels = build_scenario_kernels(scenario)
     lam = lambda_convexity_constant(kernels)
     rho0 = initial_density(scenario)
-    state_a = P.init_quantile(rho0, c["N"], schedule=sched)
+    state_a = P.init_quantile(rho0, c["N"])
     rng = np.random.default_rng(c["seed"])
     if delta > 0:
         direction = rng.standard_normal(state_a.positions.shape)
@@ -656,7 +653,7 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
         shift = delta * direction / norms
     else:
         shift = np.zeros_like(state_a.positions)
-    state_b = P.ParticleState(state_a.positions + shift, schedule=sched)
+    state_b = P.ParticleState(state_a.positions + shift)
 
     def measure(sa, sb):
         return T.w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions))
@@ -752,7 +749,7 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
     out = {}
     if "particle_state" in artifacts.results:
         state = artifacts.results["particle_state"]
-        init = P.init_quantile(rho0, c["N"], schedule=kernels.schedule)
+        init = P.init_quantile(rho0, c["N"])
         for label, st in (("initial", init), ("final", state)):
             kde = F.kde_density(st, kernels.omega_tilde, kde_n)
             centers = density_peaks(kde)

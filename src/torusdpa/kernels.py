@@ -505,15 +505,18 @@ def schedule_from_epsilon(
 class KernelSet:
     """All kernels needed by one schedule on a common grid: the two mollifier
     families and the viscosity kernel, with the multipliers composed from
-    their spectra and the caches the particle and grid engines fill."""
+    their spectra and the caches the particle and grid engines fill.  The
+    engines read m, eps_star and alpha from the set's schedule only;
+    dataclasses.replace(kset, schedule=...) is the set for another m or
+    eps_star (eps, eps_tilde and alpha built the tables), with empty caches."""
 
     schedule: ParameterSchedule
     omega: KernelFamily
     omega_tilde: KernelFamily
     viscosity: Optional[ViscosityKernel] = None
-    _stable_cache: dict = field(default_factory=dict)  # particles.stable_dt's bounds
-    _meshes: dict = field(default_factory=dict)  # particle_mesh's meshes and multipliers
-    _velocity: dict = field(default_factory=dict)  # velocity_multipliers per (m, eps_star, R)
+    _stable_cache: dict = field(default_factory=dict, init=False, repr=False)  # stable_dt's
+    _meshes: dict = field(default_factory=dict, init=False, repr=False)  # particle_mesh's
+    _velocity: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -552,16 +555,18 @@ class KernelSet:
         on each access."""
         return KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
 
-    def velocity_multipliers(self, m: float, epsilon_star: float, viscosity: bool) -> tuple:
+    def velocity_multipliers(self) -> tuple:
         """((m/(m-1)) ot_hat, W_hat + eps_star R_hat), the two multipliers of
-        the nonlocal potential (R_hat = 1 without viscosity); built on first
-        use per (m, eps_star, viscosity)."""
-        key = (m, epsilon_star, bool(viscosity))
-        if key not in self._velocity:
-            visc = self.viscosity.spectrum if viscosity else 1.0
-            self._velocity[key] = ((m / (m - 1.0)) * self.spectra[1],
-                                   self.multiplier(W=1.0) + epsilon_star * visc)
-        return self._velocity[key]
+        the nonlocal potential at the set's schedule (R_hat = 1 unless
+        alpha > 0 and the set carries R); built on first use."""
+        if self._velocity is None:
+            sched = self.schedule
+            m = sched.m
+            visc = (self.viscosity.spectrum
+                    if sched.alpha > 0.0 and self.viscosity is not None else 1.0)
+            self._velocity = ((m / (m - 1.0)) * self.spectra[1],
+                              self.multiplier(W=1.0) + sched.epsilon_star * visc)
+        return self._velocity
 
     def at_resolution(self, n2: int) -> "KernelSet":
         """Same kernels on a coarser grid: the spectra, R_hat included, cropped
@@ -591,21 +596,21 @@ class KernelSet:
         """The table of pair_spectrum, which keeps that spectrum."""
         return KernelTable.from_spectrum(self.pair_spectrum(include_viscosity), self.n)
 
-    def particle_mesh(self, include_viscosity: bool = True, m: float = 2.0):
+    def particle_mesh(self, include_viscosity: bool = True):
         """(mesh, multipliers): the spectral.ParticleMesh of the particle sums
         and their multipliers on its box, divided by the kernel's transform
-        squared (ParticleMesh.crop); built on first use per viscosity flag and
-        m = 2 or not.  For m = 2 the box is cut at U's tail, U read from
+        squared (ParticleMesh.crop); built on first use per viscosity flag.
+        For the schedule's m = 2 the box is cut at U's tail, U read from
         pair_kernel's spectrum, and the multipliers are "U", "W", "smooth2"
         and "viscosity"; for other m it is cut at ot's tail and they are
         "omega_tilde", "W" and "viscosity" (R_hat unscaled, present only
         with include_viscosity)."""
-        key = (bool(include_viscosity), m == 2.0)
+        key = bool(include_viscosity)
         if key not in self._meshes:
             specs = {"W": self.multiplier(W=1.0)}
             if include_viscosity:
                 specs["viscosity"] = self.multiplier(viscosity=1.0)
-            if m == 2.0:
+            if self.schedule.m == 2.0:
                 specs["U"] = np.real(self.pair_kernel(include_viscosity).spectrum)
                 specs["smooth2"] = self.multiplier(smooth2=1.0)
                 cut = specs["U"]

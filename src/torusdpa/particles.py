@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import GridField
 from .geometry import wrap
-from .kernels import KernelSet, ParameterSchedule, hessian_inf_norm
+from .kernels import KernelSet, hessian_inf_norm
 from .spectral import gradient, inner
 
 __all__ = [
@@ -51,12 +50,11 @@ METHODS = ("euler", "heun", "rk4")
 
 @dataclass
 class ParticleState:
-    """N particle positions on the torus with uniform weights 1/N."""
+    """N particle positions on the torus with uniform weights 1/N; the
+    parameters they move under are those of the kernel set they meet."""
 
     positions: np.ndarray
     time: float = 0.0
-    schedule: Optional[ParameterSchedule] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.positions = wrap(np.atleast_2d(np.asarray(self.positions, dtype=float)))
@@ -115,9 +113,7 @@ def _split_divisor(N: int) -> int:
     return best
 
 
-def init_quantile(
-    rho0: GridField, N: int, schedule: Optional[ParameterSchedule] = None
-) -> ParticleState:
+def init_quantile(rho0: GridField, N: int) -> ParticleState:
     """Place N particles at mass-medians of N equal-mass regions of rho0.
 
     d = 1 uses exact quantiles of the piecewise-constant density; d = 2 uses
@@ -162,7 +158,7 @@ def init_quantile(
             rows = slice(s * n2, (s + 1) * n2)
             pos[rows, 0] = x_mid[s]
             pos[rows, 1] = y
-    return ParticleState(positions=pos, time=0.0, schedule=schedule)
+    return ParticleState(positions=pos, time=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,11 @@ def compute_forces(
     ot_hat times a spread weighted by its (m - 1)th power.  Each addend is an
     antisymmetric operator's quadratic form summed over the particles, so the
     momentum stays at roundoff.  For m = 2 the velocities are -N times the
-    position gradient of discrete_energy, to the mesh's accuracy.
+    position gradient of discrete_energy, to the mesh's accuracy.  m and
+    eps_star are the kernel set's.
     appendix_a=True drops the viscosity term instead of sending eps_star to 0.
     """
-    sched = state.schedule or kernels.schedule
+    sched = kernels.schedule
     m = sched.m
     N = state.N
     include_visc = not appendix_a
@@ -195,7 +192,7 @@ def compute_forces(
         raise ValueError(
             "viscosity particle term needs alpha > 0; use appendix_a=True to drop it"
         )
-    mesh, mult = kernels.particle_mesh(include_visc, m)
+    mesh, mult = kernels.particle_mesh(include_visc)
     stencil = mesh.stencil(state.positions)
     mu = mesh.transform(stencil, np.full(N, 1.0 / N))
     term1 = mesh.gradient(stencil, -mult["W"] * mu)
@@ -230,10 +227,11 @@ def momentum(forces: ForceField) -> np.ndarray:
 
 def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False) -> float:
     """0.5 / L with L a Lipschitz bound of the force field, from the Hessians
-    of the kernels' spectra."""
-    sched = state.schedule or kernels.schedule
+    of the kernels' spectra at the set's m and eps_star; cached in the set
+    per appendix-A flag."""
+    sched = kernels.schedule
     m = sched.m
-    key = (m, bool(appendix_a))
+    key = bool(appendix_a)
     cache = kernels._stable_cache
     if key not in cache:
         n = kernels.n
@@ -277,8 +275,7 @@ def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> n
     transform of -2 pi i k U_hat times the coefficients and one gather.  The
     same as summing compute_forces addends, to roundoff.
     """
-    sched = state.schedule or kernels.schedule
-    if sched.m == 2.0:
+    if kernels.schedule.m == 2.0:
         mesh, mult = kernels.particle_mesh(not appendix_a)
         stencil = mesh.stencil(state.positions)
         mu = mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
@@ -293,20 +290,19 @@ def step(
     method: str = "rk4",
     appendix_a: bool = False,
 ) -> ParticleState:
-    """Advance one explicit step (one of METHODS) and wrap to the torus."""
+    """Advance one explicit step (one of METHODS) and wrap to the torus.  A dt
+    above stable_dt warns (RuntimeWarning) and still steps."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt_max = stable_dt(state, kernels, appendix_a=appendix_a)
-    flags = dict(state.meta)
     if dt > dt_max:
         warnings.warn(f"dt={dt:.3e} exceeds stable_dt={dt_max:.3e}", RuntimeWarning)
-        flags["dt_warning"] = True
 
     def rhs(pos):
-        tmp = ParticleState(positions=pos, time=state.time, schedule=state.schedule)
-        return _velocities(tmp, kernels, appendix_a=appendix_a)
+        return _velocities(ParticleState(positions=pos, time=state.time), kernels,
+                           appendix_a=appendix_a)
 
     X = state.positions
     if method == "euler":
@@ -321,9 +317,7 @@ def step(
         k3 = rhs(wrap(X + 0.5 * dt * k2))
         k4 = rhs(wrap(X + dt * k3))
         Xn = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ParticleState(
-        positions=wrap(Xn), time=state.time + dt, schedule=state.schedule, meta=flags
-    )
+    return ParticleState(positions=wrap(Xn), time=state.time + dt)
 
 
 def discrete_energy(
@@ -335,9 +329,9 @@ def discrete_energy(
 
     This is the interaction form of the free energy on the empirical measure;
     particle forces are -N times its position gradient, to the mesh's accuracy.
+    U and m are the kernel set's.
     """
-    sched = state.schedule or kernels.schedule
-    if sched.m != 2.0:
+    if kernels.schedule.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
     mesh, mult = kernels.particle_mesh(not appendix_a)
     mu = mesh.transform(mesh.stencil(state.positions), np.full(state.N, 1.0 / state.N))

@@ -27,6 +27,7 @@ import numpy as np
 from .fields import GridField, energy_E_m
 from .particles import fixed_steps
 from .spectral import (
+    column_weights,
     forward_transform,
     freq_lattice,
     grad_multipliers,
@@ -112,13 +113,9 @@ class LocalSolver:
         self.neg_Dmask = -D * mask
         self.neg_mask = -mask
         # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
-        # by 0.5 D |2 pi k|^2 (Nyquist zeroed), twice for each last-axis column
-        # that stands for itself and its mirror
-        w = np.full(n // 2 + 1, 2.0)
-        w[0] = 1.0
-        if n % 2 == 0:
-            w[-1] = 1.0
-        self.grad_weight = 0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult) * w
+        # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights
+        self.grad_weight = (0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult)
+                            * column_weights(n))
         self.C0, em0 = cfg.initial_shift(rho0)
         self.r = float(np.sqrt(self.C0 - em0))
         self.mass0 = rho0.mass()

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import GridField, free_energy, velocity_field_nl
-from .kernels import KernelSet, ParameterSchedule
+from .kernels import KernelSet
 from .spectral import forward_transform, inverse_transform, k_squared
 
 __all__ = ["step_nonlocal", "run_nonlocal", "NonlocalRun", "NonlocalTrace"]
@@ -53,9 +53,9 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
     return div
 
 
-def _face_velocities(rho: GridField, schedule, kernels) -> tuple:
+def _face_velocities(rho: GridField, kernels) -> tuple:
     """Face velocities of the current state and its CFL bound h/(2 d ||v||_inf)."""
-    vfaces = velocity_field_nl(rho, schedule, kernels, at_faces=True)
+    vfaces = velocity_field_nl(rho, kernels, at_faces=True)
     vmax = max(float(vfaces.max()), -float(vfaces.min()))
     return vfaces, (rho.h / (2.0 * rho.d * vmax) if vmax > 0 else np.inf)
 
@@ -79,15 +79,10 @@ def _step(rho: GridField, vfaces, dt_cfl: float, dt: float, nu: float, k2) -> Gr
     return GridField(new)
 
 
-def step_nonlocal(
-    rho: GridField,
-    schedule: ParameterSchedule,
-    kernels: KernelSet,
-    dt: float,
-    nu: float = 0.0,
-) -> GridField:
-    """One conservative upwind step of the nonlocal equation."""
-    vfaces, dt_cfl = _face_velocities(rho, schedule, kernels)
+def step_nonlocal(rho: GridField, kernels: KernelSet, dt: float, nu: float = 0.0) -> GridField:
+    """One conservative upwind step of the nonlocal equation at the kernel
+    set's schedule."""
+    vfaces, dt_cfl = _face_velocities(rho, kernels)
     return _step(rho, vfaces, dt_cfl, dt, nu, k_squared(rho.n, rho.d))
 
 
@@ -108,38 +103,39 @@ class NonlocalRun:
 
 def run_nonlocal(
     rho0: GridField,
-    schedule: ParameterSchedule,
     kernels: KernelSet,
     T: float,
     nu_sequence: Sequence[float] = (0.0,),
     energy_every: Optional[float] = None,
 ) -> NonlocalRun:
-    """Run once per nu in the sequence from the same initial condition.
+    """Run once per nu in the sequence from the same initial condition, at
+    the kernel set's schedule; a rho0 with a cell below -1e-12 is rejected.
 
     Each step takes CFL_SAFETY times the CFL bound of the current field
     (deterministic: it depends only on that field), cut to end at T.
     """
-    rho0.check_density(mass=rho0.mass(), tol=np.inf)  # nonnegativity only
+    if rho0.values.min() < -1e-12:
+        raise ValueError(f"density has negative cells (min {rho0.values.min():.3e})")
     energy_every = energy_every if energy_every is not None else T / 20.0
     k2 = k_squared(rho0.n, rho0.d)
     traces = []
     for nu in nu_sequence:
         rho = rho0.copy()
         t = 0.0
-        reports = [free_energy(rho, schedule, kernels, t=0.0)]
+        reports = [free_energy(rho, kernels, t=0.0)]
         next_energy = energy_every
         min_value = float(rho.values.min())
         while t < T - 1e-14:
-            vfaces, dt_cfl = _face_velocities(rho, schedule, kernels)
+            vfaces, dt_cfl = _face_velocities(rho, kernels)
             step_dt = min(T - t, CFL_SAFETY * dt_cfl)
             rho = _step(rho, vfaces, dt_cfl, step_dt, nu, k2)
             t += step_dt
             min_value = min(min_value, float(rho.values.min()))
             if t >= next_energy - 1e-14:
-                reports.append(free_energy(rho, schedule, kernels, t=t))
+                reports.append(free_energy(rho, kernels, t=t))
                 next_energy += energy_every
         if reports[-1].t < t:
-            reports.append(free_energy(rho, schedule, kernels, t=t))
+            reports.append(free_energy(rho, kernels, t=t))
         traces.append(
             NonlocalTrace(
                 nu=nu,

@@ -38,6 +38,7 @@ __all__ = [
     "k_squared",
     "grad_multipliers",
     "face_grad_multipliers",
+    "column_weights",
     "minimage_coords",
     "forward_transform",
     "inverse_transform",
@@ -106,6 +107,18 @@ def face_grad_multipliers(n: int, d: int) -> tuple:
                  for g, k in zip(grad_multipliers(n, d), freq_lattice(n, d)))
 
 
+@functools.lru_cache(maxsize=16)
+def column_weights(n: int) -> np.ndarray:
+    """Parseval weight of each last-axis column of the n^d half spectrum
+    (memoised, read-only): 2 for a column that stands for itself and its
+    mirror, 1 for k = 0 and, for even n, k = n/2."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return _frozen(w)
+
+
 def minimage_coords(n: int, d: int):
     """Per-axis minimum-image coordinates of the grid nodes, in [-1/2, 1/2)."""
     x = np.arange(n) / n
@@ -141,13 +154,8 @@ def gradient(coeffs: np.ndarray, n: int):
 
 def inner(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> float:
     """Integral of f*g over the torus from the half spectra of two real grid
-    functions on the n^d grid (Parseval): each last-axis column stands for
-    itself and its mirror, except k = 0 and, for even n, k = n/2."""
-    w = np.full(a_hat.shape[-1], 2.0)
-    w[0] = 1.0
-    if n % 2 == 0:
-        w[-1] = 1.0
-    return float((w * (a_hat * b_hat.conj()).real).sum())
+    functions on the n^d grid (Parseval, each column by column_weights)."""
+    return float((column_weights(n) * (a_hat * b_hat.conj()).real).sum())
 
 
 def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
@@ -291,15 +299,13 @@ def tail_cutoff(spec: np.ndarray, n: int) -> int:
     """Cutoff K < n/2 of a half spectrum on the n^d lattice: the whole lattice
     below Nyquist in 1-d; in 2-d the smallest K whose dropped modes
     |k|_inf > K carry at most TAIL_TOL of the absolute sum (each last-axis
-    column counted with its mirror, as in inner)."""
+    column weighted by column_weights, as in inner)."""
     d = spec.ndim
     top = (n - 1) // 2
     if d == 1:
         return top
     kinf = np.maximum(*(np.abs(k).astype(np.int64) for k in freq_lattice(n, d)))
-    mirror = np.full(spec.shape[-1], 2.0)
-    mirror[0] = 1.0
-    shells = np.bincount(kinf.ravel(), (np.abs(spec) * mirror).ravel())
+    shells = np.bincount(kinf.ravel(), (np.abs(spec) * column_weights(n)).ravel())
     tail = np.cumsum(shells[::-1])[::-1]  # tail[K] = sum over |k|_inf >= K
     kept = np.nonzero(tail[1 : top + 2] <= TAIL_TOL * tail[0])[0]
     return int(kept[0]) if kept.size else top

@@ -178,13 +178,11 @@ def test_criterion_04_gradient_structure():
             trials = 4 if d == 1 else 3
             for _ in range(trials):
                 pos = rng.random((N, d))
-                st = ParticleState(pos, schedule=sched)
+                st = ParticleState(pos)
                 force = compute_forces(st, kset).velocities
 
                 def energy_at(p):
-                    return discrete_energy(
-                        ParticleState(p.reshape(N, d), schedule=sched), kset
-                    )
+                    return discrete_energy(ParticleState(p.reshape(N, d)), kset)
 
                 grad = fd_gradient(energy_at, pos.ravel(), h=1e-6).reshape(N, d)
                 rel = float(np.max(np.abs(force + N * grad)) / np.max(np.abs(force)))
@@ -201,7 +199,7 @@ def test_criterion_05_conservation():
     kset = build_kernel_set(sched, kind="truncated-gaussian",
                             omega_moment=2 * sched.epsilon**2)
     rho0 = GridField.constant(1.0, 4096)
-    st = init_quantile(rho0, 1000, sched)
+    st = init_quantile(rho0, 1000)
     dt = stable_dt(st, kset)
     worst_momentum = 0.0
     for _ in range(10):
@@ -213,7 +211,7 @@ def test_criterion_05_conservation():
     # PDE mass over full runs
     x = np.arange(512) / 512
     rho = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
-    nl = run_nonlocal(rho, sched, kset.at_resolution(512), T=0.005)
+    nl = run_nonlocal(rho, kset.at_resolution(512), T=0.005)
     cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=5e-4)
     loc = run_local(rho, cfg)
     nl_drift = nl.traces[0].mass_drift
@@ -232,7 +230,7 @@ def test_criterion_06_energy_dissipation():
     kset = build_kernel_set(sched, kind="truncated-gaussian",
                             omega_moment=2 * sched.epsilon**2)
     rng = np.random.default_rng(6)
-    st = ParticleState(rng.random((64, 1)), schedule=sched)
+    st = ParticleState(rng.random((64, 1)))
     dt = stable_dt(st, kset) / 10.0
     prev = discrete_energy(st, kset)
     particle_ok = True
@@ -243,7 +241,7 @@ def test_criterion_06_energy_dissipation():
         prev = cur
     x = np.arange(512) / 512
     rho = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
-    nl = run_nonlocal(rho, sched, kset.at_resolution(512), T=0.01)
+    nl = run_nonlocal(rho, kset.at_resolution(512), T=0.01)
     F = [rep.F_eps_alpha for rep in nl.traces[0].reports]
     grid_ok = all(b <= a + 1e-8 for a, b in zip(F, F[1:]))
     report(6, "energy dissipation", particle_ok and grid_ok,

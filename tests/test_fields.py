@@ -184,7 +184,7 @@ class TestEnergies:
 class TestFreeEnergy:
     def test_uniform_density(self, kset_1d, sched_1d):
         f = GridField.constant(1.0, kset_1d.n)
-        rep = free_energy(f, sched_1d, kset_1d)
+        rep = free_energy(f, kset_1d)
         expected = -1.0 / (sched_1d.m - 1.0) + sched_1d.epsilon_star / 2.0
         assert rep.F_eps_alpha == pytest.approx(expected, abs=1e-8)
         assert rep.D_eps == pytest.approx(0.0, abs=1e-10)
@@ -195,7 +195,7 @@ class TestFreeEnergy:
         # rebuilt from the public pieces
         vals = 1.0 + 0.4 * np.sin(2 * np.pi * np.arange(kset_1d.n) / kset_1d.n)
         f = GridField(vals / (vals.sum() / kset_1d.n))
-        rep = free_energy(f, sched_1d, kset_1d)
+        rep = free_energy(f, kset_1d)
         smoothed = periodic_convolve(f, kset_1d.omega_tilde)
         half = periodic_convolve(f, kset_1d.viscosity.half_table)
         expected = (0.25 * dissipation_D_eps(smoothed, kset_1d.omega, sched_1d.epsilon)
@@ -213,7 +213,7 @@ class TestFreeEnergy:
                                 omega_moment=2 * 0.02**2)
         x = np.arange(n) / n
         f = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
-        rep = free_energy(f, sched, kset, with_velocity=False)
+        rep = free_energy(f, kset, with_velocity=False)
         smoothed = direct_convolve_table(f.values, kset.omega_tilde.table.values)
         d_term = 0.25 * direct_double_sum(smoothed, kset.omega.table.values, sched.epsilon)
         e_term = float((smoothed**2).sum() / n)
@@ -224,21 +224,19 @@ class TestFreeEnergy:
 
 
 class TestKde:
-    def test_single_particle_on_node(self, kset_1d, sched_1d):
+    def test_single_particle_on_node(self, kset_1d):
         n = kset_1d.n
-        st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
+        st = ParticleState(np.array([[0.5]]))
         fld = kde_density(st, kset_1d.omega_tilde, n)
         expected = np.roll(kset_1d.omega_tilde.table.values, n // 2)
         assert np.max(np.abs(fld.values - expected)) < 1e-12
         assert fld.mass() == pytest.approx(1.0, abs=1e-8)
 
-    def test_translation_equivariance(self, kset_1d, sched_1d, rng):
+    def test_translation_equivariance(self, kset_1d, rng):
         n = 512
         pos = rng.random((20, 1))
-        a = kde_density(ParticleState(pos, schedule=sched_1d), kset_1d.omega_tilde, n)
-        b = kde_density(
-            ParticleState(pos + 0.25, schedule=sched_1d), kset_1d.omega_tilde, n
-        )
+        a = kde_density(ParticleState(pos), kset_1d.omega_tilde, n)
+        b = kde_density(ParticleState(pos + 0.25), kset_1d.omega_tilde, n)
         shift = n // 4
         assert np.max(np.abs(np.roll(a.values, shift) - b.values)) < 1e-10
 
@@ -269,16 +267,17 @@ class TestKde:
         kde_density(rng.random((9, d)), kset.omega_tilde, kset.n // 4)
         assert len(calls) == 2
 
-    def test_uniform_flatness(self, kset_1d, sched_1d):
+    def test_uniform_flatness(self, kset_1d):
         N = 1000
-        st = init_quantile(GridField.constant(1.0, 4096), N, sched_1d)
+        st = init_quantile(GridField.constant(1.0, 4096), N)
         fld = kde_density(st, kset_1d.omega_tilde, 1024)
         assert np.max(np.abs(fld.values - 1.0)) <= 3.0 / np.sqrt(N) + 1e-3
 
 
-def chain_velocity(rho, sched, kset):
+def chain_velocity(rho, kset):
     """The nonlocal velocity by the real-space convolution chain:
     grad(-B_eps[rho*ot*ot] + (m/(m-1)) ot*max(rho*ot, 0)^(m-1) - eps_star rho*R)."""
+    sched = kset.schedule
     m = sched.m
     smooth2 = KernelTable.from_spectrum(kset.multiplier(smooth2=1.0), kset.n)
     bterm = B_eps(periodic_convolve(rho, smooth2), kset.omega, sched.epsilon)
@@ -302,8 +301,8 @@ def shift_to_faces(v, axis):
 
 @pytest.fixture(scope="module")
 def velocity_grids(kset_1d, kset_2d):
-    """Per d: (schedule, kernel set at grid resolution, a density whose
-    smoothed field undershoots zero, a positive density)."""
+    """Per d: (kernel set at grid resolution, a density whose smoothed field
+    undershoots zero, a positive density)."""
     out = {}
     for d, kset, n in ((1, kset_1d, 512), (2, kset_2d, 128)):
         kgrid = kset.at_resolution(n)
@@ -311,7 +310,7 @@ def velocity_grids(kset_1d, kset_2d):
         xs = np.meshgrid(*([x] * d), indexing="ij")
         wave = np.prod([np.cos(2 * np.pi * xi) for xi in xs], axis=0)
         bump = np.sin(2 * np.pi * (xs[0] + 2 * xs[-1]))
-        out[d] = (kset.schedule, kgrid, GridField(0.1 + wave + 0.2 * bump),
+        out[d] = (kgrid, GridField(0.1 + wave + 0.2 * bump),
                   GridField(1.0 + 0.5 * wave + 0.2 * bump))
     return out
 
@@ -321,40 +320,42 @@ class TestVelocityField:
     @pytest.mark.parametrize("m", [2.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_convolution_chain(self, velocity_grids, d, m, alpha_on):
-        sched, kgrid, rho, _ = velocity_grids[d]
-        sched = replace(sched, m=m, alpha=sched.alpha if alpha_on else 0.0)
+        kgrid, rho, _ = velocity_grids[d]
+        # the set for another m, or with R switched off by alpha = 0
+        sched = replace(kgrid.schedule, m=m, alpha=kgrid.schedule.alpha if alpha_on else 0.0)
+        kgrid = replace(kgrid, schedule=sched)
         assert periodic_convolve(rho, kgrid.omega_tilde).values.min() < 0  # max(., 0) acts
-        v = velocity_field_nl(rho, sched, kgrid)
-        ref = chain_velocity(rho, sched, kgrid)
+        v = velocity_field_nl(rho, kgrid)
+        ref = chain_velocity(rho, kgrid)
         assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_grid_mismatch_rejected(self, velocity_grids):
-        sched, kgrid, _, rho = velocity_grids[2]
+        kgrid, _, rho = velocity_grids[2]
         for f in (GridField(rho.values[::2, ::2]), GridField(rho.values[:, 0])):
             with pytest.raises(ValueError, match="grid"):
-                velocity_field_nl(f, sched, kgrid)
+                velocity_field_nl(f, kgrid)
             with pytest.raises(ValueError, match="grid"):
-                free_energy(f, sched, kgrid)
+                free_energy(f, kgrid)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_faces_match_shift_round_trip(self, velocity_grids, d):
-        sched, kgrid, _, rho = velocity_grids[d]
-        nodes = velocity_field_nl(rho, sched, kgrid)
+        kgrid, _, rho = velocity_grids[d]
+        nodes = velocity_field_nl(rho, kgrid)
         ref = np.stack([shift_to_faces(nodes[ax], ax) for ax in range(d)])
-        faces = velocity_field_nl(rho, sched, kgrid, at_faces=True)
+        faces = velocity_field_nl(rho, kgrid, at_faces=True)
         assert np.max(np.abs(faces - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_m2_is_pair_potential(self, velocity_grids, d):
         # for m = 2 on a positive field the grid moves by the particles' pair
         # potential U: v = -grad(U*rho) and F = (1/2) <rho, U*rho>
-        sched, kgrid, _, rho = velocity_grids[d]
-        assert sched.m == 2.0 and sched.alpha > 0
+        kgrid, _, rho = velocity_grids[d]
+        assert kgrid.schedule.m == 2.0 and kgrid.schedule.alpha > 0
         urho = periodic_convolve(rho, kgrid.pair_kernel(include_viscosity=True)).values
         ref = -np.stack(spectral.gradient(spectral.forward_transform(urho), rho.n))
-        v = velocity_field_nl(rho, sched, kgrid)
+        v = velocity_field_nl(rho, kgrid)
         assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
-        rep = free_energy(rho, sched, kgrid, with_velocity=False)
+        rep = free_energy(rho, kgrid, with_velocity=False)
         half_pair = 0.5 * float((rho.values * urho).sum()) * rho.h**d
         assert rep.F_eps_alpha == pytest.approx(half_pair, rel=1e-10)
 
@@ -363,39 +364,39 @@ class TestVelocityField:
         # rho forward, the smoothed field back and forward again (D_eps),
         # R^(1/2) * rho back, and the velocity's 3 + d: omega's spectrum is
         # the family's cached one, not a transform of its table
-        sched, kgrid, _, rho = velocity_grids[d]
-        assert sched.alpha > 0 and kgrid.viscosity is not None
-        free_energy(rho, sched, kgrid)  # the set's spectra are cached
+        kgrid, _, rho = velocity_grids[d]
+        assert kgrid.schedule.alpha > 0 and kgrid.viscosity is not None
+        free_energy(rho, kgrid)  # the set's spectra are cached
         calls = count_transforms(monkeypatch)
-        free_energy(rho, sched, kgrid)
+        free_energy(rho, kgrid)
         assert len(calls) == 7 + d
 
-    def test_constant_density(self, kset_1d, sched_1d):
+    def test_constant_density(self, kset_1d):
         f = GridField.constant(1.0, kset_1d.n)
-        v = velocity_field_nl(f, sched_1d, kset_1d)
+        v = velocity_field_nl(f, kset_1d)
         assert np.max(np.abs(v)) < 1e-9
 
-    def test_mean_zero(self, kset_1d, sched_1d):
+    def test_mean_zero(self, kset_1d):
         n = kset_1d.n
         x = np.arange(n) / n
         vals = 1.0 + 0.5 * np.sin(2 * np.pi * x)
         f = GridField(vals / (vals.sum() / n))
-        v = velocity_field_nl(f, sched_1d, kset_1d)
+        v = velocity_field_nl(f, kset_1d)
         assert abs(v[0].mean()) < 1e-12
 
-    def test_particle_consistency_on_nodes(self, kset_1d, sched_1d):
+    def test_particle_consistency_on_nodes(self, kset_1d):
         # two particles sitting exactly on grid nodes: the grid velocity sampled
         # at a particle equals the pairwise force, term by term
         n = kset_1d.n
         i1, i2 = n // 4, n // 4 + int(0.1 * n)
         pos = np.array([[i1 / n], [i2 / n]])
-        st = ParticleState(pos, schedule=sched_1d)
+        st = ParticleState(pos)
         ff = compute_forces(st, kset_1d)
         vals = np.zeros(n)
         vals[i1] += n / 2.0
         vals[i2] += n / 2.0
         rho = GridField(vals)
-        v = velocity_field_nl(rho, sched_1d, kset_1d)
+        v = velocity_field_nl(rho, kset_1d)
         assert v[0, i1] == pytest.approx(ff.velocities[0, 0], rel=1e-6, abs=1e-9)
         assert v[0, i2] == pytest.approx(ff.velocities[1, 0], rel=1e-6, abs=1e-9)
 
@@ -412,7 +413,7 @@ def test_gridfield_io_roundtrip(tmp_path, rng):
         load_gridfield(tmp_path / "bad.gf")
 
 
-def test_quantile_w2_halving(sched_1d):
+def test_quantile_w2_halving():
     # W2(rho0^N, rho0) halves when N doubles (order 1/N quantile placement)
     n = 4096
     x = np.arange(n) / n
@@ -423,7 +424,7 @@ def test_quantile_w2_halving(sched_1d):
     target = grid_to_measure(rho, max_atoms=1024)
     dists = []
     for N in (32, 64):
-        st = init_quantile(rho, N, sched_1d)
+        st = init_quantile(rho, N)
         mu = DiscreteMeasure(st.positions)
         dists.append(w2_circle_exact(mu, target)[0])
     assert dists[1] <= dists[0]
@@ -441,9 +442,9 @@ def test_alpha_zero_convention():
     x = np.arange(n) / n
     vals = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     rho = GridField(vals / (vals.sum() / n))
-    v = velocity_field_nl(rho, sched, kset)
+    v = velocity_field_nl(rho, kset)
     assert np.all(np.isfinite(v)) and abs(v[0].mean()) < 1e-12
-    rep = free_energy(rho, sched, kset, with_velocity=False)
+    rep = free_energy(rho, kset, with_velocity=False)
     # the viscosity addend is (eps_star/2) E_2[rho] under the convention
     assert rep.visc_term == pytest.approx(
         0.5 * sched.epsilon_star * energy_E_m(rho, 2.0), rel=1e-12

@@ -154,7 +154,7 @@ class TestSpectralSet:
         calls = count_transforms(monkeypatch)
         kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128,
                                 omega_moment=2 * sched.epsilon**2)
-        stable_dt(ParticleState(np.array([[0.5, 0.5]]), schedule=sched), kset)
+        stable_dt(ParticleState(np.array([[0.5, 0.5]])), kset)
         kset.pair_kernel()
         lambda_convexity_constant(kset)
         assert len(calls) == 15

@@ -41,27 +41,25 @@ def kset_2d_1024():
 
 
 class TestInitQuantile:
-    def test_uniform_quantiles(self, sched_1d):
-        st = init_quantile(GridField.constant(1.0, 4096), 4, sched_1d)
+    def test_uniform_quantiles(self):
+        st = init_quantile(GridField.constant(1.0, 4096), 4)
         assert np.allclose(st.positions.ravel(), [0.125, 0.375, 0.625, 0.875])
 
-    def test_spike_concentration(self, sched_1d):
+    def test_spike_concentration(self):
         vals = np.zeros(256)
         vals[37] = 256.0
-        st = init_quantile(GridField(vals), 16, sched_1d)
+        st = init_quantile(GridField(vals), 16)
         lo, hi = 37 / 256, 38 / 256
         assert np.all(st.positions >= lo) and np.all(st.positions <= hi)
 
-    def test_errors(self, sched_1d):
+    def test_errors(self):
         with pytest.raises(ValueError):
-            init_quantile(GridField.constant(1.0, 64), 0, sched_1d)
+            init_quantile(GridField.constant(1.0, 64), 0)
         with pytest.raises(ValueError):
-            init_quantile(GridField(np.array([1.0, -0.5, 1.0, 0.5])), 4, sched_1d)
+            init_quantile(GridField(np.array([1.0, -0.5, 1.0, 0.5])), 4)
 
     def test_product_quantiles_2d_uniform(self):
-        sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.2, epsilon_star=0.5,
-                                      alpha=0.1)
-        st = init_quantile(GridField.constant(1.0, 128, 2), 12, sched)
+        st = init_quantile(GridField.constant(1.0, 128, 2), 12)
         # 12 = 3 x 4 grid of strip medians
         xs = np.unique(np.round(st.positions[:, 0], 12))
         ys = np.unique(np.round(st.positions[:, 1], 12))
@@ -71,34 +69,33 @@ class TestInitQuantile:
 
 
 class TestForces:
-    def test_single_particle_zero(self, kset_1d, sched_1d):
+    def test_single_particle_zero(self, kset_1d):
         # the self term's gradient vanishes to roundoff on the mesh
-        scale = np.max(np.abs(compute_forces(ParticleState(TWO, schedule=sched_1d),
-                                             kset_1d).velocities))
-        st = ParticleState(np.array([[0.37]]), schedule=sched_1d)
+        scale = np.max(np.abs(compute_forces(ParticleState(TWO), kset_1d).velocities))
+        st = ParticleState(np.array([[0.37]]))
         ff = compute_forces(st, kset_1d)
         assert np.max(np.abs(ff.velocities)) <= 1e-14 * scale
 
-    def test_two_particle_antisymmetry(self, kset_1d, sched_1d):
-        ff = compute_forces(ParticleState(TWO, schedule=sched_1d), kset_1d)
+    def test_two_particle_antisymmetry(self, kset_1d):
+        ff = compute_forces(ParticleState(TWO), kset_1d)
         scale = np.max(np.abs(ff.velocities))
         for term in (ff.term_interaction, ff.term_aggregation, ff.term_viscosity):
             assert abs(term[0, 0] + term[1, 0]) <= 1e-14 * scale
 
-    def test_decomposition_exact(self, kset_1d, sched_1d, rng):
-        st = ParticleState(rng.random((17, 1)), schedule=sched_1d)
+    def test_decomposition_exact(self, kset_1d, rng):
+        st = ParticleState(rng.random((17, 1)))
         ff = compute_forces(st, kset_1d)
         assert ff.decomposition_error() == 0.0
 
-    def test_permutation_equivariance(self, kset_1d, sched_1d, rng):
+    def test_permutation_equivariance(self, kset_1d, rng):
         pos = rng.random((9, 1))
         perm = rng.permutation(9)
-        f1 = compute_forces(ParticleState(pos, schedule=sched_1d), kset_1d).velocities
-        f2 = compute_forces(ParticleState(pos[perm], schedule=sched_1d), kset_1d).velocities
+        f1 = compute_forces(ParticleState(pos), kset_1d).velocities
+        f2 = compute_forces(ParticleState(pos[perm]), kset_1d).velocities
         assert np.allclose(f1[perm], f2, atol=1e-14)
 
-    def test_momentum_fsum_zero(self, kset_1d, sched_1d, rng):
-        st = ParticleState(rng.random((200, 1)), schedule=sched_1d)
+    def test_momentum_fsum_zero(self, kset_1d, rng):
+        st = ParticleState(rng.random((200, 1)))
         for _ in range(3):
             ff = compute_forces(st, kset_1d)
             assert np.max(np.abs(momentum(ff))) <= 1e-12
@@ -109,7 +106,7 @@ class TestForces:
         kset = kset_1d_bump
         sched = kset.schedule
         eps = sched.epsilon
-        st = ParticleState(np.array([[0.45], [0.55]]), schedule=sched)
+        st = ParticleState(np.array([[0.45], [0.55]]))
         ff = compute_forces(st, kset)
         om = bump_profile(kset.omega.profile_width)
         ot = bump_profile(kset.omega_tilde.profile_width)
@@ -134,11 +131,11 @@ class TestForces:
         kset = build_kernel_set(sched, kind="truncated-gaussian",
                                 omega_moment=2 * sched.epsilon**2)
         pos = rng.random((8, 1))
-        st = ParticleState(pos, schedule=sched)
+        st = ParticleState(pos)
         ff = compute_forces(st, kset)
         assert np.all(np.isfinite(ff.velocities))
         perm = rng.permutation(8)
-        ff2 = compute_forces(ParticleState(pos[perm], schedule=sched), kset)
+        ff2 = compute_forces(ParticleState(pos[perm]), kset)
         assert np.allclose(ff.velocities[perm], ff2.velocities, atol=1e-13)
 
     def test_alpha_zero_needs_appendix_mode(self, rng):
@@ -146,7 +143,7 @@ class TestForces:
                                       alpha=0.0)
         kset = build_kernel_set(sched, kind="truncated-gaussian",
                                 omega_moment=2 * sched.epsilon**2)
-        st = ParticleState(rng.random((4, 1)), schedule=sched)
+        st = ParticleState(rng.random((4, 1)))
         with pytest.raises(ValueError):
             compute_forces(st, kset)
         ff = compute_forces(st, kset, appendix_a=True)
@@ -154,24 +151,23 @@ class TestForces:
 
 
 class TestEnergy:
-    def test_single_particle_value(self, kset_1d, sched_1d):
-        st = ParticleState(np.array([[0.2]]), schedule=sched_1d)
+    def test_single_particle_value(self, kset_1d):
+        st = ParticleState(np.array([[0.2]]))
         U = kset_1d.pair_kernel(include_viscosity=True)
         expected = 0.5 * float(U.values[0])
         assert discrete_energy(st, kset_1d) == pytest.approx(expected, rel=1e-12)
 
-    def test_translation_invariance(self, kset_1d, sched_1d, rng):
+    def test_translation_invariance(self, kset_1d, rng):
         pos = rng.random((6, 1))
-        e1 = discrete_energy(ParticleState(pos, schedule=sched_1d), kset_1d)
-        e2 = discrete_energy(ParticleState(pos + 0.3, schedule=sched_1d), kset_1d)
+        e1 = discrete_energy(ParticleState(pos), kset_1d)
+        e2 = discrete_energy(ParticleState(pos + 0.3), kset_1d)
         assert e1 == pytest.approx(e2, rel=1e-10)
 
     def test_requires_m2(self, kset_1d, rng):
-        sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
-                                      alpha=0.08, m=3.0)
-        st = ParticleState(rng.random((4, 1)), schedule=sched)
+        kset = dataclasses.replace(kset_1d, schedule=dataclasses.replace(kset_1d.schedule, m=3.0))
+        st = ParticleState(rng.random((4, 1)))
         with pytest.raises(ValueError):
-            discrete_energy(st, kset_1d)
+            discrete_energy(st, kset)
 
     def test_three_body_vs_quadrature(self, kset_1d_bump):
         # brute-force 9-term sum with kernels from nested quadrature (appendix-A
@@ -179,7 +175,7 @@ class TestEnergy:
         kset = kset_1d_bump
         sched = kset.schedule
         pos = np.array([[0.2], [0.33], [0.41]])
-        st = ParticleState(pos, schedule=sched)
+        st = ParticleState(pos)
         got = discrete_energy(st, kset, appendix_a=True)
         om = bump_profile(kset.omega.profile_width)
         ot = bump_profile(kset.omega_tilde.profile_width)
@@ -208,29 +204,26 @@ class TestEnergy:
     def test_force_is_energy_gradient_2d(self, kset_2d_1024, seed):
         # criterion 4's 2-d setup: forces and energy read one interpolant, so
         # they agree to the finite-difference error, not the interpolation error
-        sched = kset_2d_1024.schedule
         rng = np.random.default_rng(seed)
         for N in (5, 20):
             pos = rng.random((N, 2))
-            force = compute_forces(ParticleState(pos, schedule=sched), kset_2d_1024).velocities
+            force = compute_forces(ParticleState(pos), kset_2d_1024).velocities
 
             def energy_at(p):
-                return discrete_energy(ParticleState(p.reshape(N, 2), schedule=sched),
-                                       kset_2d_1024)
+                return discrete_energy(ParticleState(p.reshape(N, 2)), kset_2d_1024)
 
             grad = fd_gradient(energy_at, pos.ravel(), h=1e-6).reshape(N, 2)
             assert np.max(np.abs(force + N * grad)) / np.max(np.abs(force)) < 1e-8
 
-    def test_gradient_structure(self, kset_1d, sched_1d, rng):
+    def test_gradient_structure(self, kset_1d, rng):
         # forces = -N * Richardson central difference of the discrete energy
         for N in (2, 5):
             pos = rng.random((N, 1))
-            st = ParticleState(pos, schedule=sched_1d)
+            st = ParticleState(pos)
             force = compute_forces(st, kset_1d).velocities
 
             def energy_at(p):
-                return discrete_energy(ParticleState(p.reshape(N, 1),
-                                                     schedule=sched_1d), kset_1d)
+                return discrete_energy(ParticleState(p.reshape(N, 1)), kset_1d)
 
             grad = fd_gradient(energy_at, pos.ravel(), h=1e-6).reshape(N, 1)
             expected = -N * grad
@@ -239,32 +232,32 @@ class TestEnergy:
 
 
 class TestStep:
-    def test_zero_force_fixed_point(self, kset_1d, sched_1d):
-        st = ParticleState(np.array([[0.45]]), schedule=sched_1d)
+    def test_zero_force_fixed_point(self, kset_1d):
+        st = ParticleState(np.array([[0.45]]))
         out = step(st, kset_1d, 1e-4)
         assert np.array_equal(out.positions, st.positions)
         assert out.time == pytest.approx(1e-4)
 
-    def test_euler_heun_richardson(self, kset_1d, sched_1d, rng):
+    def test_euler_heun_richardson(self, kset_1d, rng):
         # euler and heun differ by O(dt^2) from the same state
         pos = rng.random((8, 1))
         gaps = []
         for dt in (2e-5, 1e-5):
-            a = step(ParticleState(pos, schedule=sched_1d), kset_1d, dt, "euler")
-            b = step(ParticleState(pos, schedule=sched_1d), kset_1d, dt, "heun")
+            a = step(ParticleState(pos), kset_1d, dt, "euler")
+            b = step(ParticleState(pos), kset_1d, dt, "heun")
             gaps.append(np.max(np.abs(a.positions - b.positions)))
         order = np.log2(gaps[0] / gaps[1])
         assert order == pytest.approx(2.0, abs=0.3)
 
-    def test_rk4_reversibility(self, kset_1d, sched_1d, rng):
+    def test_rk4_reversibility(self, kset_1d, rng):
         pos = rng.random((8, 1))
-        st = ParticleState(pos, schedule=sched_1d)
+        st = ParticleState(pos)
         fwd = step(st, kset_1d, 1e-4, "rk4")
-        back = ParticleState(fwd.positions, time=0.0, schedule=sched_1d)
+        back = ParticleState(fwd.positions, time=0.0)
         # integrate the reversed flow by negating velocities via a negated dt trick:
         # rk4 on -v equals rk4 backward to integrator order
         def rhs(p):
-            return -_velocities(ParticleState(p, schedule=sched_1d), kset_1d, False)
+            return -_velocities(ParticleState(p), kset_1d, False)
 
         X = back.positions
         dt = 1e-4
@@ -275,17 +268,16 @@ class TestStep:
         Xb = (X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
         assert np.max(np.abs(Xb - pos)) < 1e-10
 
-    def test_dt_warning_not_fatal(self, kset_1d, sched_1d, rng):
-        st = ParticleState(rng.random((4, 1)), schedule=sched_1d)
+    def test_dt_warning_not_fatal(self, kset_1d, rng):
+        st = ParticleState(rng.random((4, 1)))
         big = 10.0 * stable_dt(st, kset_1d)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = step(st, kset_1d, big, "euler")
-        assert out.meta.get("dt_warning")
+            step(st, kset_1d, big, "euler")
         assert any("stable_dt" in str(w.message) for w in caught)
 
-    def test_unknown_method(self, kset_1d, sched_1d):
-        st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
+    def test_unknown_method(self, kset_1d):
+        st = ParticleState(np.array([[0.5]]))
         with pytest.raises(ValueError):
             step(st, kset_1d, 1e-5, method="leapfrog")
 
@@ -297,13 +289,13 @@ class TestStableDt:
             sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=et,
                                           epsilon_star=0.4, alpha=0.1)
             kset = build_kernel_set(sched, kind="compact-bump")
-            st = ParticleState(np.array([[0.5]]), schedule=sched)
+            st = ParticleState(np.array([[0.5]]))
             dts.append(stable_dt(st, kset))
         assert dts[1] > dts[0]
 
-    def test_amplitude_scaling_halves_dt(self, kset_1d, sched_1d):
+    def test_amplitude_scaling_halves_dt(self, kset_1d):
         # ot_hat times sqrt(2) and R_hat times 2 double W, ot*ot and R_alpha
-        st = ParticleState(np.array([[0.5]]), schedule=sched_1d)
+        st = ParticleState(np.array([[0.5]]))
         base = stable_dt(st, kset_1d)
         ot_hat = kset_1d.omega_tilde.spectrum
         visc = kset_1d.viscosity
@@ -314,10 +306,10 @@ class TestStableDt:
                                             _spectrum=math.sqrt(2.0) * ot_hat),
             viscosity=dataclasses.replace(visc, spectrum=2.0 * visc.spectrum),
         )
-        st2 = ParticleState(np.array([[0.5]]), schedule=sched_1d)
+        st2 = ParticleState(np.array([[0.5]]))
         assert stable_dt(st2, doubled) == pytest.approx(0.5 * base, rel=1e-12)
 
-    def test_lipschitz_vs_fd_hessian(self, kset_1d, sched_1d):
+    def test_lipschitz_vs_fd_hessian(self, kset_1d):
         # spectral Hessian sup matches dense second differencing within 5%
         W = kset_1d.W
         h = W.h
@@ -336,18 +328,18 @@ class TestStableDt:
                            for ax in range(d))
         grad_max = max(np.max(np.abs(g)) for g in gradient(kset.spectra[1], n))
         assert grad_max == pytest.approx(fd, rel=0.01)
-        sched = dataclasses.replace(kset.schedule, m=m)
+        kset = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=m))
         rho_max = values.max()
         L = (hessian_inf_norm(kset.multiplier(W=1.0), n)
              + m / (m - 1.0) * (hessian_inf_norm(kset.spectra[1], n) * rho_max ** (m - 1.0)
                                 + (m - 1.0) * rho_max ** (m - 2.0) * grad_max**2)
-             + sched.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))
-        st = ParticleState(np.full((1, d), 0.5), schedule=sched)
+             + kset.schedule.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))
+        st = ParticleState(np.full((1, d), 0.5))
         assert stable_dt(st, kset) == pytest.approx(0.5 / L, rel=1e-12)
 
 
-def test_energy_dissipation_rk4(kset_1d, sched_1d, rng):
-    st = ParticleState(rng.random((32, 1)), schedule=sched_1d)
+def test_energy_dissipation_rk4(kset_1d, rng):
+    st = ParticleState(rng.random((32, 1)))
     dt = stable_dt(st, kset_1d) / 10.0
     prev = discrete_energy(st, kset_1d)
     for _ in range(20):
@@ -366,11 +358,10 @@ def test_tiled_pair_sums_match_full_oracle(kset_1d, kset_2d, rng, d, N, mode):
     # the m = 2 velocity, value the energy, weighted the general-m
     # aggregation term, a gradient sum weighted by the density's power
     kset = kset_1d if d == 1 else kset_2d
-    sched = kset.schedule
     n = kset.n
     X = rng.random((N, d))
     if mode == "value":
-        got = discrete_energy(ParticleState(X, schedule=sched), kset)
+        got = discrete_energy(ParticleState(X), kset)
         U_hat = kset.pair_spectrum()
         ref = dense_fourier_energy(X, U_hat, n)
         # U changes sign, so the energy can cancel to a small fraction of
@@ -378,15 +369,16 @@ def test_tiled_pair_sums_match_full_oracle(kset_1d, kset_2d, rng, d, N, mode):
         assert abs(got - ref) <= 1e-12 * dense_fourier_energy(X, np.abs(U_hat), n)
         return
     if mode == "gradient":
-        st = ParticleState(X, schedule=sched)
+        st = ParticleState(X)
         gots = [_velocities(st, kset, False), compute_forces(st, kset).velocities]
 
         def oracle(P):
             return -dense_fourier_sum(P, kset.pair_spectrum(), n, np.full(len(P), 1.0 / len(P)))
     else:
         m = 3.0
-        st = ParticleState(X, schedule=dataclasses.replace(sched, m=m))
-        gots = [compute_forces(st, kset).term_aggregation]
+        st = ParticleState(X)
+        kset_m = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=m))
+        gots = [compute_forces(st, kset_m).term_aggregation]
         ot_hat = kset.spectra[1]
 
         def oracle(P):
@@ -404,7 +396,7 @@ def test_tiled_pair_sums_match_full_oracle(kset_1d, kset_2d, rng, d, N, mode):
 
 def test_momentum_2d_several_tiles(kset_2d, rng):
     N = 400
-    st = ParticleState(rng.random((N, 2)), schedule=kset_2d.schedule)
+    st = ParticleState(rng.random((N, 2)))
     ff = compute_forces(st, kset_2d)
     assert np.max(np.abs(momentum(ff))) <= 1e-12
 
@@ -414,7 +406,7 @@ def test_transform_counts(monkeypatch, kset_1d, kset_2d, rng, d):
     # one spread and forward transform per sum, then one inverse transform
     # per gathered component (the set's mesh is built before counting)
     kset = kset_1d if d == 1 else kset_2d
-    st = ParticleState(rng.random((10, d)), schedule=kset.schedule)
+    st = ParticleState(rng.random((10, d)))
     for appendix_a in (False, True):
         compute_forces(st, kset, appendix_a=appendix_a)
     calls = count_transforms(monkeypatch)
@@ -428,3 +420,19 @@ def test_transform_counts(monkeypatch, kset_1d, kset_2d, rng, d):
     del calls[:]
     compute_forces(st, kset, appendix_a=True)
     assert len(calls) == 1 + 2 * d
+
+
+def test_copy_for_another_eps_star_reads_its_own_schedule(kset_1d, rng):
+    # dataclasses.replace starts empty caches: the forces, the integrated
+    # velocity and the step bound all use the copy's eps_star, not the one
+    # its source's mesh and bound were built with
+    st = ParticleState(rng.random((16, 1)))
+    stable_dt(st, kset_1d)
+    _velocities(st, kset_1d, False)
+    star = dataclasses.replace(kset_1d.schedule, epsilon_star=0.6)
+    k2 = dataclasses.replace(kset_1d, schedule=star)
+    v = compute_forces(st, k2).velocities
+    assert np.max(np.abs(v - _velocities(st, k2, False))) <= 1e-12 * np.max(np.abs(v))
+    fresh = build_kernel_set(star, kind="truncated-gaussian", omega_moment=2 * star.epsilon**2)
+    assert stable_dt(st, k2) == stable_dt(st, fresh)
+    assert stable_dt(st, k2) < stable_dt(st, kset_1d)

@@ -14,7 +14,9 @@ import torusdpa.spectral as spectral
 from torusdpa.fields import GridField, periodic_convolve
 from torusdpa.kernels import KernelTable
 from torusdpa.spectral import (
+    TAIL_TOL,
     ParticleMesh,
+    column_weights,
     face_grad_multipliers,
     forward_transform,
     gather,
@@ -25,6 +27,7 @@ from torusdpa.spectral import (
     k_squared,
     spline_stencil,
     spread,
+    tail_cutoff,
 )
 
 grids = st.tuples(st.sampled_from([1, 2]), st.integers(3, 64), st.integers(0, 2**32 - 1))
@@ -104,6 +107,20 @@ def test_multipliers_memoised_read_only():
         for m in mults:
             with pytest.raises(ValueError):
                 m[...] = 0
+    w = column_weights(16)
+    assert column_weights(16) is w
+    with pytest.raises(ValueError):
+        w[...] = 0
+
+
+def test_tail_cutoff_weighs_columns_as_inner():
+    # a Nyquist column just inside the tolerance at weight 1, outside at 2
+    n = 16
+    spec = np.zeros((n, n // 2 + 1))
+    spec[0, 0] = 1.0
+    spec[0, n // 2] = 0.75 * TAIL_TOL
+    assert list(column_weights(n)) == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+    assert tail_cutoff(spec, n) == 0
 
 
 @PROPERTY

@@ -17,18 +17,17 @@ from torusdpa.pde_nonlocal import run_nonlocal
 def setup_1d():
     sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                   alpha=0.08)
-    kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=1024,
+    return build_kernel_set(sched, kind="truncated-gaussian", table_points=1024,
                             omega_moment=2 * sched.epsilon**2)
-    return sched, kset
 
 
 def test_free_energy_along_particle_kde(setup_1d):
-    sched, kset = setup_1d
+    kset = setup_1d
     n = 1024
     x = np.arange(n) / n
     vals = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     rho0 = GridField(vals / (vals.sum() / n))
-    st = init_quantile(rho0, 256, sched)
+    st = init_quantile(rho0, 256)
     dt = stable_dt(st, kset) / 2.0
     kgrid = kset.at_resolution(n)
 
@@ -36,7 +35,7 @@ def test_free_energy_along_particle_kde(setup_1d):
         fld = kde_density(state, kset.omega_tilde, n)
         f = GridField(np.maximum(fld.values, 0.0))
         f = GridField(f.values / f.mass())
-        return free_energy(f, sched, kgrid, with_velocity=False).F_eps_alpha
+        return free_energy(f, kgrid, with_velocity=False).F_eps_alpha
 
     slack = 10.0 * dt + 1e-3  # time-discretization plus kde-resolution slack
     prev = kde_energy(st)
@@ -48,12 +47,12 @@ def test_free_energy_along_particle_kde(setup_1d):
 
 
 def test_entropy_monitor_along_nl_run(setup_1d):
-    sched, kset = setup_1d
+    kset = setup_1d
     n = 512
     x = np.arange(n) / n
     vals = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     rho0 = GridField(vals / (vals.sum() / n))
-    run = run_nonlocal(rho0, sched, kset.at_resolution(n), T=0.01)
+    run = run_nonlocal(rho0, kset.at_resolution(n), T=0.01)
     ents = [rep.entropy for rep in run.traces[0].reports]
     c_monitor = max(e - ents[0] for e in ents)
     # monitoring only: the excursion constant is recorded, never asserted
@@ -72,8 +71,7 @@ def test_default_scenario_under_five_minutes(tmp_path):
 
 
 def test_kde_2d_single_particle_on_node(kset_2d):
-    sched = kset_2d.schedule
-    st = ParticleState(np.array([[0.5, 0.25]]), schedule=sched)
+    st = ParticleState(np.array([[0.5, 0.25]]))
     n = 64
     fld = kde_density(st, kset_2d.omega_tilde, n)
     # the table shifted to the particle, read at the kde grid's stride
