@@ -268,19 +268,27 @@ def fixed_steps(T: float, dt_max: float) -> tuple:
 
 
 def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> np.ndarray:
-    """Total velocity without the decomposition.
+    """Total velocity without the decomposition: the compute_forces addends'
+    coefficients summed before one gradient, the same to roundoff.
 
-    For m = 2 the three gradients combine linearly into the single pair
-    potential U: one spread, one forward transform, and per axis one inverse
-    transform of -2 pi i k U_hat times the coefficients and one gather.  The
-    same as summing compute_forces addends, to roundoff.
+    For m = 2 they combine into the single pair potential U: one spread, one
+    forward transform, and per axis one inverse transform of -2 pi i k U_hat
+    times the coefficients and one gather (1 + d transforms).  For other m the
+    smoothed density and the weighted spread add two transforms (3 + d).
     """
-    if kernels.schedule.m == 2.0:
-        mesh, mult = kernels.particle_mesh(not appendix_a)
-        stencil = mesh.stencil(state.positions)
-        mu = mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
+    sched = kernels.schedule
+    m, N = sched.m, state.N
+    mesh, mult = kernels.particle_mesh(not appendix_a)
+    stencil = mesh.stencil(state.positions)
+    mu = mesh.transform(stencil, np.full(N, 1.0 / N))
+    if m == 2.0:
         return mesh.gradient(stencil, -mult["U"] * mu)
-    return compute_forces(state, kernels, appendix_a=appendix_a).velocities
+    dens = mesh.values(stencil, mult["omega_tilde"] * mu)
+    agg = mesh.transform(stencil, dens ** (m - 1.0) / N)
+    coeffs = (m / (m - 1.0)) * mult["omega_tilde"] * agg - mult["W"] * mu
+    if not appendix_a:
+        coeffs -= sched.epsilon_star * mult["viscosity"] * mu
+    return mesh.gradient(stencil, coeffs)
 
 
 def step(
@@ -301,6 +309,7 @@ def step(
         warnings.warn(f"dt={dt:.3e} exceeds stable_dt={dt_max:.3e}", RuntimeWarning)
 
     def rhs(pos):
+        # ParticleState wraps pos (and rejects non-finite coordinates)
         return _velocities(ParticleState(positions=pos, time=state.time), kernels,
                            appendix_a=appendix_a)
 
@@ -309,15 +318,15 @@ def step(
         Xn = X + dt * rhs(X)
     elif method == "heun":
         k1 = rhs(X)
-        k2 = rhs(wrap(X + dt * k1))
+        k2 = rhs(X + dt * k1)
         Xn = X + 0.5 * dt * (k1 + k2)
     else:  # rk4
         k1 = rhs(X)
-        k2 = rhs(wrap(X + 0.5 * dt * k1))
-        k3 = rhs(wrap(X + 0.5 * dt * k2))
-        k4 = rhs(wrap(X + dt * k3))
+        k2 = rhs(X + 0.5 * dt * k1)
+        k3 = rhs(X + 0.5 * dt * k2)
+        k4 = rhs(X + dt * k3)
         Xn = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ParticleState(positions=wrap(Xn), time=state.time + dt)
+    return ParticleState(positions=Xn, time=state.time + dt)
 
 
 def discrete_energy(

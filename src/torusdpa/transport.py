@@ -135,14 +135,17 @@ class _CircleProblem:
         tb = self.B - theta
         wrapped = tb - np.floor(tb)
         wrapped = np.where(wrapped <= 0.0, wrapped + 1.0, wrapped)
-        levels = np.sort(np.concatenate([self.A, wrapped]))
-        levels = np.clip(levels, 0.0, 1.0)
-        seg = np.diff(levels, prepend=0.0)
+        levels = np.concatenate([self.A, wrapped])
+        levels.sort()
+        np.maximum(levels, 0.0, out=levels)
+        np.minimum(levels, 1.0, out=levels)
+        seg = np.empty_like(levels)
+        seg[0] = levels[0]
+        np.subtract(levels[1:], levels[:-1], out=seg[1:])
         mid = levels - 0.5 * seg
-        iu = np.searchsorted(self.A, mid, side="left")
-        iu = np.clip(iu, 0, self.A.size - 1)
-        iv = np.searchsorted(self.BB, mid + theta, side="left")
-        iv = np.clip(iv, 0, self.BB.size - 1)
+        # searchsorted indices are never negative: clamp from above only
+        iu = np.minimum(np.searchsorted(self.A, mid, side="left"), self.A.size - 1)
+        iv = np.minimum(np.searchsorted(self.BB, mid + theta, side="left"), self.BB.size - 1)
         return seg, iu, iv
 
     def cost(self, theta: float) -> float:
@@ -198,7 +201,12 @@ class _CircleProblem:
             ])
         rows = np.repeat(np.arange(self.A.size), cnt)
         cols = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        return np.unique(self.BB[cols] - self.A[rows])
+        vals = self.BB[cols] - self.A[rows]
+        vals.sort()
+        keep = np.empty(vals.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(vals[1:], vals[:-1], out=keep[1:])
+        return vals[keep]
 
 
 def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):

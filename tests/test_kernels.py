@@ -19,7 +19,14 @@ from torusdpa.kernels import (
 )
 from torusdpa.oracles import bump_profile, periodic_spline, quad_convolve
 from torusdpa.particles import ParticleState, stable_dt
-from torusdpa.spectral import gradient, k_squared, minimage_coords
+from torusdpa.spectral import (
+    TAIL_TOL_1D,
+    column_weights,
+    freq_lattice,
+    gradient,
+    k_squared,
+    minimage_coords,
+)
 
 
 class TestMollifier:
@@ -158,6 +165,19 @@ class TestSpectralSet:
         kset.pair_kernel()
         lambda_convexity_constant(kset)
         assert len(calls) == 15
+
+    def test_particle_mesh_cut_at_the_pair_potential_tail(self, kset_1d, kset_2d):
+        # a 1-d box, as a 2-d one, is the smallest whose dropped modes
+        # |k| > K carry at most TAIL_TOL_1D of U_hat's absolute sum (each
+        # column weighted as in inner); the 2-d set's tail still reaches
+        # its lattice's edge
+        n = kset_1d.n
+        K = kset_1d.particle_mesh()[0].K
+        assert K < (n - 1) // 2
+        mass = np.abs(kset_1d.pair_spectrum()) * column_weights(n)
+        (k,) = freq_lattice(n, 1)
+        assert mass[k > K].sum() <= TAIL_TOL_1D * mass.sum() < mass[k >= K].sum()
+        assert kset_2d.particle_mesh()[0].K == (kset_2d.n - 1) // 2 == 127
 
     def test_coarse_grid_crops_the_spectra(self, kset_2d):
         # 64 points give 6.4 samples across alpha = 0.1: too few to tabulate

@@ -422,6 +422,23 @@ def test_transform_counts(monkeypatch, kset_1d, kset_2d, rng, d):
     assert len(calls) == 1 + 2 * d
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_general_m_velocity_sums_the_addends_in_one_gradient(monkeypatch, kset_1d, kset_2d,
+                                                              rng, d):
+    # the three addends' coefficients summed before one gradient: 3 + d
+    # transforms, not compute_forces' 3 + 3d (3 + 2d in appendix-A mode)
+    kset = kset_1d if d == 1 else kset_2d
+    kset = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=3.0))
+    st = ParticleState(rng.random((40, d)))
+    for appendix_a in (False, True):
+        v = compute_forces(st, kset, appendix_a=appendix_a).velocities
+        calls = count_transforms(monkeypatch)
+        got = _velocities(st, kset, appendix_a)
+        assert len(calls) == 3 + d
+        monkeypatch.undo()
+        assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+
+
 def test_copy_for_another_eps_star_reads_its_own_schedule(kset_1d, rng):
     # dataclasses.replace starts empty caches: the forces, the integrated
     # velocity and the step bound all use the copy's eps_star, not the one

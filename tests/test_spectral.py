@@ -113,6 +113,25 @@ def test_multipliers_memoised_read_only():
         w[...] = 0
 
 
+@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2) for n in (8, 128, 512, 384)]
+                         + [(1, 2430)])
+def test_transforms_fold_the_scaling_into_the_fft(d, n):
+    # h^d * rfftn and n^d * irfftn, the scaling inside the FFT call: bitwise
+    # on power-of-two grids, where the scale factors are exact, and to
+    # roundoff on the others (2430 is the default 1-d particle mesh)
+    rng = np.random.default_rng(n + d)
+    f = rng.standard_normal((n,) * d)
+    got, want = forward_transform(f), (1.0 / n) ** d * np.fft.rfftn(f)
+    back = inverse_transform(got, n)
+    back_want = n**d * np.fft.irfftn(got, s=(n,) * d, axes=tuple(range(d)))
+    if n & (n - 1) == 0:
+        assert np.array_equal(got, want)
+        assert np.array_equal(back, back_want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(back - back_want)) <= 1e-15 * np.max(np.abs(back_want))
+
+
 def test_tail_cutoff_weighs_columns_as_inner():
     # a Nyquist column just inside the tolerance at weight 1, outside at 2
     n = 16

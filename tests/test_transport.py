@@ -202,6 +202,19 @@ class TestCircle:
             assert np.array_equal(got, ref)
         assert w == pytest.approx(w2_exact_lp(mu, nu)[0], abs=1e-10)
 
+    def test_candidates_are_the_distinct_breakpoints(self, rng):
+        # equal weights repeat each breakpoint up to min(n, m) times
+        for n, m in ((128, 128), (64, 96), (7, 7)):
+            x = (np.arange(n) + 0.5) / n
+            prob = T._CircleProblem(uniform_measure(x[:, None]),
+                                    uniform_measure(np.arange(m)[:, None] / m))
+            for a, b in [(-1.0, 1.0), (-0.25, 0.125)] + [tuple(np.sort(rng.uniform(-1, 1, 2)))
+                                                         for _ in range(5)]:
+                lo, hi = prob._window(a, b)
+                pts = np.concatenate([prob.BB[l:h] - A for l, h, A in zip(lo, hi, prob.A)])
+                if pts.size:
+                    assert np.array_equal(prob.candidates(a, b), np.unique(pts))
+
 
 class TestExactLP:
     def test_identity(self, rng):
