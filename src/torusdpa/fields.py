@@ -254,21 +254,30 @@ def velocity_field_nl(rho: GridField, kernels: KernelSet, at_faces: bool = False
     from the potential spectrum (R_hat = 1 when alpha = 0)
         phi_hat = (m/(m-1)) ot_hat F[max(rho*ot, 0)^(m-1)]
                   - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
-    in 3 + d transforms, with m, eps_star and the two multipliers from the
-    kernel set (KernelSet.velocity_multipliers).  Component i is sampled at
-    the nodes, or with at_faces at the faces x + h/2 e_i.
+    in 3 + d transforms, with m, eps_star and the multipliers from the kernel
+    set (KernelSet.velocity_multipliers).  At m = 2 on a field whose bound
+    min(rho) M+ - max(rho) M- is positive, rho*ot has no negative cell, the
+    clip is the identity and phi_hat = (2 ot_hat^2 - W_hat - eps_star R_hat)
+    rho_hat = -U_hat rho_hat, the particles' pair potential: 1 + d
+    transforms.  Component i is sampled at the nodes, or with at_faces at the
+    faces x + h/2 e_i.
     """
     _, ot_hat = _spectra_on(kernels, rho)
     n, m = rho.n, kernels.schedule.m
-    power_mult, linear = kernels.velocity_multipliers()
-    rho_hat = forward_transform(rho.values)
-    power = inverse_transform(ot_hat * rho_hat, n)
-    np.maximum(power, 0.0, out=power)
-    power **= m - 1.0
-    phi_hat = forward_transform(power)
-    phi_hat *= power_mult
-    rho_hat *= linear
-    phi_hat -= rho_hat
+    power_mult, linear, quadratic, (pos_mass, neg_mass) = kernels.velocity_multipliers()
+    vals = rho.values
+    rho_hat = forward_transform(vals)
+    if quadratic is not None and float(vals.min()) * pos_mass - float(vals.max()) * neg_mass > 0.0:
+        phi_hat = rho_hat
+        phi_hat *= quadratic
+    else:
+        power = inverse_transform(ot_hat * rho_hat, n)
+        np.maximum(power, 0.0, out=power)
+        power **= m - 1.0
+        phi_hat = forward_transform(power)
+        phi_hat *= power_mult
+        rho_hat *= linear
+        phi_hat -= rho_hat
     mults = (face_grad_multipliers if at_faces else grad_multipliers)(n, rho.d)
     return np.stack([inverse_transform(g * phi_hat, n) for g in mults])
 

@@ -156,9 +156,10 @@ class KernelTable:
         return table
 
 
-def hessian_eigs(spec: np.ndarray, n: int):
-    """Pointwise Hessian eigenvalues on the n^d grid of the kernel with half
-    spectrum spec."""
+def _hessian_parts(spec: np.ndarray, n: int) -> tuple:
+    """(fxx,) in 1-d, (trace, disc) in 2-d, on the n^d grid, of the Hessian of
+    the kernel with half spectrum spec: its eigenvalues are fxx, or
+    0.5 (trace -+ disc) with disc = sqrt((fxx - fyy)^2 + 4 fxy^2) >= 0."""
     d = spec.ndim
     ks = freq_lattice(n, d)
     fxx = inverse_transform(-((2 * np.pi * ks[0]) ** 2) * spec, n)
@@ -168,14 +169,35 @@ def hessian_eigs(spec: np.ndarray, n: int):
     gx, gy = grad_multipliers(n, d)
     fxy = inverse_transform(gx * gy * spec, n)
     tr = fxx + fyy
-    disc = np.sqrt((fxx - fyy) ** 2 + 4.0 * fxy**2)
+    fxx -= fyy
+    fxx *= fxx
+    fxy *= fxy
+    fxy *= 4.0
+    fxx += fxy
+    return tr, np.sqrt(fxx, out=fxx)
+
+
+def hessian_eigs(spec: np.ndarray, n: int):
+    """Pointwise Hessian eigenvalues on the n^d grid of the kernel with half
+    spectrum spec."""
+    parts = _hessian_parts(spec, n)
+    if len(parts) == 1:
+        return parts
+    tr, disc = parts
     return (0.5 * (tr - disc), 0.5 * (tr + disc))
 
 
 def hessian_inf_norm(spec: np.ndarray, n: int) -> float:
     """Max over the n^d grid of the spectral norm of the Hessian of the
-    kernel with half spectrum spec."""
-    return float(max(np.max(np.abs(e)) for e in hessian_eigs(spec, n)))
+    kernel with half spectrum spec: max |fxx| in 1-d, and in 2-d the larger
+    eigenvalue modulus 0.5 (|trace| + disc), without either eigenvalue field."""
+    parts = _hessian_parts(spec, n)
+    if len(parts) == 1:
+        return float(np.max(np.abs(parts[0])))
+    tr, disc = parts
+    np.abs(tr, out=tr)
+    tr += disc
+    return 0.5 * float(tr.max())
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +578,27 @@ class KernelSet:
         return KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
 
     def velocity_multipliers(self) -> tuple:
-        """((m/(m-1)) ot_hat, W_hat + eps_star R_hat), the two multipliers of
-        the nonlocal potential at the set's schedule (R_hat = 1 unless
-        alpha > 0 and the set carries R); built on first use."""
+        """(power, linear, quadratic, masses) of the nonlocal potential at the
+        set's schedule, built on first use: power = (m/(m-1)) ot_hat and
+        linear = W_hat + eps_star R_hat (R_hat = 1 unless alpha > 0 and the set
+        carries R); at m = 2 quadratic = power ot_hat - linear, minus the pair
+        potential's U_hat, else None; masses = (M+, M-), the integrals of the
+        positive and negative parts of the ot table, so that
+        min(rho) M+ - max(rho) M- bounds rho*ot from below."""
         if self._velocity is None:
             sched = self.schedule
             m = sched.m
+            ot_hat = self.spectra[1]
             visc = (self.viscosity.spectrum
                     if sched.alpha > 0.0 and self.viscosity is not None else 1.0)
-            self._velocity = ((m / (m - 1.0)) * self.spectra[1],
-                              self.multiplier(W=1.0) + sched.epsilon_star * visc)
+            power = (m / (m - 1.0)) * ot_hat
+            linear = self.multiplier(W=1.0) + sched.epsilon_star * visc
+            quadratic = power * ot_hat - linear if m == 2.0 else None
+            table = self.omega_tilde.table
+            cell = table.h**table.d
+            masses = (float(np.maximum(table.values, 0.0).sum()) * cell,
+                      -float(np.minimum(table.values, 0.0).sum()) * cell)
+            self._velocity = (power, linear, quadratic, masses)
         return self._velocity
 
     def at_resolution(self, n2: int) -> "KernelSet":

@@ -13,8 +13,13 @@ scalar auxiliary variable r with r^2 = C0 - E_m so that the modified energy
 dissipates.  Negative undershoot is reported, never clipped.
 
 LocalSolver carries the field, its half spectrum and r from step to step, and
-every energy it reports comes by Parseval from the carried spectrum, so a run
-of k steps takes 1 + 10 k real transforms in 2-d and 1 + 6 k in 1-d.
+every energy it reports comes by Parseval from the carried spectrum.  A step
+takes 10 real transforms in 2-d and 6 in 1-d, or 9 and 5 at m = 2 on a field
+that is nowhere negative, where g = 2 rho comes from the carried spectrum.
+The 2/3-rule mask keeps the last-axis columns up to n/3, so the four
+dealiased products are transformed on those columns only
+(spectral.forward_columns, two FFT calls each in 2-d) and the scheme never
+changes a mode past n/3: those keep rho0's values.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .fields import GridField, energy_E_m
 from .particles import fixed_steps
 from .spectral import (
     column_weights,
+    forward_columns,
     forward_transform,
     freq_lattice,
     grad_multipliers,
@@ -74,14 +80,14 @@ class LocalRun:
     final: GridField
 
 
-def _div_hat(vals, grads, gmult):
-    """Half spectrum of div(vals * v) from the grid components of v, which
-    it overwrites."""
+def _div_hat(vals, grads, gmult, cols):
+    """The first cols last-axis columns of the half spectrum of div(vals * v),
+    from the grid components of v, which it overwrites."""
     out = None
     for m, g in zip(gmult, grads):
         g *= vals
-        term = forward_transform(g)
-        term *= m
+        term = forward_columns(g, cols)
+        term *= m[..., :cols]
         if out is None:
             out = term
         else:
@@ -101,17 +107,20 @@ class LocalSolver:
         d = rho0.d
         self.n = n = rho0.n
         self.cell = rho0.h**d
-        self.k2 = k_squared(n, d)
-        self.neg_k2 = -self.k2
-        self.Dk4 = D * self.k2**2
+        k2 = k_squared(n, d)
+        self.neg_k2 = -k2
         self.gmult = grad_multipliers(n, d)
-        # 2/3-rule dealiasing of the products
+        # 2/3-rule dealiasing of the products: the mask keeps the slab of the
+        # first n//3 + 1 last-axis columns, where the step's algebra runs
         cutoff = n // 3
+        self.cols = cols = cutoff + 1
         mask = 1.0
         for k in freq_lattice(n, d):
-            mask = mask * (np.abs(k) <= cutoff)
+            mask = mask * (np.abs(k[..., :cols]) <= cutoff)
         self.neg_Dmask = -D * mask
         self.neg_mask = -mask
+        self.slab_k2 = k2[..., :cols]
+        self.slab_Dk4 = D * self.slab_k2**2
         # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
         # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights
         self.grad_weight = (0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult)
@@ -121,7 +130,8 @@ class LocalSolver:
         self.mass0 = rho0.mass()
         self.values = rho0.values
         self.spec = forward_transform(rho0.values)
-        self._peak = float(rho0.values.max())  # max(rho), kept from each step's check
+        # min(rho) and max(rho), kept from each step's check
+        self._low, self._peak = float(rho0.values.min()), float(rho0.values.max())
 
     def _grad_energy(self, spec) -> float:
         """0.5 D ||grad rho||^2 by Parseval on the half spectrum of rho."""
@@ -156,20 +166,33 @@ class LocalSolver:
         """One SAV step of the carried state.  Every operator stays in spectral
         space, the carried spectrum stands in for a transform of the field,
         and the new spectrum rho1_hat + r_new * rho2_hat is inverted once, so
-        a 2-d step takes 10 real transforms (6 in 1-d).  Returns the new
+        a 2-d step takes 10 real transforms (6 in 1-d), and 9 (5) at m = 2 on
+        a field with no negative cell.  The dealiased products and the
+        masked algebra run on the mask's slab of columns, and the step adds
+        its change to a copy of the carried spectrum.  Returns the new
         minimum, whether it undershoots, and the new modified energy, by
         Parseval on the new spectrum (no transform)."""
         cfg = self.cfg
         m = cfg.m
         n = self.n
+        cols = self.cols
         dt = cfg.dt
         vals, spec = self.values, self.spec
-        # mobility is physically nonnegative; undershoot in the solution is
-        # reported, but a negative mobility would flip the sign of the
-        # fourth-order transport in vacuum regions and blow up
-        mob = np.maximum(vals, 0.0)
-        g = mob ** (m - 1.0)  # scaled by m/(m-1) in place once E_m is read
-        em = self._internal_energy(mob, g)
+        if m == 2.0 and self._low >= 0.0:
+            # mob = rho, E_m = integral of rho^2 and g = 2 rho, whose spectrum
+            # is twice the carried one
+            mob = vals
+            em = self._internal_energy(mob, mob)
+            g_hat = 2.0 * spec
+        else:
+            # mobility is physically nonnegative; undershoot in the solution is
+            # reported, but a negative mobility would flip the sign of the
+            # fourth-order transport in vacuum regions and blow up
+            mob = np.maximum(vals, 0.0)
+            g = mob ** (m - 1.0)  # scaled by m/(m-1) in place once E_m is read
+            em = self._internal_energy(mob, g)
+            g *= m / (m - 1.0)
+            g_hat = forward_transform(g)
         qsq = self.C0 - em
         if qsq <= 0:
             raise RuntimeError(
@@ -179,8 +202,6 @@ class LocalSolver:
         peak = self._peak
         kappa = cfg.kappa if cfg.kappa is not None else peak
         grad_lap = gradient(self.neg_k2 * spec, n)
-        g *= m / (m - 1.0)
-        g_hat = forward_transform(g)
 
         # implicit part: the constant-mobility biharmonic kappa D k^4 and a
         # second-order surrogate S k^2 for the anti-diffusive part; without
@@ -189,37 +210,40 @@ class LocalSolver:
         # and -S lap rho, with their implicit twins in the denominator, so
         #   rho1_hat = (spec + dt (-D mask div_hat + implicit spec)) / denom
         #            = spec + dt (-D mask) div_hat / denom
+        # and both corrections vanish outside the mask's slab
         S = m * max(peak, 0.0) ** (m - 1.0)
-        inv_denom = kappa * self.Dk4 + S * self.k2
+        inv_denom = kappa * self.slab_Dk4 + S * self.slab_k2
         inv_denom *= dt
         inv_denom += 1.0
         np.reciprocal(inv_denom, out=inv_denom)
-        drho1_hat = _div_hat(mob, grad_lap, self.gmult)  # rho1_hat - spec
+        drho1_hat = _div_hat(mob, grad_lap, self.gmult, cols)  # rho1_hat - spec
         drho1_hat *= (dt * self.neg_Dmask) * inv_denom
-        rho2_hat = _div_hat(mob, gradient(g_hat, n), self.gmult)
+        rho2_hat = _div_hat(mob, gradient(g_hat, n), self.gmult, cols)
         rho2_hat *= (dt / q * self.neg_mask) * inv_denom
 
-        inner_g_rho2 = inner(g_hat, rho2_hat, n)
-        inner_g_diff = inner(g_hat, drho1_hat, n)
+        g_slab = g_hat[..., :cols]
+        inner_g_rho2 = inner(g_slab, rho2_hat, n)
+        inner_g_diff = inner(g_slab, drho1_hat, n)
         r_new = (self.r - inner_g_diff / (2.0 * q)) / (1.0 + inner_g_rho2 / (2.0 * q))
         if r_new <= 0.0:
             raise RuntimeError(
                 f"SAV scalar turned nonpositive (r={r_new:.3e}); increase C0"
             )
-        new_hat = rho2_hat
-        new_hat *= r_new
-        new_hat += drho1_hat
-        new_hat += spec
+        rho2_hat *= r_new
+        rho2_hat += drho1_hat
+        new_hat = spec.copy()
+        new_hat[..., :cols] += rho2_hat
         new_vals = inverse_transform(new_hat, n)
 
         # one min and one max give the check, the step's minimum and the next
-        # step's max(rho); a NaN fails the check
+        # step's min(rho) and max(rho); a NaN fails the check
         lo, hi = float(new_vals.min()), float(new_vals.max())
         if not (hi <= BLOWUP_THRESHOLD and -lo <= BLOWUP_THRESHOLD):
             raise RuntimeError(
                 f"blow-up detected: max|rho| = {max(hi, -lo):.3e} > {BLOWUP_THRESHOLD}"
             )
-        self.values, self.spec, self.r, self._peak = new_vals, new_hat, float(r_new), hi
+        self.values, self.spec, self.r = new_vals, new_hat, float(r_new)
+        self._low, self._peak = lo, hi
         return {
             "min": lo,
             "undershoot": lo < UNDERSHOOT_TOL,
@@ -265,7 +289,7 @@ def ch_operator(rho: GridField, m: float, biharmonic_coeff: float = 1.0) -> Grid
     n, d = rho.n, rho.d
     k2 = k_squared(n, d)
     grad_lap = gradient(-k2 * forward_transform(rho.values), n)
-    div = _div_hat(rho.values, grad_lap, grad_multipliers(n, d))
+    div = _div_hat(rho.values, grad_lap, grad_multipliers(n, d), n // 2 + 1)
     return GridField(
         inverse_transform(biharmonic_coeff * div - k2 * forward_transform(rho.values**m), n)
     )

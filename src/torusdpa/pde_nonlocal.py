@@ -8,9 +8,11 @@ grad(phi) straight from the potential spectrum (fields.velocity_field_nl)
               - (ot_hat^2 (1 - o_hat)/eps^2 + eps_star R_hat) rho_hat
 
 through a gradient multiplier that carries the half-cell shift, so a step
-takes 3 + d transforms.  An optional artificial viscosity nu * lap rho is
-applied implicitly through a Fourier multiplier (2 more transforms); runs
-over a decreasing nu sequence exhibit the vanishing-viscosity continuation.
+takes 3 + d transforms, or 1 + d at m = 2 on a field away from vacuum, where
+the potential is the single multiplier -U_hat on rho_hat.  An optional
+artificial viscosity nu * lap rho is applied implicitly through a Fourier
+multiplier (2 more transforms); runs over a decreasing nu sequence exhibit
+the vanishing-viscosity continuation.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ symmetry, f_hat(-k) = conj(f_hat(k)).  Coefficients approximate the
 continuous Fourier transform on the unit torus, f_hat(k) = h^d * rfftn[k];
 inverse_transform undoes that and takes the grid size, which the half
 spectrum alone does not fix when n is odd.  Frequency arrays are sparse
-(one axis each) and broadcast against a half spectrum.
+(one axis each) and broadcast against a half spectrum.  forward_columns and
+inverse_columns are the same transforms on the first c last-axis columns
+only, for spectra that a mask or a box cuts there.
 
 Particle mesh.  Every particle sum is one spread of weighted particles onto a
 grid, spectral multipliers, and a gather back at the particles, where the
@@ -42,6 +44,8 @@ __all__ = [
     "minimage_coords",
     "forward_transform",
     "inverse_transform",
+    "forward_columns",
+    "inverse_columns",
     "gradient",
     "inner",
     "downsample_spectrum",
@@ -152,6 +156,28 @@ def inverse_transform(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfftn(coeffs, s=(n,) * d, axes=tuple(range(d)), norm="forward")
 
 
+def forward_columns(values: np.ndarray, c: int) -> np.ndarray:
+    """forward_transform(values)[..., :c], bit for bit: in 2-d an rfft along
+    the last axis cropped to its first c columns before the fft along the
+    first axis, which then skips the others (two FFT calls).  A 1-d grid, or
+    a c that keeps every column, takes forward_transform and the crop."""
+    if values.ndim == 1 or c >= values.shape[-1] // 2 + 1:
+        return forward_transform(values)[..., :c]
+    cols = np.fft.rfft(values, axis=-1, norm="forward")[:, :c]
+    return np.fft.fft(cols, axis=0, norm="forward")
+
+
+def inverse_columns(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values on the n^d grid of a half spectrum cut to its first last-axis
+    columns, the others zero: inverse_transform of the zero-padded spectrum,
+    bit for bit.  In 2-d the ifft along the first axis runs on the given
+    columns only and the irfft along the last pads them (two FFT calls)."""
+    if coeffs.ndim == 1:
+        return inverse_transform(coeffs, n)
+    return np.fft.irfft(np.fft.ifft(coeffs, axis=0, norm="forward"), n, axis=-1,
+                        norm="forward")
+
+
 def gradient(coeffs: np.ndarray, n: int):
     """Gradient components on the n^d grid of a half spectrum (Nyquist zeroed)."""
     return [inverse_transform(m * coeffs, n) for m in grad_multipliers(n, coeffs.ndim)]
@@ -159,8 +185,11 @@ def gradient(coeffs: np.ndarray, n: int):
 
 def inner(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> float:
     """Integral of f*g over the torus from the half spectra of two real grid
-    functions on the n^d grid (Parseval, each column by column_weights)."""
-    return float((column_weights(n) * (a_hat * b_hat.conj()).real).sum())
+    functions on the n^d grid (Parseval, each column by column_weights); two
+    spectra cut to their first last-axis columns give the integral of their
+    kept modes."""
+    w = column_weights(n)[: a_hat.shape[-1]]
+    return float((w * (a_hat * b_hat.conj()).real).sum())
 
 
 def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
@@ -173,19 +202,6 @@ def downsample_spectrum(spec: np.ndarray, n2: int) -> np.ndarray:
     if spec.ndim == 2:
         return out[np.r_[0 : (n2 + 1) // 2, n - n2 // 2 : n]]
     return out.copy()
-
-
-def _embed(box: np.ndarray, n: int) -> np.ndarray:
-    """The half spectrum of the n^d grid that holds the box half spectrum of
-    an odd grid and zeros elsewhere; downsample_spectrum undoes it."""
-    K = box.shape[-1] - 1
-    out = np.zeros((n,) * (box.ndim - 1) + (n // 2 + 1,), dtype=box.dtype)
-    if box.ndim == 1:
-        out[: K + 1] = box
-    else:
-        out[: K + 1, : K + 1] = box[: K + 1]
-        out[n - K :, : K + 1] = box[K + 1 :]
-    return out
 
 
 # -- the cubic B-spline on periodic grids ------------------------------------
@@ -348,12 +364,17 @@ class ParticleMesh:
     one gather, the spread's transpose, which multiplies by psi_hat again.
     Sums with an odd multiplier are then a quadratic form of an
     antisymmetric operator, and cancel over the particles to roundoff.
+    Both transforms run their first-axis pass on the box's K + 1 last-axis
+    columns only (forward_columns, inverse_columns), bit for bit the full
+    transforms.
     """
 
     def __init__(self, d: int, K: int):
         self.d, self.K = d, K
         self.box = 2 * K + 1
         self.fine = _fine_size(K)
+        # the fine grid's rows of the box's frequencies 0 .. K, -K .. -1
+        self._rows = np.r_[0 : K + 1, self.fine - K : self.fine]
         psi = _es_transform(self.fine, K)
         self._deconv = 1.0
         for k in freq_lattice(self.box, d):
@@ -369,12 +390,17 @@ class ParticleMesh:
 
     def transform(self, stencil: Stencil, weights: np.ndarray) -> np.ndarray:
         """psi_hat times the coefficients of sum_i weights_i delta_{X_i} on the box."""
-        return downsample_spectrum(forward_transform(spread(stencil, weights)), self.box)
+        spec = forward_columns(spread(stencil, weights), self.K + 1)
+        return spec if self.d == 1 else spec[self._rows]
 
     def values(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
         """At each particle, the function whose coefficients are psi_hat times
         coeffs, a box half spectrum."""
-        grid = inverse_transform(_embed(coeffs, self.fine), self.fine)
+        if self.d == 2:
+            cols = np.zeros((self.fine, self.K + 1), dtype=coeffs.dtype)
+            cols[self._rows] = coeffs
+            coeffs = cols
+        grid = inverse_columns(coeffs, self.fine)
         return gather(stencil, grid) * (1.0 / self.fine) ** self.d
 
     def gradient(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:

@@ -39,3 +39,17 @@ def kset_2d():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def count_transforms(monkeypatch):
+    """Counts every np.fft call for the rest of the test: the list each call
+    appends to.  spectral.py is the one caller, and a pruned 2-d transform
+    (spectral.forward_columns, inverse_columns) is two calls."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    return calls

@@ -21,7 +21,6 @@ from torusdpa.kernels import KernelTable, build_kernel_set, make_mollifier, sche
 from torusdpa.oracles import direct_convolve_table, direct_double_sum, periodic_spline
 from torusdpa.particles import ParticleState, compute_forces, init_quantile
 from torusdpa.transport import DiscreteMeasure, w2_circle_exact
-from test_pde_local import count_transforms
 
 
 def sin_field(n=2048, amp=1.0, offset=0.0):
@@ -260,10 +259,11 @@ class TestKde:
             kde_density(np.array([[0.5]]), kset_1d.omega_tilde, 1000)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_two_transforms(self, kset_1d, kset_2d, rng, monkeypatch, d):
+    def test_two_transforms(self, kset_1d, kset_2d, rng, count_transforms, d):
         kset = kset_1d if d == 1 else kset_2d
         kset.omega_tilde.spectrum  # the family's spectrum, transformed once
-        calls = count_transforms(monkeypatch)
+        calls = count_transforms
+        calls.clear()
         kde_density(rng.random((9, d)), kset.omega_tilde, kset.n // 4)
         assert len(calls) == 2
 
@@ -319,15 +319,23 @@ class TestVelocityField:
     @pytest.mark.parametrize("alpha_on", [True, False], ids=["alpha>0", "alpha=0"])
     @pytest.mark.parametrize("m", [2.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_convolution_chain(self, velocity_grids, d, m, alpha_on):
-        kgrid, rho, _ = velocity_grids[d]
+    def test_matches_convolution_chain(self, velocity_grids, count_transforms, d, m, alpha_on):
+        kgrid, undershooting, positive = velocity_grids[d]
         # the set for another m, or with R switched off by alpha = 0
         sched = replace(kgrid.schedule, m=m, alpha=kgrid.schedule.alpha if alpha_on else 0.0)
         kgrid = replace(kgrid, schedule=sched)
-        assert periodic_convolve(rho, kgrid.omega_tilde).values.min() < 0  # max(., 0) acts
-        v = velocity_field_nl(rho, kgrid)
-        ref = chain_velocity(rho, kgrid)
-        assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+        kgrid.velocity_multipliers()
+        calls = count_transforms
+        for rho in (undershooting, positive):
+            smoothed = periodic_convolve(rho, kgrid.omega_tilde).values
+            assert (smoothed.min() > 0) == (rho is positive)  # else max(., 0) acts
+            calls.clear()
+            v = velocity_field_nl(rho, kgrid)
+            # at m = 2 a field whose bound min(rho) M+ - max(rho) M- is
+            # positive takes the one multiplier -U_hat: 1 + d transforms
+            assert len(calls) == (1 if m == 2.0 and rho is positive else 3) + d
+            ref = chain_velocity(rho, kgrid)
+            assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_grid_mismatch_rejected(self, velocity_grids):
         kgrid, _, rho = velocity_grids[2]
@@ -360,16 +368,18 @@ class TestVelocityField:
         assert rep.F_eps_alpha == pytest.approx(half_pair, rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_free_energy_transform_count(self, velocity_grids, monkeypatch, d):
+    def test_free_energy_transform_count(self, velocity_grids, count_transforms, d):
         # rho forward, the smoothed field back and forward again (D_eps),
-        # R^(1/2) * rho back, and the velocity's 3 + d: omega's spectrum is
-        # the family's cached one, not a transform of its table
+        # R^(1/2) * rho back, and the velocity's 1 + d (m = 2 on a positive
+        # field): omega's spectrum is the family's cached one, not a
+        # transform of its table
         kgrid, _, rho = velocity_grids[d]
         assert kgrid.schedule.alpha > 0 and kgrid.viscosity is not None
         free_energy(rho, kgrid)  # the set's spectra are cached
-        calls = count_transforms(monkeypatch)
+        calls = count_transforms
+        calls.clear()
         free_energy(rho, kgrid)
-        assert len(calls) == 7 + d
+        assert len(calls) == 5 + d
 
     def test_constant_density(self, kset_1d):
         f = GridField.constant(1.0, kset_1d.n)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from test_pde_local import count_transforms
 from torusdpa.kernels import (
     KernelEmbedError,
     KernelError,
@@ -12,6 +11,8 @@ from torusdpa.kernels import (
     KernelTable,
     build_kernel_set,
     export_kernel_csv,
+    hessian_eigs,
+    hessian_inf_norm,
     lambda_convexity_constant,
     make_mollifier,
     make_viscosity_kernel,
@@ -153,12 +154,13 @@ class TestEvalGrad:
 class TestSpectralSet:
     """Every composed kernel is a multiplier on the mollifier spectra and R_hat."""
 
-    def test_set_build_transform_count(self, monkeypatch):
+    def test_set_build_transform_count(self, count_transforms):
         # 2 mollifier spectra, 3 x 3 Hessian transforms (W, ot*ot, R) for
         # stable_dt, 1 for the U table, 3 for lambda
         sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
                                       alpha=0.1)
-        calls = count_transforms(monkeypatch)
+        calls = count_transforms
+        calls.clear()
         kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128,
                                 omega_moment=2 * sched.epsilon**2)
         stable_dt(ParticleState(np.array([[0.5, 0.5]])), kset)
@@ -328,6 +330,21 @@ class TestLambdaConstant:
         assert lam == pytest.approx(fd_lam, rel=0.02)
 
 
+def test_hessian_inf_norm_is_the_largest_eigenvalue_modulus(kset_1d, kset_2d):
+    # 0.5 (|trace| + disc), bit for bit the max |lambda| over both fields
+    rng = np.random.default_rng(5)
+    specs = [(k.multiplier(W=1.0), k.multiplier(smooth2=1.0), k.pair_spectrum())
+             for k in (kset_1d, kset_2d)]
+    specs = [s for group in specs for s in group]
+    for d, n in ((1, 64), (2, 32)) * 10:
+        shape = (n,) * (d - 1) + (n // 2 + 1,)
+        specs.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for spec in specs:
+        n = spec.shape[0] if spec.ndim == 2 else 2 * (spec.shape[0] - 1)
+        want = max(float(np.max(np.abs(e))) for e in hessian_eigs(spec, n))
+        assert hessian_inf_norm(spec, n) == want
+
+
 def test_resample_preserves_moments(kset_1d):
     fam = kset_1d.at_resolution(512).omega
     assert fam.table.n == 512
@@ -346,16 +363,16 @@ def test_kernel_csv_export(tmp_path, kset_1d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_kernel_csv_gradients_are_spectral(kset_1d, kset_2d, monkeypatch, d):
+def test_kernel_csv_gradients_are_spectral(kset_1d, kset_2d, count_transforms, d):
     # the gradient columns are the spectral node gradients of the family's
     # cached spectrum: d inverse transforms and no forward transform
     fam = (kset_1d if d == 1 else kset_2d).omega_tilde
     fam.spectrum
-    calls = count_transforms(monkeypatch)
+    calls = count_transforms
+    calls.clear()
     buf = io.StringIO()
     export_kernel_csv(fam, buf)
     assert len(calls) == d
-    monkeypatch.undo()
     data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     for ax, grad in enumerate(gradient(fam.spectrum, fam.n)):
         assert np.array_equal(data[:, d + 1 + ax], grad.ravel())

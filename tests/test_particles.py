@@ -26,7 +26,6 @@ from torusdpa.particles import (
     step,
 )
 from torusdpa.spectral import gradient
-from test_pde_local import count_transforms
 
 # two particles of kset_1d: their velocities (about 21 in size) scale the
 # roundoff bounds on the self term and on pairwise cancellation
@@ -402,40 +401,43 @@ def test_momentum_2d_several_tiles(kset_2d, rng):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_transform_counts(monkeypatch, kset_1d, kset_2d, rng, d):
+def test_transform_counts(count_transforms, kset_1d, kset_2d, rng, d):
     # one spread and forward transform per sum, then one inverse transform
-    # per gathered component (the set's mesh is built before counting)
+    # per gathered component (the set's mesh is built before counting); a
+    # mesh transform runs on the box's columns only, d numpy calls each
     kset = kset_1d if d == 1 else kset_2d
     st = ParticleState(rng.random((10, d)))
     for appendix_a in (False, True):
         compute_forces(st, kset, appendix_a=appendix_a)
-    calls = count_transforms(monkeypatch)
+    calls = count_transforms
+    calls.clear()
     _velocities(st, kset, False)
-    assert len(calls) == 1 + d
+    assert len(calls) == d * (1 + d)
     discrete_energy(st, kset)
-    assert len(calls) == 1 + d + 1
+    assert len(calls) == d * (1 + d + 1)
     del calls[:]
     compute_forces(st, kset)
-    assert len(calls) == 1 + 3 * d
+    assert len(calls) == d * (1 + 3 * d)
     del calls[:]
     compute_forces(st, kset, appendix_a=True)
-    assert len(calls) == 1 + 2 * d
+    assert len(calls) == d * (1 + 2 * d)
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_general_m_velocity_sums_the_addends_in_one_gradient(monkeypatch, kset_1d, kset_2d,
-                                                              rng, d):
+def test_general_m_velocity_sums_the_addends_in_one_gradient(count_transforms, kset_1d,
+                                                              kset_2d, rng, d):
     # the three addends' coefficients summed before one gradient: 3 + d
-    # transforms, not compute_forces' 3 + 3d (3 + 2d in appendix-A mode)
+    # transforms, not compute_forces' 3 + 3d (3 + 2d in appendix-A mode),
+    # each d numpy calls (the mesh's column-pruned transforms)
     kset = kset_1d if d == 1 else kset_2d
     kset = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=3.0))
     st = ParticleState(rng.random((40, d)))
+    calls = count_transforms
     for appendix_a in (False, True):
         v = compute_forces(st, kset, appendix_a=appendix_a).velocities
-        calls = count_transforms(monkeypatch)
+        calls.clear()
         got = _velocities(st, kset, appendix_a)
-        assert len(calls) == 3 + d
-        monkeypatch.undo()
+        assert len(calls) == d * (3 + d)
         assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
 

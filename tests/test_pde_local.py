@@ -12,7 +12,7 @@ from torusdpa.pde_local import (
     ch_operator,
     run_local,
 )
-from torusdpa.spectral import forward_transform, grad_multipliers, inner
+from torusdpa.spectral import forward_transform, freq_lattice, grad_multipliers, inner
 
 
 def smooth_random_density(n=256, seed=7, modes=6, floor=0.05):
@@ -30,17 +30,6 @@ def cos_product_density(n, d):
     return GridField.from_function(
         lambda *xs: 1.0 + 0.3 * np.prod([np.cos(2 * np.pi * x) for x in xs], axis=0), n, d
     )
-
-
-def count_transforms(monkeypatch):
-    """Counts every np.fft call; returns the list the calls append to."""
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                 "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
-    return calls
 
 
 class TestStepLocal:
@@ -101,14 +90,20 @@ class TestStepLocal:
         with pytest.raises(ValueError):
             LocalSolver(cfg, rho)
 
-    @pytest.mark.parametrize("d, expected", [(1, 6), (2, 10)])
-    def test_transforms_per_step(self, monkeypatch, d, expected):
+    # numpy FFT calls of one step at m = 2 on a field with no negative cell:
+    # d for grad lap rho, d for grad g (g_hat is twice the carried
+    # spectrum), the 2d dealiased products cut to the mask's columns
+    # (forward_columns: two calls each in 2-d) and 1 for the new field; 9
+    # transforms in 2-d (13 calls) and 5 in 1-d
+    @pytest.mark.parametrize("d, expected", [(1, 5), (2, 13)])
+    def test_transforms_per_step(self, count_transforms, d, expected):
         # the solver carries the spectrum of its field, every operator of the
         # step stays in spectral space, the new spectrum is inverted once, and
         # the new modified energy comes by Parseval from it
-        calls = count_transforms(monkeypatch)
-        rho = cos_product_density(32, d)
-        solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5), rho)
+        calls = count_transforms
+        calls.clear()
+        solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5),
+                             cos_product_density(32, d))
         assert len(calls) == 1
         calls.clear()
         diag = solver.step()
@@ -122,12 +117,23 @@ class TestStepLocal:
         grad = 0.5 * sum(inner(g * spec, g * spec, 32) for g in grad_multipliers(32, d))
         mod = grad + solver.r**2 - solver.C0
         assert diag["modified_energy"] == pytest.approx(mod, rel=1e-12, abs=1e-12)
+        # an undershooting field, or m = 3, transforms g: one call more
+        bump = bump_2d(32) if d == 2 else bump_1d(32)
+        for rho, m in ((bump, 2.0), (cos_product_density(32, d), 3.0)):
+            solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=m, T=1e-5), rho)
+            if m == 2.0:  # the bump undershoots in its first step
+                assert solver.step()["min"] < 0
+            calls.clear()
+            solver.step()
+            assert len(calls) == expected + 1
 
-    @pytest.mark.parametrize("d, per_step", [(1, 6), (2, 10)])
-    def test_run_transforms(self, monkeypatch, d, per_step):
+    @pytest.mark.parametrize("d, per_step", [(1, 5), (2, 13)])
+    def test_run_transforms(self, count_transforms, d, per_step):
         # beyond the steps only the initial spectrum: the energies at t = 0,
-        # at the two samples and for the energy check come by Parseval
-        calls = count_transforms(monkeypatch)
+        # at the two samples and for the energy check come by Parseval; the
+        # field stays positive, so every step takes g_hat = 2 rho_hat
+        calls = count_transforms
+        calls.clear()
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, energy_every=1e-5)
         run = run_local(cos_product_density(32, d), cfg)
         assert len(run.records) == 2
@@ -142,6 +148,23 @@ class TestStepLocal:
         c0s = [s.C0 for s in solvers]
         assert c0s == [2.0 * energy_E_m(rho, 2.0) + 1.0 for rho in rhos]
         assert c0s[0] != c0s[1]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_modes_past_the_mask_keep_rho0s(self, d):
+        # the 2/3 mask zeroes both corrections past n/3 on every axis, so
+        # those modes of the carried spectrum stay rho0's, bit for bit; the
+        # 2-d bump undershoots, the 1-d field does not, so both paths run
+        n = 32 if d == 2 else 64
+        rho0 = bump_2d(n) if d == 2 else modes_1d(n)
+        solver = LocalSolver(LocalSolverConfig(dt=2e-6, m=2.0), rho0)
+        spec0 = solver.spec.copy()
+        for _ in range(5):
+            solver.step()
+        kept = np.ones(spec0.shape, dtype=bool)
+        for k in freq_lattice(n, d):
+            kept = kept & (np.abs(k) <= n // 3)
+        assert np.array_equal(solver.spec[~kept], spec0[~kept])
+        assert not np.allclose(solver.spec[kept], spec0[kept])
 
 
 class TestRunLocal:
@@ -188,10 +211,24 @@ class TestRunLocal:
         assert run.final.values.min() < UNDERSHOOT_TOL  # not clipped
 
 
+def bump_1d(n):
+    x = np.arange(n) / n
+    vals = np.maximum(np.cos(2 * np.pi * x), 0.0) ** 2
+    return GridField(vals / (vals.sum() / n))
+
+
 def bump_2d(n):
     x = np.arange(n) / n
     X, Y = np.meshgrid(x, x, indexing="ij")
     vals = np.maximum(np.cos(2 * np.pi * X) * np.cos(2 * np.pi * (Y - 0.1)), 0.0) ** 2
+    return GridField(vals / (vals.sum() / n**2))
+
+
+def positive_2d(n):
+    x = np.arange(n) / n
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    vals = (1.0 + 0.5 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * (Y - 0.1))
+            + 0.2 * np.sin(2 * np.pi * (X + 2 * Y)))
     return GridField(vals / (vals.sum() / n**2))
 
 
@@ -203,8 +240,13 @@ def modes_1d(n):
 
 # final (r, modified energy, L2 norm, min, mass) of 50 steps, recorded before
 # the solver carried its spectrum from step to step; the 2-d bump undershoots
-# in every step, so the clipped mobility is exercised
+# in every step, so the clipped mobility is exercised, and the 1-d case runs
+# at m = 3.  The positive 2-d field at m = 2 takes g_hat = 2 rho_hat in every
+# step; its values were recorded while g was still transformed.
 PINNED_RUNS = {
+    "2d-positive": (positive_2d, 32, 2.0, 2e-6,
+                    (1.465070323233564, -0.24363322788566188, 1.0097278848423785,
+                     0.685640477442157, 1.0)),
     "2d": (bump_2d, 32, 2.0, 2e-6,
            (2.989740548396442, 10.816179332126481, 1.1371764803140811,
             -0.13997654884511412, 1.0)),
@@ -223,6 +265,8 @@ def test_short_runs_match_pinned_values(case):
     got = (last["sav_r"], last["modified_energy"],
            float(np.sqrt((f.values**2).sum() * f.h**f.d)), float(f.values.min()), f.mass())
     assert got == pytest.approx(expected, rel=1e-12)
+    if case == "2d-positive":
+        assert run.flags["min_value"] > 0
     assert run.flags["energy_increases"] == 0
     assert run.flags["mass_drift"] <= 1e-10
 

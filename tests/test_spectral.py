@@ -18,11 +18,13 @@ from torusdpa.spectral import (
     ParticleMesh,
     column_weights,
     face_grad_multipliers,
+    forward_columns,
     forward_transform,
     gather,
     grad_multipliers,
     gradient,
     inner,
+    inverse_columns,
     inverse_transform,
     k_squared,
     spline_stencil,
@@ -130,6 +132,45 @@ def test_transforms_fold_the_scaling_into_the_fft(d, n):
     else:
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         assert np.max(np.abs(back - back_want)) <= 1e-15 * np.max(np.abs(back_want))
+
+
+@pytest.mark.parametrize("d, n", [(2, 128), (2, 384), (2, 135), (1, 384)])
+def test_pruned_transforms_are_the_full_ones_cropped(d, n):
+    # the first-axis pass skips the columns a crop drops (or that are zero),
+    # bit for bit; a 1-d grid passes through forward_transform, and so does
+    # a c that keeps every column
+    rng = np.random.default_rng(n + d)
+    f = rng.standard_normal((n,) * d)
+    full = forward_transform(f)
+    for c in (1, n // 3 + 1, n // 4, n // 2 + 1):
+        cols = forward_columns(f, c)
+        assert cols.shape == full[..., :c].shape
+        assert np.array_equal(cols, full[..., :c])
+        padded = np.zeros_like(full)
+        padded[..., :c] = full[..., :c]
+        assert np.array_equal(inverse_columns(cols, n), inverse_transform(padded, n))
+
+
+@pytest.mark.parametrize("d, K", [(1, 40), (2, 30)])
+def test_mesh_transforms_are_the_full_ones(d, K):
+    # the particle mesh's pruned transforms against the full transform and a
+    # crop to the box, and the box placed in the full half spectrum
+    mesh = ParticleMesh(d, K)
+    rng = np.random.default_rng(K)
+    stencil = mesh.stencil(rng.random((50, d)))
+    a = rng.standard_normal(50)
+    mu = mesh.transform(stencil, a)
+    assert np.array_equal(mu, spectral.downsample_spectrum(
+        forward_transform(spread(stencil, a)), mesh.box))
+    fine = mesh.fine
+    padded = np.zeros((fine,) * (d - 1) + (fine // 2 + 1,), dtype=complex)
+    if d == 1:
+        padded[: K + 1] = mu
+    else:
+        padded[: K + 1, : K + 1] = mu[: K + 1]
+        padded[fine - K :, : K + 1] = mu[K + 1 :]
+    want = gather(stencil, inverse_transform(padded, fine)) * (1.0 / fine) ** d
+    assert np.array_equal(mesh.values(stencil, mu), want)
 
 
 def test_tail_cutoff_weighs_columns_as_inner():
