@@ -402,11 +402,21 @@ def _energy_header(d):
 # engines
 
 
-def _particle_dt(scenario, state, kernels):
+def _check_particle_alpha(scenario: Scenario):
+    """Fail when a particle run needs its viscosity term at alpha = 0, where
+    the kernel set carries no R_alpha; called before any run or artifact."""
+    c = scenario.config
+    if not c["appendix_a_mode"] and scenario.schedule().alpha == 0.0:
+        how = "given" if c["schedule"].get("alpha") is not None else "from exp(-c/epsilon)"
+        raise ValueError(f"the particles' viscosity term needs alpha > 0, and alpha = 0 "
+                         f"({how}); set schedule.alpha > 0, or appendix_a_mode to drop it")
+
+
+def _particle_dt(scenario, kernels):
     integ = scenario.config["integrator"]
     if integ["dt"] == "auto":
         return P.stable_dt(
-            state, kernels, appendix_a=scenario.config["appendix_a_mode"]
+            kernels, appendix_a=scenario.config["appendix_a_mode"]
         ) * float(integ["dt_safety"])
     return float(integ["dt"])
 
@@ -436,7 +446,7 @@ def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, c
     """Quantile particles of rho0 stepped to the scenario's T.  Returns the
     states at t = 0, about every `cadence` (None: none between) and at T."""
     state = P.init_quantile(rho0, scenario.config["N"])
-    nsteps, dt = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, state, kernels))
+    nsteps, dt = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, kernels))
     stride = max(1, int(round(cadence / dt))) if cadence else nsteps
     return _run_particles(scenario, kernels, state, nsteps, stride)
 
@@ -446,6 +456,8 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     t_start = time.time()
     c = scenario.config
     d = c["dimension"]
+    if "particles" in c["engines"]:
+        _check_particle_alpha(scenario)
     rho0 = initial_density(scenario)
     kernels = build_scenario_kernels(scenario)
     results = {"kernels": kernels}
@@ -453,7 +465,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     if "local-grid" in c["engines"]:
         local_cfg = _local_config(scenario, kernels)
         local_cfg.initial_shift(rho0)
-    # nothing is written until rho0, the kernels and the local engine's C0 pass
+    # nothing is written until alpha, rho0, the kernels and the local C0 pass
     writer = _Writer(out_dir)
     writer.json("config.json", c)
     writer.gridfield("initial.gf", rho0)
@@ -560,16 +572,18 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     c = base_scenario.config
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
-    kernels0 = build_scenario_kernels(base_scenario)
-    # every eps's kernels are built before the shared local run, so an eps
-    # the tables cannot resolve fails at entry; each set, with the mesh
-    # caches its particle run fills, is dropped as the next eps starts
+    # every eps's alpha and kernels pass before the shared local run, so an
+    # eps the particles or the tables cannot take fails at entry; each set,
+    # with the mesh caches its particle run fills, is dropped as the next
+    # eps starts
     plan = []
     for eps in eps_list:
         sc = Scenario.from_dict(
             _merge(c, {"schedule": {**c["schedule"], "epsilon": eps}, "engines": []})
         )
+        _check_particle_alpha(sc)
         plan.append((eps, sc, build_scenario_kernels(sc)))
+    kernels0 = build_scenario_kernels(base_scenario)
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
     local_measure = _field_measure(local.final)
     rows = []
@@ -604,6 +618,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
 
     Each row also carries that nl run under the run_scenario key "nl_run"."""
     c = base_scenario.config
+    _check_particle_alpha(base_scenario)
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
     kset = build_scenario_kernels(base_scenario)
@@ -660,7 +675,7 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
 
     w0 = measure(state_a, state_b)
     # equal steps in `samples` equal legs, so every sample ends a step
-    per_leg, _ = P.fixed_steps(c["T"] / samples, _particle_dt(scenario, state_a, kernels))
+    per_leg, _ = P.fixed_steps(c["T"] / samples, _particle_dt(scenario, kernels))
     nsteps = samples * per_leg
     twin_a = _run_particles(scenario, kernels, state_a, nsteps, per_leg)
     twin_b = _run_particles(scenario, kernels, state_b, nsteps, per_leg)
@@ -709,11 +724,15 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
 # ---------------------------------------------------------------------------
 # cluster diagnostics (qualitative pattern-formation metric)
 
+# density_peaks keeps the maxima above this share of the field's range
+_PEAK_LEVEL = 0.5
 
-def density_peaks(fld: F.GridField, rel_threshold: float = 0.5) -> np.ndarray:
-    """Grid cells that are strict local maxima above a relative threshold."""
+
+def density_peaks(fld: F.GridField) -> np.ndarray:
+    """Grid cells that are strict local maxima in the upper half of the
+    field's range (_PEAK_LEVEL)."""
     v = fld.values
-    mask = v >= v.min() + rel_threshold * (v.max() - v.min())
+    mask = v >= v.min() + _PEAK_LEVEL * (v.max() - v.min())
     if fld.d == 1:
         for s in (-1, 1):
             mask &= v >= np.roll(v, s)

@@ -18,8 +18,11 @@ Three families are built here:
   (+ eps_star R_hat) and the grid velocity's linear part W_hat + eps_star
   R_hat.  The W and U tables are built when asked for, never kept.  Hessian
   bounds are read off the multipliers, a coarser set crops the spectra, and
-  the particle sums run on a spectral.ParticleMesh that holds the
-  multipliers cropped to its box (KernelSet.particle_mesh).
+  the particle sums run on a spectral.ParticleMesh that holds the particle
+  velocity's three addend multipliers cropped to its box and scaled by the
+  schedule (KernelSet.particle_mesh).  A set built at alpha = 0 carries no
+  R_hat, and asking for its viscosity multiplier raises the one error of
+  every particle entry point outside appendix-A mode.
 
 A kernel is read only through its spectrum: the particle sums through the
 particle mesh's multipliers, the grid operators (fields.periodic_convolve)
@@ -78,6 +81,9 @@ MOLLIFIER_KINDS = ("compact-bump", "truncated-gaussian")
 _GAUSSIAN_WIDTH_CAP = 1e3
 # make_mollifier's table builds per mollifier before it gives up
 _MAX_TABLE_BUILDS = 200
+# KernelFamily.validate's bounds on the table's measured errors
+_VALIDATE_TOLS = {"mass_error": 1e-8, "symmetry_error": 1e-12, "first_moment": 1e-10,
+                  "second_moment_error": 1e-6}
 
 
 class KernelError(ValueError):
@@ -269,8 +275,9 @@ class KernelFamily:
             self._spectrum = self.table.fourier().real.copy()
         return self._spectrum
 
-    def validate(self, mass_tol=1e-8, sym_tol=1e-12, first_tol=1e-10, second_tol=1e-6):
-        """Check all admissibility invariants; returns a dict of measured errors."""
+    def validate(self):
+        """Check all admissibility invariants against the _VALIDATE_TOLS
+        bounds; returns a dict of measured errors."""
         t = self.table
         report = {
             "min_value": float(t.values.min()),
@@ -281,14 +288,8 @@ class KernelFamily:
                 np.max(np.abs(t.second_moment() - self.second_moment_target))
             ),
         }
-        ok = (
-            report["min_value"] >= 0.0
-            and report["mass_error"] <= mass_tol
-            and report["symmetry_error"] <= sym_tol
-            and report["first_moment"] <= first_tol
-            and report["second_moment_error"] <= second_tol
-        )
-        report["ok"] = ok
+        report["ok"] = report["min_value"] >= 0.0 and all(
+            report[name] <= tol for name, tol in _VALIDATE_TOLS.items())
         return report
 
 
@@ -566,8 +567,8 @@ class KernelSet:
             out += smooth2 * sq
         if viscosity:
             if self.viscosity is None:
-                raise KernelError("a viscosity term requires alpha > 0 "
-                                  "(use appendix-A mode to drop the term)")
+                raise KernelError("the viscosity term needs R_alpha, which a set built at "
+                                  "alpha = 0 lacks; use appendix_a=True to drop the term")
             out += viscosity * self.viscosity.spectrum
         return out
 
@@ -631,26 +632,31 @@ class KernelSet:
 
     def particle_mesh(self, include_viscosity: bool = True):
         """(mesh, multipliers): the spectral.ParticleMesh of the particle sums
-        and their multipliers on its box, divided by the kernel's transform
-        squared (ParticleMesh.crop); built on first use per viscosity flag.
-        For the schedule's m = 2 the box is cut at U's tail, U read from
-        pair_kernel's spectrum, and the multipliers are "U", "W", "smooth2"
-        and "viscosity"; for other m it is cut at ot's tail and they are
-        "omega_tilde", "W" and "viscosity" (R_hat unscaled, present only
-        with include_viscosity)."""
+        and the particle velocity's addend multipliers on its box, each
+        cropped (ParticleMesh.crop) and then scaled by the schedule:
+        "interaction" -W_hat, "aggregation" 2 ot_hat^2 at m = 2 and
+        (m/(m-1)) ot_hat otherwise, and, with include_viscosity,
+        "viscosity" -eps_star R_hat.  At m = 2 the box is cut at the tail of
+        the pair potential U, read from pair_kernel's spectrum and kept as
+        "U" for the energy (U_hat is minus the addends' sum); otherwise at
+        ot's tail, and "smoothing" is ot_hat, the smoothed density's.  Built
+        on first use per viscosity flag; a set without R_hat raises with
+        include_viscosity (multiplier)."""
         key = bool(include_viscosity)
         if key not in self._meshes:
-            specs = {"W": self.multiplier(W=1.0)}
+            sched = self.schedule
+            specs = {"interaction": (-1.0, self.multiplier(W=1.0))}  # name: (scale, spectrum)
             if include_viscosity:
-                specs["viscosity"] = self.multiplier(viscosity=1.0)
-            if self.schedule.m == 2.0:
-                specs["U"] = np.real(self.pair_kernel(include_viscosity).spectrum)
-                specs["smooth2"] = self.multiplier(smooth2=1.0)
-                cut = specs["U"]
+                specs["viscosity"] = (-sched.epsilon_star, self.multiplier(viscosity=1.0))
+            if sched.m == 2.0:
+                cut = np.real(self.pair_kernel(include_viscosity).spectrum)
+                specs.update(U=(1.0, cut), aggregation=(2.0, self.multiplier(smooth2=1.0)))
             else:
-                cut = specs["omega_tilde"] = self.spectra[1]
+                cut = self.spectra[1]
+                specs.update(smoothing=(1.0, cut), aggregation=(sched.m / (sched.m - 1.0), cut))
             mesh = ParticleMesh(self.d, tail_cutoff(cut, self.n))
-            self._meshes[key] = (mesh, {name: mesh.crop(spec) for name, spec in specs.items()})
+            self._meshes[key] = (mesh, {name: scale * mesh.crop(spec)
+                                        for name, (scale, spec) in specs.items()})
         return self._meshes[key]
 
 

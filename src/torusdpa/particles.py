@@ -12,10 +12,14 @@ kernels' gradients vanish at 0, and the computed self terms vanish to
 roundoff.  Appendix-A mode drops the viscosity term entirely instead of
 sending eps_star to 0.
 
-Every sum runs on the kernel set's particle mesh (spectral.ParticleMesh): a
-spread of the particles, spectral multipliers read off the set's spectra, and
-a gather at the particles.  The kernels are trigonometric polynomials, so the
-sums are those of the dense Fourier series over the mesh's box of modes.
+Every sum runs on the kernel set's particle mesh (spectral.ParticleMesh): one
+spread of the particles (_spread), the three addends' multipliers as the set
+scales them (KernelSet.particle_mesh), and a gather at the particles.  One
+addend builder (_addends) holds the sums' only m branch, the aggregation's;
+compute_forces takes the gradient of each addend, the stepping velocity the
+gradient of their sum, and discrete_energy reads the same spread.  The
+kernels are trigonometric polynomials, so the sums are those of the dense
+Fourier series over the mesh's box of modes.
 """
 
 from __future__ import annotations
@@ -165,6 +169,37 @@ def init_quantile(rho0: GridField, N: int) -> ParticleState:
 # forces
 
 
+def _spread(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> tuple:
+    """(mesh, multipliers, stencil, mu_hat): the set's particle mesh and addend
+    multipliers (KernelSet.particle_mesh, whose viscosity multiplier raises
+    the one error for a set without R_hat), the particles' stencil, and the
+    measure's coefficients from one spread of the weights 1/N and one
+    forward transform."""
+    mesh, mult = kernels.particle_mesh(not appendix_a)
+    stencil = mesh.stencil(state.positions)
+    return mesh, mult, stencil, mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
+
+
+def _addends(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> tuple:
+    """(mesh, stencil, coefficients): per addend of the velocity, interaction,
+    aggregation and (without appendix-A mode) viscosity, the coefficients
+    whose gradient at the particles it is, each its multiplier times the
+    measure's.  At m != 2 the aggregation's are its multiplier times a
+    spread weighted by the smoothed density at the particles (a gather of
+    the smoothing multiplier times the measure's) to the (m - 1)th power."""
+    mesh, mult, stencil, mu = _spread(state, kernels, appendix_a)
+    m = kernels.schedule.m
+    if m == 2.0:
+        agg = mu
+    else:
+        dens = mesh.values(stencil, mult["smoothing"] * mu)
+        agg = mesh.transform(stencil, dens ** (m - 1.0) / state.N)
+    coeffs = {"interaction": mult["interaction"] * mu, "aggregation": mult["aggregation"] * agg}
+    if "viscosity" in mult:
+        coeffs["viscosity"] = mult["viscosity"] * mu
+    return mesh, stencil, coeffs
+
+
 def compute_forces(
     state: ParticleState,
     kernels: KernelSet,
@@ -172,47 +207,21 @@ def compute_forces(
 ) -> ForceField:
     """Evaluate the particle velocities and their three-term decomposition.
 
-    All three addends come from one spread of the particles (weights 1/N):
-    each is the gathered gradient of its kernel's multiplier times the
-    measure's coefficients, -W_hat, (m = 2) 2 ot_hat^2 and -eps_star R_hat.
-    For other m the smoothed density at the particles is a gather of
-    ot_hat times those coefficients, and the aggregation term the gradient of
-    ot_hat times a spread weighted by its (m - 1)th power.  Each addend is an
-    antisymmetric operator's quadratic form summed over the particles, so the
-    momentum stays at roundoff.  For m = 2 the velocities are -N times the
-    position gradient of discrete_energy, to the mesh's accuracy.  m and
-    eps_star are the kernel set's.
-    appendix_a=True drops the viscosity term instead of sending eps_star to 0.
+    Each addend is the gathered gradient of its coefficients (_addends):
+    one spread of the particles (weights 1/N), and per addend d inverse
+    transforms and gathers, 1 + 3d transforms at m = 2 (1 + 2d in
+    appendix-A mode) and 3 + 3d otherwise.  Each addend is an antisymmetric
+    operator's quadratic form summed over the particles, so the momentum
+    stays at roundoff.  For m = 2 the velocities are -N times the position
+    gradient of discrete_energy, to the mesh's accuracy.  m and eps_star are
+    the kernel set's.  appendix_a=True drops the viscosity term instead of
+    sending eps_star to 0.
     """
-    sched = kernels.schedule
-    m = sched.m
-    N = state.N
-    include_visc = not appendix_a
-    if include_visc and (sched.alpha == 0.0 or kernels.viscosity is None):
-        raise ValueError(
-            "viscosity particle term needs alpha > 0; use appendix_a=True to drop it"
-        )
-    mesh, mult = kernels.particle_mesh(include_visc)
-    stencil = mesh.stencil(state.positions)
-    mu = mesh.transform(stencil, np.full(N, 1.0 / N))
-    term1 = mesh.gradient(stencil, -mult["W"] * mu)
-    if m == 2.0:
-        term2 = mesh.gradient(stencil, 2.0 * mult["smooth2"] * mu)
-    else:
-        dens = mesh.values(stencil, mult["omega_tilde"] * mu)
-        agg = mesh.transform(stencil, dens ** (m - 1.0) / N)
-        term2 = mesh.gradient(stencil, (m / (m - 1.0)) * mult["omega_tilde"] * agg)
-    if include_visc:
-        term3 = mesh.gradient(stencil, -sched.epsilon_star * mult["viscosity"] * mu)
-    else:
-        term3 = np.zeros_like(term1)
-    vel = term1 + term2 + term3
-    return ForceField(
-        velocities=vel,
-        term_interaction=term1,
-        term_aggregation=term2,
-        term_viscosity=term3,
-    )
+    mesh, stencil, coeffs = _addends(state, kernels, appendix_a)
+    terms = {name: mesh.gradient(stencil, c) for name, c in coeffs.items()}
+    term1, term2 = terms["interaction"], terms["aggregation"]
+    term3 = terms.get("viscosity", np.zeros_like(term1))
+    return ForceField(term1 + term2 + term3, term1, term2, term3)
 
 
 def momentum(forces: ForceField) -> np.ndarray:
@@ -225,7 +234,7 @@ def momentum(forces: ForceField) -> np.ndarray:
 # time stepping
 
 
-def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False) -> float:
+def stable_dt(kernels: KernelSet, appendix_a: bool = False) -> float:
     """0.5 / L with L a Lipschitz bound of the force field, from the Hessians
     of the kernels' spectra at the set's m and eps_star; cached in the set
     per appendix-A flag."""
@@ -246,9 +255,7 @@ def stable_dt(state: ParticleState, kernels: KernelSet, appendix_a: bool = False
                 + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
             )
         if not appendix_a:
-            if kernels.viscosity is None:
-                raise ValueError("viscosity tables missing; use appendix_a=True")
-            L += sched.epsilon_star * hessian_inf_norm(kernels.viscosity.spectrum, n)
+            L += sched.epsilon_star * hessian_inf_norm(kernels.multiplier(viscosity=1.0), n)
         cache[key] = L
     return 0.5 / cache[key]
 
@@ -268,27 +275,11 @@ def fixed_steps(T: float, dt_max: float) -> tuple:
 
 
 def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> np.ndarray:
-    """Total velocity without the decomposition: the compute_forces addends'
-    coefficients summed before one gradient, the same to roundoff.
-
-    For m = 2 they combine into the single pair potential U: one spread, one
-    forward transform, and per axis one inverse transform of -2 pi i k U_hat
-    times the coefficients and one gather (1 + d transforms).  For other m the
-    smoothed density and the weighted spread add two transforms (3 + d).
-    """
-    sched = kernels.schedule
-    m, N = sched.m, state.N
-    mesh, mult = kernels.particle_mesh(not appendix_a)
-    stencil = mesh.stencil(state.positions)
-    mu = mesh.transform(stencil, np.full(N, 1.0 / N))
-    if m == 2.0:
-        return mesh.gradient(stencil, -mult["U"] * mu)
-    dens = mesh.values(stencil, mult["omega_tilde"] * mu)
-    agg = mesh.transform(stencil, dens ** (m - 1.0) / N)
-    coeffs = (m / (m - 1.0)) * mult["omega_tilde"] * agg - mult["W"] * mu
-    if not appendix_a:
-        coeffs -= sched.epsilon_star * mult["viscosity"] * mu
-    return mesh.gradient(stencil, coeffs)
+    """Total velocity without the decomposition: the gradient of the sum of
+    the addends' coefficients (_addends), the same as compute_forces' to
+    roundoff, with 1 + d transforms at m = 2 and 3 + d otherwise."""
+    mesh, stencil, coeffs = _addends(state, kernels, appendix_a)
+    return mesh.gradient(stencil, sum(coeffs.values()))
 
 
 def step(
@@ -304,7 +295,7 @@ def step(
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt_max = stable_dt(state, kernels, appendix_a=appendix_a)
+    dt_max = stable_dt(kernels, appendix_a=appendix_a)
     if dt > dt_max:
         warnings.warn(f"dt={dt:.3e} exceeds stable_dt={dt_max:.3e}", RuntimeWarning)
 
@@ -342,6 +333,5 @@ def discrete_energy(
     """
     if kernels.schedule.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
-    mesh, mult = kernels.particle_mesh(not appendix_a)
-    mu = mesh.transform(mesh.stencil(state.positions), np.full(state.N, 1.0 / state.N))
+    mesh, mult, _, mu = _spread(state, kernels, appendix_a)
     return 0.5 * inner(mult["U"] * mu, mu, mesh.box)

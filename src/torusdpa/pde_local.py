@@ -18,8 +18,8 @@ takes 10 real transforms in 2-d and 6 in 1-d, or 9 and 5 at m = 2 on a field
 that is nowhere negative, where g = 2 rho comes from the carried spectrum.
 The 2/3-rule mask keeps the last-axis columns up to n/3, so the four
 dealiased products are transformed on those columns only
-(spectral.forward_columns, two FFT calls each in 2-d) and the scheme never
-changes a mode past n/3: those keep rho0's values.
+(spectral.forward_transform's cols) and the scheme never changes a mode
+past n/3: those keep rho0's values.  A transform is d numpy FFT calls.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .fields import GridField, energy_E_m
 from .particles import fixed_steps
 from .spectral import (
     column_weights,
-    forward_columns,
     forward_transform,
     freq_lattice,
     grad_multipliers,
@@ -86,7 +85,7 @@ def _div_hat(vals, grads, gmult, cols):
     out = None
     for m, g in zip(gmult, grads):
         g *= vals
-        term = forward_columns(g, cols)
+        term = forward_transform(g, cols)
         term *= m[..., :cols]
         if out is None:
             out = term

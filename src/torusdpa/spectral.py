@@ -13,10 +13,12 @@ order on the leading axes and the nonnegative frequencies 0..n//2
 symmetry, f_hat(-k) = conj(f_hat(k)).  Coefficients approximate the
 continuous Fourier transform on the unit torus, f_hat(k) = h^d * rfftn[k];
 inverse_transform undoes that and takes the grid size, which the half
-spectrum alone does not fix when n is odd.  Frequency arrays are sparse
-(one axis each) and broadcast against a half spectrum.  forward_columns and
-inverse_columns are the same transforms on the first c last-axis columns
-only, for spectra that a mask or a box cuts there.
+spectrum alone does not fix when n is odd.  A transform is one numpy call
+per axis (d calls): rfft along the last axis, then fft along the first, and
+back ifft, then irfft.  forward_transform can keep only the first last-axis
+columns before its first-axis pass, and inverse_transform zero-pads a
+spectrum cut there, for spectra that a mask or a box cuts.  Frequency
+arrays are sparse (one axis each) and broadcast against a half spectrum.
 
 Particle mesh.  Every particle sum is one spread of weighted particles onto a
 grid, spectral multipliers, and a gather back at the particles, where the
@@ -44,8 +46,6 @@ __all__ = [
     "minimage_coords",
     "forward_transform",
     "inverse_transform",
-    "forward_columns",
-    "inverse_columns",
     "gradient",
     "inner",
     "downsample_spectrum",
@@ -139,43 +139,27 @@ def minimage_coords(n: int, d: int):
     raise ValueError(f"unsupported dimension {d}")
 
 
-def forward_transform(values: np.ndarray) -> np.ndarray:
-    """Continuous-normalized half spectrum: h^d * rfftn(values), the factor
-    h^d applied inside the FFT (norm="forward")."""
+def forward_transform(values: np.ndarray, cols=None) -> np.ndarray:
+    """Continuous-normalized half spectrum h^d * rfftn(values), the factor h^d
+    applied inside the FFT (norm="forward"), as one call per axis: rfft along
+    the last axis, then in 2-d fft along the first.  cols keeps the first
+    cols last-axis columns only, cut before the first-axis pass, which then
+    skips the others: forward_transform(values)[..., :cols], bit for bit."""
+    spec = np.fft.rfft(values, axis=-1, norm="forward")[..., :cols]
     if values.ndim == 1:
-        return np.fft.rfft(values, norm="forward")
-    return np.fft.rfftn(values, norm="forward")
+        return spec
+    return np.fft.fft(spec, axis=0, norm="forward")
 
 
 def inverse_transform(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values on the n^d grid of a half spectrum; inverse of forward_transform
-    (n^d * irfftn, as one unscaled inverse FFT)."""
-    d = coeffs.ndim
-    if d == 1:
-        return np.fft.irfft(coeffs, n, norm="forward")
-    return np.fft.irfftn(coeffs, s=(n,) * d, axes=tuple(range(d)), norm="forward")
-
-
-def forward_columns(values: np.ndarray, c: int) -> np.ndarray:
-    """forward_transform(values)[..., :c], bit for bit: in 2-d an rfft along
-    the last axis cropped to its first c columns before the fft along the
-    first axis, which then skips the others (two FFT calls).  A 1-d grid, or
-    a c that keeps every column, takes forward_transform and the crop."""
-    if values.ndim == 1 or c >= values.shape[-1] // 2 + 1:
-        return forward_transform(values)[..., :c]
-    cols = np.fft.rfft(values, axis=-1, norm="forward")[:, :c]
-    return np.fft.fft(cols, axis=0, norm="forward")
-
-
-def inverse_columns(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values on the n^d grid of a half spectrum cut to its first last-axis
-    columns, the others zero: inverse_transform of the zero-padded spectrum,
-    bit for bit.  In 2-d the ifft along the first axis runs on the given
-    columns only and the irfft along the last pads them (two FFT calls)."""
-    if coeffs.ndim == 1:
-        return inverse_transform(coeffs, n)
-    return np.fft.irfft(np.fft.ifft(coeffs, axis=0, norm="forward"), n, axis=-1,
-                        norm="forward")
+    (n^d * irfftn), as one unscaled call per axis: in 2-d ifft along the
+    first axis, then irfft along the last.  A spectrum cut to its first
+    last-axis columns is zero-padded by the irfft, bit for bit the
+    transform of the padded spectrum."""
+    if coeffs.ndim == 2:
+        coeffs = np.fft.ifft(coeffs, axis=0, norm="forward")
+    return np.fft.irfft(coeffs, n, axis=-1, norm="forward")
 
 
 def gradient(coeffs: np.ndarray, n: int):
@@ -365,8 +349,7 @@ class ParticleMesh:
     Sums with an odd multiplier are then a quadratic form of an
     antisymmetric operator, and cancel over the particles to roundoff.
     Both transforms run their first-axis pass on the box's K + 1 last-axis
-    columns only (forward_columns, inverse_columns), bit for bit the full
-    transforms.
+    columns only, bit for bit the full transforms.
     """
 
     def __init__(self, d: int, K: int):
@@ -390,7 +373,7 @@ class ParticleMesh:
 
     def transform(self, stencil: Stencil, weights: np.ndarray) -> np.ndarray:
         """psi_hat times the coefficients of sum_i weights_i delta_{X_i} on the box."""
-        spec = forward_columns(spread(stencil, weights), self.K + 1)
+        spec = forward_transform(spread(stencil, weights), self.K + 1)
         return spec if self.d == 1 else spec[self._rows]
 
     def values(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
@@ -400,7 +383,7 @@ class ParticleMesh:
             cols = np.zeros((self.fine, self.K + 1), dtype=coeffs.dtype)
             cols[self._rows] = coeffs
             coeffs = cols
-        grid = inverse_columns(coeffs, self.fine)
+        grid = inverse_transform(coeffs, self.fine)
         return gather(stencil, grid) * (1.0 / self.fine) ** self.d
 
     def gradient(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusdpa.fields import GridField
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
 
 
@@ -44,8 +45,8 @@ def rng():
 @pytest.fixture()
 def count_transforms(monkeypatch):
     """Counts every np.fft call for the rest of the test: the list each call
-    appends to.  spectral.py is the one caller, and a pruned 2-d transform
-    (spectral.forward_columns, inverse_columns) is two calls."""
+    appends to.  spectral.py is the one caller, and a transform is d calls
+    (one per axis)."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
@@ -53,3 +54,14 @@ def count_transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name,
                             lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
     return calls
+
+
+@pytest.fixture(scope="session")
+def cos_product_density():
+    """The density 1 + 0.3 prod_i cos(2 pi x_i) on the n^d grid, as a
+    function of (n, d)."""
+    def density(n, d):
+        return GridField.from_function(
+            lambda *xs: 1.0 + 0.3 * np.prod([np.cos(2 * np.pi * x) for x in xs], axis=0), n, d
+        )
+    return density

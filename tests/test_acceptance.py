@@ -200,7 +200,7 @@ def test_criterion_05_conservation():
                             omega_moment=2 * sched.epsilon**2)
     rho0 = GridField.constant(1.0, 4096)
     st = init_quantile(rho0, 1000)
-    dt = stable_dt(st, kset)
+    dt = stable_dt(kset)
     worst_momentum = 0.0
     for _ in range(10):
         ff = compute_forces(st, kset)
@@ -231,7 +231,7 @@ def test_criterion_06_energy_dissipation():
                             omega_moment=2 * sched.epsilon**2)
     rng = np.random.default_rng(6)
     st = ParticleState(rng.random((64, 1)))
-    dt = stable_dt(st, kset) / 10.0
+    dt = stable_dt(kset) / 10.0
     prev = discrete_energy(st, kset)
     particle_ok = True
     for _ in range(30):

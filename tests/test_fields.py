@@ -265,7 +265,7 @@ class TestKde:
         calls = count_transforms
         calls.clear()
         kde_density(rng.random((9, d)), kset.omega_tilde, kset.n // 4)
-        assert len(calls) == 2
+        assert len(calls) == 2 * d  # two transforms, each d numpy calls
 
     def test_uniform_flatness(self, kset_1d):
         N = 1000
@@ -332,8 +332,9 @@ class TestVelocityField:
             calls.clear()
             v = velocity_field_nl(rho, kgrid)
             # at m = 2 a field whose bound min(rho) M+ - max(rho) M- is
-            # positive takes the one multiplier -U_hat: 1 + d transforms
-            assert len(calls) == (1 if m == 2.0 and rho is positive else 3) + d
+            # positive takes the one multiplier -U_hat: 1 + d transforms,
+            # each d numpy calls
+            assert len(calls) == d * ((1 if m == 2.0 and rho is positive else 3) + d)
             ref = chain_velocity(rho, kgrid)
             assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -371,15 +372,15 @@ class TestVelocityField:
     def test_free_energy_transform_count(self, velocity_grids, count_transforms, d):
         # rho forward, the smoothed field back and forward again (D_eps),
         # R^(1/2) * rho back, and the velocity's 1 + d (m = 2 on a positive
-        # field): omega's spectrum is the family's cached one, not a
-        # transform of its table
+        # field), each d numpy calls: omega's spectrum is the family's
+        # cached one, not a transform of its table
         kgrid, _, rho = velocity_grids[d]
         assert kgrid.schedule.alpha > 0 and kgrid.viscosity is not None
         free_energy(rho, kgrid)  # the set's spectra are cached
         calls = count_transforms
         calls.clear()
         free_energy(rho, kgrid)
-        assert len(calls) == 5 + d
+        assert len(calls) == d * (5 + d)
 
     def test_constant_density(self, kset_1d):
         f = GridField.constant(1.0, kset_1d.n)

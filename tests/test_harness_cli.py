@@ -411,6 +411,40 @@ class TestCli:
         assert "exp(-c/epsilon)" in err and "derived from epsilon = 0.005" in err
         assert "schedule.alpha" in err and "appendix_a_mode" in err
 
+    @pytest.mark.parametrize("schedule", [
+        {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3, "alpha": 0.0},
+        {"epsilon": 0.001, "epsilon_tilde": 0.25, "epsilon_star": 0.3},
+    ], ids=["given", "derived"])
+    def test_particles_at_alpha_zero_exit_1_before_any_run(self, tmp_path, capsys,
+                                                          monkeypatch, schedule):
+        # at alpha = 0, given or derived as exp(-c/epsilon), the set carries
+        # no R_alpha for the particles' viscosity term: simulate and both
+        # sweeps fail before any file is written or any engine runs, naming
+        # the scenario key that drops the term
+        runs = []
+        monkeypatch.setattr(PL, "run_local", lambda *a, **k: runs.append("local"))
+        monkeypatch.setattr(PN, "run_nonlocal", lambda *a, **k: runs.append("nl"))
+        cfg = tmp_path / "alpha0.json"
+        cfg.write_text(json.dumps({"schedule": schedule, "engines": ["particles"],
+                                   "grid": {"n": 64}}))
+        out = tmp_path / "run"
+        out.mkdir()
+        for args in (["simulate"], ["sweep", "--n-particles", "8", "16"],
+                     ["sweep", "--eps", "0.0012", "0.0011", "0.001"]):
+            assert cli_main([args[0], str(cfg), *args[1:], "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "Traceback" not in err
+            assert "alpha = 0" in err and "appendix_a_mode" in err
+            assert list(out.iterdir()) == [] and runs == []
+
+    def test_grid_only_run_at_alpha_zero_runs(self, tmp_path):
+        # without particles alpha = 0 means R_alpha * rho = rho
+        sc = small_scenario(engines=["nl-grid"], appendix_a_mode=False,
+                            schedule={"epsilon": 0.1, "epsilon_tilde": 0.25,
+                                      "epsilon_star": 0.3, "alpha": 0.0})
+        art = run_scenario(sc, tmp_path / "nl")
+        assert "nl_final_0.gf" in art.files
+
     def test_error_exit_code(self, capsys):
         rc = cli_main(["simulate", "no-such-file.json"])
         assert rc == 1

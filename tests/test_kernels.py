@@ -19,7 +19,7 @@ from torusdpa.kernels import (
     schedule_from_epsilon,
 )
 from torusdpa.oracles import bump_profile, periodic_spline, quad_convolve
-from torusdpa.particles import ParticleState, stable_dt
+from torusdpa.particles import stable_dt
 from torusdpa.spectral import (
     TAIL_TOL_1D,
     column_weights,
@@ -156,17 +156,18 @@ class TestSpectralSet:
 
     def test_set_build_transform_count(self, count_transforms):
         # 2 mollifier spectra, 3 x 3 Hessian transforms (W, ot*ot, R) for
-        # stable_dt, 1 for the U table, 3 for lambda
+        # stable_dt, 1 for the U table, 3 for lambda: 15 transforms, each two
+        # numpy calls in 2-d
         sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
                                       alpha=0.1)
         calls = count_transforms
         calls.clear()
         kset = build_kernel_set(sched, kind="truncated-gaussian", table_points=128,
                                 omega_moment=2 * sched.epsilon**2)
-        stable_dt(ParticleState(np.array([[0.5, 0.5]])), kset)
+        stable_dt(kset)
         kset.pair_kernel()
         lambda_convexity_constant(kset)
-        assert len(calls) == 15
+        assert len(calls) == 2 * 15
 
     def test_particle_mesh_cut_at_the_pair_potential_tail(self, kset_1d, kset_2d):
         # a 1-d box, as a 2-d one, is the smallest whose dropped modes
@@ -365,14 +366,15 @@ def test_kernel_csv_export(tmp_path, kset_1d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_kernel_csv_gradients_are_spectral(kset_1d, kset_2d, count_transforms, d):
     # the gradient columns are the spectral node gradients of the family's
-    # cached spectrum: d inverse transforms and no forward transform
+    # cached spectrum: d inverse transforms, each d numpy calls, and no
+    # forward transform
     fam = (kset_1d if d == 1 else kset_2d).omega_tilde
     fam.spectrum
     calls = count_transforms
     calls.clear()
     buf = io.StringIO()
     export_kernel_csv(fam, buf)
-    assert len(calls) == d
+    assert len(calls) == d * d
     data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     for ax, grad in enumerate(gradient(fam.spectrum, fam.n)):
         assert np.array_equal(data[:, d + 1 + ax], grad.ravel())

@@ -138,13 +138,25 @@ class TestForces:
         assert np.allclose(ff.velocities[perm], ff2.velocities, atol=1e-13)
 
     def test_alpha_zero_needs_appendix_mode(self, rng):
+        # a set built at alpha = 0 carries no R_hat: every particle entry
+        # point that needs the viscosity term raises the same error, and
+        # none does in appendix-A mode
         sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                       alpha=0.0)
         kset = build_kernel_set(sched, kind="truncated-gaussian",
                                 omega_moment=2 * sched.epsilon**2)
+        assert kset.viscosity is None
         st = ParticleState(rng.random((4, 1)))
-        with pytest.raises(ValueError):
-            compute_forces(st, kset)
+        errors = set()
+        for call in (lambda a: compute_forces(st, kset, appendix_a=a),
+                     lambda a: step(st, kset, 1e-6, appendix_a=a),
+                     lambda a: stable_dt(kset, appendix_a=a),
+                     lambda a: discrete_energy(st, kset, appendix_a=a)):
+            with pytest.raises(ValueError) as caught:
+                call(False)
+            errors.add((type(caught.value), str(caught.value)))
+            call(True)
+        assert len(errors) == 1 and "appendix_a=True" in errors.pop()[1]
         ff = compute_forces(st, kset, appendix_a=True)
         assert np.all(ff.term_viscosity == 0.0)
 
@@ -269,7 +281,7 @@ class TestStep:
 
     def test_dt_warning_not_fatal(self, kset_1d, rng):
         st = ParticleState(rng.random((4, 1)))
-        big = 10.0 * stable_dt(st, kset_1d)
+        big = 10.0 * stable_dt(kset_1d)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             step(st, kset_1d, big, "euler")
@@ -288,14 +300,12 @@ class TestStableDt:
             sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=et,
                                           epsilon_star=0.4, alpha=0.1)
             kset = build_kernel_set(sched, kind="compact-bump")
-            st = ParticleState(np.array([[0.5]]))
-            dts.append(stable_dt(st, kset))
+            dts.append(stable_dt(kset))
         assert dts[1] > dts[0]
 
     def test_amplitude_scaling_halves_dt(self, kset_1d):
         # ot_hat times sqrt(2) and R_hat times 2 double W, ot*ot and R_alpha
-        st = ParticleState(np.array([[0.5]]))
-        base = stable_dt(st, kset_1d)
+        base = stable_dt(kset_1d)
         ot_hat = kset_1d.omega_tilde.spectrum
         visc = kset_1d.viscosity
         doubled = KernelSet(
@@ -305,8 +315,7 @@ class TestStableDt:
                                             _spectrum=math.sqrt(2.0) * ot_hat),
             viscosity=dataclasses.replace(visc, spectrum=2.0 * visc.spectrum),
         )
-        st2 = ParticleState(np.array([[0.5]]))
-        assert stable_dt(st2, doubled) == pytest.approx(0.5 * base, rel=1e-12)
+        assert stable_dt(doubled) == pytest.approx(0.5 * base, rel=1e-12)
 
     def test_lipschitz_vs_fd_hessian(self, kset_1d):
         # spectral Hessian sup matches dense second differencing within 5%
@@ -333,13 +342,12 @@ class TestStableDt:
              + m / (m - 1.0) * (hessian_inf_norm(kset.spectra[1], n) * rho_max ** (m - 1.0)
                                 + (m - 1.0) * rho_max ** (m - 2.0) * grad_max**2)
              + kset.schedule.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))
-        st = ParticleState(np.full((1, d), 0.5))
-        assert stable_dt(st, kset) == pytest.approx(0.5 / L, rel=1e-12)
+        assert stable_dt(kset) == pytest.approx(0.5 / L, rel=1e-12)
 
 
 def test_energy_dissipation_rk4(kset_1d, rng):
     st = ParticleState(rng.random((32, 1)))
-    dt = stable_dt(st, kset_1d) / 10.0
+    dt = stable_dt(kset_1d) / 10.0
     prev = discrete_energy(st, kset_1d)
     for _ in range(20):
         st = step(st, kset_1d, dt, "rk4")
@@ -426,19 +434,31 @@ def test_transform_counts(count_transforms, kset_1d, kset_2d, rng, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_general_m_velocity_sums_the_addends_in_one_gradient(count_transforms, kset_1d,
                                                               kset_2d, rng, d):
-    # the three addends' coefficients summed before one gradient: 3 + d
-    # transforms, not compute_forces' 3 + 3d (3 + 2d in appendix-A mode),
-    # each d numpy calls (the mesh's column-pruned transforms)
-    kset = kset_1d if d == 1 else kset_2d
-    kset = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=3.0))
+    # the three addends' coefficients summed before one gradient, at m = 2
+    # as at m = 3: 1 + d and 3 + d transforms, not compute_forces' 1 + 3d
+    # and 3 + 3d (one gradient fewer in appendix-A mode), each d numpy calls
+    base = kset_1d if d == 1 else kset_2d
     st = ParticleState(rng.random((40, d)))
     calls = count_transforms
-    for appendix_a in (False, True):
-        v = compute_forces(st, kset, appendix_a=appendix_a).velocities
-        calls.clear()
-        got = _velocities(st, kset, appendix_a)
-        assert len(calls) == d * (3 + d)
-        assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+    for m, transforms in ((2.0, 1 + d), (3.0, 3 + d)):
+        kset = dataclasses.replace(base, schedule=dataclasses.replace(base.schedule, m=m))
+        for appendix_a in (False, True):
+            v = compute_forces(st, kset, appendix_a=appendix_a).velocities
+            calls.clear()
+            got = _velocities(st, kset, appendix_a)
+            assert len(calls) == d * transforms
+            assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_m2_addend_multipliers_sum_to_minus_the_pair_potential(kset_1d, kset_2d, d):
+    # the mesh's scaled addend multipliers at m = 2 are -W_hat, 2 ot_hat^2
+    # and -eps_star R_hat, whose sum is -U_hat, cropped alike
+    kset = kset_1d if d == 1 else kset_2d
+    for include_viscosity in (True, False):
+        _, mult = kset.particle_mesh(include_viscosity)
+        total = mult["interaction"] + mult["aggregation"] + mult.get("viscosity", 0.0)
+        assert np.max(np.abs(total + mult["U"])) <= 1e-15 * np.max(np.abs(mult["U"]))
 
 
 def test_copy_for_another_eps_star_reads_its_own_schedule(kset_1d, rng):
@@ -446,12 +466,12 @@ def test_copy_for_another_eps_star_reads_its_own_schedule(kset_1d, rng):
     # velocity and the step bound all use the copy's eps_star, not the one
     # its source's mesh and bound were built with
     st = ParticleState(rng.random((16, 1)))
-    stable_dt(st, kset_1d)
+    stable_dt(kset_1d)
     _velocities(st, kset_1d, False)
     star = dataclasses.replace(kset_1d.schedule, epsilon_star=0.6)
     k2 = dataclasses.replace(kset_1d, schedule=star)
     v = compute_forces(st, k2).velocities
     assert np.max(np.abs(v - _velocities(st, k2, False))) <= 1e-12 * np.max(np.abs(v))
     fresh = build_kernel_set(star, kind="truncated-gaussian", omega_moment=2 * star.epsilon**2)
-    assert stable_dt(st, k2) == stable_dt(st, fresh)
-    assert stable_dt(st, k2) < stable_dt(st, kset_1d)
+    assert stable_dt(k2) == stable_dt(fresh)
+    assert stable_dt(k2) < stable_dt(kset_1d)

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from test_pde_local import cos_product_density
-
 from torusdpa.fields import GridField
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
 from torusdpa import pde_nonlocal as PN
@@ -46,11 +44,12 @@ class TestStep:
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_transforms_per_step(self, count_transforms, grid_setup, kset_2d, d, nu):
+    def test_transforms_per_step(self, count_transforms, cos_product_density, grid_setup,
+                                 kset_2d, d, nu):
         # with the set's spectra cached: rho forward and d gradient inverses
         # at m = 2 on a field away from vacuum; rho*ot inverse and the power
         # forward besides on a field with vacuum, where a cell of rho*ot may
-        # be negative; the nu-diffusion adds 2
+        # be negative; the nu-diffusion adds 2; each transform is d calls
         kset = grid_setup if d == 1 else kset_2d.at_resolution(128)
         rho = cos_product_density(kset.n, d)
         vacuum = GridField(np.maximum(rho.values - 1.0, 0.0))
@@ -59,7 +58,7 @@ class TestStep:
         for field, velocity in ((rho, 1 + d), (vacuum, 3 + d)):
             calls.clear()
             step_nonlocal(field, kset, 1e-6, nu)
-            assert len(calls) == velocity + (2 if nu > 0 else 0)
+            assert len(calls) == d * (velocity + (2 if nu > 0 else 0))
 
     def test_heat_decay_rate(self):
         # transport off (v = 0), pure implicit nu-diffusion: k=1 decays at

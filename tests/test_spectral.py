@@ -18,13 +18,11 @@ from torusdpa.spectral import (
     ParticleMesh,
     column_weights,
     face_grad_multipliers,
-    forward_columns,
     forward_transform,
     gather,
     grad_multipliers,
     gradient,
     inner,
-    inverse_columns,
     inverse_transform,
     k_squared,
     spline_stencil,
@@ -134,21 +132,36 @@ def test_transforms_fold_the_scaling_into_the_fft(d, n):
         assert np.max(np.abs(back - back_want)) <= 1e-15 * np.max(np.abs(back_want))
 
 
+@pytest.mark.parametrize("d, n", [(1, 1080), (1, 2430), (2, 128), (2, 135), (2, 384)])
+def test_a_transform_is_one_numpy_call_per_axis(count_transforms, d, n):
+    # rfft then fft, and ifft then irfft: bit for bit numpy's rfftn and
+    # irfftn, which run the same per-axis passes
+    rng = np.random.default_rng(n + d)
+    f = rng.standard_normal((n,) * d)
+    calls = count_transforms
+    spec = forward_transform(f)
+    back = inverse_transform(spec, n)
+    assert len(calls) == 2 * d
+    axes = tuple(range(d))
+    assert np.array_equal(spec, np.fft.rfftn(f, axes=axes, norm="forward"))
+    assert np.array_equal(back, np.fft.irfftn(spec, s=(n,) * d, axes=axes, norm="forward"))
+
+
 @pytest.mark.parametrize("d, n", [(2, 128), (2, 384), (2, 135), (1, 384)])
 def test_pruned_transforms_are_the_full_ones_cropped(d, n):
     # the first-axis pass skips the columns a crop drops (or that are zero),
-    # bit for bit; a 1-d grid passes through forward_transform, and so does
-    # a c that keeps every column
+    # bit for bit, and so does a cols that keeps every column; the inverse
+    # of a cut spectrum is that of the zero-padded one
     rng = np.random.default_rng(n + d)
     f = rng.standard_normal((n,) * d)
     full = forward_transform(f)
     for c in (1, n // 3 + 1, n // 4, n // 2 + 1):
-        cols = forward_columns(f, c)
+        cols = forward_transform(f, c)
         assert cols.shape == full[..., :c].shape
         assert np.array_equal(cols, full[..., :c])
         padded = np.zeros_like(full)
         padded[..., :c] = full[..., :c]
-        assert np.array_equal(inverse_columns(cols, n), inverse_transform(padded, n))
+        assert np.array_equal(inverse_transform(cols, n), inverse_transform(padded, n))
 
 
 @pytest.mark.parametrize("d, K", [(1, 40), (2, 30)])

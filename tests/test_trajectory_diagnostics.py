@@ -28,7 +28,7 @@ def test_free_energy_along_particle_kde(setup_1d):
     vals = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     rho0 = GridField(vals / (vals.sum() / n))
     st = init_quantile(rho0, 256)
-    dt = stable_dt(st, kset) / 2.0
+    dt = stable_dt(kset) / 2.0
     kgrid = kset.at_resolution(n)
 
     def kde_energy(state):
