@@ -183,7 +183,6 @@ def free_energy(
     rho: GridField,
     kernels: KernelSet,
     t: float = 0.0,
-    with_velocity: bool = True,
 ) -> EnergyReport:
     """Evaluate F_{eps,alpha} and companion diagnostics for a density field,
     at the kernel set's schedule."""
@@ -201,11 +200,8 @@ def free_energy(
     d_term = 0.25 * D
     visc_term = 0.5 * schedule.epsilon_star * E2h
     F = d_term - Em + visc_term
-    diss = 0.0
-    if with_velocity:
-        v = velocity_field_nl(rho, kernels)
-        speed2 = np.sum(v * v, axis=0)
-        diss = float((rho.values * speed2).sum() * rho.h**rho.d)
+    v = velocity_field_nl(rho, kernels)
+    diss = float((rho.values * np.sum(v * v, axis=0)).sum() * rho.h**rho.d)
     return EnergyReport(
         t=t,
         F_eps_alpha=F,
@@ -264,7 +260,7 @@ def velocity_field_nl(rho: GridField, kernels: KernelSet, at_faces: bool = False
     """
     _, ot_hat = _spectra_on(kernels, rho)
     n, m = rho.n, kernels.schedule.m
-    power_mult, linear, quadratic, (pos_mass, neg_mass) = kernels.velocity_multipliers()
+    power_mult, linear, quadratic, (pos_mass, neg_mass) = kernels.velocity_multipliers
     vals = rho.values
     rho_hat = forward_transform(vals)
     if quadratic is not None and float(vals.min()) * pos_mass - float(vals.max()) * neg_mass > 0.0:

@@ -34,7 +34,7 @@ def min_image(x, y) -> np.ndarray:
     return r - np.ceil(r - 0.5)
 
 
-def torus_cost_sq(x, y, axis: int = -1):
+def torus_cost_sq(x, y):
     """Squared transport cost: inf_k |x - y + k|^2 over integer shifts."""
     d = min_image(x, y)
-    return np.sum(d * d, axis=axis)
+    return np.sum(d * d, axis=-1)

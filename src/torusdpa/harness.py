@@ -293,7 +293,6 @@ def build_scenario_kernels(scenario: Scenario) -> KernelSet:
     kc = c["kernels"]
     schedule = scenario.schedule()
     coeff = float(kc["moment_coefficient"])
-    need_visc = (not c["appendix_a_mode"]) and schedule.alpha > 0.0
     try:
         return build_kernel_set(
             schedule,
@@ -304,10 +303,10 @@ def build_scenario_kernels(scenario: Scenario) -> KernelSet:
             tilde_moment=(coeff * schedule.epsilon_tilde**2
                           if kc["tilde_moment"] == "target" else None),
             viscosity_k=float(kc["viscosity_k"]),
-            with_viscosity=need_visc,
+            appendix_a=c["appendix_a_mode"],
         )
     except KernelResolutionError as exc:
-        if not need_visc or c["schedule"].get("alpha") is not None:
+        if c["appendix_a_mode"] or schedule.alpha == 0.0 or c["schedule"].get("alpha") is not None:
             raise
         raise KernelResolutionError(
             f"{exc}; alpha = exp(-c/epsilon) = {schedule.alpha:.3g} was derived from "
@@ -415,9 +414,7 @@ def _check_particle_alpha(scenario: Scenario):
 def _particle_dt(scenario, kernels):
     integ = scenario.config["integrator"]
     if integ["dt"] == "auto":
-        return P.stable_dt(
-            kernels, appendix_a=scenario.config["appendix_a_mode"]
-        ) * float(integ["dt_safety"])
+        return P.stable_dt(kernels) * float(integ["dt_safety"])
     return float(integ["dt"])
 
 
@@ -428,7 +425,6 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
     c = scenario.config
     dt = c["T"] / nsteps if nsteps else 0.0
     method = c["integrator"]["method"]
-    appendix_a = c["appendix_a_mode"]
     states = [state]
     with warnings.catch_warnings():
         # a dt_safety above 1 opts into exceeding the conservative step bound
@@ -436,7 +432,7 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
         if float(c["integrator"]["dt_safety"]) > 1.0:
             warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
         for k in range(1, nsteps + 1):
-            state = P.step(state, kernels, dt, method=method, appendix_a=appendix_a)
+            state = P.step(state, kernels, dt, method=method)
             if k % stride == 0 or k == nsteps:
                 states.append(state)
     return states
@@ -479,12 +475,10 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
             "particle-snapshots-v1",
         )
         if kernels.schedule.m == 2.0:
-            appendix_a = c["appendix_a_mode"]
             writer.csv(
                 "particle_energy.csv",
                 ["t", "interaction_energy"],
-                ([st.time, P.discrete_energy(st, kernels, appendix_a=appendix_a)]
-                 for st in states),
+                ([st.time, P.discrete_energy(st, kernels)] for st in states),
                 "particle-energy-v1",
             )
         results["particle_state"] = states[-1]

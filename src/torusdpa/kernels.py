@@ -22,7 +22,7 @@ Three families are built here:
   velocity's three addend multipliers cropped to its box and scaled by the
   schedule (KernelSet.particle_mesh).  A set built at alpha = 0 carries no
   R_hat, and asking for its viscosity multiplier raises the one error of
-  every particle entry point outside appendix-A mode.
+  every particle entry point outside appendix-A mode, which the set fixes.
 
 A kernel is read only through its spectrum: the particle sums through the
 particle mesh's multipliers, the grid operators (fields.periodic_convolve)
@@ -84,6 +84,7 @@ _MAX_TABLE_BUILDS = 200
 # KernelFamily.validate's bounds on the table's measured errors
 _VALIDATE_TOLS = {"mass_error": 1e-8, "symmetry_error": 1e-12, "first_moment": 1e-10,
                   "second_moment_error": 1e-6}
+_HALF_RECONSTRUCTION_TOL = 1e-8  # verify_bounds' bound on |R^(1/2) * R^(1/2) - R|
 
 
 class KernelError(ValueError):
@@ -410,19 +411,23 @@ class ViscosityKernel:
 
     def verify_bounds(self):
         """Check a/|xi|^{2k} <= R_hat(xi) <= b/|xi|^k for lattice 1 < |xi| <= Nyquist,
-        with R_hat unscaled (alpha = 1), a = (1 + 4 pi^2)^-k and b = (4 pi^2)^-k."""
+        with R_hat unscaled (alpha = 1), a = (1 + 4 pi^2)^-k and b = (4 pi^2)^-k,
+        and R^(1/2) against _HALF_RECONSTRUCTION_TOL; returns them and "ok"."""
         mag = np.sqrt(sum(k * k for k in freq_lattice(self.n, self.d)))
         sel = mag > 1.0
         m = mag[sel]
         spec = ((1.0 + k_squared(self.n, self.d)) ** (-self.k))[sel]
         lower = (1.0 + 4.0 * np.pi**2) ** (-self.k) / m ** (2 * self.k)
         upper = (4.0 * np.pi**2) ** (-self.k) / m**self.k
-        return {
+        report = {
             "positive": bool(np.all(self.spectrum > 0.0)),
             "lower_ok": bool(np.all(spec >= lower * (1 - 1e-12))),
             "upper_ok": bool(np.all(spec <= upper * (1 + 1e-12))),
             "half_reconstruction": self.half_reconstruction_error(),
         }
+        report["ok"] = (report["positive"] and report["lower_ok"] and report["upper_ok"]
+                        and report["half_reconstruction"] <= _HALF_RECONSTRUCTION_TOL)
+        return report
 
     def half_reconstruction_error(self) -> float:
         conv = self.half_table.convolve(self.half_table)
@@ -528,18 +533,21 @@ def schedule_from_epsilon(
 class KernelSet:
     """All kernels needed by one schedule on a common grid: the two mollifier
     families and the viscosity kernel, with the multipliers composed from
-    their spectra and the caches the particle and grid engines fill.  The
-    engines read m, eps_star and alpha from the set's schedule only;
-    dataclasses.replace(kset, schedule=...) is the set for another m or
-    eps_star (eps, eps_tilde and alpha built the tables), with empty caches."""
+    their spectra and the objects the engines read, cached on first use.  The
+    engines read m, eps_star and alpha from the set's schedule, and appendix-A
+    mode from the set, only; dataclasses.replace(kset, schedule=...) is the
+    set for another m or eps_star (eps, eps_tilde and alpha built the tables),
+    and replace(kset, appendix_a=True) the appendix-A particle sums (it keeps
+    R_alpha for the grid engines), each with empty caches."""
 
     schedule: ParameterSchedule
     omega: KernelFamily
     omega_tilde: KernelFamily
     viscosity: Optional[ViscosityKernel] = None
-    _stable_cache: dict = field(default_factory=dict, init=False, repr=False)  # stable_dt's
-    _meshes: dict = field(default_factory=dict, init=False, repr=False)  # particle_mesh's
-    _velocity: Optional[tuple] = field(default=None, init=False, repr=False)
+    # appendix-A mode: no viscosity addend in the particle sums, the pair
+    # potential, the step bound or lambda; build_kernel_set then builds no
+    # R_alpha, so the grid engines take R_alpha * rho = rho even at alpha > 0
+    appendix_a: bool = False
 
     @property
     def n(self) -> int:
@@ -567,8 +575,8 @@ class KernelSet:
             out += smooth2 * sq
         if viscosity:
             if self.viscosity is None:
-                raise KernelError("the viscosity term needs R_alpha, which a set built at "
-                                  "alpha = 0 lacks; use appendix_a=True to drop the term")
+                raise KernelError("the viscosity term needs R_alpha, which a set built at alpha "
+                                  "= 0 lacks; build_kernel_set(..., appendix_a=True) drops it")
             out += viscosity * self.viscosity.spectrum
         return out
 
@@ -578,29 +586,28 @@ class KernelSet:
         on each access."""
         return KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
 
+    @functools.cached_property
     def velocity_multipliers(self) -> tuple:
         """(power, linear, quadratic, masses) of the nonlocal potential at the
-        set's schedule, built on first use: power = (m/(m-1)) ot_hat and
-        linear = W_hat + eps_star R_hat (R_hat = 1 unless alpha > 0 and the set
-        carries R); at m = 2 quadratic = power ot_hat - linear, minus the pair
-        potential's U_hat, else None; masses = (M+, M-), the integrals of the
-        positive and negative parts of the ot table, so that
-        min(rho) M+ - max(rho) M- bounds rho*ot from below."""
-        if self._velocity is None:
-            sched = self.schedule
-            m = sched.m
-            ot_hat = self.spectra[1]
-            visc = (self.viscosity.spectrum
-                    if sched.alpha > 0.0 and self.viscosity is not None else 1.0)
-            power = (m / (m - 1.0)) * ot_hat
-            linear = self.multiplier(W=1.0) + sched.epsilon_star * visc
-            quadratic = power * ot_hat - linear if m == 2.0 else None
-            table = self.omega_tilde.table
-            cell = table.h**table.d
-            masses = (float(np.maximum(table.values, 0.0).sum()) * cell,
-                      -float(np.minimum(table.values, 0.0).sum()) * cell)
-            self._velocity = (power, linear, quadratic, masses)
-        return self._velocity
+        set's schedule: power = (m/(m-1)) ot_hat and linear = W_hat + eps_star
+        R_hat (R_hat = 1 unless alpha > 0 and the set carries R); at m = 2
+        quadratic = power ot_hat - linear, minus the pair potential's U_hat,
+        else None; masses = (M+, M-), the integrals of the positive and
+        negative parts of the ot table, so that min(rho) M+ - max(rho) M-
+        bounds rho*ot from below."""
+        sched = self.schedule
+        m = sched.m
+        ot_hat = self.spectra[1]
+        visc = (self.viscosity.spectrum
+                if sched.alpha > 0.0 and self.viscosity is not None else 1.0)
+        power = (m / (m - 1.0)) * ot_hat
+        linear = self.multiplier(W=1.0) + sched.epsilon_star * visc
+        quadratic = power * ot_hat - linear if m == 2.0 else None
+        table = self.omega_tilde.table
+        cell = table.h**table.d
+        masses = (float(np.maximum(table.values, 0.0).sum()) * cell,
+                  -float(np.minimum(table.values, 0.0).sum()) * cell)
+        return power, linear, quadratic, masses
 
     def at_resolution(self, n2: int) -> "KernelSet":
         """Same kernels on a coarser grid: the spectra, R_hat included, cropped
@@ -612,8 +619,8 @@ class KernelSet:
         if self.viscosity is not None:
             visc = replace(self.viscosity, n=n2,
                            spectrum=downsample_spectrum(self.viscosity.spectrum, n2))
-        return KernelSet(
-            schedule=self.schedule,
+        return replace(
+            self,
             omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2),
                           _spectrum=crops[0]),
             omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2),
@@ -621,43 +628,60 @@ class KernelSet:
             viscosity=visc,
         )
 
-    def pair_spectrum(self, include_viscosity: bool = True) -> np.ndarray:
-        """U_hat = W_hat - 2 ot_hat^2 [+ eps_star R_hat], the m=2 pair potential."""
-        eps_star = self.schedule.epsilon_star if include_viscosity else 0.0
+    def pair_spectrum(self) -> np.ndarray:
+        """U_hat = W_hat - 2 ot_hat^2 + eps_star R_hat, the m=2 pair potential,
+        without the R_hat term in appendix-A mode."""
+        eps_star = 0.0 if self.appendix_a else self.schedule.epsilon_star
         return self.multiplier(W=1.0, smooth2=-2.0, viscosity=eps_star)
 
-    def pair_kernel(self, include_viscosity: bool = True) -> KernelTable:
+    def pair_kernel(self) -> KernelTable:
         """The table of pair_spectrum, which keeps that spectrum."""
-        return KernelTable.from_spectrum(self.pair_spectrum(include_viscosity), self.n)
+        return KernelTable.from_spectrum(self.pair_spectrum(), self.n)
 
-    def particle_mesh(self, include_viscosity: bool = True):
+    @functools.cached_property
+    def particle_mesh(self) -> tuple:
         """(mesh, multipliers): the spectral.ParticleMesh of the particle sums
         and the particle velocity's addend multipliers on its box, each
         cropped (ParticleMesh.crop) and then scaled by the schedule:
         "interaction" -W_hat, "aggregation" 2 ot_hat^2 at m = 2 and
-        (m/(m-1)) ot_hat otherwise, and, with include_viscosity,
+        (m/(m-1)) ot_hat otherwise, and, outside appendix-A mode,
         "viscosity" -eps_star R_hat.  At m = 2 the box is cut at the tail of
         the pair potential U, read from pair_kernel's spectrum and kept as
         "U" for the energy (U_hat is minus the addends' sum); otherwise at
-        ot's tail, and "smoothing" is ot_hat, the smoothed density's.  Built
-        on first use per viscosity flag; a set without R_hat raises with
-        include_viscosity (multiplier)."""
-        key = bool(include_viscosity)
-        if key not in self._meshes:
-            sched = self.schedule
-            specs = {"interaction": (-1.0, self.multiplier(W=1.0))}  # name: (scale, spectrum)
-            if include_viscosity:
-                specs["viscosity"] = (-sched.epsilon_star, self.multiplier(viscosity=1.0))
-            if sched.m == 2.0:
-                cut = np.real(self.pair_kernel(include_viscosity).spectrum)
-                specs.update(U=(1.0, cut), aggregation=(2.0, self.multiplier(smooth2=1.0)))
-            else:
-                cut = self.spectra[1]
-                specs.update(smoothing=(1.0, cut), aggregation=(sched.m / (sched.m - 1.0), cut))
-            mesh = ParticleMesh(self.d, tail_cutoff(cut, self.n))
-            self._meshes[key] = (mesh, {name: scale * mesh.crop(spec)
-                                        for name, (scale, spec) in specs.items()})
-        return self._meshes[key]
+        ot's tail, and "smoothing" is ot_hat, the smoothed density's.  A set
+        without R_hat raises outside appendix-A mode (multiplier)."""
+        sched = self.schedule
+        specs = {"interaction": (-1.0, self.multiplier(W=1.0))}  # name: (scale, spectrum)
+        if not self.appendix_a:
+            specs["viscosity"] = (-sched.epsilon_star, self.multiplier(viscosity=1.0))
+        if sched.m == 2.0:
+            cut = np.real(self.pair_kernel().spectrum)
+            specs.update(U=(1.0, cut), aggregation=(2.0, self.multiplier(smooth2=1.0)))
+        else:
+            cut = self.spectra[1]
+            specs.update(smoothing=(1.0, cut), aggregation=(sched.m / (sched.m - 1.0), cut))
+        mesh = ParticleMesh(self.d, tail_cutoff(cut, self.n))
+        return mesh, {name: scale * mesh.crop(spec) for name, (scale, spec) in specs.items()}
+
+    @functools.cached_property
+    def force_lipschitz(self) -> float:
+        """A Lipschitz bound of the particle velocity field from the Hessians of
+        its addends' spectra at the set's m, eps_star and mode (stable_dt is
+        0.5 over it); a set without R_hat raises as particle_mesh does."""
+        m, n = self.schedule.m, self.n
+        L = hessian_inf_norm(self.multiplier(W=1.0), n)
+        if m == 2.0:
+            L += 2.0 * hessian_inf_norm(self.multiplier(smooth2=1.0), n)
+        else:
+            rho_max = float(self.omega_tilde.table.values.max())
+            grad_max = max(float(np.max(np.abs(g))) for g in gradient(self.spectra[1], n))
+            L += (m / (m - 1.0)) * (
+                hessian_inf_norm(self.spectra[1], n) * rho_max ** (m - 1.0)
+                + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
+            )
+        if not self.appendix_a:
+            L += self.schedule.epsilon_star * hessian_inf_norm(self.multiplier(viscosity=1.0), n)
+        return L
 
 
 def build_kernel_set(
@@ -667,12 +691,13 @@ def build_kernel_set(
     omega_moment: Optional[float] = None,
     tilde_moment: Optional[float] = None,
     viscosity_k: float = 4.0,
-    with_viscosity: bool = True,
+    appendix_a: bool = False,
 ) -> KernelSet:
     """The kernel set of a schedule on the n^d table grid: omega at scale eps
     and omega_tilde at scale eps_tilde, each at the per-axis second moment
     given (make_mollifier's second_moment_target; None keeps the natural
-    width), and R_alpha when with_viscosity and alpha > 0."""
+    width), and R_alpha when alpha > 0 outside appendix-A mode (appendix_a,
+    the set's mode: KernelSet)."""
     d = schedule.d
     if not schedule.epsilon_tilde < 0.5:
         raise KernelError(
@@ -685,20 +710,21 @@ def build_kernel_set(
     omega = make_mollifier(kind, schedule.epsilon, d, omega_moment, n)
     omega_tilde = make_mollifier(kind, schedule.epsilon_tilde, d, tilde_moment, n)
     viscosity = None
-    if with_viscosity and schedule.alpha > 0.0:
+    if schedule.alpha > 0.0 and not appendix_a:
         viscosity = make_viscosity_kernel(schedule.alpha, k=viscosity_k, d=d, table_points=n)
-    return KernelSet(schedule=schedule, omega=omega, omega_tilde=omega_tilde, viscosity=viscosity)
+    return KernelSet(schedule=schedule, omega=omega, omega_tilde=omega_tilde, viscosity=viscosity,
+                     appendix_a=appendix_a)
 
 
 def lambda_convexity_constant(kernels: KernelSet) -> float:
     """Geodesic-convexity modulus of the pair interaction energy (always <= 0):
     minus the max-norm of the negative part of the pair kernel's Hessian,
-    computed from its spectrum on the table grid, with the viscosity term
-    only when the set carries it (not in appendix-A mode): the pair
-    potential the particles integrate."""
+    computed from its spectrum on the table grid (KernelSet.pair_spectrum,
+    without the viscosity term in appendix-A mode): the pair potential the
+    particles integrate."""
     if kernels.schedule.alpha == 0.0:
         raise ValueError("lambda undefined at alpha=0: viscosity degenerates to local diffusion")
-    eigs = hessian_eigs(kernels.pair_spectrum(kernels.viscosity is not None), kernels.n)
+    eigs = hessian_eigs(kernels.pair_spectrum(), kernels.n)
     return float(min(0.0, eigs[0].min()))
 
 

@@ -9,8 +9,8 @@ Particles carry uniform weight 1/N and move by the pairwise ODE
 
 with X_ij the minimum-image displacement.  Self terms j = i are kept; the
 kernels' gradients vanish at 0, and the computed self terms vanish to
-roundoff.  Appendix-A mode drops the viscosity term entirely instead of
-sending eps_star to 0.
+roundoff.  Appendix-A mode, which the kernel set fixes (KernelSet.appendix_a),
+drops the viscosity term entirely instead of sending eps_star to 0.
 
 Every sum runs on the kernel set's particle mesh (spectral.ParticleMesh): one
 spread of the particles (_spread), the three addends' multipliers as the set
@@ -32,8 +32,8 @@ import numpy as np
 
 from .fields import GridField
 from .geometry import wrap
-from .kernels import KernelSet, hessian_inf_norm
-from .spectral import gradient, inner
+from .kernels import KernelSet
+from .spectral import inner
 
 __all__ = [
     "ParticleState",
@@ -169,25 +169,25 @@ def init_quantile(rho0: GridField, N: int) -> ParticleState:
 # forces
 
 
-def _spread(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> tuple:
+def _spread(state: ParticleState, kernels: KernelSet) -> tuple:
     """(mesh, multipliers, stencil, mu_hat): the set's particle mesh and addend
     multipliers (KernelSet.particle_mesh, whose viscosity multiplier raises
     the one error for a set without R_hat), the particles' stencil, and the
     measure's coefficients from one spread of the weights 1/N and one
     forward transform."""
-    mesh, mult = kernels.particle_mesh(not appendix_a)
+    mesh, mult = kernels.particle_mesh
     stencil = mesh.stencil(state.positions)
     return mesh, mult, stencil, mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
 
 
-def _addends(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> tuple:
+def _addends(state: ParticleState, kernels: KernelSet) -> tuple:
     """(mesh, stencil, coefficients): per addend of the velocity, interaction,
     aggregation and (without appendix-A mode) viscosity, the coefficients
     whose gradient at the particles it is, each its multiplier times the
     measure's.  At m != 2 the aggregation's are its multiplier times a
     spread weighted by the smoothed density at the particles (a gather of
     the smoothing multiplier times the measure's) to the (m - 1)th power."""
-    mesh, mult, stencil, mu = _spread(state, kernels, appendix_a)
+    mesh, mult, stencil, mu = _spread(state, kernels)
     m = kernels.schedule.m
     if m == 2.0:
         agg = mu
@@ -203,7 +203,7 @@ def _addends(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> tupl
 def compute_forces(
     state: ParticleState,
     kernels: KernelSet,
-    appendix_a: bool = False,
+    appendix_a: bool | None = None,
 ) -> ForceField:
     """Evaluate the particle velocities and their three-term decomposition.
 
@@ -213,11 +213,14 @@ def compute_forces(
     appendix-A mode) and 3 + 3d otherwise.  Each addend is an antisymmetric
     operator's quadratic form summed over the particles, so the momentum
     stays at roundoff.  For m = 2 the velocities are -N times the position
-    gradient of discrete_energy, to the mesh's accuracy.  m and eps_star are
-    the kernel set's.  appendix_a=True drops the viscosity term instead of
-    sending eps_star to 0.
+    gradient of discrete_energy, to the mesh's accuracy.  m, eps_star and
+    appendix-A mode are the kernel set's; appendix_a, when given, must equal
+    the set's mode (ValueError otherwise) and selects nothing.
     """
-    mesh, stencil, coeffs = _addends(state, kernels, appendix_a)
+    if appendix_a is not None and bool(appendix_a) != kernels.appendix_a:
+        raise ValueError(f"appendix_a={appendix_a} does not match the kernel set's mode "
+                         f"(appendix_a={kernels.appendix_a}, fixed by build_kernel_set)")
+    mesh, stencil, coeffs = _addends(state, kernels)
     terms = {name: mesh.gradient(stencil, c) for name, c in coeffs.items()}
     term1, term2 = terms["interaction"], terms["aggregation"]
     term3 = terms.get("viscosity", np.zeros_like(term1))
@@ -234,30 +237,10 @@ def momentum(forces: ForceField) -> np.ndarray:
 # time stepping
 
 
-def stable_dt(kernels: KernelSet, appendix_a: bool = False) -> float:
-    """0.5 / L with L a Lipschitz bound of the force field, from the Hessians
-    of the kernels' spectra at the set's m and eps_star; cached in the set
-    per appendix-A flag."""
-    sched = kernels.schedule
-    m = sched.m
-    key = bool(appendix_a)
-    cache = kernels._stable_cache
-    if key not in cache:
-        n = kernels.n
-        L = hessian_inf_norm(kernels.multiplier(W=1.0), n)
-        if m == 2.0:
-            L += 2.0 * hessian_inf_norm(kernels.multiplier(smooth2=1.0), n)
-        else:
-            rho_max = float(kernels.omega_tilde.table.values.max())
-            grad_max = max(float(np.max(np.abs(g))) for g in gradient(kernels.spectra[1], n))
-            L += (m / (m - 1.0)) * (
-                hessian_inf_norm(kernels.spectra[1], n) * rho_max ** (m - 1.0)
-                + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
-            )
-        if not appendix_a:
-            L += sched.epsilon_star * hessian_inf_norm(kernels.multiplier(viscosity=1.0), n)
-        cache[key] = L
-    return 0.5 / cache[key]
+def stable_dt(kernels: KernelSet) -> float:
+    """0.5 / L with L the set's Lipschitz bound of the force field
+    (KernelSet.force_lipschitz)."""
+    return 0.5 / kernels.force_lipschitz
 
 
 def fixed_steps(T: float, dt_max: float) -> tuple:
@@ -274,11 +257,11 @@ def fixed_steps(T: float, dt_max: float) -> tuple:
     return nsteps, T / nsteps
 
 
-def _velocities(state: ParticleState, kernels: KernelSet, appendix_a: bool) -> np.ndarray:
+def _velocities(state: ParticleState, kernels: KernelSet) -> np.ndarray:
     """Total velocity without the decomposition: the gradient of the sum of
     the addends' coefficients (_addends), the same as compute_forces' to
     roundoff, with 1 + d transforms at m = 2 and 3 + d otherwise."""
-    mesh, stencil, coeffs = _addends(state, kernels, appendix_a)
+    mesh, stencil, coeffs = _addends(state, kernels)
     return mesh.gradient(stencil, sum(coeffs.values()))
 
 
@@ -287,7 +270,6 @@ def step(
     kernels: KernelSet,
     dt: float,
     method: str = "rk4",
-    appendix_a: bool = False,
 ) -> ParticleState:
     """Advance one explicit step (one of METHODS) and wrap to the torus.  A dt
     above stable_dt warns (RuntimeWarning) and still steps."""
@@ -295,14 +277,13 @@ def step(
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt_max = stable_dt(kernels, appendix_a=appendix_a)
+    dt_max = stable_dt(kernels)
     if dt > dt_max:
         warnings.warn(f"dt={dt:.3e} exceeds stable_dt={dt_max:.3e}", RuntimeWarning)
 
     def rhs(pos):
         # ParticleState wraps pos (and rejects non-finite coordinates)
-        return _velocities(ParticleState(positions=pos, time=state.time), kernels,
-                           appendix_a=appendix_a)
+        return _velocities(ParticleState(positions=pos, time=state.time), kernels)
 
     X = state.positions
     if method == "euler":
@@ -320,18 +301,16 @@ def step(
     return ParticleState(positions=Xn, time=state.time + dt)
 
 
-def discrete_energy(
-    state: ParticleState, kernels: KernelSet, appendix_a: bool = False
-) -> float:
+def discrete_energy(state: ParticleState, kernels: KernelSet) -> float:
     """(1/(2N^2)) sum_ij U(X_i - X_j) with the m=2 pair potential U, self
     terms included, as (1/2) sum_k U_hat(k) |mu_hat(k)|^2 over the mesh's box
     from one spread and one forward transform (no gather).
 
     This is the interaction form of the free energy on the empirical measure;
     particle forces are -N times its position gradient, to the mesh's accuracy.
-    U and m are the kernel set's.
+    U, m and appendix-A mode are the kernel set's.
     """
     if kernels.schedule.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
-    mesh, mult, _, mu = _spread(state, kernels, appendix_a)
+    mesh, mult, _, mu = _spread(state, kernels)
     return 0.5 * inner(mult["U"] * mu, mu, mesh.box)

@@ -121,9 +121,10 @@ class LocalSolver:
         self.slab_k2 = k2[..., :cols]
         self.slab_Dk4 = D * self.slab_k2**2
         # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
-        # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights
-        self.grad_weight = (0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult)
-                            * column_weights(n))
+        # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights, once
+        # for the real and once for the imaginary part of each mode
+        self.grad_weight = np.repeat(0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult)
+                                     * column_weights(n), 2, axis=-1).ravel()
         self.C0, em0 = cfg.initial_shift(rho0)
         self.r = float(np.sqrt(self.C0 - em0))
         self.mass0 = rho0.mass()
@@ -133,13 +134,16 @@ class LocalSolver:
         self._low, self._peak = float(rho0.values.min()), float(rho0.values.max())
 
     def _grad_energy(self, spec) -> float:
-        """0.5 D ||grad rho||^2 by Parseval on the half spectrum of rho."""
-        return float(np.vdot(spec, self.grad_weight * spec).real)
+        """0.5 D ||grad rho||^2 by Parseval on the half spectrum of rho; this and
+        E_m are einsum sums, as a BLAS dot would wake its thread pool each step."""
+        parts = spec.view(np.float64).ravel()  # (re, im) of each mode
+        return float(np.einsum("i,i,i->", self.grad_weight, parts, parts))
 
     def _internal_energy(self, mob, power) -> float:
         """E_m = integral of max(rho, 0)^m / (m - 1), from mob = max(rho, 0)
         and power = mob^(m-1)."""
-        return float(np.vdot(mob, power)) * self.cell / (self.cfg.m - 1.0)
+        em = float(np.einsum("i,i->", mob.ravel(), power.ravel()))
+        return em * self.cell / (self.cfg.m - 1.0)
 
     def modified_energy(self) -> float:
         """0.5 D ||grad rho||^2 + r^2 - C0 of the carried state (no transform)."""
@@ -283,12 +287,12 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
     return LocalRun(records=records, flags=flags, final=final)
 
 
-def ch_operator(rho: GridField, m: float, biharmonic_coeff: float = 1.0) -> GridField:
-    """Discrete  D*div(rho grad lap rho) + lap rho^m  (for accuracy checks)."""
+def ch_operator(rho: GridField, m: float) -> GridField:
+    """Discrete  div(rho grad lap rho) + lap rho^m  (for accuracy checks)."""
     n, d = rho.n, rho.d
     k2 = k_squared(n, d)
     grad_lap = gradient(-k2 * forward_transform(rho.values), n)
     div = _div_hat(rho.values, grad_lap, grad_multipliers(n, d), n // 2 + 1)
     return GridField(
-        inverse_transform(biharmonic_coeff * div - k2 * forward_transform(rho.values**m), n)
+        inverse_transform(div - k2 * forward_transform(rho.values**m), n)
     )

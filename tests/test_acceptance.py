@@ -107,7 +107,7 @@ def test_criterion_01_kernel_admissibility():
             v = make_viscosity_kernel(alpha, k=4, d=d, table_points=n)
             b = v.verify_bounds()
             if not (b["positive"] and b["lower_ok"] and b["upper_ok"]
-                    and b["half_reconstruction"] <= 1e-8):
+                    and b["half_reconstruction"] <= 1e-8 and b["ok"]):
                 failures.append(("viscosity", d, alpha, b))
     # moment-targeted constructions where the torus admits them
     for d, n, eps_ok in ((1, 4096, (0.1, 0.05)), (2, 512, (0.1, 0.05))):

@@ -212,7 +212,7 @@ class TestFreeEnergy:
                                 omega_moment=2 * 0.02**2)
         x = np.arange(n) / n
         f = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
-        rep = free_energy(f, kset, with_velocity=False)
+        rep = free_energy(f, kset)
         smoothed = direct_convolve_table(f.values, kset.omega_tilde.table.values)
         d_term = 0.25 * direct_double_sum(smoothed, kset.omega.table.values, sched.epsilon)
         e_term = float((smoothed**2).sum() / n)
@@ -324,7 +324,7 @@ class TestVelocityField:
         # the set for another m, or with R switched off by alpha = 0
         sched = replace(kgrid.schedule, m=m, alpha=kgrid.schedule.alpha if alpha_on else 0.0)
         kgrid = replace(kgrid, schedule=sched)
-        kgrid.velocity_multipliers()
+        kgrid.velocity_multipliers
         calls = count_transforms
         for rho in (undershooting, positive):
             smoothed = periodic_convolve(rho, kgrid.omega_tilde).values
@@ -360,11 +360,11 @@ class TestVelocityField:
         # potential U: v = -grad(U*rho) and F = (1/2) <rho, U*rho>
         kgrid, _, rho = velocity_grids[d]
         assert kgrid.schedule.m == 2.0 and kgrid.schedule.alpha > 0
-        urho = periodic_convolve(rho, kgrid.pair_kernel(include_viscosity=True)).values
+        urho = periodic_convolve(rho, kgrid.pair_kernel()).values
         ref = -np.stack(spectral.gradient(spectral.forward_transform(urho), rho.n))
         v = velocity_field_nl(rho, kgrid)
         assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
-        rep = free_energy(rho, kgrid, with_velocity=False)
+        rep = free_energy(rho, kgrid)
         half_pair = 0.5 * float((rho.values * urho).sum()) * rho.h**d
         assert rep.F_eps_alpha == pytest.approx(half_pair, rel=1e-10)
 
@@ -455,7 +455,7 @@ def test_alpha_zero_convention():
     rho = GridField(vals / (vals.sum() / n))
     v = velocity_field_nl(rho, kset)
     assert np.all(np.isfinite(v)) and abs(v[0].mean()) < 1e-12
-    rep = free_energy(rho, kset, with_velocity=False)
+    rep = free_energy(rho, kset)
     # the viscosity addend is (eps_star/2) E_2[rho] under the convention
     assert rep.visc_term == pytest.approx(
         0.5 * sched.epsilon_star * energy_E_m(rho, 2.0), rel=1e-12

@@ -175,12 +175,12 @@ class TestSpectralSet:
         # column weighted as in inner); the 2-d set's tail still reaches
         # its lattice's edge
         n = kset_1d.n
-        K = kset_1d.particle_mesh()[0].K
+        K = kset_1d.particle_mesh[0].K
         assert K < (n - 1) // 2
         mass = np.abs(kset_1d.pair_spectrum()) * column_weights(n)
         (k,) = freq_lattice(n, 1)
         assert mass[k > K].sum() <= TAIL_TOL_1D * mass.sum() < mass[k >= K].sum()
-        assert kset_2d.particle_mesh()[0].K == (kset_2d.n - 1) // 2 == 127
+        assert kset_2d.particle_mesh[0].K == (kset_2d.n - 1) // 2 == 127
 
     def test_coarse_grid_crops_the_spectra(self, kset_2d):
         # 64 points give 6.4 samples across alpha = 0.1: too few to tabulate
@@ -207,6 +207,7 @@ class TestViscosity:
             rep = v.verify_bounds()
             assert rep["positive"] and rep["lower_ok"] and rep["upper_ok"]
             assert rep["half_reconstruction"] <= 1e-8
+            assert rep["ok"]
             assert v.spectrum.ravel()[0] == pytest.approx(1.0)  # unit mass
             assert v.table.mass() == pytest.approx(1.0, abs=1e-12)
             assert v.table.values.min() > -1e-12
@@ -322,7 +323,7 @@ class TestLambdaConstant:
         )
         kset = build_kernel_set(sched, kind="compact-bump", omega_moment=2 * sched.epsilon**2)
         lam = lambda_convexity_constant(kset)
-        U = kset.pair_kernel(include_viscosity=True)
+        U = kset.pair_kernel()
         h = U.h
         vals = U.values
         fd = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / h**2

@@ -143,28 +143,29 @@ class TestForces:
         # none does in appendix-A mode
         sched = schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.25, epsilon_star=0.3,
                                       alpha=0.0)
-        kset = build_kernel_set(sched, kind="truncated-gaussian",
-                                omega_moment=2 * sched.epsilon**2)
-        assert kset.viscosity is None
+        ksets = {a: build_kernel_set(sched, kind="truncated-gaussian",
+                                     omega_moment=2 * sched.epsilon**2, appendix_a=a)
+                 for a in (False, True)}
+        assert ksets[False].viscosity is None and ksets[True].viscosity is None
         st = ParticleState(rng.random((4, 1)))
         errors = set()
-        for call in (lambda a: compute_forces(st, kset, appendix_a=a),
-                     lambda a: step(st, kset, 1e-6, appendix_a=a),
-                     lambda a: stable_dt(kset, appendix_a=a),
-                     lambda a: discrete_energy(st, kset, appendix_a=a)):
+        for call in (lambda a: compute_forces(st, ksets[a]),
+                     lambda a: step(st, ksets[a], 1e-6),
+                     lambda a: stable_dt(ksets[a]),
+                     lambda a: discrete_energy(st, ksets[a])):
             with pytest.raises(ValueError) as caught:
                 call(False)
             errors.add((type(caught.value), str(caught.value)))
             call(True)
         assert len(errors) == 1 and "appendix_a=True" in errors.pop()[1]
-        ff = compute_forces(st, kset, appendix_a=True)
+        ff = compute_forces(st, ksets[True])
         assert np.all(ff.term_viscosity == 0.0)
 
 
 class TestEnergy:
     def test_single_particle_value(self, kset_1d):
         st = ParticleState(np.array([[0.2]]))
-        U = kset_1d.pair_kernel(include_viscosity=True)
+        U = kset_1d.pair_kernel()
         expected = 0.5 * float(U.values[0])
         assert discrete_energy(st, kset_1d) == pytest.approx(expected, rel=1e-12)
 
@@ -183,11 +184,11 @@ class TestEnergy:
     def test_three_body_vs_quadrature(self, kset_1d_bump):
         # brute-force 9-term sum with kernels from nested quadrature (appendix-A
         # pair: U = W - 2 ot*ot, both sides built without the table pipeline)
-        kset = kset_1d_bump
+        kset = dataclasses.replace(kset_1d_bump, appendix_a=True)
         sched = kset.schedule
         pos = np.array([[0.2], [0.33], [0.41]])
         st = ParticleState(pos)
-        got = discrete_energy(st, kset, appendix_a=True)
+        got = discrete_energy(st, kset)
         om = bump_profile(kset.omega.profile_width)
         ot = bump_profile(kset.omega_tilde.profile_width)
         zo = quad(om, -0.5, 0.5, epsabs=1e-13)[0]
@@ -268,7 +269,7 @@ class TestStep:
         # integrate the reversed flow by negating velocities via a negated dt trick:
         # rk4 on -v equals rk4 backward to integrator order
         def rhs(p):
-            return -_velocities(ParticleState(p), kset_1d, False)
+            return -_velocities(ParticleState(p), kset_1d)
 
         X = back.positions
         dt = 1e-4
@@ -377,7 +378,7 @@ def test_tiled_pair_sums_match_full_oracle(kset_1d, kset_2d, rng, d, N, mode):
         return
     if mode == "gradient":
         st = ParticleState(X)
-        gots = [_velocities(st, kset, False), compute_forces(st, kset).velocities]
+        gots = [_velocities(st, kset), compute_forces(st, kset).velocities]
 
         def oracle(P):
             return -dense_fourier_sum(P, kset.pair_spectrum(), n, np.full(len(P), 1.0 / len(P)))
@@ -414,12 +415,13 @@ def test_transform_counts(count_transforms, kset_1d, kset_2d, rng, d):
     # per gathered component (the set's mesh is built before counting); a
     # mesh transform runs on the box's columns only, d numpy calls each
     kset = kset_1d if d == 1 else kset_2d
+    kset_a = dataclasses.replace(kset, appendix_a=True)
     st = ParticleState(rng.random((10, d)))
-    for appendix_a in (False, True):
-        compute_forces(st, kset, appendix_a=appendix_a)
+    for k in (kset, kset_a):
+        compute_forces(st, k)
     calls = count_transforms
     calls.clear()
-    _velocities(st, kset, False)
+    _velocities(st, kset)
     assert len(calls) == d * (1 + d)
     discrete_energy(st, kset)
     assert len(calls) == d * (1 + d + 1)
@@ -427,7 +429,7 @@ def test_transform_counts(count_transforms, kset_1d, kset_2d, rng, d):
     compute_forces(st, kset)
     assert len(calls) == d * (1 + 3 * d)
     del calls[:]
-    compute_forces(st, kset, appendix_a=True)
+    compute_forces(st, kset_a)
     assert len(calls) == d * (1 + 2 * d)
 
 
@@ -442,10 +444,10 @@ def test_general_m_velocity_sums_the_addends_in_one_gradient(count_transforms, k
     calls = count_transforms
     for m, transforms in ((2.0, 1 + d), (3.0, 3 + d)):
         kset = dataclasses.replace(base, schedule=dataclasses.replace(base.schedule, m=m))
-        for appendix_a in (False, True):
-            v = compute_forces(st, kset, appendix_a=appendix_a).velocities
+        for k in (kset, dataclasses.replace(kset, appendix_a=True)):
+            v = compute_forces(st, k).velocities
             calls.clear()
-            got = _velocities(st, kset, appendix_a)
+            got = _velocities(st, k)
             assert len(calls) == d * transforms
             assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
@@ -455,8 +457,8 @@ def test_m2_addend_multipliers_sum_to_minus_the_pair_potential(kset_1d, kset_2d,
     # the mesh's scaled addend multipliers at m = 2 are -W_hat, 2 ot_hat^2
     # and -eps_star R_hat, whose sum is -U_hat, cropped alike
     kset = kset_1d if d == 1 else kset_2d
-    for include_viscosity in (True, False):
-        _, mult = kset.particle_mesh(include_viscosity)
+    for k in (kset, dataclasses.replace(kset, appendix_a=True)):
+        _, mult = k.particle_mesh
         total = mult["interaction"] + mult["aggregation"] + mult.get("viscosity", 0.0)
         assert np.max(np.abs(total + mult["U"])) <= 1e-15 * np.max(np.abs(mult["U"]))
 
@@ -467,11 +469,44 @@ def test_copy_for_another_eps_star_reads_its_own_schedule(kset_1d, rng):
     # its source's mesh and bound were built with
     st = ParticleState(rng.random((16, 1)))
     stable_dt(kset_1d)
-    _velocities(st, kset_1d, False)
+    _velocities(st, kset_1d)
     star = dataclasses.replace(kset_1d.schedule, epsilon_star=0.6)
     k2 = dataclasses.replace(kset_1d, schedule=star)
     v = compute_forces(st, k2).velocities
-    assert np.max(np.abs(v - _velocities(st, k2, False))) <= 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(v - _velocities(st, k2))) <= 1e-12 * np.max(np.abs(v))
     fresh = build_kernel_set(star, kind="truncated-gaussian", omega_moment=2 * star.epsilon**2)
     assert stable_dt(k2) == stable_dt(fresh)
     assert stable_dt(k2) < stable_dt(kset_1d)
+
+
+def test_appendix_a_copy_is_the_built_appendix_a_set(kset_1d, sched_1d, rng):
+    # replace(kset, appendix_a=True) starts empty caches: with its source's
+    # mesh and bound built first, the copy's sums and bound are those of a set
+    # built in appendix-A mode, bit for bit
+    st = ParticleState(rng.random((16, 1)))
+    stable_dt(kset_1d)
+    _velocities(st, kset_1d)
+    copy = dataclasses.replace(kset_1d, appendix_a=True)
+    built = build_kernel_set(sched_1d, kind="truncated-gaussian",
+                             omega_moment=2 * sched_1d.epsilon**2, appendix_a=True)
+    assert built.viscosity is None and copy.viscosity is not None
+    assert np.array_equal(_velocities(st, copy), _velocities(st, built))
+    got, want = compute_forces(st, copy), compute_forces(st, built)
+    for name in ("velocities", "term_interaction", "term_aggregation", "term_viscosity"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert stable_dt(copy) == stable_dt(built) > stable_dt(kset_1d)
+    assert discrete_energy(st, copy) == discrete_energy(st, built)
+
+
+def test_compute_forces_keyword_must_match_the_set(kset_1d, rng):
+    # the set fixes appendix-A mode; the keyword selects nothing and a
+    # mismatch raises
+    st = ParticleState(rng.random((4, 1)))
+    copy = dataclasses.replace(kset_1d, appendix_a=True)
+    assert np.array_equal(compute_forces(st, kset_1d, appendix_a=False).velocities,
+                          compute_forces(st, kset_1d).velocities)
+    assert np.array_equal(compute_forces(st, copy, appendix_a=True).velocities,
+                          compute_forces(st, copy).velocities)
+    for kset, flag in ((kset_1d, True), (copy, False)):
+        with pytest.raises(ValueError, match="appendix_a"):
+            compute_forces(st, kset, appendix_a=flag)

@@ -249,6 +249,19 @@ PINNED_RUNS = {
 }
 
 
+@pytest.mark.parametrize("make", [positive_2d, bump_2d])
+def test_run_calls_no_blas_routine(monkeypatch, make):
+    # the energies are einsum sums: a BLAS dot product would wake its thread
+    # pool after every step's transforms
+    def refuse(*args, **kwargs):
+        raise AssertionError("the local run called a BLAS routine")
+
+    for name in ("vdot", "dot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, refuse)
+    run = run_local(make(16), LocalSolverConfig(dt=2e-6, m=2.0, T=10 * 2e-6))
+    assert len(run.records) >= 2 and run.flags["energy_increases"] == 0
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
 def test_short_runs_match_pinned_values(case):
     make, n, m, dt, expected = PINNED_RUNS[case]

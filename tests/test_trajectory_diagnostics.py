@@ -35,7 +35,7 @@ def test_free_energy_along_particle_kde(setup_1d):
         fld = kde_density(state, kset.omega_tilde, n)
         f = GridField(np.maximum(fld.values, 0.0))
         f = GridField(f.values / f.mass())
-        return free_energy(f, kgrid, with_velocity=False).F_eps_alpha
+        return free_energy(f, kgrid).F_eps_alpha
 
     slack = 10.0 * dt + 1e-3  # time-discretization plus kde-resolution slack
     prev = kde_energy(st)
