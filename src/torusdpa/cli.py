@@ -55,7 +55,7 @@ def _measure_from_file(path: str, max_atoms):
         axes = [c for c in header if c.startswith("x_")]
         if "particle_id" not in cols or "t" not in cols or not axes:
             raise ValueError(f"{path}: expected a particle snapshot CSV (columns particle_id, "
-                             "t, x_0, ...) or a .gf field")
+                             "t, x_1, ...) or a .gf field")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: particle snapshot CSV has no rows")

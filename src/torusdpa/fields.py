@@ -82,11 +82,9 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, n: int, d: int = 1) -> "GridField":
+        """The field of fn(x_1, ..., x_d) at the grid nodes."""
         x = np.arange(n) / n
-        if d == 1:
-            return cls(np.asarray(fn(x), dtype=float))
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return cls(np.asarray(fn(X, Y), dtype=float))
+        return cls(np.asarray(fn(*np.meshgrid(*(x,) * d, indexing="ij")), dtype=float))
 
 
 def _spectra_on(kernels: KernelSet, f: GridField) -> tuple:
@@ -173,6 +171,12 @@ class EnergyReport:
     step_dissipation: float
     d_term: float = 0.0
     visc_term: float = 0.0
+
+    @staticmethod
+    def header(d: int) -> list:
+        """The column names of row() for a field on the d-torus."""
+        return ["t", "F_eps_alpha", "D_eps", "E_m", "entropy",
+                *(f"mean_x{i + 1}" for i in range(d)), "step_dissipation"]
 
     def row(self):
         return [self.t, self.F_eps_alpha, self.D_eps, self.E_m, self.entropy,

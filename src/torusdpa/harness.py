@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -267,20 +268,24 @@ def initial_density(scenario: Scenario) -> F.GridField:
     spec = c["initial"]
     x = np.arange(n) / n
     if spec["type"] == "file":
-        return F.load_gridfield(spec["path"])
+        fld = F.load_gridfield(spec["path"])
+        if (fld.d, fld.n) != (d, n):
+            raise ValueError(f"initial.path {spec['path']} holds a field with d = {fld.d}, "
+                             f"n = {fld.n}, but the scenario has dimension {d} and grid.n {n}")
+        return fld
     if spec["type"] == "random-fourier":
         # the function's own defaults fill a kmax or amplitude not given
         given = {k: spec[k] for k in ("kmax", "amplitude") if spec.get(k) is not None}
         vals = _random_fourier(x, d, np.random.default_rng(c["seed"]), **given)
-    elif d == 1:
-        vals = np.ones(n)
-        for k, a in enumerate(spec["amplitudes"], start=1):
-            vals += a * np.sin(2 * np.pi * k * x)
     else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        vals = np.ones((n, n))
+        # a_k sin(2 pi k x_1) ... sin(2 pi k x_d), multiplied in axis order
+        axes = np.meshgrid(*(x,) * d, indexing="ij", sparse=True)
+        vals = np.ones((n,) * d)
         for k, a in enumerate(spec["amplitudes"], start=1):
-            vals += a * np.sin(2 * np.pi * k * X) * np.sin(2 * np.pi * k * Y)
+            mode = a
+            for xi in axes:
+                mode = mode * np.sin(2 * np.pi * k * xi)
+            vals += mode
     vals = np.maximum(vals, 0.0)
     vals = vals / (vals.sum() * (1.0 / n) ** d)
     return F.GridField(vals)
@@ -386,17 +391,6 @@ def _fmt(v):
     return format(v, ".17g") if isinstance(v, float) else v
 
 
-_ENERGY_HEADER = [
-    "t", "F_eps_alpha", "D_eps", "E_m", "entropy", "mean_x1", "step_dissipation"
-]
-
-
-def _energy_header(d):
-    if d == 1:
-        return _ENERGY_HEADER
-    return _ENERGY_HEADER[:5] + ["mean_x1", "mean_x2"] + _ENERGY_HEADER[6:]
-
-
 # ---------------------------------------------------------------------------
 # engines
 
@@ -427,9 +421,10 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
     method = c["integrator"]["method"]
     states = [state]
     with warnings.catch_warnings():
-        # a dt_safety above 1 opts into exceeding the conservative step bound
-        # (heun/rk4 stability reaches beyond it); silence the per-step warning
-        if float(c["integrator"]["dt_safety"]) > 1.0:
+        # with dt "auto", a dt_safety above 1 opts into exceeding the
+        # conservative step bound (heun/rk4 stability reaches beyond it);
+        # silence the per-step warning then, and never for an explicit dt
+        if c["integrator"]["dt"] == "auto" and float(c["integrator"]["dt_safety"]) > 1.0:
             warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
         for k in range(1, nsteps + 1):
             state = P.step(state, kernels, dt, method=method)
@@ -490,7 +485,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
                               energy_every=c["output"]["energy_every"])
         for idx, tr in enumerate(run.traces):
             writer.gridfield(f"nl_final_{idx}.gf", tr.final)
-            writer.csv(f"nl_energy_{idx}.csv", _energy_header(d),
+            writer.csv(f"nl_energy_{idx}.csv", F.EnergyReport.header(d),
                        (rep.row() for rep in tr.reports), "energy-report-v1")
         if run.l2_differences:
             writer.csv(
@@ -727,15 +722,10 @@ def density_peaks(fld: F.GridField) -> np.ndarray:
     field's range (_PEAK_LEVEL)."""
     v = fld.values
     mask = v >= v.min() + _PEAK_LEVEL * (v.max() - v.min())
-    if fld.d == 1:
-        for s in (-1, 1):
-            mask &= v >= np.roll(v, s)
-    else:
-        for s1 in (-1, 0, 1):
-            for s2 in (-1, 0, 1):
-                if s1 == 0 and s2 == 0:
-                    continue
-                mask &= v >= np.roll(np.roll(v, s1, axis=0), s2, axis=1)
+    axes = tuple(range(fld.d))
+    for shift in itertools.product((-1, 0, 1), repeat=fld.d):
+        if any(shift):
+            mask &= v >= np.roll(v, shift, axis=axes)
     idx = np.argwhere(mask)
     if idx.size == 0:
         idx = np.argwhere(v == v.max())[:1]

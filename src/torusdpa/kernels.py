@@ -219,17 +219,9 @@ def _bump_radial(r):
     return out
 
 
-def _radial_grid(n, d):
-    """(minimum-image coordinates, r^2, r) of the n^d grid nodes; the
-    coordinates are sparse (one axis each) and broadcast like minimage_coords."""
-    x = minimage_coords(n, 1)[0]
-    xis = (x,) if d == 1 else (x[:, None], x[None, :])
-    r2 = sum(xi * xi for xi in xis)
-    return xis, r2, np.sqrt(r2)
-
-
 def _sample_profile(kind, width, cut, grid):
-    """Sample an unnormalized radial profile on the grid (_radial_grid)."""
+    """Sample an unnormalized radial profile on the grid, given as
+    (minimage_coords, r^2, r)."""
     _, r2, r = grid
     if kind == "compact-bump":
         vals = _bump_radial(r / width)
@@ -335,7 +327,10 @@ def make_mollifier(
     h = 1.0 / n
     cut_cap = 0.5 - 2.0 * h
     width_cap = cut_cap if kind == "compact-bump" else _GAUSSIAN_WIDTH_CAP
-    grid = _radial_grid(n, d)  # sampled once; only the profile's width varies
+    # sampled once; only the profile's width varies
+    xis = minimage_coords(n, d)
+    r2 = sum(xi * xi for xi in xis)
+    grid = (xis, r2, np.sqrt(r2))
     target = second_moment_target
     width = scale
     lo, hi = 0.0, math.inf  # widths whose moments fell short of / overshot the target
@@ -478,17 +473,16 @@ class ParameterSchedule:
             raise ValueError("m must exceed 1")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.epsilon < 1.0:
-            if not self.epsilon < self.epsilon_tilde:
-                raise ValueError(
-                    f"ordering violated: epsilon ({self.epsilon}) must be < "
-                    f"epsilon_tilde ({self.epsilon_tilde})"
-                )
-            if not self.epsilon_tilde < self.epsilon_star:
-                raise ValueError(
-                    f"ordering violated: epsilon_tilde ({self.epsilon_tilde}) must be < "
-                    f"epsilon_star ({self.epsilon_star})"
-                )
+        if not self.epsilon < self.epsilon_tilde:
+            raise ValueError(
+                f"ordering violated: epsilon ({self.epsilon}) must be < "
+                f"epsilon_tilde ({self.epsilon_tilde})"
+            )
+        if not self.epsilon_tilde < self.epsilon_star:
+            raise ValueError(
+                f"ordering violated: epsilon_tilde ({self.epsilon_tilde}) must be < "
+                f"epsilon_star ({self.epsilon_star})"
+            )
 
 
 def schedule_from_epsilon(
@@ -737,8 +731,8 @@ def export_kernel_csv(kernel, path):
     components at the nodes of the trigonometric interpolant of the kernel's
     spectrum (spectral.gradient), the spectrum periodic_convolve reads."""
     table = kernel.table if hasattr(kernel, "table") else kernel
-    xis = minimage_coords(table.n, table.d)
-    cols = [xi.ravel() for xi in xis]
+    cols = [np.broadcast_to(xi, table.values.shape).ravel()
+            for xi in minimage_coords(table.n, table.d)]
     cols.append(table.values.ravel())
     cols.extend(g.ravel() for g in gradient(kernel.spectrum, table.n))
     header = (

@@ -83,10 +83,8 @@ def freq_lattice(n: int, d: int):
     axis: fftfreq on the leading axis, rfftfreq on the last."""
     if d not in (1, 2):
         raise ValueError(f"unsupported dimension {d}")
-    last = np.fft.rfftfreq(n, d=1.0 / n)
-    if d == 1:
-        return (last,)
-    return (np.fft.fftfreq(n, d=1.0 / n)[:, None], last[None, :])
+    lead = (np.fft.fftfreq(n, d=1.0 / n),) * (d - 1)
+    return tuple(np.meshgrid(*lead, np.fft.rfftfreq(n, d=1.0 / n), indexing="ij", sparse=True))
 
 
 def k_squared(n: int, d: int) -> np.ndarray:
@@ -128,15 +126,14 @@ def column_weights(n: int) -> np.ndarray:
 
 
 def minimage_coords(n: int, d: int):
-    """Per-axis minimum-image coordinates of the grid nodes, in [-1/2, 1/2)."""
+    """Minimum-image coordinates of the grid nodes against the origin, in
+    (-1/2, 1/2] (geometry.min_image), one sparse array per axis that
+    broadcasts to the n^d grid, like freq_lattice."""
+    if d not in (1, 2):
+        raise ValueError(f"unsupported dimension {d}")
     x = np.arange(n) / n
     xi = np.where(x > 0.5, x - 1.0, x)
-    if d == 1:
-        return (xi,)
-    if d == 2:
-        X, Y = np.meshgrid(xi, xi, indexing="ij")
-        return (X, Y)
-    raise ValueError(f"unsupported dimension {d}")
+    return tuple(np.meshgrid(*(xi,) * d, indexing="ij", sparse=True))
 
 
 def forward_transform(values: np.ndarray, cols=None) -> np.ndarray:
@@ -216,11 +213,11 @@ def _spline_weights(s: np.ndarray) -> np.ndarray:
 # -- particle mesh: spread, spectral multipliers, gather ---------------------
 
 
-def _product(weight) -> np.ndarray:
-    """Tensor-product weights (N, w^d) of per-axis weights, each (N, w)."""
-    if len(weight) == 1:
-        return weight[0]
-    return (weight[0][:, :, None] * weight[1][:, None, :]).reshape(weight[0].shape[0], -1)
+def _product(per_axis, combine):
+    """Tensor product (N, w^d) of per-axis arrays, each (N, w): combine of
+    every column pair, folded over the axes; in 1-d the array itself."""
+    return functools.reduce(
+        lambda a, b: combine(a[:, :, None], b[:, None, :]).reshape(a.shape[0], -1), per_axis)
 
 
 class Stencil:
@@ -231,12 +228,8 @@ class Stencil:
     def __init__(self, n: int, index, weight):
         self.n = n
         self.d = len(index)
-        if self.d == 1:
-            self.index = index[0]
-        else:
-            N = index[0].shape[0]
-            self.index = ((index[0] * n)[:, :, None] + index[1][:, None, :]).reshape(N, -1)
-        self.weight = _product(weight)
+        self.index = _product(index, lambda a, b: a * n + b)
+        self.weight = _product(weight, np.multiply)
 
 
 def _wrapped(points: np.ndarray, d: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from torusdpa import spectral
 from torusdpa.fields import (
     B_eps,
+    EnergyReport,
     GridField,
     dissipation_D_eps,
     energy_E_m,
@@ -181,6 +182,13 @@ class TestEnergies:
 
 
 class TestFreeEnergy:
+    def test_energy_header_names_the_row(self, kset_1d):
+        rep = free_energy(GridField.constant(1.0, kset_1d.n), kset_1d)
+        assert EnergyReport.header(1) == ["t", "F_eps_alpha", "D_eps", "E_m", "entropy",
+                                          "mean_x1", "step_dissipation"]
+        assert EnergyReport.header(2)[5:7] == ["mean_x1", "mean_x2"]
+        assert len(EnergyReport.header(1)) == len(rep.row())
+
     def test_uniform_density(self, kset_1d, sched_1d):
         f = GridField.constant(1.0, kset_1d.n)
         rep = free_energy(f, kset_1d)

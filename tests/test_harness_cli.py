@@ -22,6 +22,7 @@ from torusdpa.harness import (
     run_scenario,
 )
 from torusdpa.kernels import KernelResolutionError, KernelTable
+from torusdpa.particles import stable_dt
 
 
 def small_scenario(**over):
@@ -93,7 +94,7 @@ class TestScenario:
     def test_initial_takes_the_union_of_its_type_keys(self, tmp_path):
         save_gridfield(GridField(np.ones(16)), tmp_path / "flat.gf")
         spec = {"type": "file", "path": str(tmp_path / "flat.gf"), "kmax": 2, "amplitude": 0.35}
-        rho = initial_density(Scenario.from_dict({"initial": spec}))
+        rho = initial_density(Scenario.from_dict({"initial": spec, "grid": {"n": 16}}))
         assert np.array_equal(rho.values, np.ones(16))
 
     def test_yaml_and_json_files(self, tmp_path):
@@ -114,6 +115,25 @@ class TestScenario:
             rho = initial_density(sc)
             assert rho.values.min() >= 0.0
             assert rho.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_uniform_plus_modes_2d_is_the_product_of_axis_sines(self):
+        X, Y = np.meshgrid(np.arange(16) / 16, np.arange(16) / 16, indexing="ij")
+        want = np.ones((16, 16))
+        for k, a in ((1, 0.5), (2, 0.2)):
+            want += a * np.sin(2 * np.pi * k * X) * np.sin(2 * np.pi * k * Y)
+        want /= want.sum() / 16**2
+        rho = initial_density(small_scenario(dimension=2, grid={"n": 16}, initial={
+            "type": "uniform-plus-modes", "amplitudes": [0.5, 0.2]}))
+        assert np.array_equal(rho.values, want)
+
+    def test_density_peaks_compare_every_neighbour(self):
+        v = np.zeros(12)
+        v[[2, 7]] = 1.0
+        v[[1, 3, 6]] = 0.9
+        assert np.array_equal(H.density_peaks(GridField(v)), [[2 / 12], [7 / 12]])
+        w = np.zeros((8, 8))
+        w[2, 5], w[6, 1], w[3, 4] = 1.0, 0.8, 0.9  # (3, 4) is (2, 5)'s diagonal neighbour
+        assert np.array_equal(H.density_peaks(GridField(w)), [[2 / 8, 5 / 8], [6 / 8, 1 / 8]])
 
     def test_initial_density_seeded(self):
         a = initial_density(small_scenario(initial={"type": "random-fourier"}, seed=3))
@@ -185,6 +205,20 @@ class TestRunScenario:
         assert trace.final.n == 64
         assert trace.mass_drift <= 1e-10 and trace.min_value >= -1e-12
 
+    def test_nu_continuation_writes_the_cauchy_table(self, tmp_path):
+        sc = small_scenario(engines=["nl-grid"], T=2e-4, pde_nonlocal={"nu": [1e-2, 1e-3]})
+        art = run_scenario(sc, tmp_path / "nu")
+        names = {f"nl_final_{i}.gf" for i in (0, 1)} | {f"nl_energy_{i}.csv" for i in (0, 1)}
+        names.add("nl_nu_cauchy.csv")
+        listed = {e["path"] for e in json.loads(art.manifest_path.read_text())["files"]}
+        assert names <= listed and all((art.out_dir / name).exists() for name in names)
+        header, row = (art.out_dir / "nl_nu_cauchy.csv").read_text().splitlines()
+        assert header == "nu_high,nu_low,l2_difference"
+        l2 = art.results["nl_run"].l2_differences
+        assert [float(v) for v in row.split(",")] == [1e-2, 1e-3, l2[0]] and len(l2) == 1
+        energy = (art.out_dir / "nl_energy_1.csv").read_text().splitlines()[0]
+        assert energy == "t,F_eps_alpha,D_eps,E_m,entropy,mean_x1,step_dissipation"
+
     def test_clustering_report_on_a_1d_local_run(self, tmp_path):
         sc = small_scenario(engines=["local-grid"], T=2e-5)
         rep = H.clustering_report(sc, run_scenario(sc, tmp_path / "c1"))
@@ -218,6 +252,14 @@ class TestContraction:
             warnings.filterwarnings("error", message="dt=.*exceeds stable_dt")
             rep = contraction_test(sc, 1e-3, samples=2)
         assert rep["pass"]
+
+    def test_dt_safety_leaves_an_explicit_dt_warned(self, tmp_path):
+        # dt_safety scales dt "auto" only: an explicit dt past the bound warns
+        dt = 4.0 * stable_dt(H.build_scenario_kernels(small_scenario()))
+        sc = small_scenario(engines=["particles"], T=2 * dt,
+                            integrator={"method": "heun", "dt": dt, "dt_safety": 2.0})
+        with pytest.warns(RuntimeWarning, match="exceeds stable_dt"):
+            run_scenario(sc, tmp_path / "dt")
 
     def test_requires_m2_and_alpha(self):
         with pytest.raises(ValueError):
@@ -373,6 +415,28 @@ class TestCli:
         assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and str(bad) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, raw, keys", [
+        (np.ones((16, 16)), {"engines": ["particles"], "grid": {"n": 16}}, "dimension 1"),
+        (np.ones(64), {"engines": ["nl-grid"], "grid": {"n": 128}}, "grid.n 128"),
+    ], ids=["2d-file-in-1d", "64-points-on-128"])
+    def test_initial_file_off_the_scenario_grid_exits_1(self, tmp_path, capsys, values, raw,
+                                                       keys):
+        path = tmp_path / "rho.gf"
+        fld = GridField(values)
+        save_gridfield(fld, path)
+        cfg = tmp_path / "from_file.json"
+        cfg.write_text(json.dumps(dict(
+            raw, T=1e-4, kernels={"table_points": 1024},
+            schedule={"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
+                      "alpha": 0.08},
+            initial={"type": "file", "path": str(path)})))
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(path) in err and f"d = {fld.d}, n = {fld.n}" in err and keys in err
         assert not out.exists()
 
     def test_yaml_list_config_exits_1(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from torusdpa.kernels import (
     KernelError,
     KernelResolutionError,
     KernelTable,
+    ParameterSchedule,
     build_kernel_set,
     export_kernel_csv,
     hessian_eigs,
@@ -75,8 +76,8 @@ class TestMollifier:
         from torusdpa import kernels
 
         grids = []
-        monkeypatch.setattr(kernels, "_radial_grid",
-                            lambda *a, _f=kernels._radial_grid: grids.append(1) or _f(*a))
+        monkeypatch.setattr(kernels, "minimage_coords",
+                            lambda *a, _f=kernels.minimage_coords: grids.append(1) or _f(*a))
         fam = make_mollifier(kind, 0.1, d, second_moment_target=target,
                              table_points=512 if d == 2 else None)
         assert len(grids) == 1
@@ -295,6 +296,11 @@ class TestSchedule:
             schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.05)
         with pytest.raises(ValueError, match="epsilon_star"):
             schedule_from_epsilon(0.1, d=1, epsilon_tilde=0.3, epsilon_star=0.2)
+
+    def test_ordering_checked_at_every_epsilon(self):
+        # a hand-built schedule at epsilon >= 1 meets the same ordering check
+        with pytest.raises(ValueError, match="epsilon_tilde"):
+            ParameterSchedule(epsilon=1.5, epsilon_tilde=1.2, epsilon_star=2.0, alpha=0.1)
 
 
 class TestLambdaConstant:

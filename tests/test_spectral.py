@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import torusdpa.spectral as spectral
 from torusdpa.fields import GridField, periodic_convolve
+from torusdpa.geometry import min_image
 from torusdpa.kernels import KernelTable
 from torusdpa.spectral import (
     TAIL_TOL,
     ParticleMesh,
+    Stencil,
     column_weights,
     face_grad_multipliers,
     forward_transform,
@@ -25,6 +27,7 @@ from torusdpa.spectral import (
     inner,
     inverse_transform,
     k_squared,
+    minimage_coords,
     spline_stencil,
     spread,
     tail_cutoff,
@@ -235,6 +238,29 @@ def test_gather_is_the_transpose_of_spread(kernel, d, N, size, seed):
     rhs = float(a @ gather(stencil, g))
     scale = np.abs(stencil.weight).sum(axis=1) @ np.abs(a) * np.abs(g).max()
     assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [8, 9])
+def test_minimage_coords_broadcast_like_the_frequency_lattice(n, d):
+    # one sparse array per axis, each the node coordinate's minimum image
+    # against the origin, so in (-1/2, 1/2]
+    xis = minimage_coords(n, d)
+    nodes = np.meshgrid(*(np.arange(n) / n,) * d, indexing="ij")
+    assert len(xis) == d
+    for ax, xi in enumerate(xis):
+        assert xi.shape == tuple(n if a == ax else 1 for a in range(d))
+        assert np.array_equal(np.broadcast_to(xi, (n,) * d), min_image(nodes[ax], 0.0))
+
+
+def test_stencil_is_the_tensor_product_of_its_axes():
+    rng = np.random.default_rng(3)
+    n, (i, j), (u, v) = 7, rng.integers(0, 7, (2, 5, 3)), rng.random((2, 5, 3))
+    one = Stencil(n, [i], [u])
+    assert one.index is i and one.weight is u  # 1-d: the axis arrays, no copy
+    two = Stencil(n, [i, j], [u, v])
+    assert np.array_equal(two.index, (i[:, :, None] * n + j[:, None, :]).reshape(5, 9))
+    assert np.array_equal(two.weight, (u[:, :, None] * v[:, None, :]).reshape(5, 9))
 
 
 def test_only_spectral_calls_the_fft():
