@@ -192,6 +192,8 @@ class Scenario:
         _check_keys(cfg)
         if cfg["initial"]["type"] == "file" and cfg["initial"].get("path") is None:
             raise ValueError("initial.type file needs initial.path")
+        if "nl-grid" in cfg["engines"] and not cfg["pde_nonlocal"]["nu"]:
+            raise ValueError("the nl-grid engine needs at least one pde_nonlocal.nu")
         sc = cls(config=cfg)
         sc.schedule()
         return sc
@@ -412,13 +414,15 @@ def _particle_dt(scenario, kernels):
     return float(integ["dt"])
 
 
-def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, stride: int):
+def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, every):
     """The particle stepping loop: nsteps equal steps from `state` to the
-    scenario's T.  Returns the states at step 0, every `stride` steps and the
-    last step."""
+    scenario's T.  Returns the states at step 0, at the first step at or past
+    each multiple of the time cadence `every` (None: none) and at the last
+    step."""
     c = scenario.config
     dt = c["T"] / nsteps if nsteps else 0.0
     method = c["integrator"]["method"]
+    due = every = every or math.inf
     states = [state]
     with warnings.catch_warnings():
         # with dt "auto", a dt_safety above 1 opts into exceeding the
@@ -428,18 +432,19 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, s
             warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
         for k in range(1, nsteps + 1):
             state = P.step(state, kernels, dt, method=method)
-            if k % stride == 0 or k == nsteps:
+            if k * dt >= due - P.SAMPLE_TOL or k == nsteps:
                 states.append(state)
+                due += every
     return states
 
 
 def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, cadence=None):
     """Quantile particles of rho0 stepped to the scenario's T.  Returns the
-    states at t = 0, about every `cadence` (None: none between) and at T."""
+    states at t = 0, at the first step at or past each multiple of `cadence`
+    (None: none between) and at T."""
     state = P.init_quantile(rho0, scenario.config["N"])
-    nsteps, dt = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, kernels))
-    stride = max(1, int(round(cadence / dt))) if cadence else nsteps
-    return _run_particles(scenario, kernels, state, nsteps, stride)
+    nsteps, _ = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, kernels))
+    return _run_particles(scenario, kernels, state, nsteps, cadence)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
@@ -666,8 +671,8 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     # equal steps in `samples` equal legs, so every sample ends a step
     per_leg, _ = P.fixed_steps(c["T"] / samples, _particle_dt(scenario, kernels))
     nsteps = samples * per_leg
-    twin_a = _run_particles(scenario, kernels, state_a, nsteps, per_leg)
-    twin_b = _run_particles(scenario, kernels, state_b, nsteps, per_leg)
+    twin_a = _run_particles(scenario, kernels, state_a, nsteps, c["T"] / samples)
+    twin_b = _run_particles(scenario, kernels, state_b, nsteps, c["T"] / samples)
     rows = [{"t": 0.0, "w2": w0, "ratio": 1.0 if w0 > 0 else 0.0, "envelope": 1.0}]
     ok = True
     worst = 0.0
@@ -718,14 +723,18 @@ _PEAK_LEVEL = 0.5
 
 
 def density_peaks(fld: F.GridField) -> np.ndarray:
-    """Grid cells that are strict local maxima in the upper half of the
-    field's range (_PEAK_LEVEL)."""
+    """Grid cells in the upper half of the field's range (_PEAK_LEVEL) that
+    are local maxima, above their neighbours at half of the 3^d - 1 offsets
+    and not below the rest: a run of equal cells on a line, or a 2 x 2 block,
+    counts once, a bent plateau may count more than once, and a flat field
+    falls back to its first maximum."""
     v = fld.values
     mask = v >= v.min() + _PEAK_LEVEL * (v.max() - v.min())
     axes = tuple(range(fld.d))
-    for shift in itertools.product((-1, 0, 1), repeat=fld.d):
-        if any(shift):
-            mask &= v >= np.roll(v, shift, axis=axes)
+    shifts = [s for s in itertools.product((-1, 0, 1), repeat=fld.d) if any(s)]
+    for i, shift in enumerate(shifts):
+        rolled = np.roll(v, shift, axis=axes)
+        mask &= v > rolled if i < len(shifts) // 2 else v >= rolled
     idx = np.argwhere(mask)
     if idx.size == 0:
         idx = np.argwhere(v == v.max())[:1]

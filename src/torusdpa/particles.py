@@ -78,16 +78,12 @@ class ParticleState:
 
 @dataclass
 class ForceField:
-    """Velocities and their three-addend decomposition."""
+    """Velocities, the sum of their three addends, and the addends."""
 
     velocities: np.ndarray
     term_interaction: np.ndarray
     term_aggregation: np.ndarray
     term_viscosity: np.ndarray
-
-    def decomposition_error(self) -> float:
-        s = self.term_interaction + self.term_aggregation + self.term_viscosity
-        return float(np.max(np.abs(self.velocities - s)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +237,11 @@ def stable_dt(kernels: KernelSet) -> float:
     """0.5 / L with L the set's Lipschitz bound of the force field
     (KernelSet.force_lipschitz)."""
     return 0.5 / kernels.force_lipschitz
+
+
+# every stepping loop records at t = 0, at the first step at or past each
+# multiple of its cadence less this tolerance, and at its last step
+SAMPLE_TOL = 1e-14
 
 
 def fixed_steps(T: float, dt_max: float) -> tuple:

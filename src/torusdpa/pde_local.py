@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import GridField, energy_E_m
-from .particles import fixed_steps
+from .particles import SAMPLE_TOL, fixed_steps
 from .spectral import (
     column_weights,
     forward_transform,
@@ -255,8 +255,9 @@ class LocalSolver:
 
 
 def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
-    """Integrate to exactly T in equal steps of at most cfg.dt (fixed_steps),
-    recording free and modified energies and flags."""
+    """The engine's stepping loop: equal steps of at most cfg.dt that end
+    exactly at T (fixed_steps), each flagged, and records of the energies by
+    the sampling rule (particles.SAMPLE_TOL) every cfg.energy_every (None: T/50)."""
     nsteps, dt = fixed_steps(cfg.T, cfg.dt)
     solver = LocalSolver(replace(cfg, dt=dt), rho0)
     energy_every = cfg.energy_every if cfg.energy_every is not None else cfg.T / 50.0
@@ -264,8 +265,7 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
              "undershoot_steps": 0}
     records = [solver.observe(0.0)]
     prev_mod = records[0]["modified_energy"]
-    t = 0.0
-    next_energy = energy_every
+    due = energy_every
     for k in range(1, nsteps + 1):
         diag = solver.step()
         t = k * dt
@@ -277,11 +277,9 @@ def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
         flags["min_value"] = min(flags["min_value"], diag["min"])
         if diag["undershoot"]:
             flags["undershoot_steps"] += 1
-        if t >= next_energy - 1e-15:
+        if t >= due - SAMPLE_TOL or k == nsteps:
             records.append(solver.observe(t))
-            next_energy += energy_every
-    if records[-1]["t"] < t:
-        records.append(solver.observe(t))
+            due += energy_every
     final = GridField(solver.values)
     flags["mass_drift"] = abs(final.mass() - solver.mass0)
     return LocalRun(records=records, flags=flags, final=final)

@@ -24,9 +24,10 @@ import numpy as np
 
 from .fields import GridField, free_energy, velocity_field_nl
 from .kernels import KernelSet
+from .particles import SAMPLE_TOL
 from .spectral import forward_transform, inverse_transform, k_squared
 
-__all__ = ["step_nonlocal", "run_nonlocal", "NonlocalRun", "NonlocalTrace"]
+__all__ = ["run_nonlocal", "NonlocalRun", "NonlocalTrace"]
 
 # run_nonlocal steps at this fraction of the CFL bound
 CFL_SAFETY = 0.45
@@ -55,39 +56,6 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
     return div
 
 
-def _face_velocities(rho: GridField, kernels) -> tuple:
-    """Face velocities of the current state and its CFL bound h/(2 d ||v||_inf)."""
-    vfaces = velocity_field_nl(rho, kernels, at_faces=True)
-    vmax = max(float(vfaces.max()), -float(vfaces.min()))
-    return vfaces, (rho.h / (2.0 * rho.d * vmax) if vmax > 0 else np.inf)
-
-
-def _step(rho: GridField, vfaces, dt_cfl: float, dt: float, nu: float, k2) -> GridField:
-    """The step body: upwind transport, then implicit nu-diffusion."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if dt > dt_cfl:
-        raise ValueError(f"CFL violation: dt={dt:.3e} exceeds admissible {dt_cfl:.3e}")
-    div = _upwind_divergence(rho.values, vfaces)
-    div *= dt
-    new = rho.values - div
-    if nu > 0.0:
-        inv_denom = np.multiply(k2, nu * dt)
-        inv_denom += 1.0
-        np.reciprocal(inv_denom, out=inv_denom)
-        spec = forward_transform(new)
-        spec *= inv_denom
-        new = inverse_transform(spec, rho.n)
-    return GridField(new)
-
-
-def step_nonlocal(rho: GridField, kernels: KernelSet, dt: float, nu: float = 0.0) -> GridField:
-    """One conservative upwind step of the nonlocal equation at the kernel
-    set's schedule."""
-    vfaces, dt_cfl = _face_velocities(rho, kernels)
-    return _step(rho, vfaces, dt_cfl, dt, nu, k_squared(rho.n, rho.d))
-
-
 @dataclass
 class NonlocalTrace:
     nu: float
@@ -110,14 +78,20 @@ def run_nonlocal(
     nu_sequence: Sequence[float] = (0.0,),
     energy_every: Optional[float] = None,
 ) -> NonlocalRun:
-    """Run once per nu in the sequence from the same initial condition, at
-    the kernel set's schedule; a rho0 with a cell below -1e-12 is rejected.
+    """The engine's stepping loop, run once per nu in the sequence from the
+    same rho0, at the kernel set's schedule; a rho0 with a cell below -1e-12
+    or a negative nu is rejected before any run.
 
-    Each step takes CFL_SAFETY times the CFL bound of the current field
-    (deterministic: it depends only on that field), cut to end at T.
+    Each step is upwind transport, then the implicit nu-diffusion, over
+    CFL_SAFETY times the CFL bound h/(2 d ||v||_inf) of the current field
+    (so it depends only on that field), cut to end at T.  Energies are
+    recorded by the sampling rule (particles.SAMPLE_TOL) every energy_every
+    (None: T/20).
     """
     if rho0.values.min() < -1e-12:
         raise ValueError(f"density has negative cells (min {rho0.values.min():.3e})")
+    if any(nu < 0 for nu in nu_sequence):
+        raise ValueError("nu must be nonnegative")
     energy_every = energy_every if energy_every is not None else T / 20.0
     k2 = k_squared(rho0.n, rho0.d)
     traces = []
@@ -125,19 +99,30 @@ def run_nonlocal(
         rho = rho0.copy()
         t = 0.0
         reports = [free_energy(rho, kernels, t=0.0)]
-        next_energy = energy_every
+        due = energy_every
         min_value = float(rho.values.min())
-        while t < T - 1e-14:
-            vfaces, dt_cfl = _face_velocities(rho, kernels)
-            step_dt = min(T - t, CFL_SAFETY * dt_cfl)
-            rho = _step(rho, vfaces, dt_cfl, step_dt, nu, k2)
-            t += step_dt
+        while t < T - SAMPLE_TOL:
+            vfaces = velocity_field_nl(rho, kernels, at_faces=True)
+            vmax = max(float(vfaces.max()), -float(vfaces.min()))
+            dt = T - t
+            if vmax > 0:
+                dt = min(dt, CFL_SAFETY * (rho.h / (2.0 * rho.d * vmax)))
+            div = _upwind_divergence(rho.values, vfaces)
+            div *= dt
+            new = np.subtract(rho.values, div, out=div)  # div is not held into the next step
+            if nu > 0.0:
+                inv_denom = np.multiply(k2, nu * dt)
+                inv_denom += 1.0
+                np.reciprocal(inv_denom, out=inv_denom)
+                spec = forward_transform(new)
+                spec *= inv_denom
+                new = inverse_transform(spec, rho.n)
+            rho = GridField(new)
+            t += dt
             min_value = min(min_value, float(rho.values.min()))
-            if t >= next_energy - 1e-14:
+            if t >= due - SAMPLE_TOL or t >= T - SAMPLE_TOL:
                 reports.append(free_energy(rho, kernels, t=t))
-                next_energy += energy_every
-        if reports[-1].t < t:
-            reports.append(free_energy(rho, kernels, t=t))
+                due += energy_every
         traces.append(
             NonlocalTrace(
                 nu=nu,

@@ -65,3 +65,16 @@ def cos_product_density():
             lambda *xs: 1.0 + 0.3 * np.prod([np.cos(2 * np.pi * x) for x in xs], axis=0), n, d
         )
     return density
+
+
+@pytest.fixture(scope="session")
+def sampled_times():
+    """The record times every stepping loop keeps, as a function of its step
+    end times (ending at T) and its cadence: 0, the first step at or past
+    each multiple of the cadence below T, and T."""
+    def times(step_ends, every):
+        T = step_ends[-1]
+        firsts = {min(t for t in step_ends if t >= j * every - 1e-12)
+                  for j in range(1, int(T / every) + 1) if j * every < T - 1e-12}
+        return sorted({0.0, T} | firsts)
+    return times

@@ -9,6 +9,7 @@ import pytest
 
 import torusdpa.cli as cli
 import torusdpa.harness as H
+import torusdpa.particles as P
 import torusdpa.pde_local as PL
 import torusdpa.pde_nonlocal as PN
 from torusdpa.cli import invariant_breaches, main as cli_main
@@ -135,6 +136,15 @@ class TestScenario:
         w[2, 5], w[6, 1], w[3, 4] = 1.0, 0.8, 0.9  # (3, 4) is (2, 5)'s diagonal neighbour
         assert np.array_equal(H.density_peaks(GridField(w)), [[2 / 8, 5 / 8], [6 / 8, 1 / 8]])
 
+    def test_density_peaks_count_a_plateau_once(self):
+        v = np.zeros(16)
+        v[[4, 5]] = 1.0
+        assert len(H.density_peaks(GridField(v))) == 1
+        w = np.zeros((8, 8))
+        w[2:4, 5:7] = 1.0
+        assert len(H.density_peaks(GridField(w))) == 1
+        assert np.array_equal(H.density_peaks(GridField(np.ones((16, 16)))), [[0.0, 0.0]])
+
     def test_initial_density_seeded(self):
         a = initial_density(small_scenario(initial={"type": "random-fourier"}, seed=3))
         b = initial_density(small_scenario(initial={"type": "random-fourier"}, seed=3))
@@ -160,6 +170,17 @@ class TestRunScenario:
         assert art.manifest_path.exists()
         listed = {e["path"] for e in json.loads(art.manifest_path.read_text())["files"]}
         assert "particles.csv" not in listed
+
+    def test_particle_snapshots_follow_the_sampling_rule(self, tmp_path, sampled_times):
+        # 8 steps of 6.25e-4 to T = 5e-3 and a cadence of 2.4 steps: the
+        # snapshots are the first steps at or past 1.5e-3, 3e-3 and 4.5e-3
+        sc = small_scenario(engines=["particles"], T=5e-3, output={"snapshot_every": 1.5e-3})
+        art = run_scenario(sc, tmp_path / "s")
+        nsteps, dt = P.fixed_steps(5e-3, H._particle_dt(sc, art.results["kernels"]))
+        rows = (art.out_dir / "particles.csv").read_text().splitlines()[1:]
+        times = sorted({float(row.split(",")[0]) for row in rows})
+        want = sampled_times([k * dt for k in range(1, nsteps + 1)], 1.5e-3)
+        assert nsteps == 8 and times == pytest.approx(want, abs=1e-15)
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         sc = small_scenario()
@@ -373,6 +394,7 @@ class TestCli:
         ({"N": 0}, "N must be"),
         ({"seed": -1, "initial": {"type": "random-fourier"}}, "seed must be"),
         ({"grid": {"n": 2}, "engines": ["nl-grid", "local-grid"]}, "grid.n must be"),
+        ({"engines": ["nl-grid"], "pde_nonlocal": {"nu": []}}, "pde_nonlocal.nu"),
         ({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25}, "appendix_a_mode": True,
           "engines": ["local-grid"], "grid": {"n": 64}, "pde_local": {"C0": -100.0}},
          "C0=-100"),
@@ -380,7 +402,7 @@ class TestCli:
             "misspelt-engines", "misspelt-schedule-key", "misplaced-schedule-key", "bool-N",
             "float-dimension", "unknown-omega-moment", "negative-snapshot-cadence",
             "zero-grid", "string-m", "zero-N", "negative-seed", "two-node-grid",
-            "C0-below-E_m"])
+            "empty-nu-list", "C0-below-E_m"])
     def test_bad_scenario_exits_1_before_any_file(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))

@@ -173,6 +173,13 @@ class TestRunLocal:
             assert len(calls) == nsteps
             assert abs(run.records[-1]["t"] - T) <= 1e-18
 
+    def test_records_follow_the_sampling_rule(self, sampled_times):
+        # 10 steps of 1e-4 and a cadence of 2.5 steps
+        run = run_local(smooth_random_density(32),
+                        LocalSolverConfig(dt=1e-4, m=2.0, T=1e-3, energy_every=2.5e-4))
+        want = sampled_times([k * 1e-4 for k in range(1, 11)], 2.5e-4)
+        assert [r["t"] for r in run.records] == pytest.approx(want, abs=1e-18)
+
     def test_zero_time_returns_initial(self):
         rho = smooth_random_density(128)
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=0.0)

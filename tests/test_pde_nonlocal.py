@@ -1,11 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from torusdpa.fields import GridField
+from torusdpa.fields import GridField, velocity_field_nl
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
 from torusdpa import pde_nonlocal as PN
-from torusdpa.pde_nonlocal import _step, run_nonlocal, step_nonlocal
-from torusdpa.spectral import k_squared
+from torusdpa.pde_nonlocal import run_nonlocal
 
 
 @pytest.fixture(scope="module")
@@ -23,55 +24,77 @@ def sine_density(n=512, amp=0.3):
     return GridField(vals / (vals.sum() / n))
 
 
-class TestStep:
-    def test_constant_steady(self, grid_setup):
-        kset = grid_setup
-        rho = GridField.constant(1.0, 512)
-        new = step_nonlocal(rho, kset, 1e-4)
-        assert np.max(np.abs(new.values - 1.0)) == 0.0
+def only_t(rho, kernels, t):
+    """A stand-in for free_energy that makes no transform."""
+    return SimpleNamespace(t=t)
 
-    def test_cfl_violation_names_dt(self, grid_setup):
-        kset = grid_setup
+
+class TestStep:
+    # the sine density's first step, CFL_SAFETY times its CFL bound, is 5.0e-5,
+    # so a run to T <= 1e-5 takes one step of T
+
+    def test_constant_steady(self, grid_setup):
+        run = run_nonlocal(GridField.constant(1.0, 512), grid_setup, T=1e-4)
+        assert np.max(np.abs(run.traces[0].final.values - 1.0)) == 0.0
+
+    def test_first_step_is_the_cfl_fraction(self, grid_setup):
         rho = sine_density()
-        with pytest.raises(ValueError, match="admissible"):
-            step_nonlocal(rho, kset, 1.0)
+        vfaces = velocity_field_nl(rho, grid_setup, at_faces=True)
+        vmax = max(float(vfaces.max()), -float(vfaces.min()))
+        run = run_nonlocal(rho, grid_setup, T=1e-4, energy_every=1e-9)
+        assert run.traces[0].reports[1].t == PN.CFL_SAFETY * (rho.h / (2.0 * rho.d * vmax))
 
     def test_mass_conserved(self, grid_setup):
-        kset = grid_setup
         rho = sine_density()
-        new = step_nonlocal(rho, kset, 1e-5)
+        new = run_nonlocal(rho, grid_setup, T=1e-5).traces[0].final
         assert new.mass() == pytest.approx(rho.mass(), abs=1e-12)
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_transforms_per_step(self, count_transforms, cos_product_density, grid_setup,
-                                 kset_2d, d, nu):
+                                 kset_2d, monkeypatch, d, nu):
         # with the set's spectra cached: rho forward and d gradient inverses
         # at m = 2 on a field away from vacuum; rho*ot inverse and the power
         # forward besides on a field with vacuum, where a cell of rho*ot may
-        # be negative; the nu-diffusion adds 2; each transform is d calls
+        # be negative; the nu-diffusion adds 2; each transform is d calls.
+        # A run to T = 1e-6 is one step, and its energies make no transform
+        monkeypatch.setattr(PN, "free_energy", only_t)
         kset = grid_setup if d == 1 else kset_2d.at_resolution(128)
         rho = cos_product_density(kset.n, d)
         vacuum = GridField(np.maximum(rho.values - 1.0, 0.0))
-        step_nonlocal(rho, kset, 1e-6, nu)
+        run_nonlocal(rho, kset, T=1e-6, nu_sequence=(nu,))
         calls = count_transforms
         for field, velocity in ((rho, 1 + d), (vacuum, 3 + d)):
             calls.clear()
-            step_nonlocal(field, kset, 1e-6, nu)
+            run_nonlocal(field, kset, T=1e-6, nu_sequence=(nu,))
             assert len(calls) == d * (velocity + (2 if nu > 0 else 0))
 
-    def test_heat_decay_rate(self):
-        # transport off (v = 0), pure implicit nu-diffusion: k=1 decays at
-        # exp(-nu (2 pi)^2 t) within 2%
-        nu, dt, steps = 0.5, 1e-5, 200
+    def test_heat_decay_rate(self, grid_setup, monkeypatch):
+        # transport off (v = 0), so the run is one implicit nu-diffusion step
+        # of T, which scales the k = 1 mode by 1/(1 + nu (2 pi)^2 T)
+        monkeypatch.setattr(PN, "velocity_field_nl",
+                            lambda rho, kernels, at_faces: np.zeros((1, rho.n)))
+        nu, T = 0.5, 2e-3
         rho = sine_density()
-        r = rho
-        for _ in range(steps):
-            r = _step(r, [np.zeros(512)], np.inf, dt, nu, k_squared(512, 1))
-        amp0 = np.abs(np.fft.fft(rho.values)[1])
-        ampT = np.abs(np.fft.fft(r.values)[1])
-        rate = np.log(ampT / amp0) / (dt * steps)
-        assert rate == pytest.approx(-nu * (2 * np.pi) ** 2, rel=0.02)
+        final = run_nonlocal(rho, grid_setup, T=T, nu_sequence=(nu,)).traces[0].final
+        ratio = np.abs(np.fft.fft(final.values)[1]) / np.abs(np.fft.fft(rho.values)[1])
+        assert ratio == pytest.approx(1.0 / (1.0 + nu * (2 * np.pi) ** 2 * T), rel=1e-12)
+
+    def test_records_follow_the_sampling_rule(self, grid_setup, monkeypatch, sampled_times):
+        monkeypatch.setattr(PN, "free_energy", only_t)
+        rho, T = sine_density(), 1e-3
+        # a cadence below every step records every step
+        steps = [r.t for r in run_nonlocal(rho, grid_setup, T=T, energy_every=1e-9)
+                 .traces[0].reports[1:]]
+        every = 1.3e-4
+        # no step lands on a multiple, so no record hinges on the tolerance
+        assert not any(abs(t / every - round(t / every)) < 1e-6 for t in steps)
+        run = run_nonlocal(rho, grid_setup, T=T, energy_every=every)
+        assert [r.t for r in run.traces[0].reports] == sampled_times(steps, every)
+
+
+def engine_started(*args, **kwargs):
+    raise AssertionError("the run started")
 
 
 class TestRun:
@@ -82,17 +105,19 @@ class TestRun:
         assert run.l2_differences == []
         assert run.traces[0].mass_drift <= 1e-12
 
-    def test_negative_nu_rejected(self, grid_setup):
-        kset = grid_setup
+    def test_negative_nu_rejected(self, grid_setup, monkeypatch):
+        for name in ("velocity_field_nl", "free_energy"):
+            monkeypatch.setattr(PN, name, engine_started)
         with pytest.raises(ValueError, match="nonnegative"):
-            run_nonlocal(sine_density(), kset, T=1e-4, nu_sequence=(0.0, -1e-3))
+            run_nonlocal(sine_density(), grid_setup, T=1e-4, nu_sequence=(0.0, -1e-3))
+
+    def test_empty_nu_sequence_is_an_empty_run(self, grid_setup):
+        run = run_nonlocal(sine_density(), grid_setup, T=1e-4, nu_sequence=())
+        assert run.traces == [] and run.l2_differences == []
 
     def test_negative_cell_rejected_before_any_step(self, grid_setup, monkeypatch):
-        def engine(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        for name in ("_face_velocities", "free_energy"):
-            monkeypatch.setattr(PN, name, engine)
+        for name in ("velocity_field_nl", "free_energy"):
+            monkeypatch.setattr(PN, name, engine_started)
         rho = sine_density()
         rho.values[7] = -1e-9
         with pytest.raises(ValueError, match="negative cells"):
