@@ -20,6 +20,7 @@ from .spectral import (
     face_grad_multipliers,
     forward_transform,
     grad_multipliers,
+    gradient,
     inner,
     inverse_transform,
     minimage_coords,
@@ -259,8 +260,9 @@ def velocity_field_nl(rho: GridField, kernels: KernelSet, at_faces: bool = False
     min(rho) M+ - max(rho) M- is positive, rho*ot has no negative cell, the
     clip is the identity and phi_hat = (2 ot_hat^2 - W_hat - eps_star R_hat)
     rho_hat = -U_hat rho_hat, the particles' pair potential: 1 + d
-    transforms.  Component i is sampled at the nodes, or with at_faces at the
-    faces x + h/2 e_i.
+    transforms.  The d gradient transforms are one stacked pass
+    (spectral.gradient).  Component i is sampled at the nodes, or with
+    at_faces at the faces x + h/2 e_i.
     """
     _, ot_hat = _spectra_on(kernels, rho)
     n, m = rho.n, kernels.schedule.m
@@ -279,7 +281,7 @@ def velocity_field_nl(rho: GridField, kernels: KernelSet, at_faces: bool = False
         rho_hat *= linear
         phi_hat -= rho_hat
     mults = (face_grad_multipliers if at_faces else grad_multipliers)(n, rho.d)
-    return np.stack([inverse_transform(g * phi_hat, n) for g in mults])
+    return gradient(phi_hat, n, mults)
 
 
 # ---------------------------------------------------------------------------

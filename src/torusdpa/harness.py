@@ -194,6 +194,9 @@ class Scenario:
             raise ValueError("initial.type file needs initial.path")
         if "nl-grid" in cfg["engines"] and not cfg["pde_nonlocal"]["nu"]:
             raise ValueError("the nl-grid engine needs at least one pde_nonlocal.nu")
+        if cfg["schedule"].get("c") is not None and cfg["schedule"].get("alpha") is not None:
+            raise ValueError("schedule.c and schedule.alpha are both given, but c only derives "
+                             "alpha = exp(-c/epsilon); give one of them")
         sc = cls(config=cfg)
         sc.schedule()
         return sc
@@ -448,15 +451,19 @@ def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, c
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
-    """Execute every configured engine; write artifacts and the manifest."""
+    """Execute every configured engine; write artifacts and the manifest.  The
+    results keep rho0 and, for a particle run, the initial particles."""
     t_start = time.time()
     c = scenario.config
     d = c["dimension"]
+    if not c["engines"]:
+        raise ValueError(f"engines is empty, so the scenario runs nothing; list at least one "
+                         f"of {', '.join(ENGINES)}")
     if "particles" in c["engines"]:
         _check_particle_alpha(scenario)
     rho0 = initial_density(scenario)
     kernels = build_scenario_kernels(scenario)
-    results = {"kernels": kernels}
+    results = {"kernels": kernels, "rho0": rho0}
     local_cfg = None
     if "local-grid" in c["engines"]:
         local_cfg = _local_config(scenario, kernels)
@@ -481,7 +488,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
                 ([st.time, P.discrete_energy(st, kernels)] for st in states),
                 "particle-energy-v1",
             )
-        results["particle_state"] = states[-1]
+        results["particle_initial_state"], results["particle_state"] = states[0], states[-1]
 
     if "nl-grid" in c["engines"]:
         nus = c["pde_nonlocal"]["nu"]
@@ -558,7 +565,8 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     """Shared local run vs particle and nl-grid runs across decreasing eps.
 
     Each row also carries the grid runs it compares, under the run_scenario
-    result keys "local_flags" and "nl_run" (for cli.invariant_breaches)."""
+    result keys "local_flags" and "nl_run" (for cli.invariant_breaches); the
+    nl_run carries its energy reports at t = 0 and T only."""
     if len(eps_list) < 3:
         raise ValueError("need at least 3 epsilon values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -584,7 +592,7 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
     while plan:
         eps, sc, kset = plan.pop(0)
         kgrid = kset.at_resolution(rho0.n)
-        nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,))
+        nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,), energy_every=c["T"])
         nl_measure = _field_measure(nl.traces[0].final)
         state = _particles_to_T(sc, kset, rho0)[-1]
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
@@ -610,14 +618,15 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
 def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     """Fixed schedule, growing N: distance of the particle kde to the nl run.
 
-    Each row also carries that nl run under the run_scenario key "nl_run"."""
+    Each row also carries that nl run under the run_scenario key "nl_run",
+    with its energy reports at t = 0 and T only."""
     c = base_scenario.config
     _check_particle_alpha(base_scenario)
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
     kset = build_scenario_kernels(base_scenario)
     kgrid = kset.at_resolution(rho0.n)
-    nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,))
+    nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,), energy_every=c["T"])
     # the asserted trend uses the raw empirical measure: any fixed smoothing
     # either annihilates the N-dependent granularity (smoothing both sides)
     # or buries it under an N-independent bias (smoothing one side)
@@ -754,15 +763,13 @@ def second_moment_about_peaks(points: np.ndarray, weights, centers: np.ndarray) 
 
 def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 64) -> dict:
     """Second-moment-about-clusters drop between t=0 and T for both engines,
-    with the kernel set that run_scenario built for the artifacts."""
-    c = scenario.config
-    kernels = artifacts.results["kernels"]
-    rho0 = initial_density(scenario)
+    with the kernel set, rho0 and initial particles of the artifacts' run."""
+    results = artifacts.results
+    kernels = results["kernels"]
     out = {}
-    if "particle_state" in artifacts.results:
-        state = artifacts.results["particle_state"]
-        init = P.init_quantile(rho0, c["N"])
-        for label, st in (("initial", init), ("final", state)):
+    if "particle_state" in results:
+        for label, st in (("initial", results["particle_initial_state"]),
+                          ("final", results["particle_state"])):
             kde = F.kde_density(st, kernels.omega_tilde, kde_n)
             centers = density_peaks(kde)
             out[f"particles_{label}_moment"] = second_moment_about_peaks(
@@ -770,9 +777,8 @@ def clustering_report(scenario: Scenario, artifacts: RunArtifacts, kde_n: int = 
             out[f"particles_{label}_peaks"] = len(centers)
         initial, final = out["particles_initial_moment"], out["particles_final_moment"]
         out["particles_drop"] = 1.0 - final / initial
-    if "local_run" in artifacts.results:
-        run = artifacts.results["local_run"]
-        for label, fld in (("initial", rho0), ("final", run.final)):
+    if "local_run" in results:
+        for label, fld in (("initial", results["rho0"]), ("final", results["local_run"].final)):
             centers = density_peaks(fld)
             axes = np.meshgrid(*[np.arange(fld.n) / fld.n] * fld.d, indexing="ij")
             pts = np.stack(axes, axis=-1).reshape(-1, fld.d)

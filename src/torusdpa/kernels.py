@@ -169,6 +169,9 @@ def _hessian_parts(spec: np.ndarray, n: int) -> tuple:
     0.5 (trace -+ disc) with disc = sqrt((fxx - fyy)^2 + 4 fxy^2) >= 0."""
     d = spec.ndim
     ks = freq_lattice(n, d)
+    # one transform per entry: a stacked pass holds the three spectra and
+    # their first-axis transforms at once, and on the 2-d particle benchmark
+    # raised the peak RSS by 5 MB (7 %)
     fxx = inverse_transform(-((2 * np.pi * ks[0]) ** 2) * spec, n)
     if d == 1:
         return (fxx,)

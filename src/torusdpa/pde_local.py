@@ -16,10 +16,13 @@ LocalSolver carries the field, its half spectrum and r from step to step, and
 every energy it reports comes by Parseval from the carried spectrum.  A step
 takes 10 real transforms in 2-d and 6 in 1-d, or 9 and 5 at m = 2 on a field
 that is nowhere negative, where g = 2 rho comes from the carried spectrum.
-The 2/3-rule mask keeps the last-axis columns up to n/3, so the four
-dealiased products are transformed on those columns only
-(spectral.forward_transform's cols) and the scheme never changes a mode
-past n/3: those keep rho0's values.  A transform is d numpy FFT calls.
+The 2/3-rule mask keeps the last-axis columns up to n/3, so the dealiased
+products are transformed on those columns only (spectral.forward_transform's
+cols) and the scheme never changes a mode past n/3: those keep rho0's values.
+A transform is d numpy FFT calls, and the step stacks its 2d gradient fields
+(of lap rho and of g) into one inverse pass and their 2d products with the
+mobility into one forward pass, so it makes 3d numpy calls (6 in 2-d, 3 in
+1-d), and d more when it transforms g.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .spectral import (
     forward_transform,
     freq_lattice,
     grad_multipliers,
-    gradient,
     inner,
     inverse_transform,
     k_squared,
@@ -79,19 +81,26 @@ class LocalRun:
     final: GridField
 
 
-def _div_hat(vals, grads, gmult, cols):
-    """The first cols last-axis columns of the half spectrum of div(vals * v),
-    from the grid components of v, which it overwrites."""
-    out = None
-    for m, g in zip(gmult, grads):
-        g *= vals
-        term = forward_transform(g, cols)
-        term *= m[..., :cols]
-        if out is None:
-            out = term
-        else:
-            out += term
-    return out
+def _stacked(mults) -> np.ndarray:
+    """Sparse per-axis multipliers as one dense (d, ...) stack."""
+    return np.stack(np.broadcast_arrays(*mults))
+
+
+def _div_mob_grad_hat(mob, grad_hat, gmult_cols, grads=None):
+    """div(mob grad f_i) for the stack grad_hat (k, d, ...) of the gradient
+    spectra of k fields f_i, on the first gmult_cols.shape[-1] last-axis
+    columns of its half spectrum.  The k d gradient fields come from one
+    stacked inverse transform (into grads when given), are multiplied by mob
+    in place and go back in one stacked forward transform cut to those
+    columns; gmult_cols is the stacked gradient multipliers cut there, and
+    each divergence sums its axes in order."""
+    k, d, n = grad_hat.shape[0], grad_hat.shape[1], mob.shape[-1]
+    grads = inverse_transform(grad_hat.reshape(k * d, *grad_hat.shape[2:]), n, d, out=grads)
+    grads *= mob
+    flux = forward_transform(grads, gmult_cols.shape[-1], d)
+    flux = flux.reshape(k, d, *flux.shape[1:])
+    flux *= gmult_cols
+    return flux.sum(axis=1)
 
 
 class LocalSolver:
@@ -108,7 +117,7 @@ class LocalSolver:
         self.cell = rho0.h**d
         k2 = k_squared(n, d)
         self.neg_k2 = -k2
-        self.gmult = grad_multipliers(n, d)
+        gmult = grad_multipliers(n, d)
         # 2/3-rule dealiasing of the products: the mask keeps the slab of the
         # first n//3 + 1 last-axis columns, where the step's algebra runs
         cutoff = n // 3
@@ -116,14 +125,23 @@ class LocalSolver:
         mask = 1.0
         for k in freq_lattice(n, d):
             mask = mask * (np.abs(k[..., :cols]) <= cutoff)
-        self.neg_Dmask = -D * mask
+        # the stacked gradient multipliers, whole and on the slab, and the
+        # work arrays the step writes its gradient spectra and fields into:
+        # allocated anew each step, arrays of their size were given back to
+        # the system and faulted in again (on a 2-core AMD EPYC, about 300
+        # page faults and a third more time per 2-d step at n = 128)
+        self.gmult = _stacked(gmult)
+        self.gmult_slab = self.gmult[..., :cols].copy()
+        self._grad_hat = np.empty((2,) + self.gmult.shape, dtype=complex)
+        self._grads = np.empty((2 * d,) + rho0.values.shape)
+        self.dt_neg_Dmask = cfg.dt * (-D * mask)
         self.neg_mask = -mask
         self.slab_k2 = k2[..., :cols]
         self.slab_Dk4 = D * self.slab_k2**2
         # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
         # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights, once
         # for the real and once for the imaginary part of each mode
-        self.grad_weight = np.repeat(0.5 * D * sum(np.abs(g) ** 2 for g in self.gmult)
+        self.grad_weight = np.repeat(0.5 * D * sum(np.abs(g) ** 2 for g in gmult)
                                      * column_weights(n), 2, axis=-1).ravel()
         self.C0, em0 = cfg.initial_shift(rho0)
         self.r = float(np.sqrt(self.C0 - em0))
@@ -170,9 +188,10 @@ class LocalSolver:
         space, the carried spectrum stands in for a transform of the field,
         and the new spectrum rho1_hat + r_new * rho2_hat is inverted once, so
         a 2-d step takes 10 real transforms (6 in 1-d), and 9 (5) at m = 2 on
-        a field with no negative cell.  The dealiased products and the
-        masked algebra run on the mask's slab of columns, and the step adds
-        its change to a copy of the carried spectrum.  Returns the new
+        a field with no negative cell, all but g's and the new field's in two
+        stacked passes.  The dealiased products and the masked algebra run on
+        the mask's slab of columns, and the step adds its change to a copy of
+        the carried spectrum.  Returns the new
         minimum, whether it undershoots, and the new modified energy, by
         Parseval on the new spectrum (no transform)."""
         cfg = self.cfg
@@ -204,7 +223,6 @@ class LocalSolver:
         q = float(np.sqrt(qsq))
         peak = self._peak
         kappa = cfg.kappa if cfg.kappa is not None else peak
-        grad_lap = gradient(self.neg_k2 * spec, n)
 
         # implicit part: the constant-mobility biharmonic kappa D k^4 and a
         # second-order surrogate S k^2 for the anti-diffusive part; without
@@ -219,9 +237,12 @@ class LocalSolver:
         inv_denom *= dt
         inv_denom += 1.0
         np.reciprocal(inv_denom, out=inv_denom)
-        drho1_hat = _div_hat(mob, grad_lap, self.gmult, cols)  # rho1_hat - spec
-        drho1_hat *= (dt * self.neg_Dmask) * inv_denom
-        rho2_hat = _div_hat(mob, gradient(g_hat, n), self.gmult, cols)
+        # div(mob grad lap rho) and div(mob grad g), on the slab
+        grad_hat = self._grad_hat
+        np.multiply(self.gmult, self.neg_k2 * spec, out=grad_hat[0])
+        np.multiply(self.gmult, g_hat, out=grad_hat[1])
+        drho1_hat, rho2_hat = _div_mob_grad_hat(mob, grad_hat, self.gmult_slab, self._grads)
+        drho1_hat *= self.dt_neg_Dmask * inv_denom  # rho1_hat - spec
         rho2_hat *= (dt / q * self.neg_mask) * inv_denom
 
         g_slab = g_hat[..., :cols]
@@ -289,8 +310,7 @@ def ch_operator(rho: GridField, m: float) -> GridField:
     """Discrete  div(rho grad lap rho) + lap rho^m  (for accuracy checks)."""
     n, d = rho.n, rho.d
     k2 = k_squared(n, d)
-    grad_lap = gradient(-k2 * forward_transform(rho.values), n)
-    div = _div_hat(rho.values, grad_lap, grad_multipliers(n, d), n // 2 + 1)
-    return GridField(
-        inverse_transform(div - k2 * forward_transform(rho.values**m), n)
-    )
+    gmult = _stacked(grad_multipliers(n, d))
+    div = _div_mob_grad_hat(rho.values, (gmult * (-k2 * forward_transform(rho.values)))[None],
+                            gmult)
+    return GridField(inverse_transform(div[0] - k2 * forward_transform(rho.values**m), n))

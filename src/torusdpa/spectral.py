@@ -15,10 +15,13 @@ continuous Fourier transform on the unit torus, f_hat(k) = h^d * rfftn[k];
 inverse_transform undoes that and takes the grid size, which the half
 spectrum alone does not fix when n is odd.  A transform is one numpy call
 per axis (d calls): rfft along the last axis, then fft along the first, and
-back ifft, then irfft.  forward_transform can keep only the first last-axis
-columns before its first-axis pass, and inverse_transform zero-pads a
-spectrum cut there, for spectra that a mask or a box cuts.  Frequency
-arrays are sparse (one axis each) and broadcast against a half spectrum.
+back ifft, then irfft.  Both transforms take the last d axes, so a leading
+axis stacks fields (or spectra) that one call per axis transforms together,
+each bit for bit as on its own.  forward_transform can keep only the first
+last-axis columns before its first-axis pass, and inverse_transform
+zero-pads a spectrum cut there, for spectra that a mask or a box cuts.
+Frequency arrays are sparse (one axis each) and broadcast against a half
+spectrum.
 
 Particle mesh.  Every particle sum is one spread of weighted particles onto a
 grid, spectral multipliers, and a gather back at the particles, where the
@@ -76,6 +79,9 @@ ES_BETA = 2.5 * ES_WIDTH
 # the default 1-d pair potential's 2047 modes.
 TAIL_TOL = 1e-11
 TAIL_TOL_1D = 1e-13
+# numpy's irfft takes out= from 2.0 on; before, inverse_transform copies
+# the result into a given out
+_IRFFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def freq_lattice(n: int, d: int):
@@ -136,32 +142,45 @@ def minimage_coords(n: int, d: int):
     return tuple(np.meshgrid(*(xi,) * d, indexing="ij", sparse=True))
 
 
-def forward_transform(values: np.ndarray, cols=None) -> np.ndarray:
-    """Continuous-normalized half spectrum h^d * rfftn(values), the factor h^d
-    applied inside the FFT (norm="forward"), as one call per axis: rfft along
-    the last axis, then in 2-d fft along the first.  cols keeps the first
-    cols last-axis columns only, cut before the first-axis pass, which then
-    skips the others: forward_transform(values)[..., :cols], bit for bit."""
+def forward_transform(values: np.ndarray, cols=None, d=None) -> np.ndarray:
+    """Continuous-normalized half spectrum h^d * rfftn over the last d axes
+    (d None: all of them), the factor h^d applied inside the FFT
+    (norm="forward"), as one call per axis: rfft along the last axis, then
+    in 2-d fft along the one before it.  A leading axis stacks fields, each
+    transformed bit for bit as on its own.  cols keeps the first cols
+    last-axis columns only, cut before the second pass, which then skips the
+    others: forward_transform(values)[..., :cols], bit for bit."""
     spec = np.fft.rfft(values, axis=-1, norm="forward")[..., :cols]
-    if values.ndim == 1:
+    if (d or values.ndim) == 1:
         return spec
-    return np.fft.fft(spec, axis=0, norm="forward")
+    return np.fft.fft(spec, axis=-2, norm="forward")
 
 
-def inverse_transform(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values on the n^d grid of a half spectrum; inverse of forward_transform
-    (n^d * irfftn), as one unscaled call per axis: in 2-d ifft along the
-    first axis, then irfft along the last.  A spectrum cut to its first
-    last-axis columns is zero-padded by the irfft, bit for bit the
-    transform of the padded spectrum."""
-    if coeffs.ndim == 2:
-        coeffs = np.fft.ifft(coeffs, axis=0, norm="forward")
-    return np.fft.irfft(coeffs, n, axis=-1, norm="forward")
+def inverse_transform(coeffs: np.ndarray, n: int, d=None, out=None) -> np.ndarray:
+    """Values on the n^d grid of a half spectrum over the last d axes (d None:
+    all of them); inverse of forward_transform (n^d * irfftn), as one
+    unscaled call per axis: in 2-d ifft along the second-to-last axis, then
+    irfft along the last, into out when given.  A leading axis stacks
+    spectra, as in forward_transform.  A spectrum cut to its first last-axis
+    columns is zero-padded by the irfft, bit for bit the transform of the
+    padded spectrum."""
+    if (d or coeffs.ndim) == 2:
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
+    if out is None:
+        return np.fft.irfft(coeffs, n, axis=-1, norm="forward")
+    if _IRFFT_OUT:
+        return np.fft.irfft(coeffs, n, axis=-1, norm="forward", out=out)
+    out[...] = np.fft.irfft(coeffs, n, axis=-1, norm="forward")
+    return out
 
 
-def gradient(coeffs: np.ndarray, n: int):
-    """Gradient components on the n^d grid of a half spectrum (Nyquist zeroed)."""
-    return [inverse_transform(m * coeffs, n) for m in grad_multipliers(n, coeffs.ndim)]
+def gradient(coeffs: np.ndarray, n: int, mults=None) -> np.ndarray:
+    """Gradient components (d, n^d) on the grid of a half spectrum, in one
+    stacked inverse transform; mults are the per-axis multipliers
+    (grad_multipliers, Nyquist zeroed, when None)."""
+    d = coeffs.ndim
+    mults = grad_multipliers(n, d) if mults is None else mults
+    return inverse_transform(np.stack([m * coeffs for m in mults]), n, d)
 
 
 def inner(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> float:
@@ -270,11 +289,18 @@ def _es_stencil(points: np.ndarray, n: int, d: int) -> Stencil:
     return Stencil(n, index, weight)
 
 
+@functools.lru_cache(maxsize=1)
+def _es_quadrature() -> tuple:
+    """Gauss-Legendre nodes z on [-1, 1] and the ES kernel times the weights
+    at them (memoised, read-only)."""
+    z, wq = np.polynomial.legendre.leggauss(4 * ES_WIDTH + 40)
+    return _frozen(z), _frozen(np.exp(ES_BETA * (np.sqrt(1.0 - z * z) - 1.0)) * wq)
+
+
 def _es_transform(n: int, K: int) -> np.ndarray:
     """Continuous Fourier transform at k = 0 .. K of the ES kernel spanning
     ES_WIDTH points of the n grid, by Gauss-Legendre quadrature on its support."""
-    z, wq = np.polynomial.legendre.leggauss(4 * ES_WIDTH + 40)
-    phi = np.exp(ES_BETA * (np.sqrt(1.0 - z * z) - 1.0)) * wq
+    z, phi = _es_quadrature()
     half = 0.5 * ES_WIDTH / n
     return half * np.cos((2.0 * np.pi * half) * np.arange(K + 1)[:, None] * z) @ phi
 

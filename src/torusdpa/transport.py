@@ -5,8 +5,10 @@ Two exact routes, and ``w2``, which picks the one for a pair's dimension:
 * ``w2_circle_exact``: d = 1.  The cost of the rotation-parametrized
   monotone matching is convex and piecewise linear in the cut parameter, so
   the minimum is attained at a breakpoint B_j - A_i + k (A, B the two CDFs);
-  golden section narrows the cut to a few breakpoints, counted by binary
-  search, and the cost is evaluated at each of them.
+  a safeguarded secant on the cost's one-sided slopes (Delon, Salomon &
+  Sobolevski, SIAM J. Appl. Math. 2010) narrows the cut to a few
+  breakpoints, counted by binary search, and the cost is evaluated at each
+  of them.
 * ``w2_exact_lp``: any d, via assignment (equal sizes and weights, up to
   _ASSIGNMENT_ATOMS atoms) or a coarse-to-fine sparse LP solved by HiGHS,
   whose dense reduced costs certify that its optimum is the dense LP's.
@@ -48,13 +50,11 @@ _LP_OPTIONS = {"primal_feasibility_tolerance": _LP_TOL, "dual_feasibility_tolera
 _CHUNK_ENTRIES = 1 << 20
 
 # the circle search brackets the cut until at most this many distinct
-# breakpoints are left, then evaluates the cost at each of them; one golden
-# step costs one evaluation and removes about 38 % of them
+# breakpoints are left, then evaluates the cost at each of them
 _BREAKPOINTS_LEFT = 16
 # cuts closer than this are one cut: breakpoints carry roundoff of order
-# eps, and a golden step on a wider bracket keeps both probes strictly inside
+# eps, and a bisection of a wider bracket lies strictly inside it
 _THETA_ROUNDOFF = 16 * np.finfo(float).eps
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -162,6 +162,29 @@ class _CircleProblem:
             rows=rows, cols=cols, weights=seg[keep], shape=(self.A.size, self.m)
         )
 
+    def slope(self, theta: float, right: bool) -> float:
+        """The right (right=True) or left one-sided derivative of cost at theta.
+
+        As theta grows every nu level moves down, so the segment above a nu
+        level grows and the one below it shrinks: the slope is the sum over
+        nu levels of the above segment's cost minus the below one's.  Each
+        segment's pair comes from the number of mu and nu levels below it, a
+        tie putting the nu levels below (right) or above (left) the mu
+        levels they meet, so a segment of zero length at a tie gets the pair
+        of its one-sided perturbation.  Atom i of mu meets the lifted nu
+        atoms c_i .. c_(i+1), c_(i+1) the nu levels below its top A_i, and
+        its sum over the nu levels inside it telescopes to
+        (x_i - yy[c_(i+1)])^2 - (x_i - yy[c_i])^2.  The counts compare BB_j
+        with A_i + theta as _window does, and c_0 is c_n less one period."""
+        last = self.yy.size - 1
+        c = np.searchsorted(self.BB, self.A + theta, side="right" if right else "left")
+        np.minimum(c, last, out=c)
+        below = np.empty_like(c)
+        below[0] = c[-1] - self.m
+        below[1:] = c[:-1]
+        lo, hi = self.yy[below], self.yy[c]
+        return float(np.einsum("i,i->", lo - hi, 2.0 * self.x - lo - hi))
+
     def _window(self, a: float, b: float):
         """Per atom i of mu, the range [lo, hi) of lifted levels BB_j with
         a <= BB_j - A_i <= b, i.e. of the breakpoints in [a, b]."""
@@ -214,28 +237,44 @@ def w2_circle_exact(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
     Returns (distance, TransportPlan).  The cut cost theta -> cost(theta) is
     convex and piecewise linear with breakpoints B_j - A_i + k, so a minimum
-    sits at a breakpoint.  Golden section shrinks the bracket [-1, 1] until
-    at most _BREAKPOINTS_LEFT distinct breakpoints remain in it (equal
-    weights repeat one breakpoint up to min(n, m) times), or until it is
-    roundoff-narrow; the cost is then evaluated at each distinct breakpoint
-    left, or at the two nearest ones outside an empty bracket (a flat
-    minimum).  No tolerance enters the result.
+    sits at a breakpoint.  A secant on the one-sided slopes (Illinois step,
+    bisection when the step leaves the bracket or the slopes are equal)
+    shrinks the bracket [-1, 1]: a right slope below 0 at t moves its left
+    end to t, a left slope above 0 its right end, and a t with neither is a
+    minimizer, the bracket [t, t].  It stops once at most _BREAKPOINTS_LEFT
+    distinct breakpoints remain in the bracket (equal weights repeat one
+    breakpoint up to min(n, m) times), or once it is roundoff-narrow; the
+    cost is then evaluated at each distinct breakpoint left, or at the two
+    nearest ones outside an empty bracket (a flat minimum).  No tolerance
+    enters the result.
     """
     if mu.d != 1 or nu.d != 1:
         raise ValueError("w2_circle_exact is one-dimensional only")
     prob = _CircleProblem(mu, nu)
     a, b = -1.0, 1.0
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = prob.cost(c), prob.cost(d)
+    fa, fb = prob.slope(a, right=True), prob.slope(b, right=False)
+    kept = 0  # the end the last step kept: -1 for a, 1 for b
     while b - a > _THETA_ROUNDOFF and not prob.few_left(a, b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = prob.cost(c)
+        # the secant step, or bisection where the slopes are equal or the
+        # step leaves (a, b)
+        t = a - fa * ((b - a) / (fb - fa)) if fb > fa else a
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        ft = prob.slope(t, right=True)
+        if ft < 0.0:
+            a, fa = t, ft
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = prob.cost(d)
+            ft = prob.slope(t, right=False)
+            if ft <= 0.0:
+                a = b = t
+                break
+            b, fb = t, ft
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
     cand = prob.candidates(a, b)
     vals = [prob.cost(t) for t in cand]
     k = int(np.argmin(vals))

@@ -164,12 +164,11 @@ class TestRunScenario:
         hashes = {e["path"]: e.get("sha256") for e in ma["files"]}
         assert hashes["particles.csv"] is not None
 
-    def test_empty_engine_list_manifest_only(self, tmp_path):
-        sc = small_scenario(engines=[])
-        art = run_scenario(sc, tmp_path / "e")
-        assert art.manifest_path.exists()
-        listed = {e["path"] for e in json.loads(art.manifest_path.read_text())["files"]}
-        assert "particles.csv" not in listed
+    def test_empty_engine_list_refused_before_any_file(self, tmp_path):
+        # a run of no engine would leave a plausible artifact of nothing
+        with pytest.raises(ValueError, match="engines is empty"):
+            run_scenario(small_scenario(engines=[]), tmp_path / "e")
+        assert not (tmp_path / "e").exists()
 
     def test_particle_snapshots_follow_the_sampling_rule(self, tmp_path, sampled_times):
         # 8 steps of 6.25e-4 to T = 5e-3 and a cadence of 2.4 steps: the
@@ -196,9 +195,12 @@ class TestRunScenario:
         art = run_scenario(sc, tmp_path / "c")
 
         def build_again(*args, **kwargs):
-            raise AssertionError("clustering_report rebuilt the kernel set")
+            raise AssertionError("clustering_report rebuilt the kernel set, rho0 or the "
+                                 "initial particles")
 
         monkeypatch.setattr(H, "build_kernel_set", build_again)
+        monkeypatch.setattr(H, "initial_density", build_again)
+        monkeypatch.setattr(P, "init_quantile", build_again)
         rep = H.clustering_report(sc, art, kde_n=32)
         assert rep["particles_initial_moment"] > 0.0
 
@@ -395,6 +397,10 @@ class TestCli:
         ({"seed": -1, "initial": {"type": "random-fourier"}}, "seed must be"),
         ({"grid": {"n": 2}, "engines": ["nl-grid", "local-grid"]}, "grid.n must be"),
         ({"engines": ["nl-grid"], "pde_nonlocal": {"nu": []}}, "pde_nonlocal.nu"),
+        ({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25}, "N": 16, "T": 1e-4,
+          "engines": []}, "engines is empty"),
+        ({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "alpha": 0.08, "c": 2.0},
+          "N": 16, "T": 1e-4}, "schedule.c and schedule.alpha"),
         ({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25}, "appendix_a_mode": True,
           "engines": ["local-grid"], "grid": {"n": 64}, "pde_local": {"C0": -100.0}},
          "C0=-100"),
@@ -402,7 +408,7 @@ class TestCli:
             "misspelt-engines", "misspelt-schedule-key", "misplaced-schedule-key", "bool-N",
             "float-dimension", "unknown-omega-moment", "negative-snapshot-cadence",
             "zero-grid", "string-m", "zero-N", "negative-seed", "two-node-grid",
-            "empty-nu-list", "C0-below-E_m"])
+            "empty-nu-list", "no-engines", "c-and-alpha", "C0-below-E_m"])
     def test_bad_scenario_exits_1_before_any_file(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw))
@@ -567,6 +573,15 @@ class TestCliSweeps:
         assert rc == 0
         assert (tmp_path / "out" / "sweep_eps.csv").exists()
         assert "W2(nl,local)" in capsys.readouterr().out
+
+    def test_sweep_nl_runs_report_energy_at_0_and_T_only(self, tmp_path):
+        # neither the sweep tables nor the breach check read a sweep's
+        # intermediate nl energies, so none is computed
+        sc = H.load_scenario(self._sweep_config(tmp_path))
+        rows = H.convergence_sweep(sc, [0.2, 0.15, 0.1]) + H.particle_count_sweep(sc, [32, 64])
+        for row in rows:
+            times = [rep.t for rep in row["nl_run"].traces[0].reports]
+            assert times == pytest.approx([0.0, sc.config["T"]], abs=1e-15)
 
     def test_n_sweep_cli(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)

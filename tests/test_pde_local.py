@@ -69,9 +69,10 @@ class TestStepLocal:
         solver = LocalSolver(cfg, rho)
         inverse = PL.inverse_transform
 
-        def poisoned(coeffs, n):
-            out = inverse(coeffs, n)
-            out[5] = bad
+        def poisoned(coeffs, n, *args, **kwargs):
+            out = inverse(coeffs, n, *args, **kwargs)
+            if out.ndim == 1:  # the new field, not the stacked gradient fields
+                out[5] = bad
             return out
 
         monkeypatch.setattr(PL, "inverse_transform", poisoned)
@@ -87,12 +88,16 @@ class TestStepLocal:
     # transforms of one step at m = 2 on a field with no negative cell:
     # d for grad lap rho, d for grad g (g_hat is twice the carried
     # spectrum), the 2d dealiased products cut to the mask's columns and 1
-    # for the new field; 9 in 2-d and 5 in 1-d, each d numpy calls
+    # for the new field; 9 in 2-d and 5 in 1-d.  The 2d gradient fields
+    # come from one stacked inverse transform and the 2d products go back in
+    # one stacked forward transform, each d numpy calls, and the new field
+    # takes d more: 3d numpy calls in all
     @pytest.mark.parametrize("d, transforms", [(1, 5), (2, 9)])
     def test_transforms_per_step(self, count_transforms, cos_product_density, d, transforms):
         # the solver carries the spectrum of its field, every operator of the
         # step stays in spectral space, the new spectrum is inverted once, and
         # the new modified energy comes by Parseval from it
+        assert transforms == 2 * d + 2 * d + 1
         calls = count_transforms
         calls.clear()
         solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5),
@@ -100,7 +105,7 @@ class TestStepLocal:
         assert len(calls) == d
         calls.clear()
         diag = solver.step()
-        assert len(calls) == d * transforms
+        assert len(calls) == 3 * d
         calls.clear()
         assert diag["modified_energy"] == solver.modified_energy()
         assert solver.observe(1e-6)["modified_energy"] == diag["modified_energy"]
@@ -110,7 +115,8 @@ class TestStepLocal:
         grad = 0.5 * sum(inner(g * spec, g * spec, 32) for g in grad_multipliers(32, d))
         mod = grad + solver.r**2 - solver.C0
         assert diag["modified_energy"] == pytest.approx(mod, rel=1e-12, abs=1e-12)
-        # an undershooting field, or m = 3, transforms g: one transform more
+        # an undershooting field, or m = 3, transforms g: one transform more,
+        # d numpy calls
         bump = bump_2d(32) if d == 2 else bump_1d(32)
         for rho, m in ((bump, 2.0), (cos_product_density(32, d), 3.0)):
             solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=m, T=1e-5), rho)
@@ -118,19 +124,22 @@ class TestStepLocal:
                 assert solver.step()["min"] < 0
             calls.clear()
             solver.step()
-            assert len(calls) == d * (transforms + 1)
+            assert len(calls) == 4 * d
 
     @pytest.mark.parametrize("d, per_step", [(1, 5), (2, 9)])
     def test_run_transforms(self, count_transforms, cos_product_density, d, per_step):
         # beyond the steps only the initial spectrum: the energies at t = 0,
         # at the two samples and for the energy check come by Parseval; the
-        # field stays positive, so every step takes g_hat = 2 rho_hat
+        # field stays positive, so every step takes g_hat = 2 rho_hat, its
+        # per_step transforms in 3d numpy calls (two stacked passes and the
+        # new field)
+        assert per_step == 4 * d + 1
         calls = count_transforms
         calls.clear()
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, energy_every=1e-5)
         run = run_local(cos_product_density(32, d), cfg)
         assert len(run.records) == 2
-        assert len(calls) == d * (1 + 10 * per_step)
+        assert len(calls) == d * (1 + 10 * 3)
 
     def test_config_left_alone_and_c0_per_density(self):
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5)

@@ -167,6 +167,28 @@ def test_pruned_transforms_are_the_full_ones_cropped(d, n):
         assert np.array_equal(inverse_transform(cols, n), inverse_transform(padded, n))
 
 
+@pytest.mark.parametrize("d, n, k", [(1, 512, 2), (1, 135, 3), (2, 128, 4), (2, 135, 2),
+                                     (2, 384, 3)])
+def test_stacked_transforms_are_the_per_field_ones(count_transforms, d, n, k):
+    # a leading axis stacks k fields: one numpy call per axis for all of
+    # them, each bit for bit its own transform, whole or cut to its first
+    # columns, and the inverse likewise, into a given array too
+    rng = np.random.default_rng(n + d + k)
+    f = rng.standard_normal((k,) + (n,) * d)
+    for c in (None, n // 3 + 1):
+        calls = count_transforms
+        calls.clear()
+        spec = forward_transform(f, c, d)
+        back = inverse_transform(spec, n, d)
+        into = np.empty_like(f)
+        assert inverse_transform(spec, n, d, out=into) is into
+        assert len(calls) == 3 * d
+        for i in range(k):
+            assert np.array_equal(spec[i], forward_transform(f[i], c))
+            assert np.array_equal(back[i], inverse_transform(spec[i], n))
+            assert np.array_equal(into[i], back[i])
+
+
 @pytest.mark.parametrize("d, K", [(1, 40), (2, 30)])
 def test_mesh_transforms_are_the_full_ones(d, K):
     # the particle mesh's pruned transforms against the full transform and a
@@ -187,6 +209,23 @@ def test_mesh_transforms_are_the_full_ones(d, K):
         padded[fine - K :, : K + 1] = mu[K + 1 :]
     want = gather(stencil, inverse_transform(padded, fine)) * (1.0 / fine) ** d
     assert np.array_equal(mesh.values(stencil, mu), want)
+
+
+def test_es_quadrature_is_computed_once(monkeypatch):
+    # every mesh reads the same Gauss-Legendre nodes, computed on first use
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    spectral._es_quadrature.cache_clear()
+    psi = [ParticleMesh(d, K)._deconv for d, K in ((1, 40), (2, 30), (1, 40))]
+    assert calls == [4 * spectral.ES_WIDTH + 40]
+    assert np.array_equal(psi[0], psi[2])
+    z, wq = leggauss(4 * spectral.ES_WIDTH + 40)
+    phi = np.exp(spectral.ES_BETA * (np.sqrt(1.0 - z * z) - 1.0)) * wq
+    half = 0.5 * spectral.ES_WIDTH / 162
+    want = half * np.cos((2.0 * np.pi * half) * np.arange(41)[:, None] * z) @ phi
+    assert np.array_equal(spectral._es_transform(162, 40), want)
 
 
 def test_tail_cutoff_weighs_columns_as_inner():

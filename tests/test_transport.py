@@ -65,6 +65,17 @@ def assert_matches_dense(mu, nu):
     assert plan_cost(plan, mu, nu) == pytest.approx(w * w, rel=1e-12)
 
 
+def count_calls(monkeypatch):
+    """The cuts of every _CircleProblem.slope and .cost call from now on."""
+    calls = {"slope": [], "cost": []}
+    slope, cost = T._CircleProblem.slope, T._CircleProblem.cost
+    monkeypatch.setattr(T._CircleProblem, "slope", lambda prob, theta, right:
+                        calls["slope"].append(theta) or slope(prob, theta, right))
+    monkeypatch.setattr(T._CircleProblem, "cost", lambda prob, theta:
+                        calls["cost"].append(theta) or cost(prob, theta))
+    return calls
+
+
 class TestCircle:
     def test_identity(self, rng):
         mu = uniform_measure(rng.random((12, 1)))
@@ -157,19 +168,18 @@ class TestCircle:
 
     @pytest.mark.parametrize("case", ["cloud-vs-grid", "twins"])
     def test_cost_evaluations_bounded(self, monkeypatch, rng, case):
-        # a breakpoint search, not a scan over a grid of cuts
+        # a breakpoint search on the slopes, not a scan over a grid of cuts:
+        # the cost is evaluated only at the few breakpoints left
         X = rng.random((1000, 1))
         mu = DiscreteMeasure(X)
         if case == "cloud-vs-grid":
             nu = grid_measure()
         else:
             nu = DiscreteMeasure(X + 1e-3 * rng.standard_normal((1000, 1)))
-        calls = []
-        cost = T._CircleProblem.cost
-        monkeypatch.setattr(T._CircleProblem, "cost",
-                            lambda prob, theta: calls.append(theta) or cost(prob, theta))
+        calls = count_calls(monkeypatch)
         w2_circle_exact(mu, nu)
-        assert len(calls) <= 100
+        assert len(calls["slope"]) <= 20
+        assert len(calls["cost"]) <= T._BREAKPOINTS_LEFT
 
     def test_equal_weight_twins_count_distinct_breakpoints(self, monkeypatch, rng):
         # contraction twins: equal weights 1/128 repeat each breakpoint
@@ -180,12 +190,9 @@ class TestCircle:
         x = x + 0.1 * np.sin(2 * np.pi * x) / (2 * np.pi)  # quantiles of a bumpy density
         mu = uniform_measure(x[:, None])
         nu = uniform_measure(x[:, None] + 1e-3 * rng.standard_normal((128, 1)))
-        calls = []
-        cost = T._CircleProblem.cost
-        monkeypatch.setattr(T._CircleProblem, "cost",
-                            lambda prob, theta: calls.append(theta) or cost(prob, theta))
+        calls = count_calls(monkeypatch)
         w, plan = w2_circle_exact(mu, nu)
-        assert len(calls) <= 40
+        assert len(calls["slope"]) <= 10
         few_left = T._CircleProblem.few_left
 
         def with_multiplicity(prob, a, b):  # repeat = 1: the count with multiplicity
@@ -193,14 +200,51 @@ class TestCircle:
             return few_left(prob, a, b)
 
         monkeypatch.setattr(T._CircleProblem, "few_left", with_multiplicity)
-        del calls[:]
+        calls["slope"].clear()
         w_ref, plan_ref = w2_circle_exact(mu, nu)
-        assert len(calls) > 40
+        assert len(calls["slope"]) > 40
         assert w == w_ref
         for got, ref in ((plan.rows, plan_ref.rows), (plan.cols, plan_ref.cols),
                          (plan.weights, plan_ref.weights)):
             assert np.array_equal(got, ref)
         assert w == pytest.approx(w2_exact_lp(mu, nu)[0], abs=1e-10)
+
+    @pytest.mark.parametrize("weights", ["random", "zeros"])
+    def test_slopes_are_one_sided_differences_at_generic_cuts(self, rng, weights):
+        # between its two nearest breakpoints the cost is linear, so either
+        # slope is the cost's difference quotient over a step inside them
+        for n, m in ((1, 1), (7, 11), (40, 25)):
+            mu = draw_measure(rng, n, weights, duplicates=True)
+            nu = draw_measure(rng, m, weights, duplicates=True, share=mu.points[:, 0])
+            prob = T._CircleProblem(mu, nu)
+            for theta in rng.uniform(-0.6, 0.6, 10):
+                lo, hi = prob.candidates(theta, theta)
+                h = 0.25 * min(theta - lo, hi - theta)
+                right = (prob.cost(theta + h) - prob.cost(theta)) / h
+                left = (prob.cost(theta) - prob.cost(theta - h)) / h
+                assert prob.slope(theta, right=True) == pytest.approx(right, rel=1e-6, abs=1e-9)
+                assert prob.slope(theta, right=False) == pytest.approx(left, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (6, 9), (20, 20)])
+    def test_slopes_at_breakpoints_are_the_adjacent_pieces(self, rng, n, m):
+        # weights in multiples of 1/64, some of them zero, so every level and
+        # breakpoint is exact: at each breakpoint the right slope is the
+        # quotient over the piece after it and the left slope over the piece
+        # before it, and the left slope is at most the right one (convexity)
+        def dyadic(k):
+            w = rng.multinomial(64, np.full(k, 1.0 / k)) / 64.0
+            return DiscreteMeasure(rng.random((k, 1)), w)
+
+        prob = T._CircleProblem(dyadic(n), dyadic(m))
+        bps = prob.candidates(-0.75, 0.75)
+        quotients = np.diff([prob.cost(t) for t in bps]) / np.diff(bps)
+        for k, t in enumerate(bps):
+            left, right = prob.slope(t, right=False), prob.slope(t, right=True)
+            assert left <= right + 1e-12
+            if k > 0:
+                assert left == pytest.approx(quotients[k - 1], rel=1e-9, abs=1e-12)
+            if k < quotients.size:
+                assert right == pytest.approx(quotients[k], rel=1e-9, abs=1e-12)
 
     def test_candidates_are_the_distinct_breakpoints(self, rng):
         # equal weights repeat each breakpoint up to min(n, m) times
