@@ -326,12 +326,14 @@ def build_scenario_kernels(scenario: Scenario) -> KernelSet:
 
 def _local_config(scenario: Scenario, kernels: KernelSet) -> PL.LocalSolverConfig:
     """The local solver settings of a scenario; the biharmonic coefficient
-    "auto" is matched to the omega moment convention."""
+    "auto" is matched to the omega moment convention.  A step count past
+    particles.MAX_STEPS raises ValueError."""
     c = scenario.config
     lc = c["pde_local"]
     coeff = lc["biharmonic_coeff"]
     if coeff == "auto":
         coeff = 0.5 * float(kernels.omega.second_moment_target) / kernels.schedule.epsilon**2
+    P.fixed_steps(c["T"], float(lc["dt"]), "pde_local.dt")  # refuses a plan past the cap
     return PL.LocalSolverConfig(
         dt=float(lc["dt"]),
         m=c["m"],
@@ -417,11 +419,24 @@ def _particle_dt(scenario, kernels):
     return float(integ["dt"])
 
 
+def _particle_steps(scenario: Scenario, kernels: KernelSet, T: float) -> int:
+    """fixed_steps' count of the particle steps to T; a count past
+    particles.MAX_STEPS raises ValueError, naming the keys that set the step."""
+    integ = scenario.config["integrator"]
+    if integ["dt"] == "auto":
+        source = (f"integrator.dt_safety = {float(integ['dt_safety']):g} times the "
+                  f"schedule's stable step {P.stable_dt(kernels):.3g}")
+    else:
+        source = "integrator.dt"
+    return P.fixed_steps(T, _particle_dt(scenario, kernels), source)[0]
+
+
 def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, every):
     """The particle stepping loop: nsteps equal steps from `state` to the
     scenario's T.  Returns the states at step 0, at the first step at or past
     each multiple of the time cadence `every` (None: none) and at the last
-    step."""
+    step; the state after step k holds the time k dt, the rule of the grid
+    engines' records, not a sum of steps."""
     c = scenario.config
     dt = c["T"] / nsteps if nsteps else 0.0
     method = c["integrator"]["method"]
@@ -435,7 +450,8 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, e
             warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
         for k in range(1, nsteps + 1):
             state = P.step(state, kernels, dt, method=method)
-            if k * dt >= due - P.SAMPLE_TOL or k == nsteps:
+            state.time = k * dt
+            if state.time >= due - P.SAMPLE_TOL or k == nsteps:
                 states.append(state)
                 due += every
     return states
@@ -445,8 +461,8 @@ def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, c
     """Quantile particles of rho0 stepped to the scenario's T.  Returns the
     states at t = 0, at the first step at or past each multiple of `cadence`
     (None: none between) and at T."""
+    nsteps = _particle_steps(scenario, kernels, scenario.config["T"])
     state = P.init_quantile(rho0, scenario.config["N"])
-    nsteps, _ = P.fixed_steps(scenario.config["T"], _particle_dt(scenario, kernels))
     return _run_particles(scenario, kernels, state, nsteps, cadence)
 
 
@@ -465,10 +481,13 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     kernels = build_scenario_kernels(scenario)
     results = {"kernels": kernels, "rho0": rho0}
     local_cfg = None
+    if "particles" in c["engines"]:
+        _particle_steps(scenario, kernels, c["T"])
     if "local-grid" in c["engines"]:
         local_cfg = _local_config(scenario, kernels)
         local_cfg.initial_shift(rho0)
-    # nothing is written until alpha, rho0, the kernels and the local C0 pass
+    # nothing is written until alpha, rho0, the kernels, the step counts and
+    # the local C0 pass
     writer = _Writer(out_dir)
     writer.json("config.json", c)
     writer.gridfield("initial.gf", rho0)
@@ -584,7 +603,9 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
             _merge(c, {"schedule": {**c["schedule"], "epsilon": eps}, "engines": []})
         )
         _check_particle_alpha(sc)
-        plan.append((eps, sc, build_scenario_kernels(sc)))
+        kset = build_scenario_kernels(sc)
+        _particle_steps(sc, kset, c["T"])
+        plan.append((eps, sc, kset))
     kernels0 = build_scenario_kernels(base_scenario)
     local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
     local_measure = _field_measure(local.final)
@@ -625,6 +646,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     rho0 = initial_density(base_scenario)
     _check_sweep_kde(c, rho0)
     kset = build_scenario_kernels(base_scenario)
+    _particle_steps(base_scenario, kset, c["T"])  # the step does not depend on N
     kgrid = kset.at_resolution(rho0.n)
     nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,), energy_every=c["T"])
     # the asserted trend uses the raw empirical measure: any fixed smoothing
@@ -660,6 +682,9 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     if scenario.schedule().alpha <= 0.0:
         raise ValueError("contraction test requires alpha > 0")
     kernels = build_scenario_kernels(scenario)
+    # equal steps in `samples` equal legs, so every sample ends a step
+    per_leg = _particle_steps(scenario, kernels, c["T"] / samples)
+    nsteps = P.check_steps(samples * per_leg, f"each twin run of {samples} legs")
     lam = lambda_convexity_constant(kernels)
     rho0 = initial_density(scenario)
     state_a = P.init_quantile(rho0, c["N"])
@@ -677,9 +702,6 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
         return T.w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions))
 
     w0 = measure(state_a, state_b)
-    # equal steps in `samples` equal legs, so every sample ends a step
-    per_leg, _ = P.fixed_steps(c["T"] / samples, _particle_dt(scenario, kernels))
-    nsteps = samples * per_leg
     twin_a = _run_particles(scenario, kernels, state_a, nsteps, c["T"] / samples)
     twin_b = _run_particles(scenario, kernels, state_b, nsteps, c["T"] / samples)
     rows = [{"t": 0.0, "w2": w0, "ratio": 1.0 if w0 > 0 else 0.0, "envelope": 1.0}]

@@ -43,6 +43,7 @@ __all__ = [
     "step",
     "stable_dt",
     "fixed_steps",
+    "check_steps",
     "discrete_energy",
     "momentum",
     "METHODS",
@@ -242,20 +243,35 @@ def stable_dt(kernels: KernelSet) -> float:
 # every stepping loop records at t = 0, at the first step at or past each
 # multiple of its cadence less this tolerance, and at its last step
 SAMPLE_TOL = 1e-14
+# the most steps a run may plan or take: fig1-2d's largest plan is 17 500
+# steps, and a config that asks for more fails before it runs
+MAX_STEPS = 10**6
 
 
-def fixed_steps(T: float, dt_max: float) -> tuple:
+def fixed_steps(T: float, dt_max: float, source: str = "dt") -> tuple:
     """(nsteps, dt): the fewest equal steps of at most dt_max that end exactly at T.
 
     A quotient T/dt_max within 1e-9 relative of an integer counts as that
     integer, so roundoff in the quotient never adds a step.  T <= 0 takes no
-    steps and returns dt_max.
+    steps and returns dt_max.  A count above MAX_STEPS raises ValueError,
+    naming source, what set dt_max.
     """
     if T <= 0:
         return 0, dt_max
     q = T / dt_max
-    nsteps = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
-    return nsteps, T / nsteps
+    if q <= MAX_STEPS + 1:  # past it q may be inf, and is refused as it stands
+        q = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
+    what = f"{source} sets a step of {dt_max:.3g}, so a run of length {T:g}"
+    return check_steps(q, what), T / q
+
+
+def check_steps(nsteps, what: str):
+    """nsteps, or ValueError when it passes MAX_STEPS; `what` says what
+    takes the steps."""
+    if not nsteps <= MAX_STEPS:
+        raise ValueError(f"{what} takes {nsteps:.4g} steps, more than the cap of "
+                         f"{MAX_STEPS:.0e} (particles.MAX_STEPS)")
+    return nsteps
 
 
 def _velocities(state: ParticleState, kernels: KernelSet) -> np.ndarray:

@@ -13,16 +13,21 @@ scalar auxiliary variable r with r^2 = C0 - E_m so that the modified energy
 dissipates.  Negative undershoot is reported, never clipped.
 
 LocalSolver carries the field, its half spectrum and r from step to step, and
-every energy it reports comes by Parseval from the carried spectrum.  A step
-takes 10 real transforms in 2-d and 6 in 1-d, or 9 and 5 at m = 2 on a field
-that is nowhere negative, where g = 2 rho comes from the carried spectrum.
+every energy it reports comes by Parseval from the carried spectrum.  The
+power-law term is taken as lap(mob^m), with mob = max(rho, 0): one forward
+transform of mob^m.  The chain-rule form div(mob grad g), g = (m/(m-1))
+mob^(m-1), is the same function, but on a clipped mobility it takes the
+spectral derivative of the kink of mob and does not converge with n, where
+-k^2 F[mob^m] does.  A step takes 6 real transforms in 2-d and 4 in 1-d at
+m = 2 on a field that is nowhere negative, where g = 2 rho comes from the
+carried spectrum, and 7 and 5 otherwise, where g is transformed alongside.
 The 2/3-rule mask keeps the last-axis columns up to n/3, so the dealiased
 products are transformed on those columns only (spectral.forward_transform's
 cols) and the scheme never changes a mode past n/3: those keep rho0's values.
-A transform is d numpy FFT calls, and the step stacks its 2d gradient fields
-(of lap rho and of g) into one inverse pass and their 2d products with the
-mobility into one forward pass, so it makes 3d numpy calls (6 in 2-d, 3 in
-1-d), and d more when it transforms g.
+A transform is d numpy FFT calls, and the step stacks its d gradient fields
+of lap rho into one inverse pass and its d flux products mob * grad lap rho,
+mob^m and g into one forward pass, so it makes 3d numpy calls (6 in 2-d, 3
+in 1-d) on both paths.
 """
 
 from __future__ import annotations
@@ -86,21 +91,22 @@ def _stacked(mults) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*mults))
 
 
-def _div_mob_grad_hat(mob, grad_hat, gmult_cols, grads=None):
-    """div(mob grad f_i) for the stack grad_hat (k, d, ...) of the gradient
-    spectra of k fields f_i, on the first gmult_cols.shape[-1] last-axis
-    columns of its half spectrum.  The k d gradient fields come from one
-    stacked inverse transform (into grads when given), are multiplied by mob
-    in place and go back in one stacked forward transform cut to those
-    columns; gmult_cols is the stacked gradient multipliers cut there, and
-    each divergence sums its axes in order."""
-    k, d, n = grad_hat.shape[0], grad_hat.shape[1], mob.shape[-1]
-    grads = inverse_transform(grad_hat.reshape(k * d, *grad_hat.shape[2:]), n, d, out=grads)
-    grads *= mob
-    flux = forward_transform(grads, gmult_cols.shape[-1], d)
-    flux = flux.reshape(k, d, *flux.shape[1:])
-    flux *= gmult_cols
-    return flux.sum(axis=1)
+def _div_mob_grad_hat(mob, grad_hat, gmult_cols, fields):
+    """div(mob grad f) from the stack grad_hat (d, ...) of f's gradient
+    spectra, on the first gmult_cols.shape[-1] last-axis columns of its half
+    spectrum, and there the spectra of fields[d:], which the caller fills.
+    The d gradient fields come from one stacked inverse transform into
+    fields[:d] and are multiplied by mob in place, and all of fields goes
+    back in one stacked forward transform cut to those columns; gmult_cols
+    is the stacked gradient multipliers cut there, and the divergence sums
+    its axes in order.  Returns the divergence and the spectra of fields[d:]."""
+    d, n = grad_hat.shape[0], mob.shape[-1]
+    inverse_transform(grad_hat, n, d, out=fields[:d])
+    fields[:d] *= mob
+    flux = forward_transform(fields, gmult_cols.shape[-1], d)
+    div = flux[:d]
+    div *= gmult_cols
+    return div.sum(axis=0), flux[d:]
 
 
 class LocalSolver:
@@ -116,7 +122,6 @@ class LocalSolver:
         self.n = n = rho0.n
         self.cell = rho0.h**d
         k2 = k_squared(n, d)
-        self.neg_k2 = -k2
         gmult = grad_multipliers(n, d)
         # 2/3-rule dealiasing of the products: the mask keeps the slab of the
         # first n//3 + 1 last-axis columns, where the step's algebra runs
@@ -125,18 +130,19 @@ class LocalSolver:
         mask = 1.0
         for k in freq_lattice(n, d):
             mask = mask * (np.abs(k[..., :cols]) <= cutoff)
-        # the stacked gradient multipliers, whole and on the slab, and the
-        # work arrays the step writes its gradient spectra and fields into:
-        # allocated anew each step, arrays of their size were given back to
-        # the system and faulted in again (on a 2-core AMD EPYC, about 300
-        # page faults and a third more time per 2-d step at n = 128)
-        self.gmult = _stacked(gmult)
-        self.gmult_slab = self.gmult[..., :cols].copy()
-        self._grad_hat = np.empty((2,) + self.gmult.shape, dtype=complex)
-        self._grads = np.empty((2 * d,) + rho0.values.shape)
+        # the multipliers of grad lap rho, whole, and of the gradient on the
+        # slab, and the work arrays the step writes its gradient spectra and
+        # fields into: allocated anew each step, arrays of their size were
+        # given back to the system and faulted in again (on a 2-core AMD EPYC,
+        # about 300 page faults and a third more time per 2-d step at n = 128)
+        stacked = _stacked(gmult)
+        self.grad_lap = stacked * -k2
+        self.gmult_slab = stacked[..., :cols].copy()
+        self._grad_hat = np.empty(stacked.shape, dtype=complex)
+        self._fields = np.empty((d + 2,) + rho0.values.shape)
         self.dt_neg_Dmask = cfg.dt * (-D * mask)
-        self.neg_mask = -mask
         self.slab_k2 = k2[..., :cols]
+        self.mask_k2 = mask * self.slab_k2
         self.slab_Dk4 = D * self.slab_k2**2
         # 0.5 D ||grad rho||^2 by Parseval (spectral.inner) weighs |rho_hat|^2
         # by 0.5 D |2 pi k|^2 (Nyquist zeroed) times the column weights, once
@@ -186,12 +192,14 @@ class LocalSolver:
     def step(self) -> dict:
         """One SAV step of the carried state.  Every operator stays in spectral
         space, the carried spectrum stands in for a transform of the field,
-        and the new spectrum rho1_hat + r_new * rho2_hat is inverted once, so
-        a 2-d step takes 10 real transforms (6 in 1-d), and 9 (5) at m = 2 on
-        a field with no negative cell, all but g's and the new field's in two
-        stacked passes.  The dealiased products and the masked algebra run on
-        the mask's slab of columns, and the step adds its change to a copy of
-        the carried spectrum.  Returns the new
+        and the new spectrum rho1_hat + r_new * rho2_hat is inverted once.
+        The power-law part rho2_hat is -lap(mob^m) = k^2 F[mob^m] on the
+        mask, transformed with the d flux products mob * grad lap rho (and g,
+        off the m = 2 nonnegative path) in one stacked forward pass, so a
+        2-d step takes 6 real transforms (4 in 1-d), or 7 (5) when it
+        transforms g, in 3d numpy calls.  The dealiased products and the
+        masked algebra run on the mask's slab of columns, and the step adds
+        its change to a copy of the carried spectrum.  Returns the new
         minimum, whether it undershoots, and the new modified energy, by
         Parseval on the new spectrum (no transform)."""
         cfg = self.cfg
@@ -200,21 +208,24 @@ class LocalSolver:
         cols = self.cols
         dt = cfg.dt
         vals, spec = self.values, self.spec
+        d = self._grad_hat.shape[0]
         if m == 2.0 and self._low >= 0.0:
-            # mob = rho, E_m = integral of rho^2 and g = 2 rho, whose spectrum
-            # is twice the carried one
+            # mob = rho, E_m = integral of rho^2, mob^m = rho^2 and g = 2 rho,
+            # whose spectrum is twice the carried one
             mob = vals
             em = self._internal_energy(mob, mob)
-            g_hat = 2.0 * spec
+            fields = self._fields[: d + 1]
+            np.multiply(mob, mob, out=fields[d])
         else:
             # mobility is physically nonnegative; undershoot in the solution is
             # reported, but a negative mobility would flip the sign of the
             # fourth-order transport in vacuum regions and blow up
             mob = np.maximum(vals, 0.0)
-            g = mob ** (m - 1.0)  # scaled by m/(m-1) in place once E_m is read
-            em = self._internal_energy(mob, g)
-            g *= m / (m - 1.0)
-            g_hat = forward_transform(g)
+            power = mob ** (m - 1.0)
+            em = self._internal_energy(mob, power)
+            fields = self._fields
+            np.multiply(mob, power, out=fields[d])
+            np.multiply(power, m / (m - 1.0), out=fields[d + 1])  # g
         qsq = self.C0 - em
         if qsq <= 0:
             raise RuntimeError(
@@ -237,15 +248,14 @@ class LocalSolver:
         inv_denom *= dt
         inv_denom += 1.0
         np.reciprocal(inv_denom, out=inv_denom)
-        # div(mob grad lap rho) and div(mob grad g), on the slab
-        grad_hat = self._grad_hat
-        np.multiply(self.gmult, self.neg_k2 * spec, out=grad_hat[0])
-        np.multiply(self.gmult, g_hat, out=grad_hat[1])
-        drho1_hat, rho2_hat = _div_mob_grad_hat(mob, grad_hat, self.gmult_slab, self._grads)
+        # div(mob grad lap rho), and the spectra of mob^m and g, on the slab
+        np.multiply(self.grad_lap, spec, out=self._grad_hat)
+        drho1_hat, spectra = _div_mob_grad_hat(mob, self._grad_hat, self.gmult_slab, fields)
         drho1_hat *= self.dt_neg_Dmask * inv_denom  # rho1_hat - spec
-        rho2_hat *= (dt / q * self.neg_mask) * inv_denom
+        rho2_hat = spectra[0]
+        rho2_hat *= (dt / q * self.mask_k2) * inv_denom
+        g_slab = spectra[1] if len(spectra) > 1 else 2.0 * spec[..., :cols]
 
-        g_slab = g_hat[..., :cols]
         inner_g_rho2 = inner(g_slab, rho2_hat, n)
         inner_g_diff = inner(g_slab, drho1_hat, n)
         r_new = (self.r - inner_g_diff / (2.0 * q)) / (1.0 + inner_g_rho2 / (2.0 * q))
@@ -277,9 +287,10 @@ class LocalSolver:
 
 def run_local(rho0: GridField, cfg: LocalSolverConfig) -> LocalRun:
     """The engine's stepping loop: equal steps of at most cfg.dt that end
-    exactly at T (fixed_steps), each flagged, and records of the energies by
-    the sampling rule (particles.SAMPLE_TOL) every cfg.energy_every (None: T/50)."""
-    nsteps, dt = fixed_steps(cfg.T, cfg.dt)
+    exactly at T (fixed_steps, so at most particles.MAX_STEPS), each flagged,
+    and records of the energies by the sampling rule (particles.SAMPLE_TOL)
+    every cfg.energy_every (None: T/50)."""
+    nsteps, dt = fixed_steps(cfg.T, cfg.dt, "LocalSolverConfig.dt")
     solver = LocalSolver(replace(cfg, dt=dt), rho0)
     energy_every = cfg.energy_every if cfg.energy_every is not None else cfg.T / 50.0
     flags = {"energy_increases": 0, "worst_increase": 0.0, "min_value": float(rho0.values.min()),
@@ -311,6 +322,8 @@ def ch_operator(rho: GridField, m: float) -> GridField:
     n, d = rho.n, rho.d
     k2 = k_squared(n, d)
     gmult = _stacked(grad_multipliers(n, d))
-    div = _div_mob_grad_hat(rho.values, (gmult * (-k2 * forward_transform(rho.values)))[None],
-                            gmult)
-    return GridField(inverse_transform(div[0] - k2 * forward_transform(rho.values**m), n))
+    fields = np.empty((d + 1,) + rho.values.shape)
+    fields[d] = rho.values**m
+    grad_lap_hat = gmult * (-k2 * forward_transform(rho.values))
+    div, (power_hat,) = _div_mob_grad_hat(rho.values, grad_lap_hat, gmult, fields)
+    return GridField(inverse_transform(div - k2 * power_hat, n))

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import particles
 from .fields import GridField, free_energy, velocity_field_nl
 from .kernels import KernelSet
 from .particles import SAMPLE_TOL
@@ -86,7 +87,8 @@ def run_nonlocal(
     CFL_SAFETY times the CFL bound h/(2 d ||v||_inf) of the current field
     (so it depends only on that field), cut to end at T.  Energies are
     recorded by the sampling rule (particles.SAMPLE_TOL) every energy_every
-    (None: T/20).
+    (None: T/20).  A run that passes particles.MAX_STEPS steps before T
+    raises RuntimeError, naming the t it reached.
     """
     if rho0.values.min() < -1e-12:
         raise ValueError(f"density has negative cells (min {rho0.values.min():.3e})")
@@ -101,7 +103,13 @@ def run_nonlocal(
         reports = [free_energy(rho, kernels, t=0.0)]
         due = energy_every
         min_value = float(rho.values.min())
+        steps = 0
         while t < T - SAMPLE_TOL:
+            if steps >= particles.MAX_STEPS:
+                raise RuntimeError(f"the nonlocal run (nu = {nu:g}) took {steps} steps, the cap "
+                                   f"(particles.MAX_STEPS), and reached only t = {t:.6g} of "
+                                   f"T = {T:g}")
+            steps += 1
             vfaces = velocity_field_nl(rho, kernels, at_faces=True)
             vmax = max(float(vfaces.max()), -float(vfaces.min()))
             dt = T - t

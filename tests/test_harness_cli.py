@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -180,6 +181,20 @@ class TestRunScenario:
         times = sorted({float(row.split(",")[0]) for row in rows})
         want = sampled_times([k * dt for k in range(1, nsteps + 1)], 1.5e-3)
         assert nsteps == 8 and times == pytest.approx(want, abs=1e-15)
+
+    def test_particle_snapshot_times_are_step_times(self, tmp_path):
+        # 10 steps of 1e-4: the snapshots hold t = k dt, as the grid engines'
+        # records do, where a running sum of the steps ends at
+        # 0.0010000000000000002
+        sc = small_scenario(engines=["particles"], T=1e-3, integrator={"dt": 1e-4},
+                            output={"snapshot_every": 2.5e-4})
+        art = run_scenario(sc, tmp_path / "t")
+        dt = 1e-3 / 10
+        want = [H._fmt(k * dt) for k in (0, 3, 5, 8, 10)]
+        for name in ("particles.csv", "particle_energy.csv"):
+            rows = (art.out_dir / name).read_text().splitlines()[1:]
+            assert sorted({row.split(",")[0] for row in rows}, key=float) == want
+        assert want[-1] == "0.001"
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         sc = small_scenario()
@@ -528,6 +543,57 @@ class TestCli:
             assert err.count("error:") == 1 and "Traceback" not in err
             assert "alpha = 0" in err and "appendix_a_mode" in err
             assert list(out.iterdir()) == [] and runs == []
+
+    @pytest.mark.parametrize("over, key, commands", [
+        ({"schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 1e9,
+                       "alpha": 0.08}},
+         "schedule's stable step", ("simulate", "sweep-eps", "sweep-n", "contraction")),
+        ({"integrator": {"dt_safety": 1e-300}},
+         "integrator.dt_safety = 1e-300", ("simulate", "sweep-eps", "sweep-n", "contraction")),
+        ({"pde_local": {"dt": 1e-300}}, "pde_local.dt", ("simulate", "sweep-eps")),
+    ], ids=["epsilon-star-1e9", "dt-safety-1e-300", "local-dt-1e-300"])
+    def test_plans_past_the_step_cap_exit_1_before_any_file(self, tmp_path, capsys,
+                                                            monkeypatch, over, key, commands):
+        # configs whose fixed step counts run to 1e8 and more once hung without
+        # a word; every command that plans them refuses before any file is
+        # written or any engine runs, naming the count and the key
+        runs = []
+        for owner, name in ((H, "_particles_to_T"), (H, "_run_particles"),
+                            (PL, "run_local"), (PN, "run_nonlocal")):
+            monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: runs.append(_n))
+        raw = {"dimension": 1, "N": 64, "T": 5e-4, "seed": 7,
+               "engines": ["particles", "nl-grid", "local-grid"], "grid": {"n": 128},
+               "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
+                            "alpha": 0.08},
+               "kernels": {"moment_coefficient": 1.5, "table_points": 1024},
+               "pde_local": {"dt": 1e-6}}
+        cfg = tmp_path / "cap.json"
+        cfg.write_text(json.dumps({**raw, **over}))
+        out = tmp_path / "run"
+        args = {"simulate": ["simulate"], "sweep-eps": ["sweep", "--eps", "0.2", "0.15", "0.1"],
+                "sweep-n": ["sweep", "--n-particles", "32", "64"],
+                "contraction": ["contraction"]}
+        for command in commands:
+            argv = args[command]
+            start = time.perf_counter()
+            assert cli_main([argv[0], str(cfg), *argv[1:], "--out", str(out)]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "Traceback" not in err
+            assert key in err and "steps, more than the cap of 1e+06" in err
+            assert not out.exists() and runs == []
+
+    def test_step_cap_clears_every_preset_20_fold(self):
+        # fig1-2d's 17 500 local steps are the largest plan of the presets
+        for name, preset in PRESETS.items():
+            sc = Scenario.from_dict(preset)
+            kernels = H.build_scenario_kernels(sc)
+            T, engines = sc.config["T"], sc.config["engines"]
+            if "particles" in engines:
+                assert 20 * H._particle_steps(sc, kernels, T) <= P.MAX_STEPS, name
+            if "local-grid" in engines:
+                local_steps = P.fixed_steps(T, H._local_config(sc, kernels).dt)[0]
+                assert 20 * local_steps <= P.MAX_STEPS, name
 
     def test_grid_only_run_at_alpha_zero_runs(self, tmp_path):
         # without particles alpha = 0 means R_alpha * rho = rho

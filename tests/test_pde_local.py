@@ -12,7 +12,14 @@ from torusdpa.pde_local import (
     ch_operator,
     run_local,
 )
-from torusdpa.spectral import forward_transform, freq_lattice, grad_multipliers, inner
+from torusdpa.spectral import (
+    forward_transform,
+    freq_lattice,
+    grad_multipliers,
+    gradient,
+    inner,
+    k_squared,
+)
 
 
 def smooth_random_density(n=256, seed=7, modes=6, floor=0.05):
@@ -86,18 +93,18 @@ class TestStepLocal:
             LocalSolver(cfg, rho)
 
     # transforms of one step at m = 2 on a field with no negative cell:
-    # d for grad lap rho, d for grad g (g_hat is twice the carried
-    # spectrum), the 2d dealiased products cut to the mask's columns and 1
-    # for the new field; 9 in 2-d and 5 in 1-d.  The 2d gradient fields
-    # come from one stacked inverse transform and the 2d products go back in
-    # one stacked forward transform, each d numpy calls, and the new field
-    # takes d more: 3d numpy calls in all
-    @pytest.mark.parametrize("d, transforms", [(1, 5), (2, 9)])
+    # d for grad lap rho, the d dealiased flux products and mob^m cut to the
+    # mask's columns (g_hat is twice the carried spectrum), and 1 for the new
+    # field; 6 in 2-d and 4 in 1-d.  The d gradient fields come from one
+    # stacked inverse transform and the d + 1 products go back in one
+    # stacked forward transform, each d numpy calls, and the new field takes
+    # d more: 3d numpy calls in all
+    @pytest.mark.parametrize("d, transforms", [(1, 4), (2, 6)])
     def test_transforms_per_step(self, count_transforms, cos_product_density, d, transforms):
         # the solver carries the spectrum of its field, every operator of the
         # step stays in spectral space, the new spectrum is inverted once, and
         # the new modified energy comes by Parseval from it
-        assert transforms == 2 * d + 2 * d + 1
+        assert transforms == 2 * d + 2
         calls = count_transforms
         calls.clear()
         solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5),
@@ -115,8 +122,8 @@ class TestStepLocal:
         grad = 0.5 * sum(inner(g * spec, g * spec, 32) for g in grad_multipliers(32, d))
         mod = grad + solver.r**2 - solver.C0
         assert diag["modified_energy"] == pytest.approx(mod, rel=1e-12, abs=1e-12)
-        # an undershooting field, or m = 3, transforms g: one transform more,
-        # d numpy calls
+        # an undershooting field, or m = 3, transforms g in the same stacked
+        # forward pass: one transform more (2d + 3), still 3d numpy calls
         bump = bump_2d(32) if d == 2 else bump_1d(32)
         for rho, m in ((bump, 2.0), (cos_product_density(32, d), 3.0)):
             solver = LocalSolver(LocalSolverConfig(dt=1e-6, m=m, T=1e-5), rho)
@@ -124,16 +131,16 @@ class TestStepLocal:
                 assert solver.step()["min"] < 0
             calls.clear()
             solver.step()
-            assert len(calls) == 4 * d
+            assert len(calls) == 3 * d
 
-    @pytest.mark.parametrize("d, per_step", [(1, 5), (2, 9)])
+    @pytest.mark.parametrize("d, per_step", [(1, 4), (2, 6)])
     def test_run_transforms(self, count_transforms, cos_product_density, d, per_step):
         # beyond the steps only the initial spectrum: the energies at t = 0,
         # at the two samples and for the energy check come by Parseval; the
         # field stays positive, so every step takes g_hat = 2 rho_hat, its
         # per_step transforms in 3d numpy calls (two stacked passes and the
         # new field)
-        assert per_step == 4 * d + 1
+        assert per_step == 2 * d + 2
         calls = count_transforms
         calls.clear()
         cfg = LocalSolverConfig(dt=1e-6, m=2.0, T=1e-5, energy_every=1e-5)
@@ -251,14 +258,19 @@ def modes_1d(n):
 # the solver carried its spectrum from step to step; the 2-d bump undershoots
 # in every step, so the clipped mobility is exercised, and the 1-d case runs
 # at m = 3.  The positive 2-d field at m = 2 takes g_hat = 2 rho_hat in every
-# step; its values were recorded while g was still transformed.
+# step; its values were recorded while g was still transformed.  The 2-d
+# bump's values were recorded again when the power-law term became
+# -k^2 F[mob^m]: on a clipped mobility the chain-rule form div(mob grad g)
+# differs by its spectral derivative of the kink (5.7e-7 relative here).  The
+# positive fields' modes stay in 3|k| < n, where the two forms agree to
+# roundoff (test_power_term_is_the_chain_rule_form_on_a_band_limited_field).
 PINNED_RUNS = {
     "2d-positive": (positive_2d, 32, 2.0, 2e-6,
                     (1.465070323233564, -0.24363322788566188, 1.0097278848423785,
                      0.685640477442157, 1.0)),
     "2d": (bump_2d, 32, 2.0, 2e-6,
-           (2.989740548396442, 10.816179332126481, 1.1371764803140811,
-            -0.13997654884511412, 1.0)),
+           (2.9897405429777693, 10.816185522865108, 1.137176496669787,
+            -0.13997661546451223, 1.0)),
     "1d": (modes_1d, 64, 3.0, 5e-6,
            (1.4784727323804765, 2.003797839681167, 1.0656195109916835,
             0.45786187826817937, 1.0)),
@@ -291,6 +303,38 @@ def test_short_runs_match_pinned_values(case):
         assert run.flags["min_value"] > 0
     assert run.flags["energy_increases"] == 0
     assert run.flags["mass_drift"] <= 1e-10
+
+
+def band_field(n, d, K):
+    """A positive field on the n^d grid whose modes have |k|_inf <= max(K, 2)."""
+    return GridField.from_function(
+        lambda *xs: 1.0 + 0.3 * np.sin(2 * np.pi * (xs[0] + 2 * xs[-1]) + 0.4)
+        + 0.2 * np.prod([np.cos(2 * np.pi * K * x + 0.3) for x in xs], axis=0), n, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_power_term_is_the_chain_rule_form_on_a_band_limited_field(d):
+    # the step takes lap rho^2 as -k^2 F[rho^2]; the chain-rule form
+    # div(rho grad g), g = 2 rho, is the same function.  When every mode of
+    # rho has 3|k|_inf < n, neither product aliases into the 2/3 mask, so the
+    # two agree there to roundoff; a mode at |k| = n/3 breaks the identity
+    n, cutoff = 48, 16
+    cols = cutoff + 1
+    mask = np.ones((n,) * (d - 1) + (cols,), dtype=bool)
+    for k in freq_lattice(n, d):
+        mask = mask & (np.abs(k[..., :cols]) <= cutoff)
+
+    def mismatch(K):
+        rho = band_field(n, d, K).values
+        assert rho.min() > 0
+        power = -k_squared(n, d)[..., :cols] * forward_transform(rho**2, cols)
+        grads = gradient(forward_transform(2.0 * rho), n)
+        chain = sum(g[..., :cols] * forward_transform(rho * dg, cols)
+                    for g, dg in zip(grad_multipliers(n, d), grads))
+        return np.linalg.norm((power - chain)[mask]) / np.linalg.norm(power[mask])
+
+    assert mismatch(15) <= 1e-13
+    assert mismatch(16) > 1e-2
 
 
 class TestSpectralAccuracy:

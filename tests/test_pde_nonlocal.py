@@ -5,6 +5,7 @@ import pytest
 
 from torusdpa.fields import GridField, velocity_field_nl
 from torusdpa.kernels import build_kernel_set, schedule_from_epsilon
+import torusdpa.particles as P
 from torusdpa import pde_nonlocal as PN
 from torusdpa.pde_nonlocal import run_nonlocal
 
@@ -99,6 +100,21 @@ def engine_started(*args, **kwargs):
 
 
 class TestRun:
+    def test_a_run_past_the_step_cap_fails_naming_its_t(self, grid_setup, monkeypatch):
+        # the CFL-adaptive step has no count up front, so the loop itself
+        # refuses a step past particles.MAX_STEPS and says how far it got
+        monkeypatch.setattr(PN, "free_energy", only_t)
+        rho = sine_density()
+        reports = run_nonlocal(rho, grid_setup, T=1e-3, energy_every=1e-9).traces[0].reports
+        nsteps = len(reports) - 1  # a record after every step
+        assert nsteps > 10
+        monkeypatch.setattr(P, "MAX_STEPS", nsteps)
+        assert run_nonlocal(rho, grid_setup, T=1e-3).traces[0].final is not None
+        monkeypatch.setattr(P, "MAX_STEPS", nsteps - 1)
+        with pytest.raises(RuntimeError, match=f"reached only t = {reports[-2].t:.6g} of "
+                                               f"T = 0.001"):
+            run_nonlocal(rho, grid_setup, T=1e-3)
+
     def test_single_nu_entry(self, grid_setup):
         kset = grid_setup
         run = run_nonlocal(sine_density(), kset, T=1e-3, nu_sequence=(0.0,))
