@@ -324,27 +324,6 @@ def build_scenario_kernels(scenario: Scenario) -> KernelSet:
             f"to drop the viscosity term") from None
 
 
-def _local_config(scenario: Scenario, kernels: KernelSet) -> PL.LocalSolverConfig:
-    """The local solver settings of a scenario; the biharmonic coefficient
-    "auto" is matched to the omega moment convention.  A step count past
-    particles.MAX_STEPS raises ValueError."""
-    c = scenario.config
-    lc = c["pde_local"]
-    coeff = lc["biharmonic_coeff"]
-    if coeff == "auto":
-        coeff = 0.5 * float(kernels.omega.second_moment_target) / kernels.schedule.epsilon**2
-    P.fixed_steps(c["T"], float(lc["dt"]), "pde_local.dt")  # refuses a plan past the cap
-    return PL.LocalSolverConfig(
-        dt=float(lc["dt"]),
-        m=c["m"],
-        T=c["T"],
-        kappa=lc["kappa"],
-        C0=lc["C0"],
-        biharmonic_coeff=float(coeff),
-        energy_every=c["output"]["energy_every"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -402,33 +381,61 @@ def _fmt(v):
 # engines
 
 
-def _check_particle_alpha(scenario: Scenario):
-    """Fail when a particle run needs its viscosity term at alpha = 0, where
-    the kernel set carries no R_alpha; called before any run or artifact."""
-    c = scenario.config
-    if not c["appendix_a_mode"] and scenario.schedule().alpha == 0.0:
-        how = "given" if c["schedule"].get("alpha") is not None else "from exp(-c/epsilon)"
-        raise ValueError(f"the particles' viscosity term needs alpha > 0, and alpha = 0 "
-                         f"({how}); set schedule.alpha > 0, or appendix_a_mode to drop it")
-
-
-def _particle_dt(scenario, kernels):
-    integ = scenario.config["integrator"]
-    if integ["dt"] == "auto":
-        return P.stable_dt(kernels) * float(integ["dt_safety"])
-    return float(integ["dt"])
-
-
 def _particle_steps(scenario: Scenario, kernels: KernelSet, T: float) -> int:
     """fixed_steps' count of the particle steps to T; a count past
     particles.MAX_STEPS raises ValueError, naming the keys that set the step."""
     integ = scenario.config["integrator"]
     if integ["dt"] == "auto":
+        stable = P.stable_dt(kernels)
+        dt = stable * float(integ["dt_safety"])
         source = (f"integrator.dt_safety = {float(integ['dt_safety']):g} times the "
-                  f"schedule's stable step {P.stable_dt(kernels):.3g}")
+                  f"schedule's stable step {stable:.3g}")
     else:
-        source = "integrator.dt"
-    return P.fixed_steps(T, _particle_dt(scenario, kernels), source)[0]
+        dt, source = float(integ["dt"]), "integrator.dt"
+    return P.fixed_steps(T, dt, source)[0]
+
+
+def _plan(scenario: Scenario, rho0: F.GridField, engines=None, T=None) -> tuple:
+    """Every check a run of `engines` to T (default: the scenario's) needs
+    before it starts or writes a file.  Returns (kernel set, step count per
+    engine, local solver settings, the nl-grid kernel set at rho0's
+    resolution), the last two None for an engine not run.  A count past
+    particles.MAX_STEPS raises ValueError.  The nonlocal step is adaptive, so
+    its count is T over the first CFL step on rho0: a floor where velocities
+    grow as mass gathers, as they do in the presets."""
+    c = scenario.config
+    engines = c["engines"] if engines is None else engines
+    T = c["T"] if T is None else T
+    if not engines:
+        raise ValueError(f"engines is empty, so the scenario runs nothing; list at least one "
+                         f"of {', '.join(ENGINES)}")
+    # at alpha = 0 the set carries no R_alpha for the particles' viscosity
+    # term; checked first, since a kernel resolution error would hide it
+    if "particles" in engines and not c["appendix_a_mode"] and scenario.schedule().alpha == 0.0:
+        how = "given" if c["schedule"].get("alpha") is not None else "from exp(-c/epsilon)"
+        raise ValueError(f"the particles' viscosity term needs alpha > 0, and alpha = 0 "
+                         f"({how}); set schedule.alpha > 0, or appendix_a_mode to drop it")
+    kernels = build_scenario_kernels(scenario)
+    steps, local_cfg, kgrid = {}, None, None
+    if "particles" in engines:
+        steps["particles"] = _particle_steps(scenario, kernels, T)
+    if "local-grid" in engines:
+        lc = c["pde_local"]
+        coeff = lc["biharmonic_coeff"]
+        if coeff == "auto":  # matched to the omega moment convention
+            coeff = 0.5 * float(kernels.omega.second_moment_target) / kernels.schedule.epsilon**2
+        steps["local-grid"] = P.fixed_steps(T, float(lc["dt"]), "pde_local.dt")[0]
+        local_cfg = PL.LocalSolverConfig(dt=float(lc["dt"]), m=c["m"], T=T, kappa=lc["kappa"],
+                                         C0=lc["C0"], biharmonic_coeff=float(coeff),
+                                         energy_every=c["output"]["energy_every"])
+        local_cfg.initial_shift(rho0)  # C0 must exceed E_m[rho0]
+    if "nl-grid" in engines:
+        kgrid = kernels.at_resolution(rho0.n)
+        dt0 = PN.cfl_step(rho0, F.velocity_field_nl(rho0, kgrid, at_faces=True))
+        what = (f"the nonlocal engine's first CFL step on rho0, at epsilon_star = "
+                f"{kernels.schedule.epsilon_star:g},")
+        steps["nl-grid"] = P.fixed_steps(T, dt0, what)[0]
+    return kernels, steps, local_cfg, kgrid
 
 
 def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, every):
@@ -457,43 +464,23 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, e
     return states
 
 
-def _particles_to_T(scenario: Scenario, kernels: KernelSet, rho0: F.GridField, cadence=None):
-    """Quantile particles of rho0 stepped to the scenario's T.  Returns the
-    states at t = 0, at the first step at or past each multiple of `cadence`
-    (None: none between) and at T."""
-    nsteps = _particle_steps(scenario, kernels, scenario.config["T"])
-    state = P.init_quantile(rho0, scenario.config["N"])
-    return _run_particles(scenario, kernels, state, nsteps, cadence)
-
-
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
     """Execute every configured engine; write artifacts and the manifest.  The
     results keep rho0 and, for a particle run, the initial particles."""
     t_start = time.time()
     c = scenario.config
     d = c["dimension"]
-    if not c["engines"]:
-        raise ValueError(f"engines is empty, so the scenario runs nothing; list at least one "
-                         f"of {', '.join(ENGINES)}")
-    if "particles" in c["engines"]:
-        _check_particle_alpha(scenario)
     rho0 = initial_density(scenario)
-    kernels = build_scenario_kernels(scenario)
+    kernels, steps, local_cfg, kgrid = _plan(scenario, rho0)
     results = {"kernels": kernels, "rho0": rho0}
-    local_cfg = None
-    if "particles" in c["engines"]:
-        _particle_steps(scenario, kernels, c["T"])
-    if "local-grid" in c["engines"]:
-        local_cfg = _local_config(scenario, kernels)
-        local_cfg.initial_shift(rho0)
-    # nothing is written until alpha, rho0, the kernels, the step counts and
-    # the local C0 pass
+    # nothing is written until rho0 and the plan pass
     writer = _Writer(out_dir)
     writer.json("config.json", c)
     writer.gridfield("initial.gf", rho0)
 
     if "particles" in c["engines"]:
-        states = _particles_to_T(scenario, kernels, rho0, c["output"]["snapshot_every"])
+        states = _run_particles(scenario, kernels, P.init_quantile(rho0, c["N"]),
+                                steps["particles"], c["output"]["snapshot_every"])
         writer.csv(
             "particles.csv",
             ["t", "particle_id"] + [f"x_{ax + 1}" for ax in range(d)],
@@ -511,7 +498,6 @@ def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
 
     if "nl-grid" in c["engines"]:
         nus = c["pde_nonlocal"]["nu"]
-        kgrid = kernels.at_resolution(rho0.n)
         run = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=nus,
                               energy_every=c["output"]["energy_every"])
         for idx, tr in enumerate(run.traces):
@@ -573,11 +559,16 @@ def _field_measure(fld: F.GridField, smooth_with=None):
     return T.grid_to_measure(F.GridField(np.maximum(fld.values, 0.0)), max_atoms=_SWEEP_ATOMS)
 
 
-def _check_sweep_kde(c, rho0: F.GridField):
+def _check_sweep(c, rho0: F.GridField, n_list=()):
     """Fail before any run when the sweep's kde grid (the initial field's)
-    does not divide the kernel table size (fields.check_kde_size)."""
+    does not divide the kernel table size (fields.check_kde_size), when the
+    coarsening of its fields to _SWEEP_ATOMS does not divide it, or when a
+    particle count of n_list is not a valid N."""
     F.check_kde_size(rho0.n, c["kernels"]["table_points"] or
                      DEFAULT_TABLE_POINTS[c["dimension"]])
+    T.coarsening_factor(rho0.n, rho0.d, _SWEEP_ATOMS)
+    for N in n_list:
+        _check_keys({"N": int(N)})
 
 
 def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
@@ -592,30 +583,25 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         raise ValueError("epsilon list must be strictly decreasing")
     c = base_scenario.config
     rho0 = initial_density(base_scenario)
-    _check_sweep_kde(c, rho0)
-    # every eps's alpha and kernels pass before the shared local run, so an
-    # eps the particles or the tables cannot take fails at entry; each set,
-    # with the mesh caches its particle run fills, is dropped as the next
-    # eps starts
+    _check_sweep(c, rho0)
+    # every eps's plan, and the shared local run's, passes before any run, so
+    # an eps the particles, the tables or the step cap cannot take fails at
+    # entry; each set, with the mesh caches its particle run fills, is
+    # dropped as the next eps starts
     plan = []
     for eps in eps_list:
-        sc = Scenario.from_dict(
-            _merge(c, {"schedule": {**c["schedule"], "epsilon": eps}, "engines": []})
-        )
-        _check_particle_alpha(sc)
-        kset = build_scenario_kernels(sc)
-        _particle_steps(sc, kset, c["T"])
-        plan.append((eps, sc, kset))
-    kernels0 = build_scenario_kernels(base_scenario)
-    local = PL.run_local(rho0, _local_config(base_scenario, kernels0))
+        sc = Scenario.from_dict(_merge(c, {"schedule": {"epsilon": eps}}))
+        plan.append((eps, sc, *_plan(sc, rho0, ("particles", "nl-grid"))))
+    _, _, local_cfg, _ = _plan(base_scenario, rho0, ("local-grid",))
+    local = PL.run_local(rho0, local_cfg)
     local_measure = _field_measure(local.final)
     rows = []
     while plan:
-        eps, sc, kset = plan.pop(0)
-        kgrid = kset.at_resolution(rho0.n)
+        eps, sc, kset, steps, _, kgrid = plan.pop(0)
         nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,), energy_every=c["T"])
         nl_measure = _field_measure(nl.traces[0].final)
-        state = _particles_to_T(sc, kset, rho0)[-1]
+        state = _run_particles(sc, kset, P.init_quantile(rho0, c["N"]), steps["particles"],
+                               None)[-1]
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
         kde_measure = _field_measure(kde)
         smooth = kgrid.omega_tilde
@@ -642,12 +628,10 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     Each row also carries that nl run under the run_scenario key "nl_run",
     with its energy reports at t = 0 and T only."""
     c = base_scenario.config
-    _check_particle_alpha(base_scenario)
     rho0 = initial_density(base_scenario)
-    _check_sweep_kde(c, rho0)
-    kset = build_scenario_kernels(base_scenario)
-    _particle_steps(base_scenario, kset, c["T"])  # the step does not depend on N
-    kgrid = kset.at_resolution(rho0.n)
+    _check_sweep(c, rho0, n_list)
+    # the particle step does not depend on N
+    kset, steps, _, kgrid = _plan(base_scenario, rho0, ("particles", "nl-grid"))
     nl = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=(0.0,), energy_every=c["T"])
     # the asserted trend uses the raw empirical measure: any fixed smoothing
     # either annihilates the N-dependent granularity (smoothing both sides)
@@ -656,8 +640,8 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
     nl_smoothed = _field_measure(nl.traces[0].final, smooth_with=kgrid.omega_tilde)
     rows = []
     for N in n_list:
-        sc = Scenario.from_dict(_merge(c, {"N": int(N), "engines": []}))
-        state = _particles_to_T(sc, kset, rho0)[-1]
+        state = _run_particles(base_scenario, kset, P.init_quantile(rho0, int(N)),
+                               steps["particles"], None)[-1]
         emp = T.DiscreteMeasure(state.positions)
         kde = F.kde_density(state, kset.omega_tilde, rho0.n)
         kde_measure = _field_measure(kde)
@@ -681,12 +665,14 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
         raise ValueError("contraction test requires m = 2")
     if scenario.schedule().alpha <= 0.0:
         raise ValueError("contraction test requires alpha > 0")
-    kernels = build_scenario_kernels(scenario)
-    # equal steps in `samples` equal legs, so every sample ends a step
-    per_leg = _particle_steps(scenario, kernels, c["T"] / samples)
-    nsteps = P.check_steps(samples * per_leg, f"each twin run of {samples} legs")
-    lam = lambda_convexity_constant(kernels)
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"--delta, the twins' initial offset, must be a finite number >= 0, "
+                         f"got {delta!r}")
     rho0 = initial_density(scenario)
+    # equal steps in `samples` equal legs, so every sample ends a step
+    kernels, steps, _, _ = _plan(scenario, rho0, ("particles",), c["T"] / samples)
+    nsteps = P.check_steps(samples * steps["particles"], f"each twin run of {samples} legs")
+    lam = lambda_convexity_constant(kernels)
     state_a = P.init_quantile(rho0, c["N"])
     rng = np.random.default_rng(c["seed"])
     if delta > 0:

@@ -258,9 +258,9 @@ def fixed_steps(T: float, dt_max: float, source: str = "dt") -> tuple:
     """
     if T <= 0:
         return 0, dt_max
-    q = T / dt_max
+    q = T / dt_max if dt_max > 0 else math.inf
     if q <= MAX_STEPS + 1:  # past it q may be inf, and is refused as it stands
-        q = round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q)
+        q = max(1, round(q) if abs(q - round(q)) <= 1e-9 * q else math.ceil(q))
     what = f"{source} sets a step of {dt_max:.3g}, so a run of length {T:g}"
     return check_steps(q, what), T / q
 

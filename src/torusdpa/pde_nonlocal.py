@@ -28,7 +28,7 @@ from .kernels import KernelSet
 from .particles import SAMPLE_TOL
 from .spectral import forward_transform, inverse_transform, k_squared
 
-__all__ = ["run_nonlocal", "NonlocalRun", "NonlocalTrace"]
+__all__ = ["run_nonlocal", "cfl_step", "NonlocalRun", "NonlocalTrace"]
 
 # run_nonlocal steps at this fraction of the CFL bound
 CFL_SAFETY = 0.45
@@ -55,6 +55,13 @@ def _upwind_divergence(rho_vals: np.ndarray, vfaces) -> np.ndarray:
         w /= h
         out += w
     return div
+
+
+def cfl_step(rho: GridField, vfaces) -> float:
+    """run_nonlocal's step before the cut at T: CFL_SAFETY times the CFL bound
+    h/(2 d ||v||_inf) of the face velocities vfaces on rho (inf where v = 0)."""
+    vmax = max(float(vfaces.max()), -float(vfaces.min()))
+    return CFL_SAFETY * (rho.h / (2.0 * rho.d * vmax)) if vmax > 0 else float("inf")
 
 
 @dataclass
@@ -111,10 +118,7 @@ def run_nonlocal(
                                    f"T = {T:g}")
             steps += 1
             vfaces = velocity_field_nl(rho, kernels, at_faces=True)
-            vmax = max(float(vfaces.max()), -float(vfaces.min()))
-            dt = T - t
-            if vmax > 0:
-                dt = min(dt, CFL_SAFETY * (rho.h / (2.0 * rho.d * vmax)))
+            dt = min(T - t, cfl_step(rho, vfaces))
             div = _upwind_divergence(rho.values, vfaces)
             div *= dt
             new = np.subtract(rho.values, div, out=div)  # div is not held into the next step

@@ -35,6 +35,7 @@ __all__ = [
     "w2_circle_exact",
     "w2_exact_lp",
     "grid_to_measure",
+    "coarsening_factor",
 ]
 
 # equal-size uniform pairs up to this many atoms go to the assignment solver
@@ -454,6 +455,19 @@ def w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 # grids to measures
 
 
+def coarsening_factor(n: int, d: int, max_atoms: Optional[int]) -> int:
+    """grid_to_measure's block side on an n^d grid: the least power of two
+    that leaves at most max_atoms blocks, which must divide n."""
+    if max_atoms is not None and max_atoms < 1:
+        raise ValueError(f"max_atoms must be positive, got {max_atoms}")
+    factor = 1
+    while max_atoms is not None and (n // factor) ** d > max_atoms:
+        factor *= 2
+    if n % factor:
+        raise ValueError(f"grid size {n} not divisible by coarsening factor {factor}")
+    return factor
+
+
 def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> DiscreteMeasure:
     """Atoms at grid nodes weighted by cell mass.  With max_atoms, the n^d grid
     is cut into blocks of a power-of-two side, the least that leaves at most
@@ -461,14 +475,8 @@ def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> Discrete
     blocks carry no atom."""
     if rho.values.min() < -1e-12:
         raise ValueError("negative density cells")
-    if max_atoms is not None and max_atoms < 1:
-        raise ValueError(f"max_atoms must be positive, got {max_atoms}")
     n, d = rho.n, rho.d
-    factor = 1
-    while max_atoms is not None and (n // factor) ** d > max_atoms:
-        factor *= 2
-    if n % factor:
-        raise ValueError(f"grid size {n} not divisible by coarsening factor {factor}")
+    factor = coarsening_factor(n, d, max_atoms)
     vals = np.maximum(rho.values, 0.0)
     coords = np.meshgrid(*[np.arange(n) / n] * d, indexing="ij")
     if factor == 1:

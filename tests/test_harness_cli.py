@@ -176,7 +176,8 @@ class TestRunScenario:
         # snapshots are the first steps at or past 1.5e-3, 3e-3 and 4.5e-3
         sc = small_scenario(engines=["particles"], T=5e-3, output={"snapshot_every": 1.5e-3})
         art = run_scenario(sc, tmp_path / "s")
-        nsteps, dt = P.fixed_steps(5e-3, H._particle_dt(sc, art.results["kernels"]))
+        nsteps = H._particle_steps(sc, art.results["kernels"], 5e-3)
+        dt = 5e-3 / nsteps
         rows = (art.out_dir / "particles.csv").read_text().splitlines()[1:]
         times = sorted({float(row.split(",")[0]) for row in rows})
         want = sampled_times([k * dt for k in range(1, nsteps + 1)], 1.5e-3)
@@ -551,15 +552,25 @@ class TestCli:
         ({"integrator": {"dt_safety": 1e-300}},
          "integrator.dt_safety = 1e-300", ("simulate", "sweep-eps", "sweep-n", "contraction")),
         ({"pde_local": {"dt": 1e-300}}, "pde_local.dt", ("simulate", "sweep-eps")),
-    ], ids=["epsilon-star-1e9", "dt-safety-1e-300", "local-dt-1e-300"])
+        # a step that underflows to 0 once raised ZeroDivisionError past the CLI
+        ({"integrator": {"dt_safety": 5e-324}}, "integrator.dt_safety = 4.94066e-324",
+         ("simulate", "sweep-eps", "sweep-n", "contraction")),
+        # appendix-A particles drop the epsilon_star term, so the sweeps' own
+        # particle plans pass and their nonlocal first step is refused
+        ({"engines": ["nl-grid"], "appendix_a_mode": True,
+          "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 1e9,
+                       "alpha": 0.08}},
+         "nonlocal engine's first CFL step on rho0, at epsilon_star = 1e+09",
+         ("simulate", "sweep-eps", "sweep-n")),
+    ], ids=["epsilon-star-1e9", "dt-safety-1e-300", "local-dt-1e-300", "dt-safety-5e-324",
+         "nl-epsilon-star-1e9"])
     def test_plans_past_the_step_cap_exit_1_before_any_file(self, tmp_path, capsys,
                                                             monkeypatch, over, key, commands):
         # configs whose fixed step counts run to 1e8 and more once hung without
         # a word; every command that plans them refuses before any file is
         # written or any engine runs, naming the count and the key
         runs = []
-        for owner, name in ((H, "_particles_to_T"), (H, "_run_particles"),
-                            (PL, "run_local"), (PN, "run_nonlocal")):
+        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
             monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: runs.append(_n))
         raw = {"dimension": 1, "N": 64, "T": 5e-4, "seed": 7,
                "engines": ["particles", "nl-grid", "local-grid"], "grid": {"n": 128},
@@ -584,16 +595,15 @@ class TestCli:
             assert not out.exists() and runs == []
 
     def test_step_cap_clears_every_preset_20_fold(self):
-        # fig1-2d's 17 500 local steps are the largest plan of the presets
+        # fig1-2d's 17 500 local steps are the largest plan of the presets;
+        # each preset is planned for its engines and the nonlocal one, whose
+        # first-step floor every sweep of it plans
         for name, preset in PRESETS.items():
             sc = Scenario.from_dict(preset)
-            kernels = H.build_scenario_kernels(sc)
-            T, engines = sc.config["T"], sc.config["engines"]
-            if "particles" in engines:
-                assert 20 * H._particle_steps(sc, kernels, T) <= P.MAX_STEPS, name
-            if "local-grid" in engines:
-                local_steps = P.fixed_steps(T, H._local_config(sc, kernels).dt)[0]
-                assert 20 * local_steps <= P.MAX_STEPS, name
+            engines = {*sc.config["engines"], "nl-grid"}
+            steps = H._plan(sc, initial_density(sc), engines)[1]
+            assert set(steps) == engines, name
+            assert 20 * max(steps.values()) <= P.MAX_STEPS, name
 
     def test_grid_only_run_at_alpha_zero_runs(self, tmp_path):
         # without particles alpha = 0 means R_alpha * rho = rho
@@ -703,7 +713,7 @@ class TestCliSweeps:
         def engine(*args, **kwargs):
             raise AssertionError("an engine ran")
 
-        for owner, name in ((H, "_particles_to_T"), (PL, "run_local"), (PN, "run_nonlocal")):
+        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
             monkeypatch.setattr(owner, name, engine)
         cfg = self._sweep_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -713,12 +723,35 @@ class TestCliSweeps:
         assert ("kde grid n = 384 does not divide the kernel table size 1024"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("over, mode, message", [
+        ({"dimension": 2, "grid": {"n": 75}, "kernels": {"table_points": 450}},
+         ["--eps", "0.1", "0.098", "0.096"], "grid size 75 not divisible by coarsening factor 2"),
+        ({"dimension": 2, "grid": {"n": 75}, "kernels": {"table_points": 450}},
+         ["--n-particles", "32", "64"], "grid size 75 not divisible by coarsening factor 2"),
+        ({}, ["--n-particles", "32", "0"], "N must be an integer >= 1, got 0"),
+    ], ids=["w2-grid-eps", "w2-grid-n", "n-zero"])
+    def test_sweep_checks_w2_grid_and_counts_before_any_run(self, tmp_path, monkeypatch,
+                                                            capsys, over, mode, message):
+        # 75^2 cells coarsen to 4096 W2 atoms only by blocks of 2, which do
+        # not divide 75; both once failed only after the shared grid runs
+        def engine(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
+            monkeypatch.setattr(owner, name, engine)
+        cfg = self._sweep_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **over}))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", str(cfg), *mode, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err and not out.exists()
+
     def test_eps_sweep_builds_every_kernel_set_before_any_run(self, monkeypatch):
         # fig1's 512-point tables resolve omega at eps = 0.08 but not at 0.06
         def engine(*args, **kwargs):
             raise AssertionError("an engine ran")
 
-        for owner, name in ((H, "_particles_to_T"), (PL, "run_local"), (PN, "run_nonlocal")):
+        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
             monkeypatch.setattr(owner, name, engine)
         sc = Scenario.from_dict({**PRESETS["fig1-2d"], "grid": {"n": 16}})
         with pytest.raises(KernelResolutionError, match="samples across scale"):
@@ -734,6 +767,17 @@ class TestCliSweeps:
                        "--out", str(tmp_path / "con")])
         assert rc == 0
         assert "pass=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta", ["-1e-3", "nan", "inf"])
+    def test_contraction_refuses_a_bad_delta_before_any_run(self, tmp_path, monkeypatch,
+                                                             capsys, delta):
+        # a negative delta once moved no particle and reported pass=True
+        monkeypatch.setattr(H, "_run_particles", lambda *a, **k: pytest.fail("twins ran"))
+        out = tmp_path / "con"
+        assert cli_main(["contraction", "contraction-1d", f"--delta={delta}",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--delta" in err and not out.exists()
 
     def test_contraction_cli(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)

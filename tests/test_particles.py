@@ -20,6 +20,7 @@ from torusdpa.particles import (
     _velocities,
     compute_forces,
     discrete_energy,
+    fixed_steps,
     init_quantile,
     momentum,
     stable_dt,
@@ -345,6 +346,17 @@ class TestStableDt:
                                 + (m - 1.0) * rho_max ** (m - 2.0) * grad_max**2)
              + kset.schedule.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))
         assert stable_dt(kset) == pytest.approx(0.5 / L, rel=1e-12)
+
+
+def test_fixed_steps_edges():
+    # a positive T takes at least one step, even where T / dt_max underflows
+    # to 0, and a step that underflowed to 0 is refused, not divided by
+    assert fixed_steps(1.0, 0.1) == (10, 0.1)
+    assert fixed_steps(1e-300, 1e300) == (1, 1e-300)
+    assert fixed_steps(1e-3, math.inf) == (1, 1e-3)
+    assert fixed_steps(0.0, 0.1) == (0, 0.1)
+    with pytest.raises(ValueError, match="takes inf steps, more than the cap"):
+        fixed_steps(1.0, 0.0, "integrator.dt")
 
 
 def test_energy_dissipation_rk4(kset_1d, rng):
