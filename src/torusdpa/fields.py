@@ -170,8 +170,6 @@ class EnergyReport:
     entropy: float
     mean_position: np.ndarray
     step_dissipation: float
-    d_term: float = 0.0
-    visc_term: float = 0.0
 
     @staticmethod
     def header(d: int) -> list:
@@ -202,9 +200,7 @@ def free_energy(
     else:
         half = rho  # alpha = 0 convention: R_alpha * rho = rho
     E2h = energy_E_m(GridField(np.maximum(half.values, 0.0)), 2.0)
-    d_term = 0.25 * D
-    visc_term = 0.5 * schedule.epsilon_star * E2h
-    F = d_term - Em + visc_term
+    F = 0.25 * D - Em + 0.5 * schedule.epsilon_star * E2h
     v = velocity_field_nl(rho, kernels)
     diss = float((rho.values * np.sum(v * v, axis=0)).sum() * rho.h**rho.d)
     return EnergyReport(
@@ -215,8 +211,6 @@ def free_energy(
         entropy=entropy(rho),
         mean_position=circular_mean(rho),
         step_dissipation=diss,
-        d_term=d_term,
-        visc_term=visc_term,
     )
 
 

@@ -10,7 +10,6 @@ data goes to a separate volatile file so the manifest stays deterministic.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -354,13 +353,10 @@ class _Writer:
         self.entries.append(entry)
         return path
 
-    def csv(self, name: str, header, rows, schema: str):
-        path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+    def csv(self, name: str, header, table, schema: str):
+        with open(self.out_dir / name, "w", newline="") as fh:
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
         return self.register(name, schema)
 
     def gridfield(self, name: str, fld: F.GridField):
@@ -371,10 +367,6 @@ class _Writer:
         path = self.out_dir / name
         path.write_text(json.dumps(obj, sort_keys=True, indent=1))
         return self.register(name, "json", volatile=volatile)
-
-
-def _fmt(v):
-    return format(v, ".17g") if isinstance(v, float) else v
 
 
 # ---------------------------------------------------------------------------
@@ -465,62 +457,55 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, e
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunArtifacts:
-    """Execute every configured engine; write artifacts and the manifest.  The
-    results keep rho0 and, for a particle run, the initial particles."""
+    """Plan, run every configured engine, then write the artifacts and the
+    manifest: a run that raises writes no file.  The results keep rho0 and,
+    for a particle run, the initial particles."""
     t_start = time.time()
     c = scenario.config
     d = c["dimension"]
+    engines, nus = c["engines"], c["pde_nonlocal"]["nu"]
     rho0 = initial_density(scenario)
     kernels, steps, local_cfg, kgrid = _plan(scenario, rho0)
     results = {"kernels": kernels, "rho0": rho0}
-    # nothing is written until rho0 and the plan pass
+    if "particles" in engines:
+        states = _run_particles(scenario, kernels, P.init_quantile(rho0, c["N"]),
+                                steps["particles"], c["output"]["snapshot_every"])
+        times = [st.time for st in states]
+        energies = [P.discrete_energy(st, kernels) for st in states] if c["m"] == 2.0 else None
+        results["particle_initial_state"], results["particle_state"] = states[0], states[-1]
+    if "nl-grid" in engines:
+        nl = results["nl_run"] = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=nus,
+                                                 energy_every=c["output"]["energy_every"])
+    if "local-grid" in engines:
+        local = results["local_run"] = PL.run_local(rho0, local_cfg)
+        results["local_flags"] = local.flags
+
+    # every engine has returned: only now is a file written
     writer = _Writer(out_dir)
     writer.json("config.json", c)
     writer.gridfield("initial.gf", rho0)
-
-    if "particles" in c["engines"]:
-        states = _run_particles(scenario, kernels, P.init_quantile(rho0, c["N"]),
-                                steps["particles"], c["output"]["snapshot_every"])
-        writer.csv(
-            "particles.csv",
-            ["t", "particle_id"] + [f"x_{ax + 1}" for ax in range(d)],
-            ([st.time, i, *st.positions[i]] for st in states for i in range(st.N)),
-            "particle-snapshots-v1",
-        )
-        if kernels.schedule.m == 2.0:
-            writer.csv(
-                "particle_energy.csv",
-                ["t", "interaction_energy"],
-                ([st.time, P.discrete_energy(st, kernels)] for st in states),
-                "particle-energy-v1",
-            )
-        results["particle_initial_state"], results["particle_state"] = states[0], states[-1]
-
-    if "nl-grid" in c["engines"]:
-        nus = c["pde_nonlocal"]["nu"]
-        run = PN.run_nonlocal(rho0, kgrid, T=c["T"], nu_sequence=nus,
-                              energy_every=c["output"]["energy_every"])
-        for idx, tr in enumerate(run.traces):
+    if "particles" in engines:
+        table = np.column_stack([np.repeat(times, c["N"]), np.tile(np.arange(c["N"]), len(states)),
+                                 np.concatenate([st.positions for st in states])])
+        writer.csv("particles.csv", ["t", "particle_id"] + [f"x_{ax + 1}" for ax in range(d)],
+                   table, "particle-snapshots-v1")
+        if energies is not None:
+            writer.csv("particle_energy.csv", ["t", "interaction_energy"],
+                       np.column_stack([times, energies]), "particle-energy-v1")
+    if "nl-grid" in engines:
+        for idx, tr in enumerate(nl.traces):
             writer.gridfield(f"nl_final_{idx}.gf", tr.final)
             writer.csv(f"nl_energy_{idx}.csv", F.EnergyReport.header(d),
-                       (rep.row() for rep in tr.reports), "energy-report-v1")
-        if run.l2_differences:
-            writer.csv(
-                "nl_nu_cauchy.csv",
-                ["nu_high", "nu_low", "l2_difference"],
-                [[nus[i], nus[i + 1], l2] for i, l2 in enumerate(run.l2_differences)],
-                "nu-continuation-v1",
-            )
-        results["nl_run"] = run
-
-    if "local-grid" in c["engines"]:
-        run = PL.run_local(rho0, local_cfg)
-        writer.gridfield("local_final.gf", run.final)
+                       [rep.row() for rep in tr.reports], "energy-report-v1")
+        if nl.l2_differences:
+            writer.csv("nl_nu_cauchy.csv", ["nu_high", "nu_low", "l2_difference"],
+                       np.column_stack([nus[:-1], nus[1:], nl.l2_differences]),
+                       "nu-continuation-v1")
+    if "local-grid" in engines:
+        writer.gridfield("local_final.gf", local.final)
         cols = ["t", "free_energy", "modified_energy", "sav_r", "mass", "min"]
-        writer.csv("local_energy.csv", cols, ([r[k] for k in cols] for r in run.records),
+        writer.csv("local_energy.csv", cols, [[r[k] for k in cols] for r in local.records],
                    "local-energy-v1")
-        results["local_run"] = run
-        results["local_flags"] = run.flags
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -617,7 +602,7 @@ def convergence_sweep(base_scenario: Scenario, eps_list, out_dir=None):
         })
     if out_dir is not None:
         cols = ["epsilon", "w2_nl_local", "w2_particle_local", "w2_particle_nl"]
-        _Writer(out_dir).csv("sweep_eps.csv", cols, ([r[k] for k in cols] for r in rows),
+        _Writer(out_dir).csv("sweep_eps.csv", cols, [[r[k] for k in cols] for r in rows],
                              "sweep-eps-v1")
     return rows
 
@@ -649,7 +634,7 @@ def particle_count_sweep(base_scenario: Scenario, n_list, out_dir=None):
                      "w2_kde_nl": T.w2(kde_measure, nl_smoothed), "nl_run": nl})
     if out_dir is not None:
         cols = ["N", "w2_particle_nl", "w2_kde_nl"]
-        _Writer(out_dir).csv("sweep_n.csv", cols, ([r[k] for k in cols] for r in rows),
+        _Writer(out_dir).csv("sweep_n.csv", cols, [[r[k] for k in cols] for r in rows],
                              "sweep-n-v1")
     return rows
 
@@ -674,15 +659,11 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     nsteps = P.check_steps(samples * steps["particles"], f"each twin run of {samples} legs")
     lam = lambda_convexity_constant(kernels)
     state_a = P.init_quantile(rho0, c["N"])
-    rng = np.random.default_rng(c["seed"])
-    if delta > 0:
-        direction = rng.standard_normal(state_a.positions.shape)
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        shift = delta * direction / norms
-    else:
-        shift = np.zeros_like(state_a.positions)
-    state_b = P.ParticleState(state_a.positions + shift)
+    # at delta = 0 the shift is +-0.0 and the twins stay bit-identical
+    direction = np.random.default_rng(c["seed"]).standard_normal(state_a.positions.shape)
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    state_b = P.ParticleState(state_a.positions + delta * direction / norms)
 
     def measure(sa, sb):
         return T.w2(T.DiscreteMeasure(sa.positions), T.DiscreteMeasure(sb.positions))
@@ -691,41 +672,31 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
     twin_a = _run_particles(scenario, kernels, state_a, nsteps, c["T"] / samples)
     twin_b = _run_particles(scenario, kernels, state_b, nsteps, c["T"] / samples)
     rows = [{"t": 0.0, "w2": w0, "ratio": 1.0 if w0 > 0 else 0.0, "envelope": 1.0}]
-    ok = True
-    worst = 0.0
-    offending = None
+    # log(ratio / envelope) per sample, -inf at ratio 0: |lambda| t can overflow exp
+    fracs = []
     for a, b in zip(twin_a[1:], twin_b[1:]):
-        t = a.time
         w = measure(a, b)
-        if w0 == 0.0:
-            ratio = 0.0 if w == 0.0 else math.inf
-        else:
-            ratio = w / w0
-        # |lambda| t can overflow exp; compare in log space
-        log_env = abs(lam) * t + math.log(1.01)
-        envelope = math.exp(log_env) if log_env < 700.0 else math.inf
-        rows.append({"t": t, "w2": w, "ratio": ratio, "envelope": envelope})
-        inside = ratio == 0.0 or math.log(max(ratio, 1e-300)) <= log_env
-        frac = math.exp(math.log(max(ratio, 1e-300)) - log_env) if ratio > 0 else 0.0
-        if frac > worst:
-            worst = frac
-            if not inside:
-                offending = t
-        ok = ok and inside
+        ratio = w / w0 if w0 != 0.0 else (0.0 if w == 0.0 else math.inf)
+        log_env = abs(lam) * a.time + math.log(1.01)
+        rows.append({"t": a.time, "w2": w, "ratio": ratio,
+                     "envelope": math.exp(log_env) if log_env < 700.0 else math.inf})
+        fracs.append(-math.inf if ratio == 0.0 else math.log(max(ratio, 1e-300)) - log_env)
+    # a nan W2 fails the test but stays out of the reported maximum
+    worst = max((f for f in fracs if not math.isnan(f)), default=-math.inf)
     report = {
         "lambda": lam,
         "delta": delta,
         "w2_initial": w0,
         "samples": rows,
-        "max_envelope_fraction": worst,
-        "pass": bool(ok),
-        "offending_time": offending,
+        "max_envelope_fraction": math.exp(worst),
+        "pass": all(f <= 0.0 for f in fracs),
+        "offending_time": rows[1 + fracs.index(worst)]["t"] if worst > 0.0 else None,
         "degenerate": bool(delta == 0.0),
     }
     if out_dir is not None:
         writer = _Writer(out_dir)
         cols = ["t", "w2", "ratio", "envelope"]
-        writer.csv("contraction.csv", cols, ([r[k] for k in cols] for r in rows),
+        writer.csv("contraction.csv", cols, [[r[k] for k in cols] for r in rows],
                    "contraction-v1")
         writer.json("contraction_report.json",
                     {k: v for k, v in report.items() if k != "samples"})

@@ -743,5 +743,5 @@ def export_kernel_csv(kernel, path):
         + ["value"]
         + [f"grad{i + 1}" for i in range(table.d)]
     )
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")

@@ -466,6 +466,5 @@ def test_alpha_zero_convention():
     assert np.all(np.isfinite(v)) and abs(v[0].mean()) < 1e-12
     rep = free_energy(rho, kset)
     # the viscosity addend is (eps_star/2) E_2[rho] under the convention
-    assert rep.visc_term == pytest.approx(
-        0.5 * sched.epsilon_star * energy_E_m(rho, 2.0), rel=1e-12
-    )
+    visc = rep.F_eps_alpha - (0.25 * rep.D_eps - rep.E_m)
+    assert visc == pytest.approx(0.5 * sched.epsilon_star * energy_E_m(rho, 2.0), rel=1e-12)

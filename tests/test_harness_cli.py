@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 import warnings
@@ -25,6 +26,16 @@ from torusdpa.harness import (
 )
 from torusdpa.kernels import KernelResolutionError, KernelTable
 from torusdpa.particles import stable_dt
+
+
+@pytest.fixture
+def engines_fail(monkeypatch):
+    """Every engine entry point raises, for checks that must come before any run."""
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
+        monkeypatch.setattr(owner, name, engine)
 
 
 def small_scenario(**over):
@@ -191,7 +202,7 @@ class TestRunScenario:
                             output={"snapshot_every": 2.5e-4})
         art = run_scenario(sc, tmp_path / "t")
         dt = 1e-3 / 10
-        want = [H._fmt(k * dt) for k in (0, 3, 5, 8, 10)]
+        want = [format(k * dt, ".17g") for k in (0, 3, 5, 8, 10)]
         for name in ("particles.csv", "particle_energy.csv"):
             rows = (art.out_dir / name).read_text().splitlines()[1:]
             assert sorted({row.split(",")[0] for row in rows}, key=float) == want
@@ -283,6 +294,33 @@ class TestContraction:
         assert rep["w2_initial"] == pytest.approx(1e-3, rel=0.05)
         # continuity: early ratio near 1
         assert rep["samples"][1]["ratio"] == pytest.approx(1.0, abs=0.1)
+
+    def test_breach_names_the_first_worst_sample(self, monkeypatch):
+        # ratios 1, 5, 2, 5 at the four samples: the envelope grows with t,
+        # so the first 5 breaches most
+        w2 = iter([1e-3, 1e-3, 5e-3, 2e-3, 5e-3])
+        monkeypatch.setattr(H.T, "w2", lambda mu, nu: next(w2))
+        rep = contraction_test(small_scenario(T=1e-3), 1e-3, samples=4)
+        worst = rep["samples"][2]
+        assert not rep["pass"] and rep["offending_time"] == worst["t"]
+        assert rep["max_envelope_fraction"] == pytest.approx(5.0 / worst["envelope"], rel=1e-12)
+
+    def test_nan_w2_fails_with_a_finite_fraction(self, monkeypatch, tmp_path):
+        # ratios 1, nan, 1, 1: the nan sample fails, and the report stays
+        # standard JSON with the largest finite fraction
+        w2 = iter([1e-3, 1e-3, math.nan, 1e-3, 1e-3])
+        monkeypatch.setattr(H.T, "w2", lambda mu, nu: next(w2))
+        rep = contraction_test(small_scenario(T=1e-3), 1e-3, samples=4, out_dir=tmp_path)
+        assert not rep["pass"] and rep["offending_time"] is None
+        assert rep["max_envelope_fraction"] == pytest.approx(
+            1.0 / rep["samples"][1]["envelope"], rel=1e-12)
+
+        def refuse(const):
+            raise ValueError(const)
+
+        report = json.loads((tmp_path / "contraction_report.json").read_text(),
+                            parse_constant=refuse)
+        assert report["max_envelope_fraction"] == rep["max_envelope_fraction"]
 
     def test_dt_safety_above_one_silences_dt_warning(self):
         sc = small_scenario(T=3e-3, integrator={"method": "heun", "dt": "auto",
@@ -613,6 +651,14 @@ class TestCli:
         art = run_scenario(sc, tmp_path / "nl")
         assert "nl_final_0.gf" in art.files
 
+    def test_seed_option_reaches_config_and_manifest(self, tmp_path):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps(small_scenario(seed=3, engines=["particles"]).config))
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        for name in ("config.json", "manifest.json"):
+            assert json.loads((out / name).read_text())["seed"] == 7
+
     def test_error_exit_code(self, capsys):
         rc = cli_main(["simulate", "no-such-file.json"])
         assert rc == 1
@@ -708,13 +754,8 @@ class TestCliSweeps:
 
     @pytest.mark.parametrize("mode", [["--eps", "0.2", "0.15", "0.1"],
                                       ["--n-particles", "32", "64", "128"]])
-    def test_sweep_checks_kde_grid_before_any_run(self, tmp_path, monkeypatch, capsys, mode):
+    def test_sweep_checks_kde_grid_before_any_run(self, tmp_path, engines_fail, capsys, mode):
         # grid.n = 384 does not divide the 1024-point kernel tables
-        def engine(*args, **kwargs):
-            raise AssertionError("an engine ran")
-
-        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
-            monkeypatch.setattr(owner, name, engine)
         cfg = self._sweep_config(tmp_path)
         raw = json.loads(cfg.read_text())
         raw["grid"] = {"n": 384}
@@ -730,15 +771,10 @@ class TestCliSweeps:
          ["--n-particles", "32", "64"], "grid size 75 not divisible by coarsening factor 2"),
         ({}, ["--n-particles", "32", "0"], "N must be an integer >= 1, got 0"),
     ], ids=["w2-grid-eps", "w2-grid-n", "n-zero"])
-    def test_sweep_checks_w2_grid_and_counts_before_any_run(self, tmp_path, monkeypatch,
+    def test_sweep_checks_w2_grid_and_counts_before_any_run(self, tmp_path, engines_fail,
                                                             capsys, over, mode, message):
         # 75^2 cells coarsen to 4096 W2 atoms only by blocks of 2, which do
         # not divide 75; both once failed only after the shared grid runs
-        def engine(*args, **kwargs):
-            raise AssertionError("an engine ran")
-
-        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
-            monkeypatch.setattr(owner, name, engine)
         cfg = self._sweep_config(tmp_path)
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **over}))
         out = tmp_path / "out"
@@ -746,13 +782,20 @@ class TestCliSweeps:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err and not out.exists()
 
-    def test_eps_sweep_builds_every_kernel_set_before_any_run(self, monkeypatch):
-        # fig1's 512-point tables resolve omega at eps = 0.08 but not at 0.06
-        def engine(*args, **kwargs):
-            raise AssertionError("an engine ran")
+    @pytest.mark.parametrize("eps, message", [
+        (["0.1", "0.08"], "need at least 3 epsilon values"),
+        (["0.1", "0.12", "0.08"], "epsilon list must be strictly decreasing"),
+    ], ids=["two", "not-decreasing"])
+    def test_eps_sweep_refuses_a_bad_list_before_any_run(self, tmp_path, engines_fail, capsys,
+                                                        eps, message):
+        out = tmp_path / "out"
+        cfg = self._sweep_config(tmp_path)
+        assert cli_main(["sweep", str(cfg), "--eps", *eps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err and not out.exists()
 
-        for owner, name in ((H, "_run_particles"), (PL, "run_local"), (PN, "run_nonlocal")):
-            monkeypatch.setattr(owner, name, engine)
+    def test_eps_sweep_builds_every_kernel_set_before_any_run(self, engines_fail):
+        # fig1's 512-point tables resolve omega at eps = 0.08 but not at 0.06
         sc = Scenario.from_dict({**PRESETS["fig1-2d"], "grid": {"n": 16}})
         with pytest.raises(KernelResolutionError, match="samples across scale"):
             H.convergence_sweep(sc, [0.1, 0.08, 0.06])
@@ -778,6 +821,20 @@ class TestCliSweeps:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "--delta" in err and not out.exists()
+
+    def test_contraction_cli_exits_2_on_a_breach(self, tmp_path, monkeypatch, capsys):
+        # every twin distance after t = 0 is 1000 W2(0), past any envelope here
+        w2 = iter([1e-3] + [1.0] * 8)
+        monkeypatch.setattr(H.T, "w2", lambda mu, nu: next(w2))
+        cfg = self._sweep_config(tmp_path)
+        out = tmp_path / "con"
+        assert cli_main(["contraction", str(cfg), "--out", str(out)]) == 2
+        first_t = float((out / "contraction.csv").read_text().splitlines()[2].split(",")[0])
+        report = json.loads((out / "contraction_report.json").read_text())
+        assert not report["pass"] and report["offending_time"] == first_t
+        captured = capsys.readouterr()
+        assert "pass=False" in captured.out
+        assert f"envelope violated at t={first_t}" in captured.err
 
     def test_contraction_cli(self, tmp_path, capsys):
         cfg = self._sweep_config(tmp_path)

@@ -368,6 +368,11 @@ def test_kernel_csv_export(tmp_path, kset_1d):
     head = path.read_text().splitlines()
     assert head[0] == "x1,value,grad1"
     assert len(head) == kset_1d.n + 1
+    # every float in %.17g, which reads back exactly
+    values = kset_1d.omega.table.values
+    assert head[2].split(",")[1] == format(values[1], ".17g")
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 1], values)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -1,7 +1,7 @@
 """Property test of the run plan: any config drawn from the scenario schema is
 either refused with one ValueError before a run, or planned under the step cap.
-A few drawn configs also go through the CLI, where a refusal writes no file
-and a run that ends writes a manifest."""
+A few drawn configs also go through the CLI, where a run that exits 1 writes
+no file and any other run writes a manifest."""
 
 import json
 import tempfile
@@ -89,9 +89,22 @@ def test_every_config_is_refused_or_planned_under_the_cap(raw, skip_cli):
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(raw))
         rc = cli_main(["simulate", str(cfg), "--out", str(out)])
-        if steps is None:
-            assert rc == 1 and not out.exists()
+        assert rc == 1 or steps is not None
+        # a refusal, or a run that fails as it goes (an exhausted SAV shift),
+        # writes no file
+        if rc == 1:
+            assert not out.exists()
         else:
-            # a run may still fail as it goes (an exhausted SAV shift), but
-            # then it writes no manifest
-            assert (rc == 1) != (out / "manifest.json").exists()
+            assert (out / "manifest.json").exists()
+
+
+def test_a_run_that_fails_as_it_goes_writes_no_file(tmp_path, capsys):
+    # the SAV shift runs out in the local engine, the last to run; the
+    # particle and nonlocal files once stayed behind without a manifest
+    raw = json.loads(json.dumps(BASE))
+    raw["pde_local"]["kappa"] = 0.03125
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(raw))
+    assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+    assert "SAV shift exhausted" in capsys.readouterr().err
+    assert not out.exists()
