@@ -12,10 +12,16 @@ kernels' gradients vanish at 0, and the computed self terms vanish to
 roundoff.  Appendix-A mode, which the kernel set fixes (KernelSet.appendix_a),
 drops the viscosity term entirely instead of sending eps_star to 0.
 
-Every sum runs on the kernel set's particle mesh (spectral.ParticleMesh): one
-spread of the particles (_spread), the three addends' multipliers as the set
-scales them (KernelSet.particle_mesh), and a gather at the particles.  One
-addend builder (_addends) holds the sums' only m branch, the aggregation's;
+A state is one system, positions (N, d), or a batch of B independent systems
+of N particles each, (B, N, d), every particle of a system weighted 1/N; the
+systems share the kernel set and never interact.  Every sum runs on the
+kernel set's particle mesh (spectral.ParticleMesh): one spread of the
+particles (_spread), the three addends' multipliers as the set scales them
+(KernelSet.particle_mesh), and a gather at the particles.  The mesh serves
+a whole batch with the transforms of one system: one stencil, one spread
+into the systems' stacked grids, and stacked transforms, so each system
+steps bit for bit as alone; discrete_energy and momentum take one system.
+One addend builder (_addends) holds the sums' only m branch, the aggregation's;
 compute_forces takes the gradient of each addend, the stepping velocity the
 gradient of their sum, and discrete_energy reads the same spread.  The
 kernels are trigonometric polynomials, so the sums are those of the dense
@@ -55,22 +61,27 @@ METHODS = ("euler", "heun", "rk4")
 
 @dataclass
 class ParticleState:
-    """N particle positions on the torus with uniform weights 1/N; the
+    """N particle positions on the torus with uniform weights 1/N, (N, d), or
+    B systems of them, (B, N, d), with N and the weights per system; the
     parameters they move under are those of the kernel set they meet."""
 
     positions: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        self.positions = wrap(np.atleast_2d(np.asarray(self.positions, dtype=float)))
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim not in (2, 3) or pos.shape[-1] not in (1, 2):
+            raise ValueError(f"particle positions must be (N, d) or (B, N, d) with d 1 or 2, "
+                             f"got shape {pos.shape}")
+        self.positions = wrap(pos)
 
     @property
     def N(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     @property
     def weight(self) -> float:
@@ -174,7 +185,8 @@ def _spread(state: ParticleState, kernels: KernelSet) -> tuple:
     forward transform."""
     mesh, mult = kernels.particle_mesh
     stencil = mesh.stencil(state.positions)
-    return mesh, mult, stencil, mesh.transform(stencil, np.full(state.N, 1.0 / state.N))
+    weights = np.full(state.positions.shape[:-1], 1.0 / state.N)
+    return mesh, mult, stencil, mesh.transform(stencil, weights)
 
 
 def _addends(state: ParticleState, kernels: KernelSet) -> tuple:
@@ -329,5 +341,7 @@ def discrete_energy(state: ParticleState, kernels: KernelSet) -> float:
     """
     if kernels.schedule.m != 2.0:
         raise ValueError("discrete energy is defined for m = 2 only")
+    if state.positions.ndim != 2:
+        raise ValueError("discrete energy takes one system, positions (N, d)")
     mesh, mult, _, mu = _spread(state, kernels)
     return 0.5 * inner(mult["U"] * mu, mu, mesh.box)

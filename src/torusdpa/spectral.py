@@ -37,6 +37,7 @@ coefficients are the table's spectrum over the spline symbol.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -233,16 +234,20 @@ def _spline_weights(s: np.ndarray) -> np.ndarray:
 
 
 def _product(per_axis, combine):
-    """Tensor product (N, w^d) of per-axis arrays, each (N, w): combine of
-    every column pair, folded over the axes; in 1-d the array itself."""
+    """Tensor product (..., N, w^d) of per-axis arrays, each (..., N, w):
+    combine of every column pair, folded over the axes; in 1-d the array
+    itself."""
     return functools.reduce(
-        lambda a, b: combine(a[:, :, None], b[:, None, :]).reshape(a.shape[0], -1), per_axis)
+        lambda a, b: combine(a[..., :, None], b[..., None, :]).reshape(*a.shape[:-1], -1),
+        per_axis)
 
 
 class Stencil:
     """The grid points each particle touches on the periodic n^d grid: flat
-    indices and tensor-product weights, both (N, w^d), built from per-axis
-    indices and weights, each (N, w)."""
+    indices and tensor-product weights, both (..., N, w^d), built from
+    per-axis indices and weights, each (..., N, w).  Leading axes stack
+    systems, each on its own grid: system b's flat indices are offset by
+    b n^d into the systems' stacked grids."""
 
     def __init__(self, n: int, index, weight):
         self.n = n
@@ -276,16 +281,20 @@ def spline_stencil(points, n: int, d: int) -> Stencil:
 
 def _es_stencil(points: np.ndarray, n: int, d: int) -> Stencil:
     """ES stencil: the ES_WIDTH nodes l with |l/n - x| <= ES_WIDTH/(2n) on
-    each axis, weighted by the kernel at z = 2(l - n x)/ES_WIDTH."""
+    each axis, weighted by the kernel at z = 2(l - n x)/ES_WIDTH.  Points
+    (..., N, d) stack systems; each system's first-axis indices are offset
+    by b n before the tensor product, which offsets its flat indices by b n^d."""
     pts = _wrapped(points, d)
     offsets = np.arange(ES_WIDTH)
     index, weight = [], []
     for ax in range(d):
-        u = pts[:, ax] * n
+        u = pts[..., ax] * n
         lo = np.ceil(u - 0.5 * ES_WIDTH).astype(np.int64)
-        z = ((lo - u)[:, None] + offsets) * (2.0 / ES_WIDTH)
-        index.append((lo[:, None] + offsets) % n)
+        z = ((lo - u)[..., None] + offsets) * (2.0 / ES_WIDTH)
+        index.append((lo[..., None] + offsets) % n)
         weight.append(np.exp(ES_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0)))
+    batch = pts.shape[:-2]
+    index[0] += n * np.arange(math.prod(batch)).reshape(batch + (1, 1))
     return Stencil(n, index, weight)
 
 
@@ -306,17 +315,19 @@ def _es_transform(n: int, K: int) -> np.ndarray:
 
 
 def spread(stencil: Stencil, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i times particle i's stencil weights, on the n^d grid."""
-    n, d = stencil.n, stencil.d
-    out = np.bincount(stencil.index.ravel(), (stencil.weight * weights[:, None]).ravel(),
-                      minlength=n**d)
-    return out.reshape((n,) * d)
+    """sum_i weights_i times particle i's stencil weights, on the n^d grid of
+    each system: weights (..., N) give grids (..., n, ..., n), in one
+    bincount."""
+    n, d, batch = stencil.n, stencil.d, stencil.index.shape[:-2]
+    out = np.bincount(stencil.index.ravel(), (stencil.weight * weights[..., None]).ravel(),
+                      minlength=math.prod(batch) * n**d)
+    return out.reshape(batch + (n,) * d)
 
 
 def gather(stencil: Stencil, grid: np.ndarray) -> np.ndarray:
     """Per particle, the grid values at its stencil times its stencil weights,
-    summed: the exact transpose of spread."""
-    return np.einsum("ij,ij->i", grid.ravel().take(stencil.index), stencil.weight)
+    summed: the exact transpose of spread, (..., N) from the systems' grids."""
+    return np.einsum("...j,...j->...", grid.ravel().take(stencil.index), stencil.weight)
 
 
 def tail_cutoff(spec: np.ndarray, n: int) -> int:
@@ -368,7 +379,9 @@ class ParticleMesh:
     Sums with an odd multiplier are then a quadratic form of an
     antisymmetric operator, and cancel over the particles to roundoff.
     Both transforms run their first-axis pass on the box's K + 1 last-axis
-    columns only, bit for bit the full transforms.
+    columns only, bit for bit the full transforms.  Points (B, N, d) are B
+    systems on B fine grids: their stencil, spread, transforms and gather
+    broadcast over the leading axis, each system bit for bit as alone.
     """
 
     def __init__(self, d: int, K: int):
@@ -391,21 +404,22 @@ class ParticleMesh:
         return _es_stencil(points, self.fine, self.d)
 
     def transform(self, stencil: Stencil, weights: np.ndarray) -> np.ndarray:
-        """psi_hat times the coefficients of sum_i weights_i delta_{X_i} on the box."""
-        spec = forward_transform(spread(stencil, weights), self.K + 1)
-        return spec if self.d == 1 else spec[self._rows]
+        """psi_hat times the coefficients of sum_i weights_i delta_{X_i} on the
+        box, per system of the stencil: one spread and one stacked transform."""
+        spec = forward_transform(spread(stencil, weights), self.K + 1, self.d)
+        return spec if self.d == 1 else spec.take(self._rows, axis=-2)
 
     def values(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
         """At each particle, the function whose coefficients are psi_hat times
-        coeffs, a box half spectrum."""
+        coeffs, a box half spectrum per system of the stencil."""
         if self.d == 2:
-            cols = np.zeros((self.fine, self.K + 1), dtype=coeffs.dtype)
-            cols[self._rows] = coeffs
+            cols = np.zeros(coeffs.shape[:-2] + (self.fine, self.K + 1), dtype=coeffs.dtype)
+            cols[..., self._rows, :] = coeffs
             coeffs = cols
-        grid = inverse_transform(coeffs, self.fine)
+        grid = inverse_transform(coeffs, self.fine, self.d)
         return gather(stencil, grid) * (1.0 / self.fine) ** self.d
 
     def gradient(self, stencil: Stencil, coeffs: np.ndarray) -> np.ndarray:
-        """(N, d): the gradient of the same function at each particle."""
+        """(..., N, d): the gradient of the same function at each particle."""
         return np.stack([self.values(stencil, g * coeffs)
                          for g in grad_multipliers(self.box, self.d)], axis=-1)

@@ -280,6 +280,33 @@ class TestRunScenario:
         art = run_scenario(sc, tmp_path / "l")
         assert art.results["local_flags"]["energy_increases"] == 0
 
+    def test_batch_snapshots_equal_lone_runs(self):
+        # a batch of two systems through the one particle loop: each
+        # system's snapshots are its lone run's, bit for bit, at the same times
+        sc = small_scenario(engines=["particles"], integrator={"method": "rk4", "dt": "auto"})
+        rho0 = initial_density(sc)
+        kernels, steps, _, _ = H._plan(sc, rho0)
+        lone = [P.init_quantile(rho0, 64), P.init_quantile(GridField(rho0.values[::-1]), 64)]
+        assert not np.array_equal(lone[0].positions, lone[1].positions)
+        batch = P.ParticleState(np.stack([st.positions for st in lone]))
+        every = sc.config["output"]["snapshot_every"]
+        got = H._run_particles(sc, kernels, batch, steps["particles"], every)
+        for b, st in enumerate(lone):
+            want = H._run_particles(sc, kernels, st, steps["particles"], every)
+            assert [s.time for s in got] == [s.time for s in want]
+            assert all(np.array_equal(g.positions[b], w.positions) for g, w in zip(got, want))
+
+    def test_runinfo_reports_the_planned_steps(self, tmp_path):
+        # simulate's volatile runinfo.json carries the plan's count per engine
+        assert cli_main(["simulate", "default-1d", "--out", str(tmp_path)]) == 0
+        sc = load_scenario("default-1d")
+        _, steps, _, _ = H._plan(sc, initial_density(sc))
+        info = json.loads((tmp_path / "runinfo.json").read_text())
+        assert info["planned_steps"] == steps
+        assert set(steps) == set(sc.config["engines"]) and all(v > 0 for v in steps.values())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert {"path": "runinfo.json", "schema": "json", "volatile": True} in manifest["files"]
+
 
 class TestContraction:
     def test_delta_zero_degenerate_pass(self):
@@ -321,6 +348,18 @@ class TestContraction:
         report = json.loads((tmp_path / "contraction_report.json").read_text(),
                             parse_constant=refuse)
         assert report["max_envelope_fraction"] == rep["max_envelope_fraction"]
+
+    def test_twins_step_as_one_batch(self, monkeypatch):
+        # one particle loop for both twins, and at delta = 0 they stay
+        # bit-identical through every snapshot
+        runs, run_particles = [], H._run_particles
+        monkeypatch.setattr(H, "_run_particles",
+                            lambda *args: runs.append(run_particles(*args)) or runs[-1])
+        rep = contraction_test(small_scenario(T=2e-4), 0.0, samples=2)
+        assert len(runs) == 1 and len(runs[0]) == 3
+        assert all(st.positions.shape == (2, 64, 1) for st in runs[0])
+        assert all(np.array_equal(st.positions[0], st.positions[1]) for st in runs[0])
+        assert [r["w2"] for r in rep["samples"]] == [0.0] * 3
 
     def test_dt_safety_above_one_silences_dt_warning(self):
         sc = small_scenario(T=3e-3, integrator={"method": "heun", "dt": "auto",

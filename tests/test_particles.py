@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from torusdpa.oracles import (
     quad_convolve,
 )
 from torusdpa.particles import (
+    METHODS,
     ParticleState,
     _velocities,
     compute_forces,
@@ -444,6 +446,58 @@ def test_transform_counts(count_transforms, kset_1d, kset_2d, rng, d):
     del calls[:]
     compute_forces(st, kset_a)
     assert len(calls) == d * (1 + 2 * d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_step_makes_a_lone_steps_transforms(count_transforms, kset_1d, kset_2d, rng, d):
+    # the mesh pass serves the whole batch: one stacked spread, forward and
+    # inverse pass per sum, 1 + d transforms per velocity at m = 2
+    kset = kset_1d if d == 1 else kset_2d
+    X = rng.random((3, 10, d))
+    dt = 0.5 * stable_dt(kset)
+    step(ParticleState(X[0]), kset, dt, "heun")  # builds the set's mesh before counting
+    calls = count_transforms
+    for pos in (X[0], X):
+        calls.clear()
+        _velocities(ParticleState(pos), kset)
+        assert len(calls) == d * (1 + d)
+        calls.clear()
+        step(ParticleState(pos), kset, dt, "heun")
+        assert len(calls) == 2 * d * (1 + d)
+
+
+@pytest.mark.parametrize("appendix_a", [False, True])
+@pytest.mark.parametrize("m", [2.0, 3.0])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_steps_each_system_as_alone(kset_1d, kset_2d, rng, d, method, m, appendix_a):
+    # B systems of N particles, weights 1/N each, step bit for bit as they
+    # do alone; m = 3 takes the density-weighted aggregation spread
+    base = kset_1d if d == 1 else kset_2d
+    kset = dataclasses.replace(base, schedule=dataclasses.replace(base.schedule, m=m),
+                               appendix_a=appendix_a)
+    X = rng.random((3, 9, d))
+    batch = ParticleState(X, time=0.25)
+    assert (batch.N, batch.d, batch.weight) == (9, d, 1.0 / 9)
+    dt = 0.5 * stable_dt(kset)
+    got = step(batch, kset, dt, method)
+    assert got.positions.shape == X.shape and got.time == 0.25 + dt
+    for b in range(3):
+        alone = step(ParticleState(X[b]), kset, dt, method)
+        assert np.array_equal(got.positions[b], alone.positions)
+
+
+def test_discrete_energy_takes_one_system(kset_1d, rng):
+    with pytest.raises(ValueError, match="one system"):
+        discrete_energy(ParticleState(rng.random((2, 8, 1))), kset_1d)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2, 1), (5, 3), (2, 5, 0), ()])
+def test_state_refuses_other_shapes(shape):
+    # a flat array is not one particle in 3 dimensions, and a rank-4 array
+    # not a batch of N = 2
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        ParticleState(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("d", [1, 2])
