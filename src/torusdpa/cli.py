@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 invariant violation, 1 any other error.  The
+Exit codes: 0 success, 2 invariant violation, 1 any other error, usage
+errors included (argparse's own code for them is 2).  The
 invariants are the contraction envelope (contraction), kernel admissibility
 (kernels inspect) and, for simulate and every grid run inside a sweep, the
 grid invariants of invariant_breaches: no local modified-energy increase,
@@ -32,6 +33,19 @@ from .harness import (
 from .kernels import export_kernel_csv, lambda_convexity_constant
 from .transport import DiscreteMeasure, grid_to_measure, w2
 
+# the largest particle coordinate `w2` reads: wrapping a larger one into
+# [0, 1) keeps no digit of the position
+_COORD_BOUND = 1e6
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are main's errors, which return 1:
+    argparse's own exit code, 2, is an invariant breach here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
 
 def _load(path_or_preset, seed=None, appendix_a_mode=False):
     sc = load_scenario(path_or_preset)
@@ -47,7 +61,10 @@ def _measure_from_file(path: str, max_atoms):
     p = Path(path)
     if p.suffix == ".gf":
         fld = load_gridfield(p)
-        return grid_to_measure(GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
+        try:
+            return grid_to_measure(GridField(np.maximum(fld.values, 0.0)), max_atoms=max_atoms)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     with open(p) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -61,12 +78,14 @@ def _measure_from_file(path: str, max_atoms):
         raise ValueError(f"{path}: particle snapshot CSV has no rows")
     try:
         last = max(float(r[cols["t"]]) for r in rows)
-        pts = np.array(
-            [[float(r[cols[ax]]) for ax in axes] for r in rows if float(r[cols["t"]]) == last]
-        )
+        pts = [(line, [float(r[cols[ax]]) for ax in axes])
+               for line, r in enumerate(rows, start=2) if float(r[cols["t"]]) == last]
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed particle row ({exc})") from None
-    return DiscreteMeasure(pts)
+    for line, x in pts:
+        if not all(abs(v) <= _COORD_BOUND for v in x):
+            raise ValueError(f"{path}: line {line}: coordinate outside |x| <= {_COORD_BOUND:g}")
+    return DiscreteMeasure(np.array([x for _, x in pts]))
 
 
 def invariant_breaches(results: dict) -> list:
@@ -97,7 +116,7 @@ def _breach_exit(results_list) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusdpa",
         description="Deterministic particle approximation toolkit on the torus",
     )
@@ -118,8 +137,9 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="epsilon or particle-count sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--eps", type=float, nargs="+", default=None)
-    p_sweep.add_argument("--n-particles", type=int, nargs="+", default=None)
+    mode = p_sweep.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--eps", type=float, nargs="+")
+    mode.add_argument("--n-particles", type=int, nargs="+")
     add_common(p_sweep)
 
     p_con = sub.add_parser("contraction", help="twin-run lambda-contraction test")
@@ -140,9 +160,8 @@ def main(argv=None) -> int:
     p_ki.add_argument("config")
     add_common(p_ki)
 
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -162,13 +181,10 @@ def _dispatch(args) -> int:
             for r in rows:
                 print(f"eps={r['epsilon']}: W2(nl,local)={r['w2_nl_local']:.6f} "
                       f"W2(particles,local)={r['w2_particle_local']:.6f}")
-        elif args.n_particles:
+        else:
             rows = particle_count_sweep(sc, args.n_particles, out_dir=args.out)
             for r in rows:
                 print(f"N={r['N']}: W2(particles,nl)={r['w2_particle_nl']:.6f}")
-        else:
-            print("error: need --eps or --n-particles", file=sys.stderr)
-            return 1
         return _breach_exit(rows)
 
     if args.command == "contraction":

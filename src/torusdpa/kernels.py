@@ -11,18 +11,17 @@ Three families are built here:
 * a ``matern-viscosity`` kernel defined by its spectrum
   R_hat = (1 + |2 pi alpha xi|^2)^(-k), with its convolution square root.
 * compositions.  A KernelSet holds its two mollifiers, whose real half
-  spectra o_hat and ot_hat are transformed once, and R_hat; every other
-  kernel is a multiplier on them (KernelSet.multiplier): the interaction
-  kernel W_hat = ot_hat^2 (1 - o_hat)/eps^2, the squared smoothing kernel
-  ot_hat^2, the particles' pair potential U_hat = W_hat - 2 ot_hat^2
-  (+ eps_star R_hat) and the grid velocity's linear part W_hat + eps_star
-  R_hat.  The W and U tables are built when asked for, never kept.  Hessian
-  bounds are read off the multipliers, a coarser set crops the spectra, and
-  the particle sums run on a spectral.ParticleMesh that holds the particle
+  spectra o_hat and ot_hat are transformed once, and R_hat (viscosity_hat);
+  the interaction kernel's W_hat = ot_hat^2 (1 - o_hat)/eps^2 (w_hat), the
+  particles' pair potential U_hat = W_hat - 2 ot_hat^2 (+ eps_star R_hat) and
+  the grid velocity's linear part W_hat + eps_star R_hat are composed from
+  them.  The W and U tables are built when asked for, never kept.  Hessian
+  bounds are read off the spectra, a coarser set crops them, and the
+  particle sums run on a spectral.ParticleMesh that holds the particle
   velocity's three addend multipliers cropped to its box and scaled by the
   schedule (KernelSet.particle_mesh).  A set built at alpha = 0 carries no
-  R_hat, and asking for its viscosity multiplier raises the one error of
-  every particle entry point outside appendix-A mode, which the set fixes.
+  R_hat, and viscosity_hat raises the one error of every particle entry
+  point outside appendix-A mode, which the set fixes.
 
 A kernel is read only through its spectrum: the particle sums through the
 particle mesh's multipliers, the grid operators (fields.periodic_convolve)
@@ -30,14 +29,14 @@ and the kernel density estimate (fields.kde_density) as multipliers, the
 step bounds through Hessians and gradients of the spectra, and the CSV
 export through the spectral node gradient (spectral.gradient).  A
 KernelTable holds the samples, for the moments and the export, and keeps the
-spectrum it was made from.
+spectrum it was made from, or a mollifier's real spectrum once transformed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -148,13 +147,6 @@ class KernelTable:
         """Half spectrum of the table (spectral.forward_transform)."""
         return forward_transform(self.values)
 
-    # -- algebra -----------------------------------------------------------
-
-    def convolve(self, other: "KernelTable") -> "KernelTable":
-        if other.n != self.n or other.d != self.d:
-            raise KernelError("convolve: incompatible grids")
-        return KernelTable.from_spectrum(self.fourier() * other.fourier(), self.n)
-
     @classmethod
     def from_spectrum(cls, spec: np.ndarray, n: int) -> "KernelTable":
         """The table on the n^d grid with half spectrum spec."""
@@ -256,7 +248,6 @@ class KernelFamily:
     second_moment_target: float
     table: KernelTable
     profile_width: float
-    _spectrum: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -265,11 +256,12 @@ class KernelFamily:
     @property
     def spectrum(self) -> np.ndarray:
         """Real half spectrum of the table (an admissible mollifier is even),
-        transformed once on first use (copied out of the complex transform,
-        which is freed)."""
-        if self._spectrum is None:
-            self._spectrum = self.table.fourier().real.copy()
-        return self._spectrum
+        transformed once on first use and kept on the table (copied out of the
+        complex transform, which is freed)."""
+        t = self.table
+        if t._spectrum is None:
+            t._spectrum = t.fourier().real.copy()
+        return t._spectrum
 
     def validate(self):
         """Check all admissibility invariants against the _VALIDATE_TOLS
@@ -428,8 +420,9 @@ class ViscosityKernel:
         return report
 
     def half_reconstruction_error(self) -> float:
-        conv = self.half_table.convolve(self.half_table)
-        return float(np.max(np.abs(conv.values - self.table.values)))
+        half = self.half_table.fourier()
+        conv = inverse_transform(half * half, self.n)
+        return float(np.max(np.abs(conv - self.table.values)))
 
 
 def make_viscosity_kernel(
@@ -560,28 +553,27 @@ class KernelSet:
         set's lattice (KernelFamily.spectrum)."""
         return self.omega.spectrum, self.omega_tilde.spectrum
 
-    def multiplier(self, W: float = 0.0, smooth2: float = 0.0, viscosity: float = 0.0):
-        """The half spectrum W W_hat + smooth2 ot_hat^2 + viscosity R_hat, with
-        W_hat = ot_hat^2 (1 - o_hat)/eps^2; every composed kernel is one."""
+    @property
+    def w_hat(self) -> np.ndarray:
+        """W_hat = ot_hat^2 (1 - o_hat)/eps^2, the interaction kernel's half
+        spectrum, composed on each access."""
         o_hat, ot_hat = self.spectra
-        sq = ot_hat * ot_hat
-        out = np.zeros_like(sq)
-        if W:
-            out += W * (sq * (1.0 - o_hat) / self.schedule.epsilon**2)
-        if smooth2:
-            out += smooth2 * sq
-        if viscosity:
-            if self.viscosity is None:
-                raise KernelError("the viscosity term needs R_alpha, which a set built at alpha "
-                                  "= 0 lacks; build_kernel_set(..., appendix_a=True) drops it")
-            out += viscosity * self.viscosity.spectrum
-        return out
+        return ot_hat * ot_hat * (1.0 - o_hat) / self.schedule.epsilon**2
+
+    @property
+    def viscosity_hat(self) -> np.ndarray:
+        """R_hat, the viscosity kernel's half spectrum; a set built without
+        R_alpha (at alpha = 0, or in appendix-A mode) raises."""
+        if self.viscosity is None:
+            raise KernelError("the viscosity term needs R_alpha, which a set built at alpha "
+                              "= 0 lacks; build_kernel_set(..., appendix_a=True) drops it")
+        return self.viscosity.spectrum
 
     @property
     def W(self) -> KernelTable:
         """W_eps = (ot*ot - o*ot*ot)/eps^2, the interaction kernel, tabulated
         on each access."""
-        return KernelTable.from_spectrum(self.multiplier(W=1.0), self.n)
+        return KernelTable.from_spectrum(self.w_hat, self.n)
 
     @functools.cached_property
     def velocity_multipliers(self) -> tuple:
@@ -595,10 +587,9 @@ class KernelSet:
         sched = self.schedule
         m = sched.m
         ot_hat = self.spectra[1]
-        visc = (self.viscosity.spectrum
-                if sched.alpha > 0.0 and self.viscosity is not None else 1.0)
+        visc = self.viscosity_hat if sched.alpha > 0.0 and self.viscosity is not None else 1.0
         power = (m / (m - 1.0)) * ot_hat
-        linear = self.multiplier(W=1.0) + sched.epsilon_star * visc
+        linear = self.w_hat + sched.epsilon_star * visc
         quadratic = power * ot_hat - linear if m == 2.0 else None
         table = self.omega_tilde.table
         cell = table.h**table.d
@@ -618,18 +609,19 @@ class KernelSet:
                            spectrum=downsample_spectrum(self.viscosity.spectrum, n2))
         return replace(
             self,
-            omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2),
-                          _spectrum=crops[0]),
-            omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2),
-                                _spectrum=crops[1]),
+            omega=replace(self.omega, table=KernelTable.from_spectrum(crops[0], n2)),
+            omega_tilde=replace(self.omega_tilde, table=KernelTable.from_spectrum(crops[1], n2)),
             viscosity=visc,
         )
 
     def pair_spectrum(self) -> np.ndarray:
         """U_hat = W_hat - 2 ot_hat^2 + eps_star R_hat, the m=2 pair potential,
         without the R_hat term in appendix-A mode."""
-        eps_star = 0.0 if self.appendix_a else self.schedule.epsilon_star
-        return self.multiplier(W=1.0, smooth2=-2.0, viscosity=eps_star)
+        ot_hat = self.spectra[1]
+        out = self.w_hat - 2.0 * (ot_hat * ot_hat)
+        if not self.appendix_a:
+            out += self.schedule.epsilon_star * self.viscosity_hat
+        return out
 
     def pair_kernel(self) -> KernelTable:
         """The table of pair_spectrum, which keeps that spectrum."""
@@ -646,16 +638,17 @@ class KernelSet:
         the pair potential U, read from pair_kernel's spectrum and kept as
         "U" for the energy (U_hat is minus the addends' sum); otherwise at
         ot's tail, and "smoothing" is ot_hat, the smoothed density's.  A set
-        without R_hat raises outside appendix-A mode (multiplier)."""
+        without R_hat raises outside appendix-A mode (viscosity_hat)."""
         sched = self.schedule
-        specs = {"interaction": (-1.0, self.multiplier(W=1.0))}  # name: (scale, spectrum)
+        ot_hat = self.spectra[1]
+        specs = {"interaction": (-1.0, self.w_hat)}  # name: (scale, spectrum)
         if not self.appendix_a:
-            specs["viscosity"] = (-sched.epsilon_star, self.multiplier(viscosity=1.0))
+            specs["viscosity"] = (-sched.epsilon_star, self.viscosity_hat)
         if sched.m == 2.0:
             cut = np.real(self.pair_kernel().spectrum)
-            specs.update(U=(1.0, cut), aggregation=(2.0, self.multiplier(smooth2=1.0)))
+            specs.update(U=(1.0, cut), aggregation=(2.0, ot_hat * ot_hat))
         else:
-            cut = self.spectra[1]
+            cut = ot_hat
             specs.update(smoothing=(1.0, cut), aggregation=(sched.m / (sched.m - 1.0), cut))
         mesh = ParticleMesh(self.d, tail_cutoff(cut, self.n))
         return mesh, {name: scale * mesh.crop(spec) for name, (scale, spec) in specs.items()}
@@ -666,18 +659,19 @@ class KernelSet:
         its addends' spectra at the set's m, eps_star and mode (stable_dt is
         0.5 over it); a set without R_hat raises as particle_mesh does."""
         m, n = self.schedule.m, self.n
-        L = hessian_inf_norm(self.multiplier(W=1.0), n)
+        ot_hat = self.spectra[1]
+        L = hessian_inf_norm(self.w_hat, n)
         if m == 2.0:
-            L += 2.0 * hessian_inf_norm(self.multiplier(smooth2=1.0), n)
+            L += 2.0 * hessian_inf_norm(ot_hat * ot_hat, n)
         else:
             rho_max = float(self.omega_tilde.table.values.max())
-            grad_max = max(float(np.max(np.abs(g))) for g in gradient(self.spectra[1], n))
+            grad_max = max(float(np.max(np.abs(g))) for g in gradient(ot_hat, n))
             L += (m / (m - 1.0)) * (
-                hessian_inf_norm(self.spectra[1], n) * rho_max ** (m - 1.0)
+                hessian_inf_norm(ot_hat, n) * rho_max ** (m - 1.0)
                 + (m - 1.0) * rho_max ** max(m - 2.0, 0.0) * grad_max**2
             )
         if not self.appendix_a:
-            L += self.schedule.epsilon_star * hessian_inf_norm(self.multiplier(viscosity=1.0), n)
+            L += self.schedule.epsilon_star * hessian_inf_norm(self.viscosity_hat, n)
         return L
 
 

@@ -472,7 +472,7 @@ def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> Discrete
     """Atoms at grid nodes weighted by cell mass.  With max_atoms, the n^d grid
     is cut into blocks of a power-of-two side, the least that leaves at most
     max_atoms, each an atom at the barycenter of its mass.  Empty cells and
-    blocks carry no atom."""
+    blocks carry no atom, and a field without positive mass is refused."""
     if rho.values.min() < -1e-12:
         raise ValueError("negative density cells")
     n, d = rho.n, rho.d
@@ -489,4 +489,6 @@ def grid_to_measure(rho: GridField, max_atoms: Optional[int] = None) -> Discrete
             pts = np.stack([(x.reshape(shape) * blocks).sum(axis=inner).ravel() / w
                             for x in coords], axis=1)
     keep = w > 0
+    if not keep.any():
+        raise ValueError("no positive mass")
     return DiscreteMeasure(points=pts[keep], weights=w[keep] / w[keep].sum())

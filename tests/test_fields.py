@@ -287,7 +287,8 @@ def chain_velocity(rho, kset):
     grad(-B_eps[rho*ot*ot] + (m/(m-1)) ot*max(rho*ot, 0)^(m-1) - eps_star rho*R)."""
     sched = kset.schedule
     m = sched.m
-    smooth2 = KernelTable.from_spectrum(kset.multiplier(smooth2=1.0), kset.n)
+    ot_hat = kset.spectra[1]
+    smooth2 = KernelTable.from_spectrum(ot_hat * ot_hat, kset.n)
     bterm = B_eps(periodic_convolve(rho, smooth2), kset.omega, sched.epsilon)
     rt = periodic_convolve(rho, kset.omega_tilde)
     agg = periodic_convolve(GridField(np.maximum(rt.values, 0.0) ** (m - 1.0)),

@@ -24,7 +24,7 @@ from torusdpa.harness import (
     load_scenario,
     run_scenario,
 )
-from torusdpa.kernels import KernelResolutionError, KernelTable
+from torusdpa.kernels import KernelError, KernelResolutionError, KernelTable
 from torusdpa.particles import stable_dt
 
 
@@ -240,7 +240,8 @@ class TestRunScenario:
             lambda cls, spec, n: spectra.append(spec) or build(cls, spec, n)))
         art = run_scenario(small_scenario(engines=["particles"]), tmp_path / "p")
         kset = art.results["kernels"]
-        for unbuilt in (kset.multiplier(W=1.0), kset.multiplier(smooth2=1.0),
+        ot_hat = kset.spectra[1]
+        for unbuilt in (kset.w_hat, ot_hat * ot_hat,
                         kset.viscosity.spectrum, np.sqrt(kset.viscosity.spectrum)):
             assert not any(np.array_equal(spec, unbuilt) for spec in spectra)
         assert spectra  # the U table, read by the particle mesh
@@ -702,6 +703,68 @@ class TestCli:
         rc = cli_main(["simulate", "no-such-file.json"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["sweep", "default-1d", "--eps", "abc"], "invalid float value: 'abc'"),
+        (["simulat", "x"], "invalid choice: 'simulat'"),
+    ], ids=["not-a-float", "unknown-command"])
+    def test_usage_errors_exit_1_before_any_file(self, tmp_path, monkeypatch, capsys, argv,
+                                                 cause):
+        # argparse exits 2 on a usage error; 2 is an invariant breach here
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and cause in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_empty_scenario_loads_but_is_refused_before_any_file(self, tmp_path, capsys):
+        # the defaults derive epsilon_tilde = epsilon^(1/7) >= 1/2 at epsilon = 0.01
+        sc = Scenario.from_dict({})
+        with pytest.raises(KernelError, match="epsilon_tilde and epsilon_star"):
+            run_scenario(sc, tmp_path / "direct")
+        cfg = tmp_path / "empty.json"
+        cfg.write_text("{}")
+        out = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "epsilon_tilde and epsilon_star" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "direct").exists()
+
+    @pytest.mark.parametrize("values", [np.zeros(16), -np.ones(16)],
+                             ids=["all-zero", "all-negative"])
+    def test_w2_gridfield_without_positive_mass_exits_1(self, tmp_path, capsys, values):
+        bad = tmp_path / "bad.gf"
+        save_gridfield(GridField(values), bad)
+        save_gridfield(GridField(np.ones(16)), tmp_path / "ok.gf")
+        assert cli_main(["w2", str(tmp_path / "ok.gf"), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"{bad}: no positive mass" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x", ["1e300", "-1000000.5", "nan", "inf"])
+    def test_w2_particle_coordinate_past_the_bound_exits_1(self, tmp_path, capsys, x):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"particle_id,t,x_1\n0,0.0,0.25\n1,0.0,{x}\n")
+        assert cli_main(["w2", str(bad), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"{bad}: line 3: coordinate outside" in err
+        assert "1e+06" in err and "Traceback" not in err
+
+    def test_w2_particle_coordinate_on_the_bound_wraps(self, tmp_path, capsys):
+        far = tmp_path / "far.csv"
+        far.write_text("particle_id,t,x_1\n0,0.0,-999999.75\n1,0.0,1000000\n")
+        near = tmp_path / "near.csv"
+        near.write_text("particle_id,t,x_1\n0,0.0,0.25\n1,0.0,0.0\n")
+        assert cli_main(["w2", str(far), str(near)]) == 0
+        assert capsys.readouterr().out == "W2=0\n"
+
     def test_w2_particles_csv(self, tmp_path, capsys):
         sc = small_scenario(engines=["particles"])
         art = run_scenario(sc, tmp_path / "p")
@@ -840,8 +903,17 @@ class TestCliSweeps:
             H.convergence_sweep(sc, [0.1, 0.08, 0.06])
 
     def test_sweep_needs_mode(self, tmp_path, capsys):
+        # exactly one of --eps and --n-particles: both ran the eps sweep alone
         cfg = self._sweep_config(tmp_path)
-        assert cli_main(["sweep", str(cfg)]) == 1
+        out = tmp_path / "sweep"
+        for modes, cause in (
+                ([], "one of the arguments --eps --n-particles is required"),
+                (["--eps", "0.2", "0.1", "--n-particles", "10", "20"],
+                 "argument --n-particles: not allowed with argument --eps")):
+            assert cli_main(["sweep", str(cfg), *modes, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and cause in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_contraction_cli_appendix_a_mode(self, tmp_path, capsys):
         # lambda comes from the pair potential the twins integrate: no R_alpha here

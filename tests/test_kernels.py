@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from torusdpa.fields import GridField, periodic_convolve
 from torusdpa.kernels import (
     KernelEmbedError,
     KernelError,
@@ -256,14 +257,16 @@ class TestComposition:
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_associativity(self, kset_1d):
-        to = kset_1d.omega.table
-        tt = kset_1d.omega_tilde.table
-        left = to.convolve(tt).convolve(tt)
-        right = to.convolve(tt.convolve(tt))
+        to = GridField(kset_1d.omega.table.values)
+        tt = kset_1d.omega_tilde
+        left = periodic_convolve(periodic_convolve(to, tt), tt)
+        tt2 = KernelTable(periodic_convolve(GridField(tt.table.values), tt).values)
+        right = periodic_convolve(to, tt2)
         assert np.max(np.abs(left.values - right.values)) <= 1e-10
 
     def test_squared_kernel_spectral_positivity(self, kset_1d):
-        smooth2 = KernelTable.from_spectrum(kset_1d.multiplier(smooth2=1.0), kset_1d.n)
+        ot_hat = kset_1d.spectra[1]
+        smooth2 = KernelTable.from_spectrum(ot_hat * ot_hat, kset_1d.n)
         spec = np.real(np.fft.fft(smooth2.values)) / kset_1d.n
         assert spec.min() >= -1e-12
 
@@ -341,7 +344,7 @@ class TestLambdaConstant:
 def test_hessian_inf_norm_is_the_largest_eigenvalue_modulus(kset_1d, kset_2d):
     # 0.5 (|trace| + disc), bit for bit the max |lambda| over both fields
     rng = np.random.default_rng(5)
-    specs = [(k.multiplier(W=1.0), k.multiplier(smooth2=1.0), k.pair_spectrum())
+    specs = [(k.w_hat, k.spectra[1] * k.spectra[1], k.pair_spectrum())
              for k in (kset_1d, kset_2d)]
     specs = [s for group in specs for s in group]
     for d, n in ((1, 64), (2, 32)) * 10:

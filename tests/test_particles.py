@@ -8,7 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 from torusdpa.fields import GridField
-from torusdpa.kernels import KernelSet, build_kernel_set, hessian_inf_norm, schedule_from_epsilon
+from torusdpa.kernels import (
+    KernelSet,
+    KernelTable,
+    build_kernel_set,
+    hessian_inf_norm,
+    schedule_from_epsilon,
+)
 from torusdpa.oracles import (
     bump_profile,
     dense_fourier_energy,
@@ -316,8 +322,9 @@ class TestStableDt:
         doubled = KernelSet(
             schedule=kset_1d.schedule,
             omega=kset_1d.omega,
-            omega_tilde=dataclasses.replace(kset_1d.omega_tilde,
-                                            _spectrum=math.sqrt(2.0) * ot_hat),
+            omega_tilde=dataclasses.replace(
+                kset_1d.omega_tilde,
+                table=KernelTable.from_spectrum(math.sqrt(2.0) * ot_hat, kset_1d.n)),
             viscosity=dataclasses.replace(visc, spectrum=2.0 * visc.spectrum),
         )
         assert stable_dt(doubled) == pytest.approx(0.5 * base, rel=1e-12)
@@ -327,7 +334,7 @@ class TestStableDt:
         W = kset_1d.W
         h = W.h
         fd = (np.roll(W.values, -1) - 2.0 * W.values + np.roll(W.values, 1)) / h**2
-        hess = hessian_inf_norm(kset_1d.multiplier(W=1.0), kset_1d.n)
+        hess = hessian_inf_norm(kset_1d.w_hat, kset_1d.n)
         assert hess == pytest.approx(np.max(np.abs(fd)), rel=0.05)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -343,7 +350,7 @@ class TestStableDt:
         assert grad_max == pytest.approx(fd, rel=0.01)
         kset = dataclasses.replace(kset, schedule=dataclasses.replace(kset.schedule, m=m))
         rho_max = values.max()
-        L = (hessian_inf_norm(kset.multiplier(W=1.0), n)
+        L = (hessian_inf_norm(kset.w_hat, n)
              + m / (m - 1.0) * (hessian_inf_norm(kset.spectra[1], n) * rho_max ** (m - 1.0)
                                 + (m - 1.0) * rho_max ** (m - 2.0) * grad_max**2)
              + kset.schedule.epsilon_star * hessian_inf_norm(kset.viscosity.spectrum, n))

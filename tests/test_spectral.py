@@ -189,6 +189,20 @@ def test_stacked_transforms_are_the_per_field_ones(count_transforms, d, n, k):
             assert np.array_equal(into[i], back[i])
 
 
+@pytest.mark.parametrize("shape, d", [((16,), 1), ((16, 16), 2), ((3, 16, 16), 2)],
+                         ids=["1d", "2d", "stacked"])
+def test_inverse_transform_into_out_without_irfft_out(monkeypatch, shape, d):
+    # numpy < 2 has no irfft(out=): the fallback copies into out, bit for bit
+    # what numpy 2's irfft writes into the same array
+    spec = forward_transform(np.random.default_rng(len(shape) + d).standard_normal(shape), d=d)
+    into = np.full(shape, np.nan)
+    want = inverse_transform(spec, 16, d, out=into).copy()
+    monkeypatch.setattr(spectral, "_IRFFT_OUT", False)
+    into[...] = np.nan
+    assert inverse_transform(spec, 16, d, out=into) is into
+    assert into.tobytes() == want.tobytes() == inverse_transform(spec, 16, d).tobytes()
+
+
 @pytest.mark.parametrize("d, K", [(1, 40), (2, 30)])
 def test_mesh_transforms_are_the_full_ones(d, K):
     # the particle mesh's pruned transforms against the full transform and a

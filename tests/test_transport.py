@@ -392,6 +392,11 @@ class TestGridToMeasure:
         h_coarse = 4.0 / 256  # factor-4 blocks
         assert w <= h_coarse * np.sqrt(1) / 2.0
 
+    @pytest.mark.parametrize("max_atoms", [None, 4])
+    def test_no_positive_mass_rejected(self, max_atoms):
+        with pytest.raises(ValueError, match="no positive mass"):
+            grid_to_measure(GridField(np.zeros(16)), max_atoms=max_atoms)
+
     def test_negative_cells_rejected(self):
         with pytest.raises(ValueError):
             grid_to_measure(GridField(np.array([1.0, -0.5, 1.0, 1.0])))
