@@ -24,6 +24,7 @@ from .harness import (
     _SWEEP_ATOMS,
     PRESETS,
     Scenario,
+    build_scenario_kernels,
     contraction_test,
     convergence_sweep,
     load_scenario,
@@ -204,32 +205,28 @@ def _dispatch(args) -> int:
         print(f"W2={w2(mu, nu):.10g}")
         return 0
 
-    if args.command == "kernels" and args.kernels_command == "inspect":
-        sc = _load(args.config, args.seed, args.appendix_a_mode)
-        from .harness import build_scenario_kernels
-
-        kset = build_scenario_kernels(sc)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ok = True
-        for label, fam in (("omega", kset.omega), ("omega_tilde", kset.omega_tilde)):
-            rep = fam.validate()
-            ok = ok and rep["ok"]
-            print(f"{label}: scale={fam.scale} width={fam.profile_width:.4g} "
-                  f"moment={fam.second_moment_target:.4g} ok={rep['ok']}")
-            export_kernel_csv(fam, out / f"{label}.csv")
-        if kset.viscosity is not None:
-            rep = kset.viscosity.verify_bounds()
-            ok = ok and rep["ok"]
-            print(f"viscosity: alpha={kset.viscosity.alpha} k={kset.viscosity.k} {rep}")
-            export_kernel_csv(kset.viscosity.table, out / "viscosity.csv")
-            lam = lambda_convexity_constant(kset)
-            print(f"lambda convexity constant: {lam:.6g}")
-        export_kernel_csv(kset.W, out / "W_eps.csv")
-        print(f"tables exported to {out}")
-        return 0 if ok else 2
-
-    return 1
+    # kernels inspect, the one kernels command argparse lets through
+    sc = _load(args.config, args.seed, args.appendix_a_mode)
+    kset = build_scenario_kernels(sc)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ok = True
+    for label, fam in (("omega", kset.omega), ("omega_tilde", kset.omega_tilde)):
+        rep = fam.validate()
+        ok = ok and rep["ok"]
+        print(f"{label}: scale={fam.scale} width={fam.profile_width:.4g} "
+              f"moment={fam.second_moment_target:.4g} ok={rep['ok']}")
+        export_kernel_csv(fam, out / f"{label}.csv")
+    if kset.viscosity is not None:
+        rep = kset.viscosity.verify_bounds()
+        ok = ok and rep["ok"]
+        print(f"viscosity: alpha={kset.viscosity.alpha} k={kset.viscosity.k} {rep}")
+        export_kernel_csv(kset.viscosity.table, out / "viscosity.csv")
+        lam = lambda_convexity_constant(kset)
+        print(f"lambda convexity constant: {lam:.6g}")
+    export_kernel_csv(kset.W, out / "W_eps.csv")
+    print(f"tables exported to {out}")
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -375,16 +375,23 @@ class _Writer:
 
 def _particle_steps(scenario: Scenario, kernels: KernelSet, T: float) -> int:
     """fixed_steps' count of the particle steps to T; a count past
-    particles.MAX_STEPS raises ValueError, naming the keys that set the step."""
+    particles.MAX_STEPS raises ValueError, naming the keys that set the step.
+    A count that passes warns (RuntimeWarning) when an explicit integrator.dt
+    steps above stable_dt; dt "auto" is dt_safety times stable_dt, so a
+    dt_safety above 1 opts in and never warns."""
     integ = scenario.config["integrator"]
+    stable = P.stable_dt(kernels)
     if integ["dt"] == "auto":
-        stable = P.stable_dt(kernels)
         dt = stable * float(integ["dt_safety"])
         source = (f"integrator.dt_safety = {float(integ['dt_safety']):g} times the "
                   f"schedule's stable step {stable:.3g}")
     else:
         dt, source = float(integ["dt"]), "integrator.dt"
-    return P.fixed_steps(T, dt, source)[0]
+    nsteps, dt = P.fixed_steps(T, dt, source)
+    if integ["dt"] != "auto" and dt > stable:
+        warnings.warn(f"dt={dt:.3e} (integrator.dt) exceeds stable_dt={stable:.3e}",
+                      RuntimeWarning)
+    return nsteps
 
 
 def _plan(scenario: Scenario, rho0: F.GridField, engines=None, T=None) -> tuple:
@@ -442,18 +449,12 @@ def _run_particles(scenario: Scenario, kernels: KernelSet, state, nsteps: int, e
     method = c["integrator"]["method"]
     due = every = every or math.inf
     states = [state]
-    with warnings.catch_warnings():
-        # with dt "auto", a dt_safety above 1 opts into exceeding the
-        # conservative step bound (heun/rk4 stability reaches beyond it);
-        # silence the per-step warning then, and never for an explicit dt
-        if c["integrator"]["dt"] == "auto" and float(c["integrator"]["dt_safety"]) > 1.0:
-            warnings.filterwarnings("ignore", message="dt=.*exceeds stable_dt")
-        for k in range(1, nsteps + 1):
-            state = P.step(state, kernels, dt, method=method)
-            state.time = k * dt
-            if state.time >= due - P.SAMPLE_TOL or k == nsteps:
-                states.append(state)
-                due += every
+    for k in range(1, nsteps + 1):
+        state = P.step(state, kernels, dt, method=method)
+        state.time = k * dt
+        if state.time >= due - P.SAMPLE_TOL or k == nsteps:
+            states.append(state)
+            due += every
     return states
 
 

@@ -645,7 +645,7 @@ class KernelSet:
         if not self.appendix_a:
             specs["viscosity"] = (-sched.epsilon_star, self.viscosity_hat)
         if sched.m == 2.0:
-            cut = np.real(self.pair_kernel().spectrum)
+            cut = self.pair_kernel().spectrum
             specs.update(U=(1.0, cut), aggregation=(2.0, ot_hat * ot_hat))
         else:
             cut = ot_hat

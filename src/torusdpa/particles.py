@@ -31,7 +31,6 @@ Fourier series over the mesh's box of modes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,7 +247,8 @@ def momentum(forces: ForceField) -> np.ndarray:
 
 def stable_dt(kernels: KernelSet) -> float:
     """0.5 / L with L the set's Lipschitz bound of the force field
-    (KernelSet.force_lipschitz)."""
+    (KernelSet.force_lipschitz); dt "auto" is dt_safety times it, and a run
+    plan warns once of an explicit integrator.dt above it."""
     return 0.5 / kernels.force_lipschitz
 
 
@@ -300,15 +300,12 @@ def step(
     dt: float,
     method: str = "rk4",
 ) -> ParticleState:
-    """Advance one explicit step (one of METHODS) and wrap to the torus.  A dt
-    above stable_dt warns (RuntimeWarning) and still steps."""
+    """Advance one explicit step (one of METHODS) and wrap to the torus, at any
+    dt > 0: the run plan compares dt with stable_dt (harness._particle_steps)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose one of {', '.join(METHODS)}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dt_max = stable_dt(kernels)
-    if dt > dt_max:
-        warnings.warn(f"dt={dt:.3e} exceeds stable_dt={dt_max:.3e}", RuntimeWarning)
 
     def rhs(pos):
         # ParticleState wraps pos (and rejects non-finite coordinates)

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from torusdpa import spectral
 from torusdpa.fields import (
+    _MAGIC,
     B_eps,
     EnergyReport,
     GridField,
@@ -14,6 +16,7 @@ from torusdpa.fields import (
     entropy,
     free_energy,
     kde_density,
+    load_gridfield,
     periodic_convolve,
     velocity_field_nl,
 )
@@ -469,3 +472,30 @@ def test_alpha_zero_convention():
     # the viscosity addend is (eps_star/2) E_2[rho] under the convention
     visc = rep.F_eps_alpha - (0.25 * rep.D_eps - rep.E_m)
     assert visc == pytest.approx(0.5 * sched.epsilon_star * energy_E_m(rho, 2.0), rel=1e-12)
+
+
+def _gf_file(path, d, n, mass, values):
+    """A GridField file with the given header over the given values."""
+    path.write_bytes(_MAGIC + struct.pack("<iid", d, n, mass)
+                     + np.asarray(values, dtype="<f8").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda tmp: GridField(np.array([1.0, np.nan])), "non-finite values"),
+    (lambda tmp: periodic_convolve(GridField(np.ones(16)), KernelTable(np.ones(8) / 8)),
+     "grid mismatch"),
+    (lambda tmp: dissipation_D_eps(GridField(np.ones(16)), KernelTable(np.ones(8) / 8), 0.1),
+     "grid mismatch"),
+    (lambda tmp: dissipation_D_eps(GridField(np.ones(8)), KernelTable(np.ones(8) / 8), 0.0),
+     "epsilon must be positive"),
+    (lambda tmp: energy_E_m(GridField(np.ones(8)), 1.0), "m must exceed 1"),
+    (lambda tmp: load_gridfield(_gf_file(tmp / "d3.gf", 3, 2, 1.0, np.ones(8))),
+     "header gives d = 3"),
+    (lambda tmp: load_gridfield(_gf_file(tmp / "mass.gf", 1, 4, 2.0, np.ones(4))),
+     "mass does not match header"),
+], ids=["nan-value", "convolve-grid", "dissipation-grid", "dissipation-epsilon",
+        "energy-m", "gf-d3", "gf-mass"])
+def test_refusals(tmp_path, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(tmp_path)

@@ -63,6 +63,10 @@ class TestScenario:
             sc = load_scenario(name)
             assert sc.config["name"] == name
 
+    def test_file_initial_needs_a_path(self):
+        with pytest.raises(ValueError, match="initial.type file needs initial.path"):
+            Scenario.from_dict({"initial": {"type": "file"}})
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"engines": ["spectral-magic"]})
@@ -387,6 +391,69 @@ class TestContraction:
                                          "epsilon_star": 0.3, "alpha": 0.0}),
                 1e-3,
             )
+
+
+class TestDtWarning:
+    """The run plan compares an explicit integrator.dt with stable_dt once
+    per planned particle run; dt "auto" never warns."""
+
+    RAW = {"name": "tiny-dt", "dimension": 1, "N": 16, "T": 0.01, "seed": 7,
+           "engines": ["particles"], "grid": {"n": 32},
+           "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
+                        "alpha": 0.08},
+           "kernels": {"table_points": 256}, "pde_local": {"dt": 1e-4},
+           # at least 10 times stable_dt at each epsilon below
+           "integrator": {"method": "heun", "dt": 0.01}}
+
+    @staticmethod
+    def _dt_warnings(fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(*args)
+        return result, [str(w.message) for w in caught
+                        if w.category is RuntimeWarning and "exceeds stable_dt" in str(w.message)]
+
+    @pytest.mark.parametrize("command, runs", [
+        (["simulate"], 1),
+        (["sweep", "--eps", "0.14", "0.12", "0.1"], 3),
+        (["sweep", "--n-particles", "16", "32"], 1),
+        (["contraction"], 1),
+    ], ids=["simulate", "sweep-eps", "sweep-n", "contraction"])
+    def test_an_explicit_dt_past_the_bound_warns_once_per_planned_run(self, tmp_path, command,
+                                                                      runs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.RAW))
+        rc, msgs = self._dt_warnings(cli_main, [command[0], str(cfg), *command[1:],
+                                                "--out", str(tmp_path / "out")])
+        assert rc == 0 and len(msgs) == runs, msgs
+        assert all(re.match(r"dt=\S+ \(integrator\.dt\) exceeds stable_dt=", m) for m in msgs)
+
+    @pytest.mark.parametrize("dt_safety", [0.5, 1.0, 2.0, 8.0])
+    def test_dt_auto_never_warns(self, dt_safety):
+        sc = Scenario.from_dict({**self.RAW, "integrator": {"method": "heun", "dt": "auto",
+                                                           "dt_safety": dt_safety}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert H._plan(sc, H.initial_density(sc))[1]["particles"] >= 1
+
+    def test_a_plan_past_the_step_cap_refuses_without_warning(self):
+        # 1e7 steps of the explicit dt: refused before the comparison
+        sc = Scenario.from_dict({**self.RAW, "T": 1e5})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="integrator.dt sets a step"):
+                H._plan(sc, H.initial_density(sc))
+        assert caught == []
+
+    def test_the_stepping_loop_never_warns(self):
+        # the comparison is the plan's alone: the loop steps past the bound silently
+        sc = Scenario.from_dict(self.RAW)
+        rho0 = H.initial_density(sc)
+        with pytest.warns(RuntimeWarning, match="exceeds stable_dt"):
+            kernels, steps = H._plan(sc, rho0)[:2]
+        _, msgs = self._dt_warnings(H._run_particles, sc, kernels, P.init_quantile(rho0, 16),
+                                    steps["particles"], None)
+        assert msgs == []
 
 
 class TestCli:

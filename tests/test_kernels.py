@@ -393,3 +393,15 @@ def test_kernel_csv_gradients_are_spectral(kset_1d, kset_2d, count_transforms, d
     data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     for ax, grad in enumerate(gradient(fam.spectrum, fam.n)):
         assert np.array_equal(data[:, d + 1 + ax], grad.ravel())
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: make_mollifier("cosine", 0.1), KernelError, "unknown mollifier kind 'cosine'"),
+    (lambda: make_mollifier("compact-bump", 0.6), KernelError, r"scale 0.6 outside \(0, 1/2\)"),
+    (lambda: make_viscosity_kernel(0.0), KernelError, "alpha must be positive"),
+    (lambda: ParameterSchedule(epsilon=0.0, epsilon_tilde=0.25, epsilon_star=0.3, alpha=0.08),
+     ValueError, "epsilon must be positive"),
+], ids=["unknown-kind", "scale-0.6", "viscosity-alpha-0", "schedule-epsilon-0"])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

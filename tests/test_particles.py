@@ -290,13 +290,15 @@ class TestStep:
         Xb = (X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)) % 1.0
         assert np.max(np.abs(Xb - pos)) < 1e-10
 
-    def test_dt_warning_not_fatal(self, kset_1d, rng):
+    def test_steps_past_stable_dt_without_warning(self, kset_1d, rng):
+        # the run plan compares dt with stable_dt once (harness._particle_steps)
         st = ParticleState(rng.random((4, 1)))
         big = 10.0 * stable_dt(kset_1d)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            step(st, kset_1d, big, "euler")
-        assert any("stable_dt" in str(w.message) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in METHODS:
+                out = step(st, kset_1d, big, method)
+                assert out.time == big and np.all(np.isfinite(out.positions))
 
     def test_unknown_method(self, kset_1d):
         st = ParticleState(np.array([[0.5]]))
@@ -584,3 +586,12 @@ def test_compute_forces_keyword_must_match_the_set(kset_1d, rng):
     for kset, flag in ((kset_1d, True), (copy, False)):
         with pytest.raises(ValueError, match="appendix_a"):
             compute_forces(st, kset, appendix_a=flag)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda kset: init_quantile(GridField(np.zeros(16)), 8), "rho0 has no mass"),
+    (lambda kset: step(ParticleState(np.array([[0.5]])), kset, 0.0), "dt must be positive"),
+], ids=["quantile-zero-field", "step-dt-0"])
+def test_refusals(kset_1d, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(kset_1d)

@@ -355,3 +355,16 @@ def test_one_place_per_heavy_import():
     for name in ("transport.py", "harness.py"):
         imported = load_time_imports(ast.parse(sources[name]))
         assert [m for m in imported if m.split(".")[0] in ("scipy", "yaml")] == [], name
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: spectral.freq_lattice(8, 3), "unsupported dimension 3"),
+    (lambda: minimage_coords(8, 3), "unsupported dimension 3"),
+    (lambda: spectral.downsample_spectrum(np.ones(5), 16), "target finer than source"),
+    (lambda: spline_stencil(np.zeros((4, 2)), 8, 1), "expected points with 1 components"),
+    (lambda: spline_stencil(np.zeros((4, 1)), 8, 2), "expected points with 2 components"),
+], ids=["freq-lattice-d3", "minimage-d3", "downsample-finer", "stencil-2-in-1d",
+        "stencil-1-in-2d"])
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

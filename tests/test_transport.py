@@ -426,3 +426,13 @@ def test_kantorovich_rubinstein_bound(rng):
         )
         w, _ = w2_circle_exact(mu, nu)
         assert gap <= w + 1e-12
+
+
+@pytest.mark.parametrize("weights, fragment", [
+    (np.full(3, 0.25), "weights shape mismatch"),
+    (np.array([1.5, -0.25, -0.25, 0.0]), "negative weights"),
+    (np.full(4, 0.3), "weights sum to 1.2"),
+], ids=["shape", "negative", "sum"])
+def test_discrete_measure_refusals(weights, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        DiscreteMeasure(np.linspace(0.0, 0.75, 4)[:, None], weights)
