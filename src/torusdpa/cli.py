@@ -163,8 +163,9 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(parser.parse_args(argv))
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -654,9 +654,9 @@ def contraction_test(scenario: Scenario, delta: float, samples: int = 8, out_dir
         raise ValueError("contraction test requires m = 2")
     if scenario.schedule().alpha <= 0.0:
         raise ValueError("contraction test requires alpha > 0")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"--delta, the twins' initial offset, must be a finite number >= 0, "
-                         f"got {delta!r}")
+    if not 0.0 <= delta <= 0.5:
+        raise ValueError(f"--delta, the twins' initial offset, must be a number in [0, 1/2], "
+                         f"past which the torus wraps it, got {delta!r}")
     rho0 = initial_density(scenario)
     # equal steps in `samples` equal legs, so every sample ends a step
     kernels, steps, _, _ = _plan(scenario, rho0, ("particles",), c["T"] / samples)

@@ -246,9 +246,13 @@ def momentum(forces: ForceField) -> np.ndarray:
 
 
 def stable_dt(kernels: KernelSet) -> float:
-    """0.5 / L with L the set's Lipschitz bound of the force field
-    (KernelSet.force_lipschitz); dt "auto" is dt_safety times it, and a run
-    plan warns once of an explicit integrator.dt above it."""
+    """0.5 / L with L the set's Lipschitz bound of the particle velocity
+    (KernelSet.force_lipschitz): at m = 2, 0.5 / sup |Hess U| of the pair
+    potential.  The velocity's Jacobian over the N particles is at most 2 L
+    (a particle's own pull and its partners'), so dt * 2 L is 1 at this
+    step and 2 at dt_safety 2, the edge of heun's real stability interval.
+    dt "auto" is dt_safety times it, and a run plan warns once of an
+    explicit integrator.dt above it."""
     return 0.5 / kernels.force_lipschitz
 
 

@@ -347,7 +347,7 @@ def tail_cutoff(spec: np.ndarray, n: int) -> int:
 
 def _fine_size(K: int) -> int:
     """The smallest even 2^a 3^b 5^c of at least UPSAMPLING (2K + 1) points."""
-    n = UPSAMPLING * (2 * K + 1)
+    n = math.ceil(UPSAMPLING * (2 * K + 1))
     n += n % 2
     while True:
         r = n

@@ -189,14 +189,13 @@ class TestRunScenario:
     def test_particle_snapshots_follow_the_sampling_rule(self, tmp_path, sampled_times):
         # 8 steps of 6.25e-4 to T = 5e-3 and a cadence of 2.4 steps: the
         # snapshots are the first steps at or past 1.5e-3, 3e-3 and 4.5e-3
-        sc = small_scenario(engines=["particles"], T=5e-3, output={"snapshot_every": 1.5e-3})
+        sc = small_scenario(engines=["particles"], T=5e-3, integrator={"dt": 6.25e-4},
+                            output={"snapshot_every": 1.5e-3})
         art = run_scenario(sc, tmp_path / "s")
-        nsteps = H._particle_steps(sc, art.results["kernels"], 5e-3)
-        dt = 5e-3 / nsteps
         rows = (art.out_dir / "particles.csv").read_text().splitlines()[1:]
         times = sorted({float(row.split(",")[0]) for row in rows})
-        want = sampled_times([k * dt for k in range(1, nsteps + 1)], 1.5e-3)
-        assert nsteps == 8 and times == pytest.approx(want, abs=1e-15)
+        want = sampled_times([k * 6.25e-4 for k in range(1, 9)], 1.5e-3)
+        assert times == pytest.approx(want, abs=1e-15)
 
     def test_particle_snapshot_times_are_step_times(self, tmp_path):
         # 10 steps of 1e-4: the snapshots hold t = k dt, as the grid engines'
@@ -738,6 +737,24 @@ class TestCli:
             assert err.count("error:") == 1 and "Traceback" not in err
             assert key in err and "steps, more than the cap of 1e+06" in err
             assert not out.exists() and runs == []
+
+    def test_a_particle_count_past_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        # 2^40 particles fail in numpy's allocator, here faked so that
+        # nothing is allocated: one error line, no traceback, no directory
+        def no_memory(rho0, N):
+            raise MemoryError(f"Unable to allocate 8.00 TiB for an array with shape ({N},)")
+        monkeypatch.setattr(P, "init_quantile", no_memory)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+        cfg.write_text(json.dumps({
+            "dimension": 1, "N": 16, "T": 1e-4, "grid": {"n": 32},
+            "schedule": {"epsilon": 0.1, "epsilon_tilde": 0.25, "epsilon_star": 0.3,
+                         "alpha": 0.08},
+            "kernels": {"table_points": 256}}))
+        argv = ["sweep", str(cfg), "--n-particles", str(2**40), "--out", str(out)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "Unable to allocate" in err and not out.exists()
 
     def test_step_cap_clears_every_preset_20_fold(self):
         # fig1-2d's 17 500 local steps are the largest plan of the presets;

@@ -157,9 +157,8 @@ class TestSpectralSet:
     """Every composed kernel is a multiplier on the mollifier spectra and R_hat."""
 
     def test_set_build_transform_count(self, count_transforms):
-        # 2 mollifier spectra, 3 x 3 Hessian transforms (W, ot*ot, R) for
-        # stable_dt, 1 for the U table, 3 for lambda: 15 transforms, each two
-        # numpy calls in 2-d
+        # 2 mollifier spectra, 3 Hessian transforms of U for stable_dt, 1 for
+        # the U table, 3 for lambda: 9 transforms, each two numpy calls in 2-d
         sched = schedule_from_epsilon(0.1, d=2, epsilon_tilde=0.22, epsilon_star=0.3,
                                       alpha=0.1)
         calls = count_transforms
@@ -169,7 +168,7 @@ class TestSpectralSet:
         stable_dt(kset)
         kset.pair_kernel()
         lambda_convexity_constant(kset)
-        assert len(calls) == 2 * 15
+        assert len(calls) == 2 * 9
 
     def test_particle_mesh_cut_at_the_pair_potential_tail(self, kset_1d, kset_2d):
         # a 1-d box, as a 2-d one, is the smallest whose dropped modes

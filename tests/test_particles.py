@@ -331,6 +331,21 @@ class TestStableDt:
         )
         assert stable_dt(doubled) == pytest.approx(0.5 * base, rel=1e-12)
 
+    @pytest.mark.parametrize("appendix_a", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pair_potential_hessian_bound(self, kset_1d, kset_2d, d, appendix_a):
+        # at m = 2 the particles follow -grad U: the step is 0.5 / sup|Hess U|,
+        # never shorter than 0.5 over the sum of the addends' Hessian bounds
+        kset = kset_1d if d == 1 else kset_2d
+        if appendix_a:
+            kset = dataclasses.replace(kset, viscosity=None, appendix_a=True)
+        n, ot_hat = kset.n, kset.spectra[1]
+        assert stable_dt(kset) == 0.5 / hessian_inf_norm(kset.pair_spectrum(), n)
+        addends = hessian_inf_norm(kset.w_hat, n) + 2.0 * hessian_inf_norm(ot_hat * ot_hat, n)
+        if not appendix_a:
+            addends += kset.schedule.epsilon_star * hessian_inf_norm(kset.viscosity_hat, n)
+        assert stable_dt(kset) >= 0.5 / addends
+
     def test_lipschitz_vs_fd_hessian(self, kset_1d):
         # spectral Hessian sup matches dense second differencing within 5%
         W = kset_1d.W

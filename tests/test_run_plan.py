@@ -175,12 +175,11 @@ def test_sweep_lists_are_refused_or_swept(mode, data):
 
 
 @CLI_SETTINGS
-@given(delta=OPTION_FLOATS)
+@given(delta=st.one_of(OPTION_FLOATS, st.sampled_from((0.5, math.nextafter(0.5, 1.0), 1.3e308))))
 def test_contraction_deltas_are_refused_or_tested(delta):
     rc, files = _run(["contraction"], BASE, f"--delta={delta!r}")
-    # a finite delta near the float limit is refused too: its twin's
-    # coordinates overflow
-    assert rc == 1 or 0.0 <= delta < math.inf
+    # the torus wraps an offset past 1/2
+    assert rc == 1 or 0.0 <= delta <= 0.5
     if rc != 1:
         assert files == ["contraction.csv", "contraction_report.json"]
 

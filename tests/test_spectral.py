@@ -242,6 +242,12 @@ def test_es_quadrature_is_computed_once(monkeypatch):
     assert np.array_equal(spectral._es_transform(162, 40), want)
 
 
+def test_fine_size_rounds_a_fractional_upsampling_up(monkeypatch):
+    # 1.25 (2 * 95 + 1) = 238.75 points: 239 rounds to the even 240 = 2^4 3 5
+    monkeypatch.setattr(spectral, "UPSAMPLING", 1.25)
+    assert spectral._fine_size(95) == 240
+
+
 def test_tail_cutoff_weighs_columns_as_inner():
     # a Nyquist column just inside the tolerance at weight 1, outside at 2
     n = 16
